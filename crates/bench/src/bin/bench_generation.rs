@@ -10,6 +10,10 @@
 //! * `parallel_scaling` (ablation): row-band workers;
 //! * `streaming` (claim C4): successive-computation throughput.
 //!
+//! Every convolution row runs on [`ConvBackend::Direct`] — the paper's
+//! per-sample convolution, whose cost these claims are about (the FFT
+//! engines have their own suite, `bench_convolution`).
+//!
 //! Run with `cargo run --release -p rrs-bench --bin bench_generation`;
 //! writes `BENCH_generation.json` — the perf baseline future PRs diff
 //! against. Pass `--obs` to attach an enabled `rrs_obs::Recorder` to
@@ -22,8 +26,8 @@ use rrs_grid::Window;
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
 use rrs_surface::{
-    ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing, NoiseField,
-    StripGenerator,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing,
+    NoiseField, StripGenerator,
 };
 use std::hint::black_box;
 
@@ -39,7 +43,8 @@ fn main() {
     for cl in [4.0, 8.0, 16.0, 32.0] {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, cl));
         let gen = ConvolutionGenerator::new_observed(&s, KernelSizing::default(), rec.clone())
-            .with_workers(1);
+            .with_workers(1)
+            .with_backend(ConvBackend::Direct);
         h.bench_elems(&format!("kernel_scaling/cl{}", cl as u64), (OUT * OUT) as u64, || {
             black_box(gen.generate(&noise, out_win))
         });
@@ -57,6 +62,7 @@ fn main() {
         let extent = kernel.extent().0;
         let gen = ConvolutionGenerator::from_kernel(kernel)
             .with_workers(1)
+            .with_backend(ConvBackend::Direct)
             .with_recorder(rec.clone());
         h.bench(&format!("kernel_truncation/{label}/{extent}"), || {
             black_box(gen.generate(&noise, out_win))
@@ -76,6 +82,7 @@ fn main() {
         let win = Window::sized(n, n);
         let conv = ConvolutionGenerator::new(&s, KernelSizing::default())
             .with_workers(1)
+            .with_backend(ConvBackend::Direct)
             .with_recorder(rec.clone());
         h.bench_elems(&format!("direct_vs_conv/convolution/{n}"), (n * n) as u64, || {
             black_box(conv.generate(&noise, win))
@@ -84,6 +91,7 @@ fn main() {
             ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-2),
         )
         .with_workers(1)
+        .with_backend(ConvBackend::Direct)
         .with_recorder(rec.clone());
         h.bench_elems(&format!("direct_vs_conv/convolution_trunc/{n}"), (n * n) as u64, || {
             black_box(conv_t.generate(&noise, win))
@@ -115,6 +123,7 @@ fn main() {
     for workers in [1usize, 2, 4, 8] {
         let gen = ConvolutionGenerator::from_kernel(kernel.clone())
             .with_workers(workers)
+            .with_backend(ConvBackend::Direct)
             .with_recorder(rec.clone());
         h.bench_elems(&format!("parallel_scaling/w{workers}"), (bx * by) as u64, || {
             black_box(gen.try_correlate_window(&win_buf, bx, by).expect("correlate"))
@@ -141,8 +150,9 @@ fn main() {
     );
 
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
-    let mut sg =
-        StripGenerator::new(&s, KernelSizing::default(), 64, 5).with_recorder(rec.clone());
+    let mut sg = StripGenerator::new(&s, KernelSizing::default(), 64, 5)
+        .with_backend(ConvBackend::Direct)
+        .with_recorder(rec.clone());
     h.bench_elems("streaming/next_strip_256x64", (256 * 64) as u64, || {
         black_box(sg.next_strip(256))
     });

@@ -1,21 +1,28 @@
-//! Inhomogeneous-generation benchmarks.
+//! Inhomogeneous-generation benchmarks, each generator timed on two
+//! backends: `direct` (the per-sample loop, [`ConvBackend::Direct`]) and
+//! `auto` (the default [`ConvBackend::Auto`]: the kernel-major blend on
+//! the real-input FFT engine).
 //!
 //! * overhead of the plate- and point-oriented weight maps against the
-//!   homogeneous baseline (pure regions cost one kernel dot product, so
-//!   the gap is the membership evaluation itself);
+//!   homogeneous baseline (on `direct`, pure regions cost one kernel dot
+//!   product, so the gap is the membership evaluation itself);
 //! * the `blend_fields` vs `blend_kernels` ablation from DESIGN.md §7:
-//!   the generator blends per-kernel *fields* (linearity); the literal
-//!   eqn (46) alternative materialises a blended kernel per sample.
+//!   the generator blends per-kernel *fields* (linearity) — per sample on
+//!   `direct`, per kernel box on `auto`; the literal eqn (46) alternative
+//!   materialises a blended kernel per sample.
 //!
-//! Run with `cargo run --release -p rrs-bench --bin bench_inhomogeneous`;
-//! writes `BENCH_inhomogeneous.json`.
+//! A `speedup` section records each generator's `direct`/`auto` median
+//! ratio. Run with `cargo run --release -p rrs-bench --bin
+//! bench_inhomogeneous`; writes `BENCH_inhomogeneous.json`.
 
 use rrs_bench::Harness;
 use rrs_grid::{Grid2, Window};
 use rrs_inhomo::plate::quadrant_layout;
 use rrs_inhomo::{InhomogeneousGenerator, PointLayout, RepresentativePoint, WeightMap};
 use rrs_spectrum::{SpectrumModel, SurfaceParams};
-use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField};
+use rrs_surface::{
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField,
+};
 use std::hint::black_box;
 
 const N: usize = 128;
@@ -72,14 +79,42 @@ fn blend_kernels_naive(
     })
 }
 
+/// The two backends every generator is timed on, with their row suffix.
+const BACKENDS: [(&str, ConvBackend); 2] =
+    [("direct", ConvBackend::Direct), ("auto", ConvBackend::Auto)];
+
+/// Builds the generator on each backend, times `generate` as
+/// `<name>/direct` and `<name>/auto`, and returns the `direct`/`auto`
+/// median ratio.
+fn bench_both<G>(
+    h: &mut Harness,
+    name: &str,
+    build: impl Fn(ConvBackend) -> G,
+    generate: impl Fn(&G) -> Grid2<f64>,
+) -> f64 {
+    let mut medians = [0.0; 2];
+    for (slot, (suffix, backend)) in medians.iter_mut().zip(BACKENDS) {
+        let gen = build(backend);
+        h.bench(&format!("{name}/{suffix}"), || black_box(generate(&gen)));
+        *slot = h.last_record().expect("just recorded").median_ns;
+    }
+    medians[0] / medians[1]
+}
+
 fn main() {
     let mut h = Harness::new("inhomogeneous");
+    let mut speedups = Vec::new();
+    let win = Window::sized(N, N);
 
     let noise = NoiseField::new(1);
-    let hom = ConvolutionGenerator::new(&sm(1.0, 8.0), sizing()).with_workers(1);
-    h.bench("inhomo_overhead/homogeneous", || {
-        black_box(hom.generate(&noise, Window::sized(N, N)))
-    });
+    let name = "inhomo_overhead/homogeneous";
+    let ratio = bench_both(
+        &mut h,
+        name,
+        |b| ConvolutionGenerator::new(&sm(1.0, 8.0), sizing()).with_workers(1).with_backend(b),
+        |g| g.generate(&noise, win),
+    );
+    speedups.push((name.to_string(), ratio));
 
     let plates = quadrant_layout(
         N as f64,
@@ -87,10 +122,14 @@ fn main() {
         [sm(1.0, 8.0), sm(1.5, 8.0), sm(2.0, 8.0), sm(1.5, 8.0)],
         8.0,
     );
-    let plate_gen = InhomogeneousGenerator::new(plates, sizing()).with_workers(1);
-    h.bench("inhomo_overhead/plate_quadrants", || {
-        black_box(plate_gen.generate(&noise, Window::sized(N, N)))
-    });
+    let name = "inhomo_overhead/plate_quadrants";
+    let ratio = bench_both(
+        &mut h,
+        name,
+        |b| InhomogeneousGenerator::new(plates.clone(), sizing()).with_workers(1).with_backend(b),
+        |g| g.generate(&noise, win),
+    );
+    speedups.push((name.to_string(), ratio));
 
     let points = PointLayout::new(
         (0..8)
@@ -105,10 +144,14 @@ fn main() {
             .collect(),
         10.0,
     );
-    let point_gen = InhomogeneousGenerator::new(points, sizing()).with_workers(1);
-    h.bench("inhomo_overhead/point_ring8", || {
-        black_box(point_gen.generate(&noise, Window::sized(N, N)))
-    });
+    let name = "inhomo_overhead/point_ring8";
+    let ratio = bench_both(
+        &mut h,
+        name,
+        |b| InhomogeneousGenerator::new(points.clone(), sizing()).with_workers(1).with_backend(b),
+        |g| g.generate(&noise, win),
+    );
+    speedups.push((name.to_string(), ratio));
 
     let noise = NoiseField::new(2);
     // Same-extent kernels so the naive blend is well-defined.
@@ -122,13 +165,27 @@ fn main() {
     let kernels: Vec<ConvolutionKernel> =
         layout.spectra().iter().map(|s| ConvolutionKernel::build_on(s, spec)).collect();
 
-    let gen = InhomogeneousGenerator::from_kernels(layout.clone(), kernels.clone()).with_workers(1);
-    h.bench(&format!("blend_ablation/blend_fields/{N}"), || {
-        black_box(gen.generate(&noise, Window::sized(N, N)))
-    });
+    let name = format!("blend_ablation/blend_fields/{N}");
+    let ratio = bench_both(
+        &mut h,
+        &name,
+        |b| {
+            InhomogeneousGenerator::from_kernels(layout.clone(), kernels.clone())
+                .with_workers(1)
+                .with_backend(b)
+        },
+        |g| g.generate(&noise, win),
+    );
+    speedups.push((name, ratio));
     h.bench(&format!("blend_ablation/blend_kernels_naive/{N}"), || {
         black_box(blend_kernels_naive(&layout, &kernels, &noise, N))
     });
 
+    for (name, ratio) in &speedups {
+        println!("{name}: direct/auto median ratio {ratio:.2}x");
+    }
+    let entries: Vec<String> =
+        speedups.iter().map(|(name, r)| format!("\"{name}\": {r:.3}")).collect();
+    h.attach_section("speedup", format!("{{{}}}", entries.join(", ")));
     h.finish().expect("write BENCH_inhomogeneous.json");
 }

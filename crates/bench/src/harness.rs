@@ -97,13 +97,27 @@ impl Harness {
             black_box(f());
             samples.push(t0.elapsed().as_nanos() as f64);
         }
+        self.record(name, elements, samples);
+    }
+
+    /// The configured timed-rep count (for suites that time their own
+    /// loops, e.g. paired designs, and report through
+    /// [`record`](Harness::record)).
+    pub fn reps(&self) -> u64 {
+        self.reps
+    }
+
+    /// Summarises externally timed samples (nanoseconds per iteration)
+    /// into a record, exactly as [`bench`](Harness::bench) summarises its
+    /// own.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn record(&mut self, name: &str, elements: Option<u64>, mut samples: Vec<f64>) {
+        assert!(!samples.is_empty(), "{name}: no samples");
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let n = samples.len();
-        let median = if n % 2 == 1 {
-            samples[n / 2]
-        } else {
-            0.5 * (samples[n / 2 - 1] + samples[n / 2])
-        };
+        let median = median_of_sorted(&samples);
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = if n > 1 {
             samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1) as f64
@@ -112,7 +126,7 @@ impl Harness {
         };
         let record = BenchRecord {
             name: name.to_string(),
-            reps: self.reps,
+            reps: n as u64,
             min_ns: samples[0],
             median_ns: median,
             mean_ns: mean,
@@ -149,8 +163,10 @@ impl Harness {
     }
 
     /// Writes `BENCH_<suite>.json` into the current directory (or
-    /// `RRS_BENCH_DIR` when set) and returns the records.
-    pub fn finish(self) -> std::io::Result<Vec<BenchRecord>> {
+    /// `RRS_BENCH_DIR` when set), stamped with [`host_facts`], and returns
+    /// the records.
+    pub fn finish(mut self) -> std::io::Result<Vec<BenchRecord>> {
+        self.attach_section("host", host_facts());
         let dir = std::env::var("RRS_BENCH_DIR").unwrap_or_else(|_| ".".into());
         let path = format!("{dir}/BENCH_{}.json", self.suite);
         std::fs::write(
@@ -160,6 +176,47 @@ impl Harness {
         println!("\nwrote {path}");
         Ok(self.records)
     }
+}
+
+/// The median of an ascending slice (midpoint of the two central values
+/// for even lengths).
+///
+/// # Panics
+/// Panics if `sorted` is empty.
+pub fn median_of_sorted(sorted: &[f64]) -> f64 {
+    let n = sorted.len();
+    if n % 2 == 1 {
+        sorted[n / 2]
+    } else {
+        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+    }
+}
+
+/// The facts a timing depends on, as a JSON object: the host's
+/// `available_parallelism`, the compiler (`rustc --version`), the
+/// checkout (`git rev-parse`, plus whether the tree had local changes)
+/// and the build profile. Tools that are missing report `"unknown"`.
+pub fn host_facts() -> String {
+    let run = |cmd: &str, args: &[&str]| {
+        std::process::Command::new(cmd)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rustc = run("rustc", &["--version"]).unwrap_or_else(|| "unknown".into());
+    let rev = run("git", &["rev-parse", "--short=12", "HEAD"]).unwrap_or_else(|| "unknown".into());
+    let dirty = run("git", &["status", "--porcelain", "--untracked-files=no"])
+        .map_or("null".to_string(), |s| (!s.is_empty()).to_string());
+    let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
+    format!(
+        "{{\"available_parallelism\": {parallelism}, \"rustc\": \"{}\", \"git_rev\": \"{}\", \
+         \"git_dirty\": {dirty}, \"profile\": \"{profile}\"}}",
+        json_escape(&rustc),
+        json_escape(&rev),
+    )
 }
 
 fn fmt_ns(ns: f64) -> String {

@@ -27,6 +27,12 @@
 //! two packed spectra stay packed (products of Hermitian spectra are
 //! Hermitian), which is exactly what convolution needs.
 //!
+//! [`RealFft2d::forward_in_place`] / [`RealFft2d::inverse_in_place`] run
+//! the same arithmetic without a separate real buffer: each packed row
+//! has `2·(nx/2 + 1)` `f64`s of room (`nx + 2`, or 2 when `nx = 1`), so
+//! the real row can sit in its first `nx` (exactly the `z[k]` pairs the
+//! half-size trick transforms).
+//!
 //! Normalisation matches [`Fft2d`](crate::Fft2d): the forward transform
 //! is the unnormalised DFT restricted to the stored bins, and
 //! [`RealFft2d::inverse_into`] is its exact inverse (the `1/(nx·ny)`
@@ -196,6 +202,54 @@ impl RealFft2d {
         }
     }
 
+    /// [`RealFft2d::forward_into`] without a separate real buffer: on
+    /// entry row `r` of `spec`, viewed as `f64`s through
+    /// [`rrs_num::complex::as_f64s_mut`], holds the real row in its first
+    /// `nx` values (the rest of the row is ignored); on exit `spec` holds
+    /// the packed spectrum, bit-identical to `forward_into`'s. Rows run
+    /// serially; the column pass honours the worker count.
+    ///
+    /// # Panics
+    /// Panics if `spec.len() != packed_len()`.
+    pub fn forward_in_place(&self, spec: &mut [Complex64], scratch: &mut Vec<Complex64>) {
+        assert_eq!(spec.len(), self.packed_len(), "spectrum buffer shape mismatch");
+        Self::grow(scratch, self.scratch_len());
+        for srow in spec.chunks_exact_mut(self.packed_width()) {
+            match &self.half {
+                // The real samples are already the `z[k] = x[2k] + j·x[2k+1]`
+                // pairs the half-size trick transforms.
+                Some(_) => {
+                    let z = &mut scratch[..self.nx / 2];
+                    z.copy_from_slice(&srow[..self.nx / 2]);
+                    self.r2c_z(z, srow);
+                }
+                None => srow[0] = Complex64::from_re(srow[0].re),
+            }
+        }
+        self.cols_pass(spec, Direction::Forward, scratch);
+    }
+
+    /// [`RealFft2d::inverse_into`] without a separate real buffer: leaves
+    /// row `r`'s real samples in the first `nx` `f64`s of `spec`'s row `r`
+    /// (the layout [`RealFft2d::forward_in_place`] reads), bit-identical
+    /// to `inverse_into`'s output.
+    ///
+    /// # Panics
+    /// Panics if `spec.len() != packed_len()`.
+    pub fn inverse_in_place(&self, spec: &mut [Complex64], scratch: &mut Vec<Complex64>) {
+        assert_eq!(spec.len(), self.packed_len(), "spectrum buffer shape mismatch");
+        self.cols_pass(spec, Direction::Inverse, scratch);
+        Self::grow(scratch, self.scratch_len());
+        if self.half.is_some() {
+            let n2 = self.nx / 2;
+            for srow in spec.chunks_exact_mut(self.packed_width()) {
+                let z = &mut scratch[..n2];
+                self.c2r_z(srow, z);
+                srow[..n2].copy_from_slice(z);
+            }
+        }
+    }
+
     /// Convenience: forward transform of a real field into a freshly
     /// allocated packed spectrum.
     pub fn forward_real(&self, input: &[f64]) -> Vec<Complex64> {
@@ -215,16 +269,23 @@ impl RealFft2d {
     /// One real row → packed spectrum row (`nx/2 + 1` bins), via one
     /// half-length complex FFT plus the untangle pass.
     fn r2c_row(&self, row: &[f64], spec_row: &mut [Complex64], scratch: &mut [Complex64]) {
-        let Some(half) = &self.half else {
+        if self.half.is_none() {
             spec_row[0] = Complex64::from_re(row[0]);
             return;
-        };
+        }
         let n2 = self.nx / 2;
         let z = &mut scratch[..n2];
         for (k, slot) in z.iter_mut().enumerate() {
             *slot = Complex64::new(row[2 * k], row[2 * k + 1]);
         }
-        half.process(z, Direction::Forward);
+        self.r2c_z(z, spec_row);
+    }
+
+    /// The half-length FFT of the row's pairs `z` and the untangle pass
+    /// into the packed row (`nx > 1`).
+    fn r2c_z(&self, z: &mut [Complex64], spec_row: &mut [Complex64]) {
+        let n2 = self.nx / 2;
+        self.half.as_ref().expect("nx > 1 has a half-length plan").process(z, Direction::Forward);
         for (k, slot) in spec_row.iter_mut().enumerate() {
             let zk = z[k % n2]; // Z is n/2-periodic: bin n/2 reads Z[0]
             let zc = z[(n2 - k) % n2].conj();
@@ -238,12 +299,22 @@ impl RealFft2d {
     /// [`RealFft2d::r2c_row`] exactly (the half-length inverse FFT's
     /// `2/nx` and the untangle's `1/2` compose to the row's full `1/nx`).
     fn c2r_row(&self, spec_row: &[Complex64], row: &mut [f64], scratch: &mut [Complex64]) {
-        let Some(half) = &self.half else {
+        if self.half.is_none() {
             row[0] = spec_row[0].re;
             return;
-        };
+        }
+        let z = &mut scratch[..self.nx / 2];
+        self.c2r_z(spec_row, z);
+        for (k, &v) in z.iter().enumerate() {
+            row[2 * k] = v.re;
+            row[2 * k + 1] = v.im;
+        }
+    }
+
+    /// The untangle pass backwards and the half-length inverse FFT: `z`
+    /// ends holding the real row's pairs (`nx > 1`).
+    fn c2r_z(&self, spec_row: &[Complex64], z: &mut [Complex64]) {
         let n2 = self.nx / 2;
-        let z = &mut scratch[..n2];
         for (k, slot) in z.iter_mut().enumerate() {
             let a = spec_row[k];
             let b = spec_row[n2 - k].conj();
@@ -251,11 +322,7 @@ impl RealFft2d {
             let zo = self.twiddles[k].conj() * (a - b).scale(0.5);
             *slot = ze + zo.mul_i(); // Z[k] = E[k] + j·O[k]
         }
-        half.process(z, Direction::Inverse);
-        for (k, &v) in z.iter().enumerate() {
-            row[2 * k] = v.re;
-            row[2 * k + 1] = v.im;
-        }
+        self.half.as_ref().expect("nx > 1 has a half-length plan").process(z, Direction::Inverse);
     }
 
     /// Transforms the stored spectrum columns in place. Parallel workers
@@ -383,6 +450,39 @@ mod tests {
             rfft.inverse_into(&mut spec, &mut out, &mut scratch);
             let err = x.iter().zip(&out).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
             assert!(err < 1e-10, "shape ({nx},{ny}): err {err}");
+        }
+    }
+
+    #[test]
+    fn in_place_transforms_match_the_buffered_ones_bit_for_bit() {
+        for &(nx, ny) in &[(1usize, 1usize), (1, 6), (2, 2), (8, 5), (16, 16), (32, 3)] {
+            let rfft = RealFft2d::new(nx, ny);
+            let x = random_real(nx * ny, 31 + nx as u64);
+            let mut scratch = Vec::new();
+            let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
+            rfft.forward_into(&x, &mut spec, &mut scratch);
+
+            // The real rows laid into the spectrum rows, 2·packed_width() f64s
+            // apart (nx + 2, or 2 when nx = 1).
+            let hw = rfft.packed_width();
+            let mut inplace = vec![Complex64::new(f64::NAN, f64::NAN); rfft.packed_len()];
+            for (row, dst) in x.chunks_exact(nx).zip(inplace.chunks_exact_mut(hw)) {
+                rrs_num::complex::as_f64s_mut(dst)[..nx].copy_from_slice(row);
+            }
+            rfft.forward_in_place(&mut inplace, &mut scratch);
+            let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+                v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+            };
+            assert_eq!(bits(&inplace), bits(&spec), "forward {nx}x{ny}");
+
+            let mut back = vec![0.0; nx * ny];
+            rfft.inverse_into(&mut spec, &mut back, &mut scratch);
+            rfft.inverse_in_place(&mut inplace, &mut scratch);
+            let row_bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            for (row, src) in back.chunks_exact(nx).zip(inplace.chunks_exact(hw)) {
+                let got = &rrs_num::complex::as_f64s(src)[..nx];
+                assert_eq!(row_bits(got), row_bits(row), "inverse {nx}x{ny}");
+            }
         }
     }
 

@@ -8,9 +8,22 @@
 //! ```
 //!
 //! which by linearity equals convolving the blended kernel
-//! `Σ_i g_i(n)·w̃_i` of eqns (37)/(46) with the noise. Samples where only
-//! one kernel is active (the bulk of the surface) cost exactly one
-//! homogeneous-kernel dot product.
+//! `Σ_i g_i(n)·w̃_i` of eqns (37)/(46) with the noise. Two evaluators
+//! compute that sum:
+//!
+//! * the **kernel-major blend** (every backend but
+//!   [`ConvBackend::Direct`]): one weights pass finds each kernel's
+//!   bounding box of nonzero weight; then, kernel by kernel in index
+//!   order, the field `w̃_i ⊛ X` is convolved over that box through the
+//!   real-input overlap-save engine (or by direct dot products where
+//!   [`ConvBackend::resolve`] picks `Direct` for the kernel's size) and
+//!   `g_i(n)·field_i(n)` is added into the output as each tile comes off
+//!   the inverse transform, so no field is ever stored.
+//!   `O(K·N log N)` instead of `O(N·|kernel|)`, equal to the per-sample
+//!   loop within 1e-9 relative error;
+//! * the **per-sample loop** ([`ConvBackend::Direct`], and the rung a
+//!   failed blend degrades to): one homogeneous-kernel dot product per
+//!   active kernel per sample, bit-identical to every earlier release.
 
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, ErrorKind, RrsError};
@@ -18,10 +31,18 @@ use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
 use rrs_obs::{stage, ObsSink, Recorder};
 use rrs_spectrum::SpectrumModel;
-use rrs_surface::internal::{effective_workers, plan_tiles, FftEngine};
+use rrs_surface::internal::{
+    convolve_rfft_into, effective_workers, plan_tiles_within, Combine, OutputRows, TileShape,
+};
 use rrs_surface::{ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+
+/// Largest overlap-save tile side the blend plans (per axis, unless the
+/// kernel itself is wider): the blend holds one kernel's working set at
+/// a time, and past 256 a bigger tile buys little speed for a lot of
+/// arena memory.
+const BLEND_MAX_TILE_SIDE: usize = 256;
 
 /// Failures that warrant retrying the request on a simpler evaluator:
 /// worker panics and injected faults. Budget trips, shape errors and I/O
@@ -56,13 +77,57 @@ impl WeightMap for Box<dyn WeightMap> {
     }
 }
 
+/// What one weights pass over a window learns: each kernel's bounding
+/// box of nonzero weight and the kernel-selection counts the per-sample
+/// loop records. (`Default` only fills `par_map_collect`'s slots, each
+/// overwritten by its band's scan.)
+#[derive(Clone, Default)]
+struct WeightScan {
+    /// Per kernel, window-local `(x0, x1, y0, y1)`: nonzero weight only
+    /// on `[x0, x1) × [y0, y1)` (none while `x0 >= x1`).
+    boxes: Vec<(usize, usize, usize, usize)>,
+    pure: u64,
+    blended: u64,
+    evals: u64,
+}
+
+impl WeightScan {
+    fn new(kernels: usize) -> Self {
+        let empty = (usize::MAX, 0, usize::MAX, 0);
+        Self { boxes: vec![empty; kernels], pure: 0, blended: 0, evals: 0 }
+    }
+
+    /// Folds in another band's rows.
+    fn merge(mut self, other: Self) -> Self {
+        for (a, b) in self.boxes.iter_mut().zip(other.boxes) {
+            *a = (a.0.min(b.0), a.1.max(b.1), a.2.min(b.2), a.3.max(b.3));
+        }
+        self.pure += other.pure;
+        self.blended += other.blended;
+        self.evals += other.evals;
+        self
+    }
+
+    /// Kernel `ki`'s bounding box in absolute coordinates, if it weighs
+    /// anywhere.
+    fn kernel_box(&self, ki: usize, win: Window) -> Option<Window> {
+        let (x0, x1, y0, y1) = self.boxes[ki];
+        (x0 < x1).then(|| Window {
+            x0: win.x0 + x0 as i64,
+            y0: win.y0 + y0 as i64,
+            nx: x1 - x0,
+            ny: y1 - y0,
+        })
+    }
+}
+
 /// Inhomogeneous surface generator over any [`WeightMap`].
 pub struct InhomogeneousGenerator<M> {
     map: M,
     kernels: Vec<ConvolutionKernel>,
     ctx: GenContext,
-    fft: FftEngine,
-    // Precomputed reaches for noise-window sizing.
+    // The union of every kernel's reach: the per-sample loop's noise
+    // window margins.
     reach_left: i64,
     reach_right: i64,
     reach_down: i64,
@@ -139,12 +204,10 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             reach_down = reach_down.max(oy + h as i64 - 1);
             reach_up = reach_up.max(-oy);
         }
-        let ctx = GenContext::new();
         Ok(Self {
             map,
             kernels,
-            fft: FftEngine::new(Arc::clone(ctx.plan_cache())),
-            ctx,
+            ctx: GenContext::new(),
             reach_left,
             reach_right,
             reach_down,
@@ -154,14 +217,8 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
 
     /// Replaces the whole [`GenContext`] at once — the single entry
     /// point every `with_*` builder delegates to, shared verbatim with
-    /// the homogeneous generators. The FFT engine is rebuilt only when
-    /// the context carries a different plan cache, so re-applying a
-    /// context that shares the current cache keeps cached kernel
-    /// spectra warm.
+    /// the homogeneous generators.
     pub fn with_context(mut self, ctx: GenContext) -> Self {
-        if !Arc::ptr_eq(self.fft.plans(), ctx.plan_cache()) {
-            self.fft = FftEngine::new(Arc::clone(ctx.plan_cache()));
-        }
         self.ctx = ctx;
         self
     }
@@ -178,10 +235,11 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self
     }
 
-    /// Attaches a recorder: window materialisation and the blending loop
-    /// are timed, and the kernel-selection mix is counted
+    /// Attaches a recorder: window materialisation, FFT tiles and the
+    /// blending passes are timed, and the kernel-selection mix is counted
     /// (`inhomo/pure_samples`, `inhomo/blended_samples`,
-    /// `inhomo/kernel_evals`). Observation never changes output.
+    /// `inhomo/kernel_evals`) with the same values on every backend.
+    /// Observation never changes output.
     pub fn with_recorder(mut self, obs: Recorder) -> Self {
         self.ctx = self.ctx.with_recorder(obs);
         self
@@ -192,9 +250,10 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self.ctx.recorder()
     }
 
-    /// Attaches a resource [`Budget`]: deadline/cancel polled at band
-    /// granularity during blending, byte ceiling enforced before the
-    /// noise window and output field are allocated. Defaults to
+    /// Attaches a resource [`Budget`]: deadline/cancel polled per FFT
+    /// tile, per row of the blend's weights pass and per band of every
+    /// other blending pass, byte ceiling enforced before any noise
+    /// window, field or output is allocated. Defaults to
     /// [`Budget::unlimited`], under which generation is bit-identical to
     /// the unbudgeted path.
     pub fn with_budget(mut self, budget: Budget) -> Self {
@@ -207,10 +266,10 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self.ctx.budget()
     }
 
-    /// Attaches a [`ChaosInjector`]: fault sites in the blending loop and
-    /// the pure-window FFT path consult its schedule. Disabled by default,
-    /// under which generation is bit-identical to the un-instrumented
-    /// path.
+    /// Attaches a [`ChaosInjector`]: the fault sites of the FFT tiles,
+    /// plan lookups and blending bands consult its schedule. Disabled by
+    /// default, under which generation is bit-identical to the
+    /// un-instrumented path.
     pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
         self.ctx = self.ctx.with_chaos(chaos);
         self
@@ -221,40 +280,55 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self.ctx.chaos()
     }
 
-    /// Selects the convolution backend for **pure** windows — requests
-    /// whose every sample carries exactly one kernel at weight 1 (the
-    /// bulk of a plate's interior, away from transition bands). Such
-    /// windows reduce to a homogeneous convolution, so they dispatch to
-    /// the same engine as
-    /// [`ConvolutionGenerator`](rrs_surface::ConvolutionGenerator):
-    /// [`ConvBackend::FftOverlapSave`] or an [`ConvBackend::Auto`]
-    /// resolution of it runs overlap-save FFT tiles; windows that blend
-    /// kernels anywhere — or mix two pure regions — always fall back to
-    /// the per-sample direct loop, which is the only evaluator of the
-    /// blended sum. The default [`ConvBackend::Direct`] skips the
-    /// pure-window scan entirely and is bit-identical to previous
-    /// releases.
+    /// Selects the evaluator. Every policy but [`ConvBackend::Direct`]
+    /// runs the kernel-major blend (see the module docs) whenever a kernel
+    /// resolves to the FFT engine: each kernel's field over its own box of
+    /// nonzero weight, from the real-input overlap-save engine — or from
+    /// direct dot products for a kernel [`ConvBackend::resolve`] sends to
+    /// `Direct` — weighted and summed in kernel-index order. That covers
+    /// pure windows and windows across transition bands alike, equals the
+    /// per-sample loop within 1e-9 relative error, and is bit-identical
+    /// across worker counts. A blend that fails on a worker panic or an
+    /// injected fault degrades to the per-sample loop
+    /// (`conv/degraded_to_direct`).
+    /// [`ConvBackend::Direct`] runs the per-sample loop only and is
+    /// bit-identical to previous releases; pin it to reproduce their
+    /// output exactly.
     pub fn with_backend(mut self, backend: ConvBackend) -> Self {
         self.ctx = self.ctx.with_backend(backend);
         self
     }
 
-    /// The configured backend policy ([`ConvBackend::Direct`] by default).
+    /// The configured backend policy ([`ConvBackend::Auto`] by default).
     pub fn backend(&self) -> ConvBackend {
         self.ctx.backend()
     }
 
-    /// Shares an [`FftPlanCache`] with other generators so pure-window
-    /// FFT dispatches reuse their twiddle tables (resets this generator's
-    /// cached kernel spectra).
-    pub fn with_plan_cache(self, plans: Arc<FftPlanCache>) -> Self {
-        let ctx = self.ctx.clone().with_plan_cache(plans);
-        self.with_context(ctx)
+    /// The evaluator this generator runs: [`ConvBackend::Direct`] (the
+    /// per-sample loop) when the policy resolves every kernel to `Direct`,
+    /// otherwise [`ConvBackend::FftOverlapSave`] (the kernel-major blend).
+    pub fn resolved_backend(&self) -> ConvBackend {
+        let fft = self.kernels.iter().any(|k| {
+            let (kw, kh) = k.extent();
+            self.ctx.backend().resolve(kw, kh) != ConvBackend::Direct
+        });
+        if fft {
+            ConvBackend::FftOverlapSave
+        } else {
+            ConvBackend::Direct
+        }
+    }
+
+    /// Shares an [`FftPlanCache`] with other generators so the blend's
+    /// FFT tiles reuse their twiddle tables.
+    pub fn with_plan_cache(mut self, plans: Arc<FftPlanCache>) -> Self {
+        self.ctx = self.ctx.with_plan_cache(plans);
+        self
     }
 
     /// The plan cache backing the FFT path.
     pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        self.fft.plans()
+        self.ctx.plan_cache()
     }
 
     /// The kernels, in map order.
@@ -270,42 +344,55 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// Fallible [`InhomogeneousGenerator::generate`]: reports worker
     /// panics as [`RrsError::WorkerPanicked`] instead of propagating the
     /// unwind. With a [`Budget`] attached, a tripped cancel/deadline
-    /// returns before any allocation and a byte ceiling rejects
-    /// oversized requests with [`RrsError::BudgetExceeded`] before the
-    /// noise window or output field is materialised.
+    /// returns before any allocation and a byte ceiling rejects oversized
+    /// requests with [`RrsError::BudgetExceeded`] before any noise window
+    /// or output is materialised.
     pub fn try_generate(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         self.ctx.budget().check()?;
-        if self.ctx.backend() != ConvBackend::Direct {
-            // The pure-window scan is O(nx·ny) map lookups; admit the
-            // output footprint first so an oversized request still fails
-            // the byte ceiling before any of that work runs.
-            self.ctx
-                .budget()
-                .admit("inhomogeneous generation", win.nx as u128 * win.ny as u128 * 8)
-                .inspect_err(|_| {
-                    self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-                })?;
-            if let Some(ki) = self.pure_kernel(win) {
-                let (kw, kh) = self.kernels[ki].extent();
-                let resolved = self.ctx.backend().resolve(kw, kh);
-                if matches!(
-                    resolved,
-                    ConvBackend::FftOverlapSave | ConvBackend::FftComplexSerial
-                ) {
-                    match self.generate_pure_fft(ki, resolved, noise, win) {
-                        Ok(out) => return Ok(out),
-                        // Every FFT rung failed on a worker panic or an
-                        // injected fault: degrade to the per-sample direct
-                        // loop below, which is the bit-exact reference
-                        // evaluator and shares no FFT machinery.
-                        Err(e) if is_degradable(&e) => {
-                            self.ctx.recorder().add_counter(stage::CONV_DEGRADED_TO_DIRECT, 1);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
+        if self.resolved_backend() == ConvBackend::Direct {
+            return self.generate_per_sample(noise, win);
         }
+        // The weights pass is O(nx·ny) map lookups: admit the output
+        // first so an oversized request fails the byte ceiling before any
+        // of that work runs.
+        self.admit(win.nx as u128 * win.ny as u128)?;
+        let attempt = catch_unwind(AssertUnwindSafe(|| self.generate_blended(noise, win)))
+            .unwrap_or_else(|p| Err(RrsError::worker_panicked(0, p.as_ref())));
+        match attempt {
+            // The blend failed on a worker panic or an injected fault:
+            // degrade to the per-sample loop, the bit-exact reference
+            // evaluator, which shares no FFT machinery.
+            Err(e) if is_degradable(&e) => {
+                self.ctx.recorder().add_counter(stage::CONV_DEGRADED_TO_DIRECT, 1);
+                self.generate_per_sample(noise, win)
+            }
+            other => other,
+        }
+    }
+
+    /// Generates the surface samples requested by `win` from the
+    /// unbounded inhomogeneous surface driven by `noise`. Windows tile
+    /// seamlessly.
+    ///
+    /// # Panics
+    /// Panics if a worker panics. Fallible callers use
+    /// [`InhomogeneousGenerator::try_generate`].
+    pub fn generate(&self, noise: &NoiseField, win: Window) -> Grid2<f64> {
+        self.try_generate(noise, win).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Admission control: `samples` f64s against the byte ceiling. A
+    /// rejection ticks [`stage::BUDGET_REJECT`].
+    fn admit(&self, samples: u128) -> Result<(), RrsError> {
+        self.ctx.budget().admit("inhomogeneous generation", samples * 8).inspect_err(|_| {
+            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
+        })
+    }
+
+    /// The per-sample loop: for every output sample, one dot product per
+    /// active kernel against a noise window covering every kernel's
+    /// reach.
+    fn generate_per_sample(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         self.ctx.recorder().add_counter(stage::CONV_BACKEND_DIRECT, 1);
         let Window { x0, y0, nx, ny } = win;
         let wx0 = x0 - self.reach_left;
@@ -314,10 +401,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         let wh = ny + (self.reach_down + self.reach_up) as usize;
         // Noise window plus output field, estimated in u128 before either
         // is allocated.
-        let required = (ww as u128 * wh as u128 + nx as u128 * ny as u128) * 8;
-        self.ctx.budget().admit("inhomogeneous generation", required).inspect_err(|_| {
-            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-        })?;
+        self.admit(ww as u128 * wh as u128 + nx as u128 * ny as u128)?;
         let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
         let noise_win = noise.window(wx0, wy0, ww, wh);
         self.ctx.recorder().finish(span);
@@ -367,133 +451,184 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         Ok(out)
     }
 
-    /// Generates the surface samples requested by `win` from the
-    /// unbounded inhomogeneous surface driven by `noise`. Windows tile
-    /// seamlessly.
-    ///
-    /// # Panics
-    /// Panics if a worker panics. Fallible callers use
-    /// [`InhomogeneousGenerator::try_generate`].
-    pub fn generate(&self, noise: &NoiseField, win: Window) -> Grid2<f64> {
-        self.try_generate(noise, win).unwrap_or_else(|e| panic!("{e}"))
-    }
+    /// The kernel-major blend: weights pass, admission, then one field
+    /// per active kernel, each weighted into the output and dropped
+    /// before the next is built.
+    fn generate_blended(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
+        let scan = self.scan_weights(win);
+        // A band that tripped the budget stopped early: report it before
+        // anything is admitted or allocated.
+        self.ctx.budget().check()?;
+        let boxes: Vec<Option<Window>> =
+            (0..self.kernels.len()).map(|ki| scan.kernel_box(ki, win)).collect();
+        // Plus the largest working set one kernel holds at a time (its
+        // noise window and tile arenas).
+        let largest = boxes
+            .iter()
+            .zip(&self.kernels)
+            .filter_map(|(b, k)| b.map(|b| self.kernel_footprint(k, b)))
+            .max()
+            .unwrap_or(0);
+        self.admit(win.nx as u128 * win.ny as u128 + largest)?;
+        self.ctx.recorder().add_counter(stage::CONV_BACKEND_FFT, 1);
 
-    /// Scans the window for a single pure kernel: `Some(ki)` iff every
-    /// sample's weight vector is exactly `[(ki, 1.0)]`. Early-exits on
-    /// the first blended, fractional or differing sample, so windows
-    /// touching a transition band pay for only a prefix of the scan.
-    fn pure_kernel(&self, win: Window) -> Option<usize> {
-        let mut weights: Vec<(usize, f64)> = Vec::with_capacity(self.kernels.len());
-        let mut pure = None;
-        for iy in 0..win.ny {
-            let gy = (win.y0 + iy as i64) as f64;
-            for ix in 0..win.nx {
-                let gx = (win.x0 + ix as i64) as f64;
-                self.map.weights_at(gx, gy, &mut weights);
-                match (pure, weights.as_slice()) {
-                    (None, &[(ki, g)]) if g == 1.0 => pure = Some(ki),
-                    (Some(p), &[(ki, g)]) if g == 1.0 && p == ki => {}
-                    _ => return None,
+        let mut out = Grid2::zeros(win.nx, win.ny);
+        for (ki, kbox) in boxes.iter().enumerate() {
+            let Some(kbox) = *kbox else { continue };
+            let kernel = &self.kernels[ki];
+            let (kw, kh) = kernel.extent();
+            let (ox, oy) = kernel.origin();
+            // f(n) = Σ_j w̃(j)·X(n−j): the box grown by this kernel's own
+            // reach.
+            let wx0 = kbox.x0 - (ox + kw as i64 - 1);
+            let wy0 = kbox.y0 - (oy + kh as i64 - 1);
+            let (ww, wh) = (kbox.nx + kw - 1, kbox.ny + kh - 1);
+            let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
+            let noise_win = noise.window(wx0, wy0, ww, wh);
+            self.ctx.recorder().finish(span);
+            // The box's window-local corner.
+            let (bx, by) = ((kbox.x0 - win.x0) as usize, (kbox.y0 - win.y0) as usize);
+            let rows = &mut out.as_mut_slice()[by * win.nx..(by + kbox.ny) * win.nx];
+            let out_rows = OutputRows { rows, stride: win.nx, col0: bx };
+            // Field values are weighted into the output row segment by row
+            // segment as they are computed: no field is stored.
+            let weigh = |iy: usize, ix: usize, dst: &mut [f64], src: &[f64]| {
+                let gy = (kbox.y0 + iy as i64) as f64;
+                let gx0 = kbox.x0 + ix as i64;
+                let mut weights = Vec::with_capacity(self.kernels.len());
+                for (dx, (slot, &v)) in dst.iter_mut().zip(src).enumerate() {
+                    self.map.weights_at((gx0 + dx as i64) as f64, gy, &mut weights);
+                    if let Some(&(_, g)) = weights.iter().find(|&&(k, _)| k == ki) {
+                        *slot += g * v;
+                    }
                 }
+            };
+            if self.ctx.backend().resolve(kw, kh) == ConvBackend::Direct {
+                self.correlate_into(ki, &noise_win, ww, kbox, out_rows, &weigh)?;
+            } else {
+                convolve_rfft_into(
+                    &self.ctx,
+                    kernel,
+                    Self::tile_shape(kernel, kbox),
+                    &noise_win,
+                    ww,
+                    wh,
+                    kbox.nx,
+                    kbox.ny,
+                    out_rows,
+                    &weigh,
+                )?;
             }
         }
-        pure
+        let obs = self.ctx.recorder();
+        obs.add_counter(stage::INHOMO_PURE_SAMPLES, scan.pure);
+        obs.add_counter(stage::INHOMO_BLENDED_SAMPLES, scan.blended);
+        obs.add_counter(stage::INHOMO_KERNEL_EVALS, scan.evals);
+        Ok(out)
     }
 
-    /// The homogeneous fast path: the whole window is kernel `ki` at
-    /// weight 1, so `f(n) = (w̃_ki ⊛ X)(n)` exactly — generated like the
-    /// homogeneous convolution generator from a kernel-specific noise
-    /// window through the shared overlap-save engine `resolved` names
-    /// (the parallel real-input pipeline, or the full-complex serial
-    /// baseline), with the budget polled per tile.
-    fn generate_pure_fft(
+    /// One weights pass over `win`, row bands spread across the workers.
+    /// Each band polls the budget once per row and stops at the first
+    /// trip, leaving the caller's next check to report it.
+    fn scan_weights(&self, win: Window) -> WeightScan {
+        let k = self.kernels.len();
+        let budget = self.ctx.budget();
+        let polling = budget.needs_polling();
+        let bands = rrs_par::split_range(win.ny, self.ctx.workers());
+        rrs_par::par_map_collect(bands.len(), self.ctx.workers(), |b| {
+            let (r0, r1) = bands[b];
+            let mut scan = WeightScan::new(k);
+            let mut weights: Vec<(usize, f64)> = Vec::with_capacity(k);
+            let mut polls = 0u64;
+            for iy in r0..r1 {
+                if polling {
+                    polls += 1;
+                    if budget.check().is_err() {
+                        break;
+                    }
+                }
+                let gy = (win.y0 + iy as i64) as f64;
+                for ix in 0..win.nx {
+                    self.map.weights_at((win.x0 + ix as i64) as f64, gy, &mut weights);
+                    for &(ki, _) in &weights {
+                        let b = &mut scan.boxes[ki];
+                        *b = (b.0.min(ix), b.1.max(ix + 1), b.2.min(iy), iy + 1);
+                    }
+                    if weights.len() > 1 {
+                        scan.blended += 1;
+                    } else {
+                        scan.pure += 1;
+                    }
+                    scan.evals += weights.len() as u64;
+                }
+            }
+            if polling {
+                self.ctx.recorder().add_counter(stage::BUDGET_POLLS, polls);
+            }
+            scan
+        })
+        .into_iter()
+        .fold(WeightScan::new(k), WeightScan::merge)
+    }
+
+    /// The overlap-save tile for one kernel's box.
+    fn tile_shape(kernel: &ConvolutionKernel, kbox: Window) -> TileShape {
+        let (kw, kh) = kernel.extent();
+        plan_tiles_within(kbox.nx, kbox.ny, kw, kh, BLEND_MAX_TILE_SIDE)
+    }
+
+    /// f64s one kernel's pass holds at once over `kbox`: its noise
+    /// window, plus — on the FFT engine — its tile arenas.
+    fn kernel_footprint(&self, kernel: &ConvolutionKernel, kbox: Window) -> u128 {
+        let (kw, kh) = kernel.extent();
+        let noise = (kbox.nx + kw - 1) as u128 * (kbox.ny + kh - 1) as u128;
+        if self.ctx.backend().resolve(kw, kh) == ConvBackend::Direct {
+            return noise;
+        }
+        let shape = Self::tile_shape(kernel, kbox);
+        let workers = effective_workers(shape, kbox.nx, kbox.ny, kw, kh, self.ctx.workers());
+        noise + shape.scratch_samples_real(workers)
+    }
+
+    /// The direct-loop counterpart of [`convolve_rfft_into`] for kernel
+    /// `ki`: each row of `kbox` as dot products against `noise_win` (the
+    /// box grown by the kernel's reach, `ww` wide), merged into `out`
+    /// through `combine`. Row bands run across the workers.
+    fn correlate_into(
         &self,
         ki: usize,
-        resolved: ConvBackend,
-        noise: &NoiseField,
-        win: Window,
-    ) -> Result<Grid2<f64>, RrsError> {
-        let kernel = &self.kernels[ki];
-        let (kw, kh) = kernel.extent();
-        let (ox, oy) = kernel.origin();
-        let Window { x0, y0, nx, ny } = win;
-        let ww = nx + kw - 1;
-        let wh = ny + kh - 1;
-        let shape = plan_tiles(nx, ny, kw, kh);
-        let scratch = if resolved == ConvBackend::FftComplexSerial {
-            shape.scratch_samples()
-        } else {
-            let w = effective_workers(shape, nx, ny, kw, kh, self.ctx.workers());
-            shape.scratch_samples_real(w)
-        };
-        let required = (ww as u128 * wh as u128 + nx as u128 * ny as u128 + scratch) * 8;
-        self.ctx.budget().admit("inhomogeneous generation", required).inspect_err(|_| {
-            self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
-        })?;
-        let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
-        let noise_win =
-            noise.window(x0 - (ox + kw as i64 - 1), y0 - (oy + kh as i64 - 1), ww, wh);
+        noise_win: &[f64],
+        ww: usize,
+        kbox: Window,
+        out: OutputRows<'_>,
+        combine: Combine<'_>,
+    ) -> Result<(), RrsError> {
+        let (kw, kh) = self.kernels[ki].extent();
+        let (ox, oy) = self.kernels[ki].origin();
+        // Box sample (dx, dy) sits at window-local (lx0 + dx, ly0 + dy).
+        let (lx0, ly0) = (ox + kw as i64 - 1, oy + kh as i64 - 1);
+        let OutputRows { rows, stride, col0 } = out;
+        let span = self.ctx.recorder().start(stage::CORRELATE);
+        rrs_par::try_par_row_chunks_mut_chaos(
+            rows,
+            stride,
+            self.ctx.workers(),
+            self.ctx.recorder(),
+            self.ctx.budget(),
+            self.ctx.chaos(),
+            |r0, chunk| {
+                let mut field = vec![0.0; kbox.nx];
+                for (row_off, row) in chunk.chunks_mut(stride).enumerate() {
+                    let ly = ly0 + (r0 + row_off) as i64;
+                    for (dx, v) in field.iter_mut().enumerate() {
+                        *v = self.kernel_dot(ki, noise_win, ww, lx0 + dx as i64, ly);
+                    }
+                    combine(r0 + row_off, 0, &mut row[col0..col0 + kbox.nx], &field);
+                }
+            },
+        )?;
         self.ctx.recorder().finish(span);
-        // Graceful degradation: the resolved engine first, then — when it
-        // fails on a worker panic or injected fault — the full-complex
-        // serial baseline. Both rungs failing bubbles the (degradable)
-        // error to `try_generate`, which falls back to the direct loop.
-        let rungs: &[ConvBackend] = if resolved == ConvBackend::FftComplexSerial {
-            &[ConvBackend::FftComplexSerial]
-        } else {
-            &[ConvBackend::FftOverlapSave, ConvBackend::FftComplexSerial]
-        };
-        let mut last_err = None;
-        for (i, &rung) in rungs.iter().enumerate() {
-            if i > 0 {
-                self.ctx.recorder().add_counter(stage::CONV_DEGRADED_TO_FFT_SERIAL, 1);
-            }
-            self.ctx.recorder().add_counter(stage::CONV_BACKEND_FFT, 1);
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                if rung == ConvBackend::FftComplexSerial {
-                    self.fft.convolve(
-                        ki,
-                        kernel,
-                        &noise_win,
-                        ww,
-                        wh,
-                        nx,
-                        ny,
-                        self.ctx.workers(),
-                        self.ctx.recorder(),
-                        self.ctx.budget(),
-                        self.ctx.chaos(),
-                    )
-                } else {
-                    self.fft.convolve_rfft(
-                        ki,
-                        kernel,
-                        &noise_win,
-                        ww,
-                        wh,
-                        nx,
-                        ny,
-                        self.ctx.workers(),
-                        self.ctx.recorder(),
-                        self.ctx.budget(),
-                        self.ctx.chaos(),
-                    )
-                }
-            }))
-            .unwrap_or_else(|p| Err(RrsError::worker_panicked(0, p.as_ref())));
-            match attempt {
-                Ok(out) => {
-                    let mut shard = self.ctx.recorder().shard();
-                    shard.add(stage::INHOMO_PURE_SAMPLES, (nx * ny) as u64);
-                    shard.add(stage::INHOMO_KERNEL_EVALS, (nx * ny) as u64);
-                    self.ctx.recorder().absorb(shard);
-                    return Ok(out);
-                }
-                Err(e) if is_degradable(&e) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("the ladder has at least one rung"))
+        Ok(())
     }
 
     /// Evaluates `(w̃_ki ⊛ X)(n)` for the sample at window-local
@@ -520,7 +655,6 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         }
         acc
     }
-
 }
 
 #[cfg(test)]
@@ -596,13 +730,41 @@ mod tests {
             [sm(1.0, 4.0), sm(1.5, 5.0), sm(2.0, 6.0), sm(1.5, 5.0)],
             6.0,
         );
-        let gen = InhomogeneousGenerator::new(layout, sizing()).with_workers(2);
+        let gen = InhomogeneousGenerator::new(layout, sizing())
+            .with_workers(2)
+            .with_backend(ConvBackend::Direct);
         let noise = NoiseField::new(9);
         let whole = gen.generate(&noise, Window::sized(64, 64));
         let part = gen.generate(&noise, Window::new(16, 24, 32, 20));
         for iy in 0..20 {
             for ix in 0..32 {
                 assert_eq!(*part.get(ix, iy), *whole.get(ix + 16, iy + 24));
+            }
+        }
+    }
+
+    #[test]
+    fn auto_windows_tile_seamlessly_within_roundoff() {
+        // The blend plans boxes and tiles per window, so two windows sum
+        // the same fields in different tiles: equal within 1e-9, not to
+        // the bit.
+        let layout = quadrant_layout(
+            64.0,
+            64.0,
+            [sm(1.0, 4.0), sm(1.5, 5.0), sm(2.0, 6.0), sm(1.5, 5.0)],
+            6.0,
+        );
+        let gen = InhomogeneousGenerator::new(layout, sizing()).with_workers(2);
+        assert_eq!(gen.backend(), ConvBackend::Auto);
+        assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
+        let noise = NoiseField::new(9);
+        let whole = gen.generate(&noise, Window::sized(64, 64));
+        let part = gen.generate(&noise, Window::new(16, 24, 32, 20));
+        let scale = whole.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+        for iy in 0..20 {
+            for ix in 0..32 {
+                let err = (*part.get(ix, iy) - *whole.get(ix + 16, iy + 24)).abs();
+                assert!(err <= 1e-9 * scale, "({ix}, {iy}): {err:e}");
             }
         }
     }
@@ -742,100 +904,139 @@ mod tests {
         assert!(err.to_string().contains("inhomogeneous generation"), "{err}");
     }
 
+    /// Largest |a − b| relative to `a`'s largest magnitude.
+    fn max_rel_err(a: &Grid2<f64>, b: &Grid2<f64>) -> f64 {
+        assert_eq!(a.shape(), b.shape());
+        let scale = a.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+        a.as_slice().iter().zip(b.as_slice()).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+            / scale
+    }
+
     #[test]
-    fn fft_backend_serves_pure_windows_and_falls_back_on_blends() {
-        // Pond in a field: windows deep inside either region are pure and
-        // may dispatch to the overlap-save engine; windows touching the
-        // transition band must fall back to the per-sample direct loop.
+    fn fft_backend_blends_pure_and_straddling_windows_alike() {
+        // Pond in a field: windows deep inside either region are pure,
+        // the shoreline window blends both kernels; every one runs the
+        // kernel-major blend and matches the per-sample loop within 1e-9.
         let pond = Plate {
             region: Region::Circle { cx: 64.0, cy: 64.0, r: 32.0 },
             spectrum: SpectrumModel::exponential(SurfaceParams::isotropic(0.2, 6.0)),
         };
         let make = || {
-            let layout = PlateLayout::new(vec![pond.clone()], Some(sm(1.0, 6.0)), 10.0);
+            let layout = PlateLayout::new(vec![pond], Some(sm(1.0, 6.0)), 10.0);
             InhomogeneousGenerator::new(layout, sizing()).with_workers(2)
         };
-        let direct = make();
+        let direct_rec = Recorder::enabled();
+        let direct = make().with_backend(ConvBackend::Direct).with_recorder(direct_rec.clone());
         let rec = Recorder::enabled();
-        let fft = make()
-            .with_backend(rrs_surface::ConvBackend::FftOverlapSave)
-            .with_recorder(rec.clone());
-        assert_eq!(fft.backend(), rrs_surface::ConvBackend::FftOverlapSave);
+        let fft = make().with_backend(ConvBackend::FftOverlapSave).with_recorder(rec.clone());
+        assert_eq!(fft.backend(), ConvBackend::FftOverlapSave);
+        assert_eq!(direct.resolved_backend(), ConvBackend::Direct);
         let noise = NoiseField::new(29);
-
-        // Field corner: pure background kernel → FFT path, within 1e-9.
-        let win = Window::new(-40, -40, 32, 32);
-        let a = direct.generate(&noise, win);
-        let b = fft.generate(&noise, win);
-        let scale = a.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
-        let err = a
-            .as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .map(|(x, y)| (x - y).abs())
-            .fold(0.0, f64::max);
-        assert!(err <= 1e-9 * scale, "pure window: max err {err}");
-        assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1);
-        assert_eq!(rec.report().counter(stage::INHOMO_PURE_SAMPLES), 32 * 32);
-
-        // Pond centre: also pure, distinct kernel id in the engine cache.
-        let win = Window::new(56, 56, 16, 16);
-        let c = direct.generate(&noise, win);
-        let d = fft.generate(&noise, win);
-        let scale = c.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
-        for (x, y) in c.as_slice().iter().zip(d.as_slice()) {
-            assert!((x - y).abs() <= 1e-9 * scale, "pond window");
+        let windows = [
+            Window::new(-40, -40, 32, 32), // field corner: background only
+            Window::new(56, 56, 16, 16),   // pond centre: the pond kernel only
+            Window::new(20, 20, 48, 48),   // across the shoreline
+        ];
+        for win in windows {
+            let err = max_rel_err(&direct.generate(&noise, win), &fft.generate(&noise, win));
+            assert!(err <= 1e-9, "{win:?}: max relative error {err:e}");
         }
-        assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 2);
+        let (d, f) = (direct_rec.report(), rec.report());
+        assert_eq!(f.counter(stage::CONV_BACKEND_FFT), 3);
+        assert_eq!(f.counter(stage::CONV_BACKEND_DIRECT), 0);
+        assert!(f.counter(stage::CONV_FFT_TILES) >= 4, "both kernels ran FFT tiles");
+        assert_eq!(d.counter(stage::CONV_BACKEND_DIRECT), 3);
+        for name in [
+            stage::INHOMO_PURE_SAMPLES,
+            stage::INHOMO_BLENDED_SAMPLES,
+            stage::INHOMO_KERNEL_EVALS,
+        ] {
+            assert_eq!(f.counter(name), d.counter(name), "{name}: both evaluators count alike");
+        }
+        assert!(f.counter(stage::INHOMO_BLENDED_SAMPLES) > 0);
 
-        // A window across the shoreline blends → bit-identical fallback.
-        let win = Window::new(20, 20, 48, 48);
-        assert_eq!(direct.generate(&noise, win), fft.generate(&noise, win));
-        assert_eq!(rec.report().counter(stage::CONV_BACKEND_DIRECT), 1);
-        assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 2);
-
-        // Auto resolves by kernel area: these kernels are far past the
-        // crossover, so pure windows dispatch to the FFT engine too.
-        let auto = make().with_backend(rrs_surface::ConvBackend::Auto);
-        let e = auto.generate(&noise, Window::new(-40, -40, 32, 32));
-        assert_eq!(e, b, "Auto must match the resolved FFT engine exactly");
+        // Auto resolves each kernel by area: both are far past the
+        // crossover, so it runs exactly the FftOverlapSave blend.
+        let auto = make();
+        assert_eq!(auto.backend(), ConvBackend::Auto);
+        for win in windows {
+            assert_eq!(auto.generate(&noise, win), fft.generate(&noise, win), "{win:?}");
+        }
     }
 
     #[test]
-    fn injected_fft_faults_degrade_pure_windows_to_the_direct_loop() {
+    fn auto_blends_small_kernels_by_direct_dot_products() {
+        // Kernels under the Auto crossover contribute direct dot products
+        // to the blend instead of FFT tiles; mixed with a large kernel the
+        // blend still matches the per-sample loop.
+        let left = Plate {
+            region: Region::HalfPlane { a: 1.0, b: 0.0, c: 24.0 },
+            spectrum: sm(0.5, 3.0),
+        };
+        let layout = PlateLayout::new(vec![left], Some(sm(1.5, 6.0)), 8.0);
+        let small = ConvolutionKernel::build(&sm(0.5, 3.0), sizing()).crop(4, 4);
+        let large = ConvolutionKernel::build(&sm(1.5, 6.0), sizing());
+        assert!(large.extent().0 * large.extent().1 > 13 * 13);
+        let make = |backend| {
+            InhomogeneousGenerator::from_kernels(layout.clone(), vec![small.clone(), large.clone()])
+                .with_workers(2)
+                .with_backend(backend)
+        };
+        let rec = Recorder::enabled();
+        let auto = make(ConvBackend::Auto).with_recorder(rec.clone());
+        let noise = NoiseField::new(3);
+        let win = Window::new(-10, 5, 64, 40);
+        let direct = make(ConvBackend::Direct).generate(&noise, win);
+        let err = max_rel_err(&direct, &auto.generate(&noise, win));
+        assert!(err <= 1e-9, "max relative error {err:e}");
+        assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1);
+
+        // Every kernel under the crossover: Auto is the per-sample loop.
+        let tiny_kernels = vec![small.clone(), small.clone()];
+        let tiny = InhomogeneousGenerator::from_kernels(layout.clone(), tiny_kernels);
+        assert_eq!(tiny.resolved_backend(), ConvBackend::Direct);
+        let direct = InhomogeneousGenerator::from_kernels(layout, vec![small.clone(), small])
+            .with_backend(ConvBackend::Direct);
+        assert_eq!(tiny.generate(&noise, win), direct.generate(&noise, win));
+    }
+
+    #[test]
+    fn injected_fft_faults_degrade_the_blend_to_the_direct_loop() {
         use rrs_chaos::{ChaosInjector, FaultKind, FaultSchedule, FaultSite};
-        use rrs_obs::Recorder;
-        // Pond-free layout: a pure window that would dispatch to the FFT
-        // engine. Faults at FftTile visits 0 and 1 kill both FFT rungs
-        // (overlap-save, then complex-serial); the generator must fall
-        // back to the per-sample direct loop, whose output is the
-        // bit-exact reference the Direct backend produces.
-        let spectrum = sm(1.1, 5.0);
+        // A window across a transition band: an error or a panic at the
+        // first FFT tile fails the blend, and the generator falls back to
+        // the per-sample loop, whose output is the bit-exact reference
+        // the Direct backend produces.
+        let left = Plate {
+            region: Region::HalfPlane { a: 1.0, b: 0.0, c: 12.0 },
+            spectrum: sm(0.7, 4.0),
+        };
         let make = || {
-            let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
+            let layout = PlateLayout::new(vec![left], Some(sm(1.1, 5.0)), 6.0);
             InhomogeneousGenerator::new(layout, sizing()).with_workers(1)
         };
         let noise = NoiseField::new(37);
-        let win = Window::new(-8, 4, 24, 20);
-        let direct = make().generate(&noise, win);
-        let chaos = ChaosInjector::new(
-            FaultSchedule::new(5)
-                .with_fault(FaultSite::FftTile, FaultKind::Error, 0)
-                .with_fault(FaultSite::FftTile, FaultKind::Panic, 1),
-        );
-        let rec = Recorder::enabled();
-        let gen = make()
-            .with_backend(rrs_surface::ConvBackend::FftOverlapSave)
-            .with_recorder(rec.clone())
-            .with_chaos(chaos.clone());
-        let got = gen.try_generate(&noise, win).unwrap();
-        assert_eq!(got, direct, "degraded output must match the direct loop bit-for-bit");
-        let report = rec.report();
-        assert_eq!(report.counter(stage::CONV_DEGRADED_TO_FFT_SERIAL), 1);
-        assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
-        assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 1);
-        assert_eq!(chaos.visits(FaultSite::FftTile), 2);
-        assert_eq!(chaos.injected(), 2);
+        let win = Window::new(-8, 4, 40, 20);
+        let direct = make().with_backend(ConvBackend::Direct).generate(&noise, win);
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let chaos = ChaosInjector::new(
+                FaultSchedule::new(5).with_fault(FaultSite::FftTile, kind, 0),
+            );
+            let rec = Recorder::enabled();
+            let gen = make()
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_recorder(rec.clone())
+                .with_chaos(chaos.clone());
+            let got = gen.try_generate(&noise, win).unwrap();
+            assert_eq!(got, direct, "{kind:?}: degraded output must match the direct loop");
+            let report = rec.report();
+            assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 1);
+            assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
+            assert_eq!(report.counter(stage::CONV_DEGRADED_TO_FFT_SERIAL), 0);
+            assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 1);
+            assert_eq!(chaos.visits(FaultSite::FftTile), 1, "one rung, one tile visit");
+            assert_eq!(chaos.injected(), 1);
+        }
     }
 
     #[test]

@@ -20,9 +20,11 @@
 //! weights, at this sample" — and share one [`InhomogeneousGenerator`].
 //! Because kernel blending is linear and convolution is linear, blending
 //! kernels then convolving (eqn 46 literally) equals convolving each
-//! kernel and blending fields with the same weights; the generator
-//! exploits this sample-by-sample, paying only for the kernels active at
-//! each sample (one in pure regions).
+//! kernel and blending fields with the same weights. The generator
+//! exploits this kernel by kernel by default — each kernel's field on the
+//! FFT engine over just the box where it weighs — and sample by sample on
+//! the `Direct` backend, paying only for the kernels active at each
+//! sample (one in pure regions).
 
 #![warn(missing_docs)]
 

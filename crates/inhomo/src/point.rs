@@ -39,7 +39,14 @@ pub struct RepresentativePoint {
 pub struct PointLayout {
     points: Vec<RepresentativePoint>,
     half_width: f64,
+    /// `sep[s·M + m]`: the separation `|n_m − n_s|` eqn (42) divides by,
+    /// precomputed for every ordered pair (`M²` entries).
+    sep: Vec<f64>,
 }
+
+/// Layouts with at most this many points keep the per-sample squared
+/// distances on the stack.
+const STACK_POINTS: usize = 32;
 
 impl PointLayout {
     /// Builds a layout.
@@ -80,7 +87,11 @@ impl PointLayout {
                 }
             }
         }
-        Ok(Self { points, half_width })
+        let sep = points
+            .iter()
+            .flat_map(|ps| points.iter().map(move |pm| (pm.x - ps.x).hypot(pm.y - ps.y)))
+            .collect();
+        Ok(Self { points, half_width, sep })
     }
 
     /// The representative points, in kernel-index order.
@@ -96,30 +107,46 @@ impl PointLayout {
     /// Index of the nearest representative point to `(x, y)` (eqn 41's
     /// `m*`). Ties resolve to the lowest index, deterministically.
     pub fn nearest(&self, x: f64, y: f64) -> usize {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for (i, p) in self.points.iter().enumerate() {
-            let d = (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        best
+        nearest_of(self.points.iter().map(|p| sq_dist(p, x, y)))
     }
 
     /// The bisector distance `τ(n, n_m, n_m*)` of eqn (42): how far `n`
     /// is from the perpendicular bisector of `[n_m, n_m*]`, measured
     /// towards `n_m`. Non-negative whenever `m*` is the nearest point.
     pub fn tau(&self, x: f64, y: f64, m: usize, m_star: usize) -> f64 {
-        let pm = &self.points[m];
-        let ps = &self.points[m_star];
-        let sep = (pm.x - ps.x).hypot(pm.y - ps.y);
+        let d_m = sq_dist(&self.points[m], x, y);
+        let d_s = sq_dist(&self.points[m_star], x, y);
+        self.tau_from(d_m, d_s, m, m_star)
+    }
+
+    /// [`PointLayout::tau`] from the two squared distances.
+    #[inline]
+    fn tau_from(&self, d_m: f64, d_s: f64, m: usize, m_star: usize) -> f64 {
+        let sep = self.sep[m_star * self.points.len() + m];
         debug_assert!(sep > 0.0);
-        let d_m = (pm.x - x) * (pm.x - x) + (pm.y - y) * (pm.y - y);
-        let d_s = (ps.x - x) * (ps.x - x) + (ps.y - y) * (ps.y - y);
         (d_m - d_s) / (2.0 * sep)
     }
+}
+
+/// Squared distance from `p` to `(x, y)`.
+#[inline]
+fn sq_dist(p: &RepresentativePoint, x: f64, y: f64) -> f64 {
+    (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y)
+}
+
+/// Index of the smallest squared distance; ties resolve to the lowest
+/// index.
+#[inline]
+fn nearest_of(d2: impl Iterator<Item = f64>) -> usize {
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (i, d) in d2.enumerate() {
+        if d < best_d {
+            best_d = d;
+            best = i;
+        }
+    }
+    best
 }
 
 impl WeightMap for PointLayout {
@@ -133,15 +160,31 @@ impl WeightMap for PointLayout {
 
     fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
         out.clear();
-        let m_star = self.nearest(x, y);
+        // Each point's squared distance, once per sample: the nearest
+        // search and every τ read them (and the separations come from the
+        // table), so the weights match the per-pair formula bit for bit.
+        let mut stack = [0.0f64; STACK_POINTS];
+        let mut heap = Vec::new();
+        let d2: &mut [f64] = if self.points.len() <= STACK_POINTS {
+            &mut stack[..self.points.len()]
+        } else {
+            heap.resize(self.points.len(), 0.0);
+            &mut heap
+        };
+        for (d, p) in d2.iter_mut().zip(&self.points) {
+            *d = sq_dist(p, x, y);
+        }
+        let d2: &[f64] = d2;
+        let m_star = nearest_of(d2.iter().copied());
         let t = self.half_width;
+        let tau = |m: usize| self.tau_from(d2[m], d2[m_star], m, m_star);
         // Collect participating neighbours (eqn 43).
         let mut others = 0usize;
         for m in 0..self.points.len() {
             if m == m_star {
                 continue;
             }
-            if self.tau(x, y, m, m_star) <= t {
+            if tau(m) <= t {
                 others += 1;
             }
         }
@@ -156,7 +199,7 @@ impl WeightMap for PointLayout {
             if m == m_star {
                 continue;
             }
-            let tau = self.tau(x, y, m, m_star);
+            let tau = tau(m);
             if tau <= t {
                 let g = (1.0 - tau / t).max(0.0) / (2.0 * others as f64);
                 if g > 0.0 {
@@ -270,6 +313,78 @@ mod tests {
                 assert!(v >= 0.0);
             }
         }
+    }
+
+    /// The per-pair formula the layout evaluated before its separation
+    /// table: every `τ` from scratch (two squared distances and a
+    /// `hypot`), twice per neighbour.
+    fn weights_by_pair_formula(l: &PointLayout, x: f64, y: f64) -> Vec<(usize, f64)> {
+        let pts = l.points();
+        let tau = |m: usize, s: usize| {
+            let (pm, ps) = (&pts[m], &pts[s]);
+            let sep = (pm.x - ps.x).hypot(pm.y - ps.y);
+            let d_m = (pm.x - x) * (pm.x - x) + (pm.y - y) * (pm.y - y);
+            let d_s = (ps.x - x) * (ps.x - x) + (ps.y - y) * (ps.y - y);
+            (d_m - d_s) / (2.0 * sep)
+        };
+        let mut m_star = 0usize;
+        let mut best_d = f64::INFINITY;
+        for (i, p) in pts.iter().enumerate() {
+            let d = (p.x - x) * (p.x - x) + (p.y - y) * (p.y - y);
+            if d < best_d {
+                best_d = d;
+                m_star = i;
+            }
+        }
+        let t = l.half_width();
+        let others = (0..pts.len()).filter(|&m| m != m_star && tau(m, m_star) <= t).count();
+        if others == 0 {
+            return vec![(m_star, 1.0)];
+        }
+        let mut out = Vec::new();
+        let mut remainder = 1.0;
+        for m in (0..pts.len()).filter(|&m| m != m_star) {
+            let tau = tau(m, m_star);
+            if tau <= t {
+                let g = (1.0 - tau / t).max(0.0) / (2.0 * others as f64);
+                if g > 0.0 {
+                    out.push((m, g));
+                    remainder -= g;
+                }
+            }
+        }
+        out.push((m_star, remainder));
+        out
+    }
+
+    #[test]
+    fn separation_table_matches_the_pair_formula_bit_for_bit_on_figure_4() {
+        // Figure 4 at scale 0.25: nine points on a radius-125 ring plus
+        // the origin, T = 25, over its whole 384x384 window.
+        let mut pts: Vec<RepresentativePoint> = (1..=9)
+            .map(|i| {
+                let th = core::f64::consts::TAU * i as f64 / 9.0;
+                let (x, y) = (125.0 * th.cos(), 125.0 * th.sin());
+                RepresentativePoint { x, y, spectrum: sm(1.0, 5.0) }
+            })
+            .collect();
+        pts.push(RepresentativePoint { x: 0.0, y: 0.0, spectrum: sm(0.5, 25.0) });
+        let l = PointLayout::new(pts, 25.0);
+        let mut w = Vec::new();
+        let mut blended = 0usize;
+        for iy in -192..192i64 {
+            for ix in -192..192i64 {
+                let (x, y) = (ix as f64, iy as f64);
+                l.weights_at(x, y, &mut w);
+                let want = weights_by_pair_formula(&l, x, y);
+                let bits = |v: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                    v.iter().map(|&(k, g)| (k, g.to_bits())).collect()
+                };
+                assert_eq!(bits(&w), bits(&want), "weights at ({x}, {y})");
+                blended += usize::from(w.len() > 1);
+            }
+        }
+        assert!(blended > 10_000, "the window must cross many transition bands: {blended}");
     }
 
     #[test]

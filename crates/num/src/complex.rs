@@ -18,6 +18,23 @@ pub struct Complex64 {
     pub im: f64,
 }
 
+/// Views complex samples as their interleaved `(re, im)` parts: sample
+/// `k` is `f64`s `2k` and `2k + 1`.
+pub fn as_f64s(z: &[Complex64]) -> &[f64] {
+    // SAFETY: `Complex64` is `#[repr(C)]` with exactly two `f64` fields,
+    // so it has `f64`'s alignment and no padding, and `z` spans
+    // `2·z.len()` initialised `f64`s.
+    unsafe { core::slice::from_raw_parts(z.as_ptr().cast::<f64>(), 2 * z.len()) }
+}
+
+/// Mutable [`as_f64s`]: every bit pattern is a valid `f64`, so writes
+/// through the view cannot break a `Complex64`.
+pub fn as_f64s_mut(z: &mut [Complex64]) -> &mut [f64] {
+    // SAFETY: as in `as_f64s`; the view borrows `z` mutably for its whole
+    // lifetime, so no other access aliases it.
+    unsafe { core::slice::from_raw_parts_mut(z.as_mut_ptr().cast::<f64>(), 2 * z.len()) }
+}
+
 impl Complex64 {
     /// The additive identity `0 + 0j`.
     pub const ZERO: Self = Self { re: 0.0, im: 0.0 };

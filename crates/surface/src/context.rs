@@ -22,11 +22,12 @@ use std::sync::Arc;
 
 /// Cross-cutting generation options, shared by all generators.
 ///
-/// Defaults match the historical per-generator defaults exactly:
-/// [`rrs_par::default_workers`] workers, [`ConvBackend::Direct`], a
-/// fresh private [`FftPlanCache`], a disabled [`Recorder`], an
-/// unlimited [`Budget`] and a disabled [`ChaosInjector`] — under which
-/// generation is bit-identical to every previous release.
+/// Defaults: [`rrs_par::default_workers`] workers, [`ConvBackend::Auto`],
+/// a fresh private [`FftPlanCache`], a disabled [`Recorder`], an
+/// unlimited [`Budget`] and a disabled [`ChaosInjector`]. `Auto` sends
+/// large kernels to the FFT engine, so default output equals earlier
+/// releases' within 1e-9 relative error rather than bit for bit; a
+/// context with [`ConvBackend::Direct`] is bit-identical to them.
 ///
 /// Clones share the stateful members (plan cache, recorder, chaos
 /// schedule, cancel token) by reference, so a context cloned into many
@@ -139,10 +140,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn defaults_match_the_historical_per_generator_defaults() {
+    fn defaults_pick_auto_and_leave_every_hook_off() {
         let ctx = GenContext::new();
         assert_eq!(ctx.workers(), rrs_par::default_workers());
-        assert_eq!(ctx.backend(), ConvBackend::Direct);
+        assert_eq!(ctx.backend(), ConvBackend::Auto);
+        assert_eq!(ConvBackend::default(), ConvBackend::Auto);
         assert!(!ctx.recorder().is_enabled());
         assert!(ctx.budget().is_unlimited());
         assert!(!ctx.chaos().is_enabled());
@@ -153,10 +155,10 @@ mod tests {
         let plans = Arc::new(FftPlanCache::new());
         let ctx = GenContext::new()
             .with_workers(0)
-            .with_backend(ConvBackend::Auto)
+            .with_backend(ConvBackend::Direct)
             .with_plan_cache(Arc::clone(&plans));
         assert_eq!(ctx.workers(), 1, "workers clamp to >= 1");
-        assert_eq!(ctx.backend(), ConvBackend::Auto);
+        assert_eq!(ctx.backend(), ConvBackend::Direct);
         let clone = ctx.clone();
         assert!(Arc::ptr_eq(clone.plan_cache(), &plans), "clones share the plan cache");
     }

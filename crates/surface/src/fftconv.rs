@@ -24,6 +24,15 @@
 //!   reachable (via `ConvBackend::FftComplexSerial`) as the bit-for-bit
 //!   comparison baseline for the real-input path.
 //!
+//! The engine caches each kernel's packed spectrum per tile shape, which
+//! suits one kernel serving many windows. [`convolve_rfft_into`] runs the
+//! same real-input tile loop on a caller-chosen (typically
+//! [`plan_tiles_within`]-bounded) tile with a spectrum that lives only for
+//! the call, merging each tile's outputs straight into a caller-owned
+//! output — the inhomogeneous generator's weighted per-kernel fields,
+//! where a cache would hold one spectrum per kernel for the generator's
+//! lifetime and a per-kernel field would be one more output-sized buffer.
+//!
 //! # Tile correctness
 //!
 //! With the kernel zero-padded at the tile origin, the circular
@@ -47,11 +56,13 @@
 //! index range evenly; a request whose plan yields a single tile runs
 //! serially regardless of the configured worker count.
 
+use crate::context::GenContext;
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
 use rrs_fft::{Direction, FftPlanCache, RealFft2d};
 use rrs_grid::Grid2;
+use rrs_num::complex::{as_f64s, as_f64s_mut};
 use rrs_num::Complex64;
 use rrs_obs::{stage, ObsSink, Recorder, Shard};
 use std::collections::HashMap;
@@ -93,15 +104,15 @@ impl TileShape {
     }
 
     /// Workspace footprint of the real-input engine at a given worker
-    /// count, in f64-equivalents: each worker arena holds a real tile, a
-    /// packed spectrum and the transform's column scratch, and one packed
-    /// kernel spectrum is shared. Deterministic in its arguments, so
-    /// admission control and the convolve loop agree on the footprint.
+    /// count, in f64-equivalents: each worker arena holds a packed
+    /// spectrum (which also carries the real tile, transformed in place)
+    /// and the transform's column scratch, and one packed kernel spectrum
+    /// is shared. Deterministic in its arguments, so admission control and
+    /// the convolve loop agree on the footprint.
     pub fn scratch_samples_real(&self, workers: usize) -> u128 {
         let packed = 2 * self.packed_samples();
         let scratch = 2 * ((self.fft_nx / 2).max(self.fft_ny).max(1)) as u128;
-        let per_worker = self.fft_nx as u128 * self.fft_ny as u128 + packed + scratch;
-        workers.max(1) as u128 * per_worker + packed
+        workers.max(1) as u128 * (packed + scratch) + packed
     }
 }
 
@@ -125,11 +136,23 @@ fn axis_candidates(out_n: usize, k: usize) -> Vec<usize> {
 /// over all power-of-two tile shapes. Deterministic in its arguments, so
 /// admission control and the convolve loop agree on the footprint.
 pub fn plan_tiles(nx: usize, ny: usize, kw: usize, kh: usize) -> TileShape {
+    plan_tiles_within(nx, ny, kw, kh, usize::MAX)
+}
+
+/// [`plan_tiles`] restricted to tile sides of at most `max_side` — or,
+/// along an axis where the kernel itself is wider, the smallest side
+/// that still holds it. Bounds the per-worker arena footprint for
+/// callers that hold several working sets in turn.
+pub fn plan_tiles_within(nx: usize, ny: usize, kw: usize, kh: usize, max_side: usize) -> TileShape {
+    let within = |out_n: usize, k: usize| {
+        let cap = max_side.max(k.next_power_of_two());
+        axis_candidates(out_n, k).into_iter().filter(move |&n| n <= cap)
+    };
     let mut best = TileShape { fft_nx: 0, fft_ny: 0 };
     let mut best_cost = f64::INFINITY;
-    for &fx in &axis_candidates(nx, kw) {
+    for fx in within(nx, kw) {
         let tiles_x = nx.div_ceil(fx - kw + 1) as f64;
-        for &fy in &axis_candidates(ny, kh) {
+        for fy in within(ny, kh) {
             let tiles_y = ny.div_ceil(fy - kh + 1) as f64;
             let area = (fx * fy) as f64;
             let cost = tiles_x * tiles_y * area * (area.log2() + 1.0);
@@ -157,12 +180,18 @@ pub fn effective_workers(shape: TileShape, nx: usize, ny: usize, kw: usize, kh: 
 struct TileGeom {
     nx: usize,
     ny: usize,
+    /// Output row pitch and the output column request column 0 lands on.
+    stride: usize,
+    col0: usize,
     ww: usize,
     wh: usize,
     kw: usize,
     kh: usize,
     fx: usize,
     fy: usize,
+    /// `f64`s per packed spectrum row: `2·(fx/2 + 1)`, which is `fx + 2`
+    /// except for `fx = 1`.
+    pitch: usize,
     vx: usize,
     vy: usize,
     tiles_x: usize,
@@ -170,8 +199,10 @@ struct TileGeom {
 
 /// One worker's private workspace: every buffer the per-tile pipeline
 /// touches, sized once at dispatch so the tile loop allocates nothing.
+/// The tile's real samples live in the spectrum buffer itself (row `r`
+/// in the first `fft_nx` `f64`s of packed row `r`, [`TileGeom::pitch`]
+/// `f64`s long), transformed in place.
 struct TileArena {
-    real: Vec<f64>,
     spec: Vec<Complex64>,
     scratch: Vec<Complex64>,
 }
@@ -179,7 +210,6 @@ struct TileArena {
 impl TileArena {
     fn new(rfft: &RealFft2d) -> Self {
         Self {
-            real: vec![0.0; rfft.real_len()],
             spec: vec![Complex64::ZERO; rfft.packed_len()],
             scratch: vec![Complex64::ZERO; rfft.scratch_len()],
         }
@@ -271,29 +301,21 @@ impl FftEngine {
         lock_spectra(&self.kernel_ffts, obs).entry(key).or_insert(arc).clone()
     }
 
-    /// The packed-real kernel spectrum on the `tile` lattice, transformed
-    /// once with the shared serial real plan and cached like
-    /// [`FftEngine::kernel_spectrum`].
+    /// The packed-real kernel spectrum on `rfft`'s tile lattice,
+    /// transformed once and cached like [`FftEngine::kernel_spectrum`].
     fn kernel_spectrum_real(
         &self,
         kernel_id: usize,
         kernel: &ConvolutionKernel,
-        tile: TileShape,
+        rfft: &RealFft2d,
         obs: &Recorder,
     ) -> Arc<Vec<Complex64>> {
-        let key = (kernel_id, tile.fft_nx, tile.fft_ny);
+        let (fx, fy) = rfft.shape();
+        let key = (kernel_id, fx, fy);
         if let Some(cached) = lock_spectra(&self.kernel_rffts, obs).get(&key) {
             return cached.clone();
         }
-        let (kw, kh) = kernel.extent();
-        let weights = kernel.weights();
-        let mut buf = vec![0.0; tile.fft_nx * tile.fft_ny];
-        for b in 0..kh {
-            let krow = weights.row(b);
-            buf[b * tile.fft_nx..b * tile.fft_nx + kw].copy_from_slice(&krow[..kw]);
-        }
-        let spec = self.plans.plan_real_observed(tile.fft_nx, tile.fft_ny, 1, obs).forward_real(&buf);
-        let arc = Arc::new(spec);
+        let arc = Arc::new(packed_kernel_spectrum(kernel, rfft));
         lock_spectra(&self.kernel_rffts, obs).entry(key).or_insert(arc).clone()
     }
 
@@ -324,95 +346,17 @@ impl FftEngine {
         chaos: &ChaosInjector,
     ) -> Result<Grid2<f64>, RrsError> {
         let (kw, kh) = kernel.extent();
-        debug_assert_eq!(win.len(), ww * wh);
-        debug_assert_eq!(ww, nx + kw - 1);
-        debug_assert_eq!(wh, ny + kh - 1);
         let tile_shape = plan_tiles(nx, ny, kw, kh);
-        let (tiles_x, tiles_y) = tile_shape.tiles(nx, ny, kw, kh);
-        let total = tiles_x * tiles_y;
-        let workers = effective_workers(tile_shape, nx, ny, kw, kh, workers);
-        let (fx, fy) = (tile_shape.fft_nx, tile_shape.fft_ny);
-        let (vx, vy) = tile_shape.valid(kw, kh);
-        let geom = TileGeom { nx, ny, ww, wh, kw, kh, fx, fy, vx, vy, tiles_x };
         // Per-worker transforms are serial (workers = 1): parallelism
         // lives at the tile level, and the serial plan is shared by every
         // arena (plans are immutable).
         chaos.poll(FaultSite::PlanCacheLookup)?;
-        let rfft = self.plans.plan_real_observed(fx, fy, 1, obs);
-        let kspec = self.kernel_spectrum_real(kernel_id, kernel, tile_shape, obs);
-        let polling = budget.needs_polling();
-
+        let rfft = self.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, 1, obs);
+        let kspec = self.kernel_spectrum_real(kernel_id, kernel, &rfft, obs);
         let mut out = Grid2::zeros(nx, ny);
-        let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-        let span = obs.start(stage::CORRELATE);
-        if workers == 1 {
-            let mut arena = TileArena::new(&rfft);
-            let mut shard = obs.shard();
-            let result = run_tile_range(
-                0, total, geom, win, &rfft, &kspec, out_ptr, &mut arena, &mut shard, budget,
-                polling, chaos,
-            );
-            obs.absorb(shard);
-            result?;
-        } else {
-            let ranges = rrs_par::split_range(total, workers);
-            let bands = ranges.len() as u64;
-            let results: Vec<Result<Shard, RrsError>> = rrs_par::scope(|s| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .enumerate()
-                    .map(|(band, &(t0, t1))| {
-                        let (rfft, kspec) = (&rfft, &kspec);
-                        s.spawn(move || {
-                            // Rebind the Send wrapper, not its pointer field.
-                            #[allow(clippy::redundant_locals)]
-                            let out_ptr = out_ptr;
-                            catch_unwind(AssertUnwindSafe(|| {
-                                let mut arena = TileArena::new(rfft);
-                                let mut shard = obs.shard();
-                                run_tile_range(
-                                    t0, t1, geom, win, rfft, kspec, out_ptr, &mut arena,
-                                    &mut shard, budget, polling, chaos,
-                                )
-                                .map(|()| shard)
-                            }))
-                            .unwrap_or_else(|p| Err(RrsError::worker_panicked(band, p.as_ref())))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("worker result survives catch_unwind"))
-                    .collect()
-            });
-            obs.add_counter(stage::PAR_BANDS, bands);
-            // Lowest failed band wins, matching the `rrs-par` primitives;
-            // shards from successful bands are still absorbed so counters
-            // reflect the work actually done.
-            let mut first: Option<RrsError> = None;
-            for result in results {
-                match result {
-                    Ok(shard) => obs.absorb(shard),
-                    Err(e) => {
-                        if e.kind() == rrs_error::ErrorKind::WorkerPanicked {
-                            obs.add_counter(stage::PAR_WORKER_PANICS, 1);
-                        }
-                        if first.is_none() {
-                            first = Some(e);
-                        }
-                    }
-                }
-            }
-            if let Some(e) = first {
-                // The span is dropped unfinished: a failed correlate
-                // records no timing, like every other error path.
-                return Err(e);
-            }
-            obs.add_counter(stage::CONV_TILES_PARALLEL, total as u64);
-        }
-        obs.finish(span);
-        obs.add_counter(stage::CONV_FFT_TILES, total as u64);
-        obs.add_counter(stage::CORRELATE_SAMPLES, (nx * ny) as u64);
+        let rows = OutputRows { rows: out.as_mut_slice(), stride: nx, col0: 0 };
+        let exec = (workers, obs, budget, chaos);
+        run_rfft(&rfft, &kspec, kernel, win, ww, wh, nx, ny, exec, rows, &store)?;
         Ok(out)
     }
 
@@ -505,9 +449,185 @@ impl FftEngine {
     }
 }
 
+/// The kernel weights zero-padded at the origin of `rfft`'s tile lattice
+/// and forward-transformed into a packed Hermitian spectrum.
+fn packed_kernel_spectrum(kernel: &ConvolutionKernel, rfft: &RealFft2d) -> Vec<Complex64> {
+    let (kw, kh) = kernel.extent();
+    let pitch = 2 * rfft.packed_width();
+    let weights = kernel.weights();
+    let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
+    let rows = as_f64s_mut(&mut spec);
+    for b in 0..kh {
+        rows[b * pitch..b * pitch + kw].copy_from_slice(&weights.row(b)[..kw]);
+    }
+    rfft.forward_in_place(&mut spec, &mut Vec::new());
+    spec
+}
+
+/// A caller-owned output region for [`convolve_rfft_into`]: `rows` holds
+/// the request's `ny` output rows, `stride` f64s apart, and request
+/// column `ix` lands at column `col0 + ix` of each row.
+pub struct OutputRows<'a> {
+    /// The rows, row-major.
+    pub rows: &'a mut [f64],
+    /// Distance between consecutive rows, in f64s.
+    pub stride: usize,
+    /// Column of `rows` that request column 0 maps to.
+    pub col0: usize,
+}
+
+/// How a tile's valid outputs merge into the output:
+/// `combine(iy, ix, dst, src)` receives request row `iy`, its columns
+/// `[ix, ix + src.len())` as `src`, and the matching segment of the
+/// output as `dst`.
+pub type Combine<'a> = &'a (dyn Fn(usize, usize, &mut [f64], &[f64]) + Sync);
+
+/// The real-input engine's `FftEngine::convolve_rfft` on a caller-chosen
+/// `tile_shape`, with the kernel spectrum transformed for this call alone
+/// and dropped on return, merging the outputs into `out` through
+/// `combine` instead of returning a fresh grid: nothing but the shared
+/// plan outlives the call, and no output-sized buffer is allocated. Each
+/// output sample is delivered exactly once, by the one worker that owns
+/// its tile, so `combine` may read-modify-write `dst` freely. For callers
+/// that weight many kernels' fields into one output, once each.
+#[allow(clippy::too_many_arguments)]
+pub fn convolve_rfft_into(
+    ctx: &GenContext,
+    kernel: &ConvolutionKernel,
+    tile_shape: TileShape,
+    win: &[f64],
+    ww: usize,
+    wh: usize,
+    nx: usize,
+    ny: usize,
+    out: OutputRows<'_>,
+    combine: Combine<'_>,
+) -> Result<(), RrsError> {
+    assert!(
+        out.col0 + nx <= out.stride && out.rows.len() == ny * out.stride,
+        "output rows must cover the {nx}x{ny} request"
+    );
+    ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
+    let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, 1, &ctx.obs);
+    let kspec = packed_kernel_spectrum(kernel, &rfft);
+    let exec = (ctx.workers, &ctx.obs, &ctx.budget, &ctx.chaos);
+    run_rfft(&rfft, &kspec, kernel, win, ww, wh, nx, ny, exec, out, combine)
+}
+
+/// [`Combine`] for a plain convolution: overwrite.
+fn store(_iy: usize, _ix: usize, dst: &mut [f64], src: &[f64]) {
+    dst.copy_from_slice(src);
+}
+
+/// Convolves through the real-input pipeline with an already-planned
+/// transform and kernel spectrum, merging into `out` through `combine`:
+/// the tile loop shared by [`FftEngine::convolve_rfft`] and
+/// [`convolve_rfft_into`]. `exec` is `(workers, recorder, budget,
+/// chaos)`. Each worker allocates its own arena.
+#[allow(clippy::too_many_arguments)]
+fn run_rfft(
+    rfft: &RealFft2d,
+    kspec: &[Complex64],
+    kernel: &ConvolutionKernel,
+    win: &[f64],
+    ww: usize,
+    wh: usize,
+    nx: usize,
+    ny: usize,
+    (workers, obs, budget, chaos): (usize, &Recorder, &Budget, &ChaosInjector),
+    out: OutputRows<'_>,
+    combine: Combine<'_>,
+) -> Result<(), RrsError> {
+    let (kw, kh) = kernel.extent();
+    debug_assert_eq!(win.len(), ww * wh);
+    debug_assert_eq!(ww, nx + kw - 1);
+    debug_assert_eq!(wh, ny + kh - 1);
+    let (fx, fy) = rfft.shape();
+    let tile_shape = TileShape { fft_nx: fx, fft_ny: fy };
+    let (tiles_x, tiles_y) = tile_shape.tiles(nx, ny, kw, kh);
+    let total = tiles_x * tiles_y;
+    let workers = effective_workers(tile_shape, nx, ny, kw, kh, workers);
+    let (vx, vy) = tile_shape.valid(kw, kh);
+    let (stride, col0) = (out.stride, out.col0);
+    let pitch = 2 * rfft.packed_width();
+    let geom = TileGeom { nx, ny, stride, col0, ww, wh, kw, kh, fx, fy, pitch, vx, vy, tiles_x };
+    let polling = budget.needs_polling();
+
+    let out_ptr = SendPtr(out.rows.as_mut_ptr());
+    let span = obs.start(stage::CORRELATE);
+    if workers == 1 {
+        let mut arena = TileArena::new(rfft);
+        let mut shard = obs.shard();
+        let result = run_tile_range(
+            0, total, geom, win, rfft, kspec, out_ptr, combine, &mut arena, &mut shard,
+            budget, polling, chaos,
+        );
+        obs.absorb(shard);
+        result?;
+    } else {
+        let ranges = rrs_par::split_range(total, workers);
+        let bands = ranges.len() as u64;
+        let results: Vec<Result<Shard, RrsError>> = rrs_par::scope(|s| {
+            let handles: Vec<_> = ranges
+                .iter()
+                .enumerate()
+                .map(|(band, &(t0, t1))| {
+                    s.spawn(move || {
+                        // Rebind the Send wrapper, not its pointer field.
+                        #[allow(clippy::redundant_locals)]
+                        let out_ptr = out_ptr;
+                        catch_unwind(AssertUnwindSafe(|| {
+                            let mut arena = TileArena::new(rfft);
+                            let mut shard = obs.shard();
+                            run_tile_range(
+                                t0, t1, geom, win, rfft, kspec, out_ptr, combine, &mut arena,
+                                &mut shard, budget, polling, chaos,
+                            )
+                            .map(|()| shard)
+                        }))
+                        .unwrap_or_else(|p| Err(RrsError::worker_panicked(band, p.as_ref())))
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker result survives catch_unwind"))
+                .collect()
+        });
+        obs.add_counter(stage::PAR_BANDS, bands);
+        // Lowest failed band wins, matching the `rrs-par` primitives;
+        // shards from successful bands are still absorbed so counters
+        // reflect the work actually done.
+        let mut first: Option<RrsError> = None;
+        for result in results {
+            match result {
+                Ok(shard) => obs.absorb(shard),
+                Err(e) => {
+                    if e.kind() == rrs_error::ErrorKind::WorkerPanicked {
+                        obs.add_counter(stage::PAR_WORKER_PANICS, 1);
+                    }
+                    if first.is_none() {
+                        first = Some(e);
+                    }
+                }
+            }
+        }
+        if let Some(e) = first {
+            // The span is dropped unfinished: a failed correlate
+            // records no timing, like every other error path.
+            return Err(e);
+        }
+        obs.add_counter(stage::CONV_TILES_PARALLEL, total as u64);
+    }
+    obs.finish(span);
+    obs.add_counter(stage::CONV_FFT_TILES, total as u64);
+    obs.add_counter(stage::CORRELATE_SAMPLES, (nx * ny) as u64);
+    Ok(())
+}
+
 /// Processes the flattened tile indices `[t0, t1)` through one arena:
 /// gather (zero-padded), forward real transform, packed multiply,
-/// inverse, and scatter of the non-wrapped outputs through `out`.
+/// inverse, and `combine` of the non-wrapped outputs into `out`.
 #[allow(clippy::too_many_arguments)]
 fn run_tile_range(
     t0: usize,
@@ -517,6 +637,7 @@ fn run_tile_range(
     rfft: &RealFft2d,
     kspec: &[Complex64],
     out: SendPtr,
+    combine: Combine<'_>,
     arena: &mut TileArena,
     shard: &mut Shard,
     budget: &Budget,
@@ -532,10 +653,12 @@ fn run_tile_range(
         let ox = (t % g.tiles_x) * g.vx;
         let oy = (t / g.tiles_x) * g.vy;
         // Gather the segment [ox, ox+fx) × [oy, oy+fy) of the window,
-        // zero-padded past its edges.
+        // zero-padded past its edges, into the real rows of the spectrum
+        // buffer.
         let cols = (g.ww - ox).min(g.fx);
+        let tile = as_f64s_mut(&mut arena.spec);
         for ty in 0..g.fy {
-            let trow = &mut arena.real[ty * g.fx..(ty + 1) * g.fx];
+            let trow = &mut tile[ty * g.pitch..ty * g.pitch + g.fx];
             let wy = oy + ty;
             if wy < g.wh {
                 trow[..cols].copy_from_slice(&win[wy * g.ww + ox..wy * g.ww + ox + cols]);
@@ -544,25 +667,25 @@ fn run_tile_range(
                 trow.fill(0.0);
             }
         }
-        rfft.forward_into(&arena.real, &mut arena.spec, &mut arena.scratch);
+        rfft.forward_in_place(&mut arena.spec, &mut arena.scratch);
         for (z, k) in arena.spec.iter_mut().zip(kspec) {
             *z = *z * *k;
         }
-        rfft.inverse_into(&mut arena.spec, &mut arena.real, &mut arena.scratch);
-        // Scatter the non-wrapped outputs.
+        rfft.inverse_in_place(&mut arena.spec, &mut arena.scratch);
+        // Merge the non-wrapped outputs.
+        let tile = as_f64s(&arena.spec);
         let cx = (g.nx - ox).min(g.vx);
         let cy = (g.ny - oy).min(g.vy);
         for dy in 0..cy {
-            let src = &arena.real[(g.kh - 1 + dy) * g.fx + (g.kw - 1)..][..cx];
+            let src = &tile[(g.kh - 1 + dy) * g.pitch + (g.kw - 1)..][..cx];
             // SAFETY: rows [oy, oy+cy) × cols [ox, ox+cx) of the output
-            // belong to tile t alone; the enclosing scope keeps the
-            // allocation alive for every worker.
-            unsafe {
-                let dst = out.0.add((oy + dy) * g.nx + ox);
-                for (dx, &v) in src.iter().enumerate() {
-                    *dst.add(dx) = v;
-                }
-            }
+            // belong to tile t alone, and `run_rfft`'s caller checked they
+            // lie inside `out`; the enclosing scope keeps the allocation
+            // alive for every worker.
+            let dst = unsafe {
+                std::slice::from_raw_parts_mut(out.0.add((oy + dy) * g.stride + g.col0 + ox), cx)
+            };
+            combine(oy + dy, ox, dst, src);
         }
     }
     Ok(())
@@ -591,6 +714,23 @@ mod tests {
             assert!(t.fft_ny <= (ny + kh - 1).next_power_of_two());
             let (tx, ty) = t.tiles(nx, ny, kw, kh);
             assert!(tx * vx >= nx && ty * vy >= ny, "tiles must cover the output");
+        }
+    }
+
+    #[test]
+    fn bounded_tile_plan_caps_sides_unless_the_kernel_is_wider() {
+        // Unbounded, a 193² kernel over a 384² output takes 512² tiles.
+        assert_eq!(plan_tiles(384, 384, 193, 193).fft_nx, 512);
+        let cases = [(384usize, 384usize, 193usize, 193usize), (300, 40, 17, 300), (5, 5, 3, 3)];
+        for &(nx, ny, kw, kh) in &cases {
+            let t = plan_tiles_within(nx, ny, kw, kh, 256);
+            assert!(t.fft_nx <= 256.max(kw.next_power_of_two()), "{t:?}");
+            assert!(t.fft_ny <= 256.max(kh.next_power_of_two()), "{t:?}");
+            assert!(t.fft_nx >= kw && t.fft_ny >= kh);
+            let (tx, ty) = t.tiles(nx, ny, kw, kh);
+            let (vx, vy) = t.valid(kw, kh);
+            assert!(tx * vx >= nx && ty * vy >= ny, "tiles must cover the output");
+            assert_eq!(plan_tiles_within(nx, ny, kw, kh, usize::MAX), plan_tiles(nx, ny, kw, kh));
         }
     }
 

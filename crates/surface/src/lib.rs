@@ -36,10 +36,14 @@ pub use conv::{BackendHealth, ConvBackend, ConvolutionGenerator};
 
 #[doc(hidden)]
 pub mod internal {
-    //! Workspace-internal seam: the overlap-save engine, shared with
-    //! `rrs-inhomo` so pure-region windows dispatch to the same FFT path
-    //! as the homogeneous generator. Not a stable public API.
-    pub use crate::fftconv::{effective_workers, plan_tiles, FftEngine, TileShape};
+    //! Workspace-internal seam: the real-input overlap-save engine and
+    //! its tile planner, shared with `rrs-inhomo` so each kernel of a
+    //! blended window runs through the same FFT path as the homogeneous
+    //! generator. Not a stable public API.
+    pub use crate::fftconv::{
+        convolve_rfft_into, effective_workers, plan_tiles, plan_tiles_within, Combine,
+        OutputRows, TileShape,
+    };
 }
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};

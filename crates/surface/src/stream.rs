@@ -233,7 +233,7 @@ mod tests {
 
     #[test]
     fn sequential_strips_tile_the_long_surface() {
-        let mut sg = make(42);
+        let mut sg = make(42).with_backend(crate::ConvBackend::Direct);
         let a = sg.next_strip(16);
         let b = sg.next_strip(16);
         assert_eq!(sg.cursor(), 32);
@@ -242,6 +242,22 @@ mod tests {
             for ix in 0..16 {
                 assert_eq!(*whole.get(ix, iy), *a.get(ix, iy));
                 assert_eq!(*whole.get(ix + 16, iy), *b.get(ix, iy));
+            }
+        }
+    }
+
+    #[test]
+    fn sequential_auto_strips_tile_within_roundoff() {
+        let mut sg = make(42);
+        assert_eq!(sg.backend(), crate::ConvBackend::Auto);
+        let a = sg.next_strip(16);
+        let b = sg.next_strip(16);
+        let whole = sg.strip_at(0, 32);
+        let scale = whole.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+        for iy in 0..24 {
+            for ix in 0..16 {
+                assert!((*whole.get(ix, iy) - *a.get(ix, iy)).abs() <= 1e-9 * scale);
+                assert!((*whole.get(ix + 16, iy) - *b.get(ix, iy)).abs() <= 1e-9 * scale);
             }
         }
     }

@@ -4,7 +4,8 @@ use rrs_check::any;
 use rrs_grid::Window;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
 use rrs_surface::{
-    ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing, NoiseField,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing,
+    NoiseField,
 };
 
 rrs_check::props! {
@@ -74,13 +75,40 @@ rrs_check::props! {
             &s,
             KernelSizing::Auto { factor: 6.0, min: 16, max: 48 },
         )
-        .with_workers(1);
+        .with_workers(1)
+        .with_backend(ConvBackend::Direct);
         let noise = NoiseField::new(seed);
         let a = gen.generate(&noise, Window::new(dx, dy, 8, 8));
         let b = gen.generate(&noise, Window::new(dx, dy, 16, 16));
         for iy in 0..8 {
             for ix in 0..8 {
                 assert_eq!(*a.get(ix, iy), *b.get(ix, iy));
+            }
+        }
+    }
+
+    fn auto_windows_translate_consistently_within_roundoff(
+        seed in any::<u64>(),
+        dx in -32i64..32,
+        dy in -32i64..32,
+    ) {
+        // The same property on the default backend, which sends this
+        // kernel to the FFT engine: different window sizes plan different
+        // tiles, so the samples agree within roundoff.
+        let s = Gaussian::new(SurfaceParams::isotropic(1.0, 3.0));
+        let gen = ConvolutionGenerator::new(
+            &s,
+            KernelSizing::Auto { factor: 6.0, min: 16, max: 48 },
+        )
+        .with_workers(1);
+        assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
+        let noise = NoiseField::new(seed);
+        let a = gen.generate(&noise, Window::new(dx, dy, 8, 8));
+        let b = gen.generate(&noise, Window::new(dx, dy, 16, 16));
+        let scale = b.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+        for iy in 0..8 {
+            for ix in 0..8 {
+                assert!((*a.get(ix, iy) - *b.get(ix, iy)).abs() <= 1e-9 * scale);
             }
         }
     }

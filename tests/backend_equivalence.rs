@@ -13,10 +13,20 @@
 //!   to the seed release (FNV-1a hashes of the f64 bit patterns captured
 //!   from the pre-backend build), so every regression seed and
 //!   resume/budget guarantee survives the backend refactor and the
-//!   vectorised inner-loop restructure.
+//!   vectorised inner-loop restructure;
+//! * the inhomogeneous generator's kernel-major blend (`Auto`, the
+//!   default, and `FftOverlapSave`) equals its per-sample `Direct` loop
+//!   within 1e-9 relative error on plate and point layouts, every
+//!   spectrum family and every kind of window, is bit-identical across
+//!   worker counts, degrades to the `Direct` loop bit for bit, and honours
+//!   cancellation and admission control.
 
+use rrs::inhomo::plate::quadrant_layout;
+use rrs::inhomo::WeightMap;
 use rrs::prelude::*;
 use rrs_check::{from_fn, Gen};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 fn fnv1a(bits: impl Iterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
@@ -55,36 +65,67 @@ fn assert_close(reference: &Grid2<f64>, other: &Grid2<f64>, tol: f64, what: &str
 
 // --- Bit-identity: Direct output is unchanged from the seed release. ---
 
-#[test]
-fn direct_backend_is_bit_identical_to_seed() {
-    // Hashes captured from the pre-backend build (commit d2106fd).
+/// The three seed-release windows, generated under `backend`.
+fn seed_windows(backend: ConvBackend) -> [Grid2<f64>; 3] {
     let s1 = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
     let g1 = ConvolutionGenerator::new(&s1, KernelSizing::default())
         .with_workers(1)
+        .with_backend(backend)
         .generate(&NoiseField::new(5), Window::sized(32, 16));
-    assert_eq!(hash_grid(&g1), 0xd4354263c73d2f76, "full kernel, serial");
-
     let s2 = Gaussian::new(SurfaceParams::new(1.3, 6.0, 4.0));
     let k2 = ConvolutionKernel::build(&s2, KernelSizing::default()).truncated(1e-3);
     let g2 = ConvolutionGenerator::from_kernel(k2)
         .with_workers(3)
+        .with_backend(backend)
         .generate(&NoiseField::new(41), Window::new(-7, 3, 40, 28));
-    assert_eq!(hash_grid(&g2), 0x05f15a8657760fab, "truncated aniso kernel, workers=3");
-
     let s3 = Exponential::new(SurfaceParams::new(0.8, 3.0, 7.0));
     let k3 = ConvolutionKernel::build(&s3, KernelSizing::default()).truncated(1e-2);
     let g3 = ConvolutionGenerator::from_kernel(k3)
         .with_workers(2)
+        .with_backend(backend)
         .generate(&NoiseField::new(99), Window::new(11, -5, 33, 21));
+    [g1, g2, g3]
+}
+
+#[test]
+fn direct_backend_is_bit_identical_to_seed() {
+    // Hashes captured from the pre-backend build (commit d2106fd).
+    let [g1, g2, g3] = seed_windows(ConvBackend::Direct);
+    assert_eq!(hash_grid(&g1), 0xd4354263c73d2f76, "full kernel, serial");
+    assert_eq!(hash_grid(&g2), 0x05f15a8657760fab, "truncated aniso kernel, workers=3");
     assert_eq!(hash_grid(&g3), 0x3128fd4cedb5fa8d, "exponential, offset window");
+}
+
+#[test]
+fn default_backend_matches_the_seed_windows_within_1e9() {
+    // The default is Auto, which sends these kernels to the FFT engine:
+    // the seed windows come back within roundoff, not to the bit.
+    assert_eq!(GenContext::new().backend(), ConvBackend::Auto);
+    let direct = seed_windows(ConvBackend::Direct);
+    let auto = seed_windows(ConvBackend::default());
+    for (i, (d, a)) in direct.iter().zip(&auto).enumerate() {
+        assert_close(d, a, 1e-9, &format!("seed window {i}"));
+    }
 }
 
 #[test]
 fn strip_stream_is_bit_identical_to_seed() {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
-    let mut sg = StripGenerator::new(&s, KernelSizing::default(), 24, 7);
+    let mut sg =
+        StripGenerator::new(&s, KernelSizing::default(), 24, 7).with_backend(ConvBackend::Direct);
     assert_eq!(hash_grid(&sg.next_strip(16)), 0x0e02845b448152b8, "strip 0");
     assert_eq!(hash_grid(&sg.next_strip(16)), 0x0eb0089b6b1be169, "strip 1");
+}
+
+#[test]
+fn default_strip_stream_matches_the_seed_strips_within_1e9() {
+    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
+    let mut direct =
+        StripGenerator::new(&s, KernelSizing::default(), 24, 7).with_backend(ConvBackend::Direct);
+    let mut auto = StripGenerator::new(&s, KernelSizing::default(), 24, 7);
+    for strip in 0..2 {
+        assert_close(&direct.next_strip(16), &auto.next_strip(16), 1e-9, &format!("strip {strip}"));
+    }
 }
 
 // --- Deterministic FFT/Direct agreement cases. ---
@@ -131,6 +172,7 @@ fn fft_strip_seams_match_direct_whole_surface() {
     let a = sg.next_strip(24);
     let b = sg.next_strip(24);
     let whole = ConvolutionGenerator::from_kernel(k)
+        .with_backend(ConvBackend::Direct)
         .generate(&NoiseField::new(seed), Window::sized(48, 40));
     let scale = whole.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
     for iy in 0..40 {
@@ -140,6 +182,83 @@ fn fft_strip_seams_match_direct_whole_surface() {
             assert!(ea <= 1e-9 * scale, "strip A ({ix},{iy}): {ea}");
             assert!(eb <= 1e-9 * scale, "strip B ({ix},{iy}): {eb}");
         }
+    }
+}
+
+/// Width-1 kernels, whose overlap-save tiles are one sample wide (the real
+/// transform's degenerate single-bin rows): a `crop(0, 3)` column and
+/// two even-height ones.
+fn width_one_kernels() -> [ConvolutionKernel; 3] {
+    let s = Gaussian::new(SurfaceParams::new(1.1, 3.0, 5.0));
+    let column = ConvolutionKernel::build(&s, KernelSizing::default()).crop(0, 3);
+    let pair = ConvolutionKernel::from_parts(Grid2::from_vec(1, 2, vec![0.8, -0.3]), 0, -1);
+    let four = Grid2::from_vec(1, 4, vec![0.2, 0.9, -0.4, 0.1]);
+    [column, pair, ConvolutionKernel::from_parts(four, 0, -2)]
+}
+
+#[test]
+fn width_one_kernels_match_direct_on_both_fft_engines() {
+    use rrs::obs::stage;
+    let noise = NoiseField::new(61);
+    let win = Window::new(-5, 7, 23, 41);
+    for kernel in width_one_kernels() {
+        let shape = kernel.extent();
+        assert_eq!(shape.0, 1);
+        let direct = ConvolutionGenerator::from_kernel(kernel.clone())
+            .with_backend(ConvBackend::Direct)
+            .generate(&noise, win);
+        for backend in [ConvBackend::FftOverlapSave, ConvBackend::FftComplexSerial] {
+            for workers in [1, 2] {
+                let rec = Recorder::enabled();
+                let got = ConvolutionGenerator::from_kernel(kernel.clone())
+                    .with_workers(workers)
+                    .with_backend(backend)
+                    .with_recorder(rec.clone())
+                    .try_generate(&noise, win)
+                    .unwrap();
+                let what = format!("{shape:?} kernel, {backend:?}, {workers} workers");
+                assert_close(&direct, &got, 1e-9, &what);
+                // Served by the engine itself, not by a fallback rung.
+                let report = rec.report();
+                assert!(report.counter(stage::CONV_FFT_TILES) > 0, "{what}");
+                assert_eq!(report.counter(stage::CONV_DEGRADED_TO_FFT_SERIAL), 0, "{what}");
+                assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "{what}");
+            }
+        }
+    }
+}
+
+#[test]
+fn width_one_kernels_blend_like_the_direct_loop() {
+    use rrs::obs::stage;
+    // Two plates split at x = 8 with a 6-wide band; the window straddles
+    // it, so both width-1 kernels contribute FFT tiles to the blend.
+    let [column, pair, four] = width_one_kernels();
+    let left = Plate {
+        region: Region::HalfPlane { a: 1.0, b: 0.0, c: 8.0 },
+        spectrum: SpectrumModel::gaussian(SurfaceParams::isotropic(0.7, 3.0)),
+    };
+    let field = SpectrumModel::gaussian(SurfaceParams::isotropic(1.3, 5.0));
+    let layout = PlateLayout::new(vec![left], Some(field), 6.0);
+    let noise = NoiseField::new(67);
+    let win = Window::new(-12, -3, 40, 30);
+    for kernels in [vec![column.clone(), four], vec![pair, column]] {
+        let make = |backend| {
+            InhomogeneousGenerator::from_kernels(layout.clone(), kernels.clone())
+                .with_workers(2)
+                .with_backend(backend)
+        };
+        let direct = make(ConvBackend::Direct).generate(&noise, win);
+        let rec = Recorder::enabled();
+        let got = make(ConvBackend::FftOverlapSave)
+            .with_recorder(rec.clone())
+            .try_generate(&noise, win)
+            .unwrap();
+        let shapes: Vec<_> = kernels.iter().map(|k| k.extent()).collect();
+        assert_close(&direct, &got, 1e-9, &format!("blend of {shapes:?}"));
+        let report = rec.report();
+        assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "{shapes:?}");
+        assert!(report.counter(stage::CONV_FFT_TILES) >= 2, "{shapes:?}");
     }
 }
 
@@ -471,5 +590,348 @@ rrs_check::props! {
             concrete.generate(&noise, win),
             "Auto must be a pure dispatch"
         );
+    }
+}
+
+// --- Inhomogeneous generator: the kernel-major blend vs the per-sample loop. ---
+
+/// The three layouts the blend property draws from, with windows of
+/// each kind (pure, straddling transition bands, partly outside every
+/// region) placed by the layout's known geometry.
+#[derive(Debug)]
+struct BlendCase {
+    layout: u8,
+    families: [u8; 3],
+    h: [f64; 3],
+    cl: [f64; 3],
+    transition: f64,
+    seed: u64,
+    size: (usize, usize),
+    jitter: (i64, i64),
+}
+
+fn arb_blend_case() -> impl Gen<Value = BlendCase> {
+    from_fn(|rng| BlendCase {
+        layout: rng.next_below(3) as u8,
+        families: [rng.next_below(3) as u8, rng.next_below(3) as u8, rng.next_below(3) as u8],
+        h: [0.3 + 2.0 * rng.next_f64(), 0.3 + 2.0 * rng.next_f64(), 0.3 + 2.0 * rng.next_f64()],
+        cl: [3.0 + 5.0 * rng.next_f64(), 3.0 + 5.0 * rng.next_f64(), 3.0 + 5.0 * rng.next_f64()],
+        transition: 4.0 + 8.0 * rng.next_f64(),
+        seed: rng.next_u64(),
+        size: (8 + rng.next_below(24) as usize, 8 + rng.next_below(24) as usize),
+        jitter: (rng.next_below(5) as i64 - 2, rng.next_below(5) as i64 - 2),
+    })
+}
+
+fn family(f: u8, h: f64, cl: f64) -> SpectrumModel {
+    let p = SurfaceParams::isotropic(h, cl);
+    match f {
+        0 => SpectrumModel::gaussian(p),
+        1 => SpectrumModel::power_law(p, 2.5),
+        _ => SpectrumModel::exponential(p),
+    }
+}
+
+/// The case's layout and one window of each kind: pure, straddling a
+/// transition band, and partly outside every region (quadrants and pond)
+/// or the points' hull.
+fn blend_layout(case: &BlendCase) -> (Box<dyn WeightMap>, [Window; 3]) {
+    let s: Vec<SpectrumModel> =
+        (0..3).map(|i| family(case.families[i], case.h[i], case.cl[i])).collect();
+    let (w, h) = case.size;
+    let (jx, jy) = case.jitter;
+    let t = case.transition;
+    let centred =
+        |cx: i64, cy: i64| Window::new(cx - w as i64 / 2 + jx, cy - h as i64 / 2 + jy, w, h);
+    match case.layout {
+        // Quadrants of [0, 64]², no background: outside the domain every
+        // sample falls back to its nearest plate.
+        0 => {
+            let layout = quadrant_layout(64.0, 64.0, [s[0], s[1], s[2], s[0]], t);
+            let pure = Window::new(40, 40, w.min(14), h.min(14));
+            (Box::new(layout), [pure, centred(32, 32), centred(0, 16)])
+        }
+        // A pond and a half-plane plate in a background field.
+        1 => {
+            let plates = vec![
+                Plate { region: Region::Circle { cx: 0.0, cy: 0.0, r: 24.0 }, spectrum: s[0] },
+                Plate { region: Region::HalfPlane { a: 1.0, b: 0.0, c: -48.0 }, spectrum: s[1] },
+            ];
+            let layout = PlateLayout::new(plates, Some(s[2]), t);
+            (Box::new(layout), [centred(100, 100), centred(24, 0), centred(-48, 40)])
+        }
+        // Three representative points.
+        _ => {
+            let points = [(0.0, 0.0), (64.0, 0.0), (32.0, 56.0)]
+                .iter()
+                .zip(&s)
+                .map(|(&(x, y), &spectrum)| RepresentativePoint { x, y, spectrum })
+                .collect();
+            let layout = PointLayout::new(points, t / 2.0);
+            (Box::new(layout), [centred(-40, -40), centred(32, 0), centred(32, -48)])
+        }
+    }
+}
+
+fn blend_generator(
+    case: &BlendCase,
+    backend: ConvBackend,
+    workers: usize,
+) -> InhomogeneousGenerator<Box<dyn WeightMap>> {
+    let (layout, _) = blend_layout(case);
+    InhomogeneousGenerator::new(layout, KernelSizing::Auto { factor: 6.0, min: 16, max: 64 })
+        .with_workers(workers)
+        .with_backend(backend)
+}
+
+/// An exponential pond in a Gaussian field with a point-free margin: a
+/// 72×64 window straddles the shoreline on both sides.
+fn pond_in_field(backend: ConvBackend, workers: usize) -> InhomogeneousGenerator<PlateLayout> {
+    let pond = Plate {
+        region: Region::Circle { cx: 40.0, cy: 32.0, r: 20.0 },
+        spectrum: SpectrumModel::exponential(SurfaceParams::isotropic(0.4, 5.0)),
+    };
+    let field = SpectrumModel::gaussian(SurfaceParams::isotropic(1.2, 6.0));
+    let layout = PlateLayout::new(vec![pond], Some(field), 8.0);
+    InhomogeneousGenerator::new(layout, KernelSizing::Auto { factor: 8.0, min: 16, max: 96 })
+        .with_workers(workers)
+        .with_backend(backend)
+}
+
+const POND_WINDOW: Window = Window { x0: -4, y0: -4, nx: 72, ny: 64 };
+
+#[test]
+fn blended_output_is_bit_identical_across_worker_counts() {
+    let noise = NoiseField::new(4242);
+    let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let pond = pond_in_field(ConvBackend::Auto, 1).generate(&noise, POND_WINDOW);
+    let case = BlendCase {
+        layout: 2,
+        families: [0, 1, 2],
+        h: [0.5, 1.0, 1.5],
+        cl: [4.0, 6.0, 8.0],
+        transition: 10.0,
+        seed: 7,
+        size: (48, 40),
+        jitter: (0, 0),
+    };
+    let (_, [_, straddle, _]) = blend_layout(&case);
+    let points = blend_generator(&case, ConvBackend::Auto, 1).generate(&noise, straddle);
+    for workers in [2, host] {
+        let p = pond_in_field(ConvBackend::Auto, workers).generate(&noise, POND_WINDOW);
+        assert_eq!(hash_grid(&p), hash_grid(&pond), "pond, workers={workers}");
+        let q = blend_generator(&case, ConvBackend::Auto, workers).generate(&noise, straddle);
+        assert_eq!(hash_grid(&q), hash_grid(&points), "points, workers={workers}");
+    }
+}
+
+#[test]
+fn paper_figures_on_the_default_backend_match_direct() {
+    use rrs_bench::figures::all_figures;
+    for fig in all_figures(0.125, 0.01, 3) {
+        let noise = NoiseField::new(fig.seed);
+        let win = Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny);
+        assert_eq!(fig.generator.backend(), ConvBackend::Auto);
+        let auto = fig.generator.generate(&noise, win);
+        let direct = fig.generator.with_backend(ConvBackend::Direct).generate(&noise, win);
+        assert_close(&direct, &auto, 1e-9, fig.id);
+    }
+}
+
+#[test]
+fn fft_tile_fault_on_a_blended_window_degrades_to_the_direct_hash() {
+    use rrs::obs::stage;
+    let noise = NoiseField::new(99);
+    let direct = hash_grid(&pond_in_field(ConvBackend::Direct, 1).generate(&noise, POND_WINDOW));
+    // Visit 0 is the pond kernel's first tile; the fault lands at the
+    // second one, mid-blend.
+    let chaos = ChaosInjector::new(
+        FaultSchedule::new(11).with_fault(FaultSite::FftTile, FaultKind::Error, 1),
+    );
+    let rec = Recorder::enabled();
+    let gen =
+        pond_in_field(ConvBackend::Auto, 1).with_recorder(rec.clone()).with_chaos(chaos.clone());
+    let got = gen.try_generate(&noise, POND_WINDOW).unwrap();
+    assert_eq!(hash_grid(&got), direct, "degraded output must hash like a clean Direct run");
+    assert_eq!(chaos.injected(), 1);
+    let report = rec.report();
+    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 1);
+    assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
+    assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 1);
+}
+
+/// Cancels `token` on the `at`-th weight lookup, so the cancel lands at
+/// a chosen point of a generation.
+struct CancellingMap {
+    inner: PlateLayout,
+    token: CancelToken,
+    calls: AtomicU64,
+    at: u64,
+}
+
+impl WeightMap for CancellingMap {
+    fn kernel_count(&self) -> usize {
+        self.inner.kernel_count()
+    }
+    fn spectra(&self) -> Vec<SpectrumModel> {
+        self.inner.spectra()
+    }
+    fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
+        if self.calls.fetch_add(1, Ordering::Relaxed) == self.at {
+            self.token.cancel();
+        }
+        self.inner.weights_at(x, y, out)
+    }
+}
+
+#[test]
+fn cancel_during_the_blend_returns_cancelled() {
+    use rrs::obs::stage;
+    let gen = pond_in_field(ConvBackend::Auto, 1);
+    let samples = (POND_WINDOW.nx * POND_WINDOW.ny) as u64;
+    let token = CancelToken::new();
+    // The weights pass makes one lookup per sample; the cancel fires ten
+    // lookups into the first kernel's blending pass.
+    let map = CancellingMap {
+        inner: gen.map().clone(),
+        token: token.clone(),
+        calls: AtomicU64::new(0),
+        at: samples + 10,
+    };
+    let rec = Recorder::enabled();
+    let cancelling = InhomogeneousGenerator::from_kernels(map, gen.kernels().to_vec())
+        .with_context(gen.context().clone())
+        .with_recorder(rec.clone())
+        .with_budget(Budget::unlimited().with_cancel_token(token.clone()));
+    let err = cancelling.try_generate(&NoiseField::new(5), POND_WINDOW).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::Cancelled, "{err}");
+    assert!(token.is_cancelled());
+    let report = rec.report();
+    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 1, "the cancel landed mid-blend");
+    assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "a cancel never degrades");
+    assert_eq!(report.counter(stage::INHOMO_PURE_SAMPLES), 0, "no counts for a failed blend");
+}
+
+/// A [`WeightMap`] that stalls once, for `stall`, at its `at`-th lookup.
+struct StallingMap {
+    inner: PlateLayout,
+    calls: AtomicU64,
+    at: u64,
+    stall: Duration,
+}
+
+impl WeightMap for StallingMap {
+    fn kernel_count(&self) -> usize {
+        self.inner.kernel_count()
+    }
+    fn spectra(&self) -> Vec<SpectrumModel> {
+        self.inner.spectra()
+    }
+    fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
+        if self.calls.fetch_add(1, Ordering::Relaxed) == self.at {
+            std::thread::sleep(self.stall);
+        }
+        self.inner.weights_at(x, y, out)
+    }
+}
+
+#[test]
+fn deadline_during_the_weights_pass_stops_it_at_the_next_row() {
+    use rrs::obs::stage;
+    let gen = pond_in_field(ConvBackend::Auto, 1);
+    let nx = POND_WINDOW.nx as u64;
+    // The deadline passes while the pass stalls in its second row.
+    let map = StallingMap {
+        inner: gen.map().clone(),
+        calls: AtomicU64::new(0),
+        at: nx + 10,
+        stall: Duration::from_millis(400),
+    };
+    let rec = Recorder::enabled();
+    let stalling = InhomogeneousGenerator::from_kernels(map, gen.kernels().to_vec())
+        .with_context(gen.context().clone())
+        .with_recorder(rec.clone())
+        .with_budget(Budget::unlimited().with_timeout(Duration::from_millis(200)));
+    let err = stalling.try_generate(&NoiseField::new(5), POND_WINDOW).unwrap_err();
+    assert_eq!(err.kind(), ErrorKind::DeadlineExceeded, "{err}");
+    // The pass finished the stalled row and stopped at the next row's
+    // poll, long before its nx·ny lookups.
+    let lookups = stalling.map().calls.load(Ordering::Relaxed);
+    assert!(lookups <= 2 * nx && lookups % nx == 0, "{lookups} lookups");
+    let report = rec.report();
+    assert!(report.counter(stage::BUDGET_POLLS) >= 2);
+    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 0, "the blend never started");
+    assert!(!report.durations.contains_key(stage::WINDOW_MATERIALISE), "no noise window was built");
+    assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "a deadline never degrades");
+}
+
+#[test]
+fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
+    use rrs::obs::stage;
+    let noise = NoiseField::new(21);
+    let gen = pond_in_field(ConvBackend::Auto, 2);
+    let with_ceiling = |max: u128, rec: &Recorder| {
+        InhomogeneousGenerator::from_kernels(gen.map().clone(), gen.kernels().to_vec())
+            .with_context(gen.context().clone())
+            .with_recorder(rec.clone())
+            .with_budget(Budget::unlimited().with_max_bytes(max as usize))
+            .try_generate(&noise, POND_WINDOW)
+    };
+    let required = |max: u128| match with_ceiling(max, &Recorder::disabled()) {
+        Err(RrsError::BudgetExceeded { required_bytes, .. }) => required_bytes,
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    };
+    // Before the weights pass: the output.
+    let base = (POND_WINDOW.nx * POND_WINDOW.ny * 8) as u128;
+    assert_eq!(required(base - 1), base);
+    // A ceiling that admits it reports the full blended footprint: plus
+    // the largest per-kernel noise window and tile arenas.
+    let footprint = required(base);
+    let largest_kernel = gen.kernels().iter().map(|k| k.extent().0 * k.extent().1).max().unwrap();
+    assert!(footprint > base + (largest_kernel * 8) as u128, "footprint {footprint}");
+
+    let rec = Recorder::enabled();
+    match with_ceiling(footprint - 1, &rec) {
+        Err(RrsError::BudgetExceeded { required_bytes, .. }) => {
+            assert_eq!(required_bytes, footprint)
+        }
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+    let report = rec.report();
+    assert_eq!(report.counter(stage::BUDGET_REJECT), 1);
+    assert!(!report.durations.contains_key(stage::WINDOW_MATERIALISE), "no noise window was built");
+    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 0);
+    assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 0, "no fallback ran");
+
+    // The exact footprint is admitted and changes nothing.
+    let admitted = with_ceiling(footprint, &Recorder::disabled()).unwrap();
+    assert_eq!(admitted, gen.generate(&noise, POND_WINDOW));
+}
+
+rrs_check::props! {
+    #![cases = 16]
+
+    /// The kernel-major blend (`Auto` and `FftOverlapSave`) reproduces
+    /// the per-sample loop within 1e-9 relative error on plate and point
+    /// layouts, all three spectrum families, and windows that are pure,
+    /// straddle transition bands or reach outside every region.
+    fn blended_auto_and_fft_match_direct(case in arb_blend_case(), workers in 1usize..4) {
+        let noise = NoiseField::new(case.seed);
+        let (_, windows) = blend_layout(&case);
+        let direct = blend_generator(&case, ConvBackend::Direct, workers);
+        let auto = blend_generator(&case, ConvBackend::Auto, workers);
+        let fft = blend_generator(&case, ConvBackend::FftOverlapSave, workers);
+        assert_eq!(auto.resolved_backend(), ConvBackend::FftOverlapSave);
+        for (kind, win) in ["pure", "straddling", "partly outside"].iter().zip(windows) {
+            let reference = direct.generate(&noise, win);
+            for (name, gen) in [("auto", &auto), ("fft", &fft)] {
+                assert_close(
+                    &reference,
+                    &gen.generate(&noise, win),
+                    1e-9,
+                    &format!("{name}, {kind} window {win:?}, case {case:?}"),
+                );
+            }
+        }
     }
 }

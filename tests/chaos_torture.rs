@@ -62,8 +62,12 @@ fn io_err() -> RrsError {
     RrsError::from(std::io::Error::other("transient disk wobble"))
 }
 
-fn tmp_dir() -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!("rrs_chaos_torture_{}", std::process::id()));
+/// A scratch directory private to one test: the tests run in parallel,
+/// and two pipelines writing the same checkpoint path race on its
+/// temporary file, which adds retries and breaks visit-count replay.
+fn tmp_dir(test: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir()
+        .join(format!("rrs_chaos_torture_{}_{test}", std::process::id()));
     std::fs::create_dir_all(&d).unwrap();
     d
 }
@@ -125,7 +129,7 @@ fn run_pipeline(chaos: &ChaosInjector, dir: &std::path::Path) -> Result<u64, Rrs
 
 #[test]
 fn armed_but_empty_schedule_visits_every_site_and_changes_nothing() {
-    let dir = tmp_dir();
+    let dir = tmp_dir("armed");
     let clean = run_pipeline(&ChaosInjector::disabled(), &dir).unwrap();
     // An armed schedule with no faults counts visits but injects nothing;
     // it must not change a single output bit.
@@ -148,7 +152,7 @@ fn armed_but_empty_schedule_visits_every_site_and_changes_nothing() {
 #[test]
 fn every_site_and_kind_returns_typed_errors_or_degrades() {
     quiet_chaos_panics();
-    let dir = tmp_dir();
+    let dir = tmp_dir("every");
     for site in FaultSite::ALL {
         for kind in FaultKind::ALL {
             for at_index in [0u64, 1] {
@@ -228,7 +232,7 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
 #[test]
 fn seeded_schedules_replay_bit_for_bit() {
     quiet_chaos_panics();
-    let dir = tmp_dir();
+    let dir = tmp_dir("seeded");
     for seed in [1u64, 17, 0xDEAD_BEEF] {
         let run = |schedule: FaultSchedule| {
             let chaos = ChaosInjector::new(schedule);

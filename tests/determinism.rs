@@ -49,19 +49,17 @@ fn same_seed_runs_are_bit_identical() {
     assert_ne!(a, c, "different seeds must differ");
 }
 
-/// Four quadrant windows reassemble the full window exactly — the
-/// streaming/tiled path has no seams (§2.4 of the paper: window values
-/// depend only on absolute coordinates, not window geometry).
-#[test]
-fn quadrant_windows_tile_seamlessly() {
-    let s = spectrum();
-    let gen = ConvolutionGenerator::new(&s, sizing()).with_workers(4);
+/// A generated window placed at `(x, y)` within a larger one.
+type Placed = (usize, usize, Grid2<f64>);
+
+/// The full window and its four quadrants, generated separately.
+fn full_and_quadrants(gen: &ConvolutionGenerator) -> (Grid2<f64>, Vec<Placed>) {
     let noise = NoiseField::new(0xD15C);
     let (w, h) = (80usize, 56usize);
     let (x0, y0) = (-9i64, 31i64);
     let full = gen.generate(&noise, Window::new(x0, y0, w, h));
     let (hw, hh) = (w / 2, h / 2);
-    let quads = [
+    let quads = vec![
         (0usize, 0usize, gen.generate(&noise, Window::new(x0, y0, hw, hh))),
         (hw, 0, gen.generate(&noise, Window::new(x0 + hw as i64, y0, w - hw, hh))),
         (0, hh, gen.generate(&noise, Window::new(x0, y0 + hh as i64, hw, h - hh))),
@@ -71,6 +69,19 @@ fn quadrant_windows_tile_seamlessly() {
             gen.generate(&noise, Window::new(x0 + hw as i64, y0 + hh as i64, w - hw, h - hh)),
         ),
     ];
+    (full, quads)
+}
+
+/// Four quadrant windows reassemble the full window exactly — the
+/// streaming/tiled path has no seams (§2.4 of the paper: window values
+/// depend only on absolute coordinates, not window geometry).
+#[test]
+fn quadrant_windows_tile_seamlessly() {
+    let s = spectrum();
+    let gen = ConvolutionGenerator::new(&s, sizing())
+        .with_workers(4)
+        .with_backend(ConvBackend::Direct);
+    let (full, quads) = full_and_quadrants(&gen);
     for (ox, oy, q) in &quads {
         let (qw, qh) = q.shape();
         for iy in 0..qh {
@@ -80,6 +91,27 @@ fn quadrant_windows_tile_seamlessly() {
                     full.get(ox + ix, oy + iy),
                     "seam at quadrant offset ({ox},{oy}), local ({ix},{iy})"
                 );
+            }
+        }
+    }
+}
+
+/// The same reassembly on the default backend, which runs this kernel on
+/// the FFT engine: each window plans its own tiles, so seams agree within
+/// 1e-9 relative rather than to the bit.
+#[test]
+fn auto_quadrant_windows_tile_within_roundoff() {
+    let s = spectrum();
+    let gen = ConvolutionGenerator::new(&s, sizing()).with_workers(4);
+    assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
+    let (full, quads) = full_and_quadrants(&gen);
+    let scale = full.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+    for (ox, oy, q) in &quads {
+        let (qw, qh) = q.shape();
+        for iy in 0..qh {
+            for ix in 0..qw {
+                let err = (q.get(ix, iy) - full.get(ox + ix, oy + iy)).abs();
+                assert!(err <= 1e-9 * scale, "seam at ({ox},{oy}), local ({ix},{iy}): {err:e}");
             }
         }
     }

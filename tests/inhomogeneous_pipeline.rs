@@ -89,12 +89,7 @@ fn transition_width_controls_blend_extent() {
 /// over from the homogeneous generator.
 #[test]
 fn inhomogeneous_windows_tile_seamlessly() {
-    let pond = Plate {
-        region: Region::Circle { cx: 50.0, cy: 50.0, r: 30.0 },
-        spectrum: SpectrumModel::exponential(SurfaceParams::isotropic(0.2, 5.0)),
-    };
-    let layout = PlateLayout::new(vec![pond], Some(sm(1.0, 5.0)), 8.0);
-    let gen = InhomogeneousGenerator::new(layout, sizing()).with_workers(3);
+    let gen = pond_generator(ConvBackend::Direct);
     let noise = NoiseField::new(4);
     let whole = gen.generate(&noise, Window::new(0, 0, 100, 100));
     for &(x0, y0, w, h) in &[(0i64, 0i64, 50usize, 50usize), (50, 0, 50, 50), (25, 60, 60, 40)] {
@@ -109,6 +104,38 @@ fn inhomogeneous_windows_tile_seamlessly() {
             }
         }
     }
+}
+
+/// The same seams on the default backend: the kernel-major blend plans
+/// each window's kernel boxes and FFT tiles separately, so the windows
+/// agree within 1e-9 relative rather than to the bit.
+#[test]
+fn auto_inhomogeneous_windows_tile_within_roundoff() {
+    let gen = pond_generator(ConvBackend::Auto);
+    assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
+    let noise = NoiseField::new(4);
+    let whole = gen.generate(&noise, Window::new(0, 0, 100, 100));
+    let scale = whole.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+    for &(x0, y0, w, h) in &[(0i64, 0i64, 50usize, 50usize), (50, 0, 50, 50), (25, 60, 60, 40)] {
+        let part = gen.generate(&noise, Window::new(x0, y0, w, h));
+        for iy in 0..h {
+            for ix in 0..w {
+                let want = *whole.get(ix + x0 as usize, iy + y0 as usize);
+                let err = (*part.get(ix, iy) - want).abs();
+                assert!(err <= 1e-9 * scale, "seam at ({ix},{iy}) of ({x0},{y0},{w},{h}): {err:e}");
+            }
+        }
+    }
+}
+
+/// An exponential pond in a Gaussian field, on the given backend.
+fn pond_generator(backend: ConvBackend) -> InhomogeneousGenerator<PlateLayout> {
+    let pond = Plate {
+        region: Region::Circle { cx: 50.0, cy: 50.0, r: 30.0 },
+        spectrum: SpectrumModel::exponential(SurfaceParams::isotropic(0.2, 5.0)),
+    };
+    let layout = PlateLayout::new(vec![pond], Some(sm(1.0, 5.0)), 8.0);
+    InhomogeneousGenerator::new(layout, sizing()).with_workers(3).with_backend(backend)
 }
 
 /// Heights of an inhomogeneous surface stay Gaussian in every pure

@@ -91,7 +91,8 @@ rrs_check::props! {
             &s,
             KernelSizing::Auto { factor: 6.0, min: 16, max: 64 },
         )
-        .with_workers(1);
+        .with_workers(1)
+        .with_backend(ConvBackend::Direct);
         let noise = NoiseField::new(seed);
         let sx = sx.min(w - 1);
         let sy = sy.min(h - 1);
@@ -103,6 +104,40 @@ rrs_check::props! {
         for iy in 0..h - sy {
             for ix in 0..w - sx {
                 assert_eq!(*sub.get(ix, iy), *big.get(ix + sx, iy + sy));
+            }
+        }
+    }
+
+    /// The same tiling on the default backend (the FFT engine for this
+    /// kernel) holds within 1e-9 relative: sub-windows plan their own
+    /// tiles.
+    fn auto_window_tiling_is_within_roundoff(
+        seed in any::<u64>(),
+        x0 in -50i64..50,
+        y0 in -50i64..50,
+        w in 4usize..40,
+        h in 4usize..40,
+        sx in 1usize..20,
+        sy in 1usize..20,
+    ) {
+        let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
+        let gen = ConvolutionGenerator::new(
+            &s,
+            KernelSizing::Auto { factor: 6.0, min: 16, max: 64 },
+        )
+        .with_workers(1);
+        let noise = NoiseField::new(seed);
+        let sx = sx.min(w - 1);
+        let sy = sy.min(h - 1);
+        let big = gen.generate(&noise, Window::new(x0, y0, w, h));
+        let sub = gen.generate(
+            &noise,
+            Window::new(x0 + sx as i64, y0 + sy as i64, w - sx, h - sy),
+        );
+        let scale = big.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);
+        for iy in 0..h - sy {
+            for ix in 0..w - sx {
+                assert!((*sub.get(ix, iy) - *big.get(ix + sx, iy + sy)).abs() <= 1e-9 * scale);
             }
         }
     }

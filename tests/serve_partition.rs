@@ -20,7 +20,8 @@ fn spectrum() -> SpectrumModel {
     SpectrumModel::gaussian(SurfaceParams::isotropic(1.2, 5.0))
 }
 
-/// The direct in-process reference for a served request.
+/// The direct in-process reference for a served request (whose options
+/// leave the backend at the wire default, `Direct`).
 fn direct(truncation: f64, seed: u64, win: Window) -> Grid2<f64> {
     let kernel = ConvolutionKernel::build(
         &spectrum(),
@@ -28,7 +29,9 @@ fn direct(truncation: f64, seed: u64, win: Window) -> Grid2<f64> {
     )
     .try_truncated(truncation)
     .expect("valid epsilon");
-    ConvolutionGenerator::from_kernel(kernel).generate(&NoiseField::new(seed), win)
+    ConvolutionGenerator::from_kernel(kernel)
+        .with_backend(ConvBackend::Direct)
+        .generate(&NoiseField::new(seed), win)
 }
 
 /// FNV-1a over the window's little-endian f64 bytes — the suite's
