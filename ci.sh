@@ -29,6 +29,12 @@ echo "ok: [profile.test] pins debug-assertions and overflow-checks"
 echo "== test (workspace, locked, offline) =="
 cargo test -q --workspace --locked --offline
 
+echo "== benchmark harness tests (perfbench, its own workspace) =="
+# The benchmark in BENCHMARK.json lives outside the workspace, so the
+# workspace test run above never builds it; its unit tests (argument
+# parsing, statistics, report assembly) run here in its own profile.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "== fault injection: rrs-io decoders must fail closed, retries must recover =="
 # Includes the retry-under-injected-faults and torn-file atomicity
 # properties: transient FailingWriter faults recover within the attempt
@@ -85,8 +91,9 @@ echo "== runtime budget overhead gate: the no-budget path must stay free =="
 cargo run --release --locked --offline -p rrs-bench --bin bench_runtime
 
 echo "== convolution backend gate: FFT must beat direct where Auto says so =="
-# Exits 1 if the overlap-save FFT engine is not >= 3x the direct loop on
-# the cl32/128x128 shape, or if ConvBackend::Auto resolves to a backend
+# Exits 1 if the overlap-save FFT engine is not >= 6x the direct loop on
+# the cl32/128x128 shape, if its tile is not >= 2.6x the complex-serial
+# engine's there, or if ConvBackend::Auto resolves to a backend
 # measurably slower than the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
 

@@ -19,12 +19,16 @@
 //!   `cl32` shape (the seed complex engine measured 12.6×; the real-input
 //!   refactor re-measured 25.3× — 6× leaves room for machine noise, not
 //!   drift);
-//! * `rfft_par` is not at least 1.2× the complex-serial baseline on
-//!   `cl32` — the half-size trick halves transform arithmetic (measured
-//!   1.33–1.56× across runs on the single-core reference host, where
-//!   cl32 fits one tile and the worker clamp keeps the run serial;
-//!   multi-core hosts add the tile-parallel speedup on top), so the
-//!   margin must not erode below the arithmetic floor;
+//! * `rfft_par` is not at least 2.6× the complex-serial baseline on
+//!   `cl32`. cl32 fits one 512² tile, so the worker clamp keeps the run
+//!   serial and the ratio measures the tile itself: the half-size trick
+//!   halves transform arithmetic, and the batched split-complex
+//!   transforms with the fused column block and pruned inverse rows do
+//!   the rest. Over 20 alternating runs each on the 2-vCPU bench host,
+//!   the scalar real-input tiles measured 1.38–2.33× and the batched
+//!   ones 3.07–6.70× (host noise alone moves a run by up to 2×), so
+//!   2.6× fails the former on every run and passes the latter on every
+//!   run, with room on both sides;
 //! * [`ConvBackend::Auto`] resolves to a backend measurably slower than
 //!   the other engine on any measured shape — i.e. the
 //!   `AUTO_CROSSOVER_KERNEL_AREA` model has drifted from reality.
@@ -170,10 +174,10 @@ fn main() {
             let fft_min = min_of("fft").expect("gated shapes measure the full grid");
             let par_min = min_of("rfft_par").expect("gated shapes measure the full grid");
             let gain = fft_min / par_min;
-            if gain < 1.2 {
+            if gain < 2.6 {
                 eprintln!(
                     "FAIL: parallel real-input engine is only {gain:.2}x the complex-serial \
-                     baseline on {} (gate: >= 1.2x)",
+                     baseline on {} (gate: >= 2.6x)",
                     shape.label
                 );
                 failed = true;

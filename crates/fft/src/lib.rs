@@ -10,12 +10,15 @@
 //! This crate implements that transform without external dependencies:
 //!
 //! * [`plan::FftPlan`] — iterative radix-2 decimation-in-time with cached
-//!   twiddles and bit-reversal tables, for power-of-two lengths;
+//!   twiddles and bit-reversal tables, for power-of-two lengths, one
+//!   transform at a time or [`LANES`] at once on split-complex planes;
 //! * [`bluestein::Bluestein`] — chirp-z re-expression of arbitrary lengths
 //!   as a power-of-two convolution, so *any* grid size works;
 //! * [`Fft`] — a length-dispatching front end caching whichever engine a
 //!   length needs;
 //! * [`fft2d`] — row–column 2-D transforms with optional multi-threading;
+//! * [`rfft`] — real-input 2-D transforms on packed Hermitian spectra,
+//!   batched across lanes, with a fused whole-tile convolution;
 //! * [`spectral`] — `fftshift`, frequency grids (eqn 13) and the index
 //!   folding of eqn (16).
 //!
@@ -43,7 +46,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 pub use fft2d::Fft2d;
-pub use plan::FftPlan;
+pub use plan::{FftPlan, Lane, LANES};
 pub use rfft::RealFft2d;
 
 /// Transform direction.
@@ -141,10 +144,11 @@ impl Planner {
 }
 
 /// Discriminates the plan families one [`FftPlanCache`] holds behind a
-/// single keying scheme.
+/// single keying scheme: complex plans per worker count, real-input plans
+/// serial (their callers parallelise across tiles instead).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum PlanKind {
-    Complex,
+    Complex { workers: usize },
     Real,
 }
 
@@ -156,8 +160,8 @@ enum CachedPlan {
 }
 
 /// A shared, thread-safe cache of prepared 2-D transforms — complex
-/// ([`Fft2d`]) and real-input ([`RealFft2d`]) — keyed on
-/// `(kind, nx, ny, workers)`.
+/// ([`Fft2d`], per worker count) and real-input ([`RealFft2d`]) — keyed
+/// on `(kind, nx, ny)`.
 ///
 /// [`Fft2d::new`] recomputes twiddles and bit-reversal tables on every
 /// construction; hot paths that transform the same shape repeatedly
@@ -169,7 +173,7 @@ enum CachedPlan {
 /// reports.
 #[derive(Default)]
 pub struct FftPlanCache {
-    cache: Mutex<HashMap<(PlanKind, usize, usize, usize), CachedPlan>>,
+    cache: Mutex<HashMap<(PlanKind, usize, usize), CachedPlan>>,
     /// Poison recoveries not yet flushed into an observed lookup's
     /// recorder (the cache itself has no recorder handle).
     poisoned: AtomicU64,
@@ -188,7 +192,7 @@ impl FftPlanCache {
     /// trades a re-plan for never propagating the poison. Each recovery
     /// is counted and flushed to [`stage::FFT_PLAN_POISONED`] by the
     /// next observed lookup.
-    fn lock_recovering(&self) -> MutexGuard<'_, HashMap<(PlanKind, usize, usize, usize), CachedPlan>> {
+    fn lock_recovering(&self) -> MutexGuard<'_, HashMap<(PlanKind, usize, usize), CachedPlan>> {
         self.cache.lock().unwrap_or_else(|poisoned| {
             // Un-poison first: the rebuild makes the map coherent again,
             // and without this every later lock would re-clear it.
@@ -231,7 +235,7 @@ impl FftPlanCache {
         let workers = workers.max(1);
         let mut cache = self.lock_recovering();
         self.flush_poisoned(obs);
-        match cache.entry((PlanKind::Complex, nx, ny, workers)) {
+        match cache.entry((PlanKind::Complex { workers }, nx, ny)) {
             Entry::Occupied(slot) => {
                 obs.add_counter(stage::FFT_PLAN_HIT, 1);
                 match slot.get() {
@@ -248,25 +252,20 @@ impl FftPlanCache {
         }
     }
 
-    /// Fetches (or builds and caches) the real-input `nx × ny` transform
-    /// with the given worker count.
-    pub fn plan_real(&self, nx: usize, ny: usize, workers: usize) -> Arc<RealFft2d> {
-        self.plan_real_observed(nx, ny, workers, &Recorder::disabled())
+    /// Fetches (or builds and caches) the real-input `nx × ny` transform.
+    ///
+    /// # Panics
+    /// Panics unless both sides are powers of two.
+    pub fn plan_real(&self, nx: usize, ny: usize) -> Arc<RealFft2d> {
+        self.plan_real_observed(nx, ny, &Recorder::disabled())
     }
 
     /// [`FftPlanCache::plan_real`] with cache hits and misses ticked into
     /// `obs` ([`stage::FFT_PLAN_HIT`] / [`stage::FFT_PLAN_MISS`]).
-    pub fn plan_real_observed(
-        &self,
-        nx: usize,
-        ny: usize,
-        workers: usize,
-        obs: &Recorder,
-    ) -> Arc<RealFft2d> {
-        let workers = workers.max(1);
+    pub fn plan_real_observed(&self, nx: usize, ny: usize, obs: &Recorder) -> Arc<RealFft2d> {
         let mut cache = self.lock_recovering();
         self.flush_poisoned(obs);
-        match cache.entry((PlanKind::Real, nx, ny, workers)) {
+        match cache.entry((PlanKind::Real, nx, ny)) {
             Entry::Occupied(slot) => {
                 obs.add_counter(stage::FFT_PLAN_HIT, 1);
                 match slot.get() {
@@ -276,7 +275,7 @@ impl FftPlanCache {
             }
             Entry::Vacant(slot) => {
                 obs.add_counter(stage::FFT_PLAN_MISS, 1);
-                let p = Arc::new(RealFft2d::with_workers(nx, ny, workers));
+                let p = Arc::new(RealFft2d::new(nx, ny));
                 slot.insert(CachedPlan::Real(p.clone()));
                 p
             }
@@ -487,9 +486,9 @@ mod tests {
     fn plan_cache_keys_real_and_complex_separately() {
         let cache = FftPlanCache::new();
         let c = cache.plan(16, 8, 1);
-        let r = cache.plan_real(16, 8, 1);
+        let r = cache.plan_real(16, 8);
         assert_eq!(cache.len(), 2, "real and complex plans of one shape coexist");
-        let r2 = cache.plan_real(16, 8, 1);
+        let r2 = cache.plan_real(16, 8);
         assert!(Arc::ptr_eq(&r, &r2), "same real key must share one plan");
         assert_eq!(c.shape(), r.shape());
         assert_eq!(cache.len(), 2);
@@ -500,13 +499,13 @@ mod tests {
         let cache = FftPlanCache::new();
         let rec = Recorder::enabled();
         cache.plan_observed(8, 8, 1, &rec);
-        cache.plan_real_observed(8, 8, 1, &rec);
+        cache.plan_real_observed(8, 8, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 2, "two cold builds");
         assert_eq!(report.counter(stage::FFT_PLAN_HIT), 0);
         cache.plan_observed(8, 8, 1, &rec);
-        cache.plan_real_observed(8, 8, 1, &rec);
-        cache.plan_real_observed(8, 8, 1, &rec);
+        cache.plan_real_observed(8, 8, &rec);
+        cache.plan_real_observed(8, 8, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 2, "warm requests build nothing");
         assert_eq!(report.counter(stage::FFT_PLAN_HIT), 3);

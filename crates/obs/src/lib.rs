@@ -50,6 +50,9 @@ pub mod stage {
     pub const KERNEL_TRUNCATE: &str = "kernel_build/truncate";
     /// Noise-window materialisation ahead of correlation.
     pub const WINDOW_MATERIALISE: &str = "window/materialise";
+    /// Counter: noise samples a window copied from the one its generator
+    /// held (a consecutive strip's shared columns) instead of evaluating.
+    pub const WINDOW_REUSED_SAMPLES: &str = "window/reused_samples";
     /// The correlation inner loops (homogeneous or blended).
     pub const CORRELATE: &str = "correlate/inner";
     /// Counter: output samples produced by correlation workers.

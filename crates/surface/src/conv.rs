@@ -22,7 +22,7 @@
 use crate::context::GenContext;
 use crate::fftconv::{self, FftEngine};
 use crate::kernel::{ConvolutionKernel, KernelSizing};
-use crate::noise::NoiseField;
+use crate::noise::{NoiseField, NoiseWindow};
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, ErrorKind, RrsError};
 use rrs_fft::FftPlanCache;
@@ -205,10 +205,12 @@ pub struct ConvolutionGenerator {
     fft: FftEngine,
     health: BackendHealth,
     /// Noise-window scratch reused across requests (the streaming bench
-    /// materialises hundreds of same-shape windows per run); concurrent
+    /// materialises hundreds of same-shape windows per run). It records
+    /// the window it holds, so a consecutive strip evaluates only the
+    /// columns it does not share with the previous one. Concurrent
     /// requests that lose the `try_lock` race fall back to a fresh
-    /// allocation, so sharing a generator across threads stays safe.
-    scratch: Mutex<Vec<f64>>,
+    /// window, so sharing a generator across threads stays safe.
+    scratch: Mutex<NoiseWindow>,
 }
 
 impl ConvolutionGenerator {
@@ -241,7 +243,7 @@ impl ConvolutionGenerator {
             fft: FftEngine::new(Arc::clone(&ctx.plans)),
             ctx,
             health: BackendHealth::new(),
-            scratch: Mutex::new(Vec::new()),
+            scratch: Mutex::new(NoiseWindow::default()),
         }
     }
 
@@ -393,9 +395,10 @@ impl ConvolutionGenerator {
         let (kw, kh) = self.kernel.extent();
         let (ox, oy) = self.kernel.origin();
         // f(n) = Σ_j w̃(j)·X(n−j); offsets j span [ox, ox+kw) × [oy, oy+kh),
-        // so the noise window spans [x0−(ox+kw−1), x0+nx−1−ox].
-        let wx0 = win.x0 - (ox + kw as i64 - 1);
-        let wy0 = win.y0 - (oy + kh as i64 - 1);
+        // so the noise window spans [x0−(ox+kw−1), x0+nx−1−ox] — wrapping
+        // at the ends of i64 like the noise lattice itself.
+        let wx0 = win.x0.wrapping_sub(ox + kw as i64 - 1);
+        let wy0 = win.y0.wrapping_sub(oy + kh as i64 - 1);
         let ww = win.nx + kw - 1;
         let wh = win.ny + kh - 1;
         // Noise window plus output field, in u128 so the estimate itself
@@ -420,12 +423,15 @@ impl ConvolutionGenerator {
         let span = self.ctx.obs.start(stage::WINDOW_MATERIALISE);
         // Reuse the generator's scratch window when uncontended; a second
         // concurrent request simply materialises into its own buffer.
-        let mut local = Vec::new();
+        let mut local = NoiseWindow::default();
         let mut guard = self.scratch.try_lock().ok();
-        let buf: &mut Vec<f64> = guard.as_deref_mut().unwrap_or(&mut local);
-        noise.try_window_into(wx0, wy0, ww, wh, buf)?;
+        let window = guard.as_deref_mut().unwrap_or(&mut local);
+        let reused = window.try_fill(noise, wx0, wy0, ww, wh)?;
+        if reused > 0 {
+            self.ctx.obs.add_counter(stage::WINDOW_REUSED_SAMPLES, reused as u64);
+        }
         self.ctx.obs.finish(span);
-        self.dispatch(buf, ww, wh, win.nx, win.ny)
+        self.dispatch(window.as_slice(), ww, wh, win.nx, win.ny)
     }
 
     /// Generates the surface samples requested by `win` from the

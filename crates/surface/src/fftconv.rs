@@ -14,12 +14,15 @@
 //! Two engines share that tiling:
 //!
 //! * [`FftEngine::convolve_rfft`] — the **real-input** pipeline
-//!   ([`RealFft2d`], half-size complex trick, packed Hermitian spectra)
-//!   with tiles dispatched across `rrs-par` workers. Each worker owns a
-//!   private [`TileArena`] (plan handle, real tile, packed spectrum,
-//!   column scratch), so steady-state tile processing allocates nothing
-//!   and workers never contend. Tiles write strictly disjoint output
-//!   regions, so the result is bit-identical for every worker count.
+//!   ([`RealFft2d`], half-size complex trick, packed Hermitian spectra,
+//!   transforms batched [`LANES`] rows or columns at a time) with tiles
+//!   dispatched across `rrs-par` workers. Each worker owns a private
+//!   [`TileArena`] (packed spectrum holding the real tile, lane
+//!   workspace), so steady-state tile processing allocates nothing and
+//!   workers never contend. Each tile is one
+//!   [`RealFft2d::convolve_in_place`], which inverts only the tile's valid
+//!   output rows. Tiles write strictly disjoint output regions, so the
+//!   result is bit-identical for every worker count.
 //! * [`FftEngine::convolve`] — the full-complex serial loop, kept
 //!   reachable (via `ConvBackend::FftComplexSerial`) as the bit-for-bit
 //!   comparison baseline for the real-input path.
@@ -60,7 +63,7 @@ use crate::context::GenContext;
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
-use rrs_fft::{Direction, FftPlanCache, RealFft2d};
+use rrs_fft::{Direction, FftPlanCache, Lane, RealFft2d, LANES};
 use rrs_grid::Grid2;
 use rrs_num::complex::{as_f64s, as_f64s_mut};
 use rrs_num::Complex64;
@@ -106,13 +109,16 @@ impl TileShape {
     /// Workspace footprint of the real-input engine at a given worker
     /// count, in f64-equivalents: each worker arena holds a packed
     /// spectrum (which also carries the real tile, transformed in place)
-    /// and the transform's column scratch, and one packed kernel spectrum
-    /// is shared. Deterministic in its arguments, so admission control and
+    /// and the batched transforms' lane workspace — a real and an
+    /// imaginary plane of [`LANES`] lanes,
+    /// `2·LANES·(max(fft_nx/2, fft_ny) + 1)` f64s
+    /// ([`RealFft2d::scratch_len`]) — and one packed kernel spectrum is
+    /// shared. Deterministic in its arguments, so admission control and
     /// the convolve loop agree on the footprint.
     pub fn scratch_samples_real(&self, workers: usize) -> u128 {
         let packed = 2 * self.packed_samples();
-        let scratch = 2 * ((self.fft_nx / 2).max(self.fft_ny).max(1)) as u128;
-        workers.max(1) as u128 * (packed + scratch) + packed
+        let lanes = 2 * LANES as u128 * ((self.fft_nx / 2).max(self.fft_ny) + 1) as u128;
+        workers.max(1) as u128 * (packed + lanes) + packed
     }
 }
 
@@ -201,17 +207,18 @@ struct TileGeom {
 /// touches, sized once at dispatch so the tile loop allocates nothing.
 /// The tile's real samples live in the spectrum buffer itself (row `r`
 /// in the first `fft_nx` `f64`s of packed row `r`, [`TileGeom::pitch`]
-/// `f64`s long), transformed in place.
+/// `f64`s long), transformed in place; `lanes` is the batched
+/// transforms' workspace.
 struct TileArena {
     spec: Vec<Complex64>,
-    scratch: Vec<Complex64>,
+    lanes: Vec<Lane>,
 }
 
 impl TileArena {
     fn new(rfft: &RealFft2d) -> Self {
         Self {
             spec: vec![Complex64::ZERO; rfft.packed_len()],
-            scratch: vec![Complex64::ZERO; rfft.scratch_len()],
+            lanes: vec![[0.0; LANES]; rfft.scratch_len()],
         }
     }
 }
@@ -347,11 +354,10 @@ impl FftEngine {
     ) -> Result<Grid2<f64>, RrsError> {
         let (kw, kh) = kernel.extent();
         let tile_shape = plan_tiles(nx, ny, kw, kh);
-        // Per-worker transforms are serial (workers = 1): parallelism
-        // lives at the tile level, and the serial plan is shared by every
-        // arena (plans are immutable).
+        // Parallelism lives at the tile level: one plan is shared by
+        // every arena (plans are immutable).
         chaos.poll(FaultSite::PlanCacheLookup)?;
-        let rfft = self.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, 1, obs);
+        let rfft = self.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, obs);
         let kspec = self.kernel_spectrum_real(kernel_id, kernel, &rfft, obs);
         let mut out = Grid2::zeros(nx, ny);
         let rows = OutputRows { rows: out.as_mut_slice(), stride: nx, col0: 0 };
@@ -508,7 +514,7 @@ pub fn convolve_rfft_into(
         "output rows must cover the {nx}x{ny} request"
     );
     ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
-    let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, 1, &ctx.obs);
+    let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
     let kspec = packed_kernel_spectrum(kernel, &rfft);
     let exec = (ctx.workers, &ctx.obs, &ctx.budget, &ctx.chaos);
     run_rfft(&rfft, &kspec, kernel, win, ww, wh, nx, ny, exec, out, combine)
@@ -626,8 +632,9 @@ fn run_rfft(
 }
 
 /// Processes the flattened tile indices `[t0, t1)` through one arena:
-/// gather (zero-padded), forward real transform, packed multiply,
-/// inverse, and `combine` of the non-wrapped outputs into `out`.
+/// gather (zero-padded), then one [`RealFft2d::convolve_in_place`]
+/// (forward transform, packed multiply, inverse of the valid rows only),
+/// and `combine` of the non-wrapped outputs into `out`.
 #[allow(clippy::too_many_arguments)]
 fn run_tile_range(
     t0: usize,
@@ -667,15 +674,11 @@ fn run_tile_range(
                 trow.fill(0.0);
             }
         }
-        rfft.forward_in_place(&mut arena.spec, &mut arena.scratch);
-        for (z, k) in arena.spec.iter_mut().zip(kspec) {
-            *z = *z * *k;
-        }
-        rfft.inverse_in_place(&mut arena.spec, &mut arena.scratch);
-        // Merge the non-wrapped outputs.
-        let tile = as_f64s(&arena.spec);
         let cx = (g.nx - ox).min(g.vx);
         let cy = (g.ny - oy).min(g.vy);
+        rfft.convolve_in_place(&mut arena.spec, kspec, g.kh - 1..g.kh - 1 + cy, &mut arena.lanes);
+        // Merge the non-wrapped outputs.
+        let tile = as_f64s(&arena.spec);
         for dy in 0..cy {
             let src = &tile[(g.kh - 1 + dy) * g.pitch + (g.kw - 1)..][..cx];
             // SAFETY: rows [oy, oy+cy) × cols [ox, ox+cx) of the output
@@ -746,6 +749,19 @@ mod tests {
         assert_eq!(effective_workers(shape, 128, 128, 65, 65, 1000), tx * ty);
         assert_eq!(effective_workers(shape, 128, 128, 65, 65, 0), 1);
         assert_eq!(effective_workers(shape, 128, 128, 65, 65, 1), 1);
+    }
+
+    #[test]
+    fn real_scratch_footprint_counts_what_an_arena_allocates() {
+        for (fx, fy) in [(1usize, 1usize), (2, 8), (64, 16), (512, 512)] {
+            let shape = TileShape { fft_nx: fx, fft_ny: fy };
+            let rfft = RealFft2d::new(fx, fy);
+            let arena = TileArena::new(&rfft);
+            let per_arena = 2 * arena.spec.len() + LANES * arena.lanes.len();
+            let kernel = 2 * rfft.packed_len();
+            let want = (3 * per_arena + kernel) as u128;
+            assert_eq!(shape.scratch_samples_real(3), want, "{fx}x{fy}");
+        }
     }
 
     #[test]

@@ -91,9 +91,12 @@ impl NoiseField {
         })?;
         out.clear();
         out.reserve(samples);
+        // Coordinates wrap like the lattice key does, so a window reaching
+        // past either end of i64 continues on the other, in debug and
+        // release builds alike.
         for iy in 0..h as i64 {
             for ix in 0..w as i64 {
-                out.push(self.at(x0 + ix, y0 + iy));
+                out.push(self.at(x0.wrapping_add(ix), y0.wrapping_add(iy)));
             }
         }
         Ok(())
@@ -112,6 +115,69 @@ impl NoiseField {
         let u2 = g.next_f64_open();
         let r = (-u2.ln()).sqrt(); // sqrt(-2 ln u / 2)
         Complex64::from_polar(r, u1)
+    }
+}
+
+/// A noise-window buffer that records the complete window it holds —
+/// seed, origin and size — so a request for a window of the same seed,
+/// rows and width that overlaps it in x (every consecutive strip of a
+/// stream) copies the shared columns and evaluates only the new ones.
+/// Every sample is a pure function of `(seed, ix, iy)`, so the result is
+/// bit-identical to a fresh [`NoiseField::try_window_into`].
+#[derive(Debug, Default)]
+pub(crate) struct NoiseWindow {
+    buf: Vec<f64>,
+    /// `(seed, x0, y0, w, h)` of the window `buf` holds; `None` until a
+    /// fill completes, so an interrupted fill is never reused.
+    held: Option<(u64, i64, i64, usize, usize)>,
+}
+
+impl NoiseWindow {
+    /// Fills the buffer with the `w × h` window of `noise` at `(x0, y0)`
+    /// and returns how many of its samples were reused from the window
+    /// held before.
+    pub(crate) fn try_fill(
+        &mut self,
+        noise: &NoiseField,
+        x0: i64,
+        y0: i64,
+        w: usize,
+        h: usize,
+    ) -> Result<usize, RrsError> {
+        // The lattice wraps, so the shift is taken modulo 2⁶⁴ as well.
+        let shift = self
+            .held
+            .take()
+            .filter(|&(seed, _, hy0, hw, hh)| (seed, hy0, hw, hh) == (noise.seed(), y0, w, h))
+            .map(|(_, hx0, ..)| x0.wrapping_sub(hx0))
+            .filter(|d| d.unsigned_abs() < w as u64);
+        let Some(d) = shift else {
+            noise.try_window_into(x0, y0, w, h, &mut self.buf)?;
+            self.held = Some((noise.seed(), x0, y0, w, h));
+            return Ok(0);
+        };
+        let kept = w - d.unsigned_abs() as usize;
+        for (iy, row) in self.buf.chunks_exact_mut(w).enumerate() {
+            let y = y0.wrapping_add(iy as i64);
+            // Moved right by d: old column ix + d is new column ix.
+            let fresh = if d >= 0 {
+                row.copy_within(d as usize.., 0);
+                kept..w
+            } else {
+                row.copy_within(..kept, w - kept);
+                0..w - kept
+            };
+            for ix in fresh {
+                row[ix] = noise.at(x0.wrapping_add(ix as i64), y);
+            }
+        }
+        self.held = Some((noise.seed(), x0, y0, w, h));
+        Ok(kept * h)
+    }
+
+    /// The held window, row-major.
+    pub(crate) fn as_slice(&self) -> &[f64] {
+        &self.buf
     }
 }
 
@@ -177,6 +243,61 @@ mod tests {
     #[should_panic(expected = "overflows")]
     fn overflowing_window_panics_on_infallible_path() {
         NoiseField::new(1).window_into(0, 0, usize::MAX, 2, &mut Vec::new());
+    }
+
+    #[test]
+    fn windows_wrap_at_the_ends_of_the_lattice() {
+        let f = NoiseField::new(3);
+        let w = f.window(i64::MAX - 1, i64::MIN, 4, 2);
+        let want = [
+            f.at(i64::MAX - 1, i64::MIN),
+            f.at(i64::MAX, i64::MIN),
+            f.at(i64::MIN, i64::MIN),
+            f.at(i64::MIN + 1, i64::MIN),
+        ];
+        assert_eq!(w[..4], want);
+        assert_eq!(w[4], f.at(i64::MAX - 1, i64::MIN + 1));
+    }
+
+    #[test]
+    fn held_windows_reuse_shared_columns_bit_for_bit() {
+        let f = NoiseField::new(12);
+        let (w, h) = (9, 4);
+        let mut win = NoiseWindow::default();
+        assert_eq!(win.try_fill(&f, 0, -2, w, h).unwrap(), 0);
+        // Right, left, in place, across the end of the lattice, and past
+        // the overlap: each equals a fresh window and reuses exactly the
+        // shared columns.
+        let mut x0 = 0i64;
+        let moves = [
+            (4i64, 5usize),
+            (1, 6),
+            (1, 9),
+            (i64::MIN + 2, 0),
+            (i64::MAX - 3, 3),
+            ((i64::MAX - 3).wrapping_add(20), 0),
+        ];
+        for (to, shared) in moves {
+            assert_eq!(win.try_fill(&f, to, -2, w, h).unwrap(), shared * h, "{x0} -> {to}");
+            assert_eq!(win.as_slice(), f.window(to, -2, w, h), "{x0} -> {to}");
+            x0 = to;
+        }
+    }
+
+    #[test]
+    fn held_windows_of_another_seed_or_shape_are_never_reused() {
+        let (a, b) = (NoiseField::new(1), NoiseField::new(2));
+        let mut win = NoiseWindow::default();
+        win.try_fill(&a, 0, 0, 6, 3).unwrap();
+        let requests = [(&b, 1, 0, 6, 3), (&a, 1, 1, 6, 3), (&a, 1, 1, 7, 3), (&a, 1, 1, 7, 4)];
+        for (f, x0, y0, w, h) in requests {
+            assert_eq!(win.try_fill(f, x0, y0, w, h).unwrap(), 0);
+            assert_eq!(win.as_slice(), f.window(x0, y0, w, h));
+        }
+        // A rejected fill forgets the held window.
+        assert!(win.try_fill(&a, 0, 0, usize::MAX, 2).is_err());
+        assert_eq!(win.try_fill(&a, 2, 1, 7, 4).unwrap(), 0);
+        assert_eq!(win.as_slice(), a.window(2, 1, 7, 4));
     }
 
     #[test]

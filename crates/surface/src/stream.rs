@@ -185,7 +185,8 @@ impl StripGenerator {
     /// Fallible [`StripGenerator::strip_at`]. Routed through the attached
     /// budget: an oversized strip fails with
     /// [`RrsError::BudgetExceeded`] before anything is allocated instead
-    /// of aborting inside the allocator.
+    /// of aborting inside the allocator. Strips reaching past either end
+    /// of the `i64` lattice wrap around it, like the noise key does.
     pub fn try_strip_at(&self, x0: i64, width: usize) -> Result<Grid2<f64>, RrsError> {
         let win = Window::try_new(x0, 0, width, self.ny)?;
         // The strip boundary is a registered fault site; the poll
@@ -197,7 +198,11 @@ impl StripGenerator {
         Ok(out)
     }
 
-    /// The strip `[x0, x0+width) × [0, ny)` — random access, stateless.
+    /// The strip `[x0, x0+width) × [0, ny)` — random access: the output is
+    /// a pure function of `(seed, x0, width)`, whatever was requested
+    /// before. The inner generator keeps the noise window of its last
+    /// request, so a strip overlapping the previous one (every sequential
+    /// strip) evaluates only the noise columns it does not share with it.
     pub fn strip_at(&self, x0: i64, width: usize) -> Grid2<f64> {
         self.try_strip_at(x0, width).unwrap_or_else(|e| panic!("{e}"))
     }

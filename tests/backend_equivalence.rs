@@ -8,7 +8,9 @@
 //!   domain — equal within 1e-9 relative error across spectrum families,
 //!   anisotropic correlation lengths, truncated and full kernels,
 //!   worker counts, and strip-tile seams — and the real-input engine is
-//!   bit-identical across worker counts;
+//!   bit-identical across worker counts and to the scalar tile
+//!   transforms it replaced (FNV-1a hashes of figures, strips and served
+//!   windows recorded from them);
 //! * `ConvBackend::Direct` is the reference: its output is bit-identical
 //!   to the seed release (FNV-1a hashes of the f64 bit patterns captured
 //!   from the pre-backend build), so every regression seed and
@@ -403,6 +405,99 @@ fn parallel_real_fft_strips_tile_seamlessly() {
             assert!(eb <= 1e-9 * scale, "strip B ({ix},{iy}): {eb}");
         }
     }
+}
+
+// --- FFT-path bit identity: hashes recorded before the batched tile transforms. ---
+//
+// The real-input engine's tiles run the batched split-complex transforms,
+// which must give every element exactly the arithmetic of the scalar
+// radix-2 `FftPlan::process` they replaced. These FNV-1a hashes were
+// recorded from the scalar engine; they are never regenerated.
+
+/// The four paper figures at scale 1/8 on the default backend (`Auto`,
+/// the kernel-major blend on the real-input engine).
+const FIGURE_HASHES: [u64; 4] =
+    [0x695b84bb54215979, 0xb7eb56a4283b5494, 0x2bc99fd2345ffb50, 0xbec18796d41d1cc7];
+
+/// Three consecutive 512×256 strips of the `strip` benchmark's stream.
+const STRIP_HASHES: [u64; 3] = [0xfd80399d73fba23e, 0x9e9c8bfb0042c444, 0x02430c6a04ee45e4];
+
+/// `FftOverlapSave` windows at the serving benchmark's sizing: Gaussian,
+/// power-law and exponential keys, then a width-1 `crop(0, 3)` kernel.
+const SERVE_HASHES: [u64; 4] =
+    [0x5faabe09740fe925, 0xc1ceae6fdb022fb8, 0x28d19aeedbce07c1, 0xd4d910892938e6c5];
+
+#[test]
+fn paper_figures_keep_their_fft_path_hashes_at_every_worker_count() {
+    use rrs_bench::figures::all_figures;
+    for workers in [1, 2] {
+        let got: Vec<u64> = all_figures(0.125, 0.01, 3)
+            .into_iter()
+            .map(|fig| {
+                let gen = fig.generator.with_workers(workers);
+                assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave, "{}", fig.id);
+                hash_grid(&gen.generate(
+                    &NoiseField::new(fig.seed),
+                    Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny),
+                ))
+            })
+            .collect();
+        assert_eq!(got, FIGURE_HASHES, "figures at {workers} workers");
+    }
+}
+
+/// The `strip` benchmark's stream: a 256² Gaussian (h = 1, cl = 32)
+/// kernel on `FftOverlapSave`, 256 rows high.
+fn strip_benchmark_stream(seed: u64) -> StripGenerator {
+    let spectrum = SpectrumModel::gaussian(SurfaceParams::isotropic(1.0, 32.0));
+    let sizing = KernelSizing::Auto { factor: 8.0, min: 16, max: 256 };
+    let gen =
+        ConvolutionGenerator::new(&spectrum, sizing).with_backend(ConvBackend::FftOverlapSave);
+    assert_eq!(gen.kernel().extent(), (256, 256));
+    StripGenerator::from_generator(gen, 256, seed)
+}
+
+#[test]
+fn strip_benchmark_stream_keeps_its_fft_path_hashes() {
+    use rrs::obs::stage;
+    let rec = Recorder::enabled();
+    let mut sg = strip_benchmark_stream(1).with_recorder(rec.clone());
+    sg.seek(-777);
+    let got: Vec<u64> = (0..3).map(|_| hash_grid(&sg.next_strip(512))).collect();
+    assert_eq!(got, STRIP_HASHES);
+    // Each strip after the first copies the 255 of its 767 noise columns
+    // it shares with the one before (511 rows each), and runs two 512²
+    // tiles.
+    let report = rec.report();
+    assert_eq!(report.counter(stage::WINDOW_REUSED_SAMPLES), 2 * 255 * 511);
+    assert_eq!(report.counter(stage::CONV_FFT_TILES), 3 * 2);
+}
+
+#[test]
+fn serve_sized_fft_windows_keep_their_hashes() {
+    let sizing = KernelSizing::Auto { factor: 8.0, min: 16, max: 128 };
+    let p = |cl| SurfaceParams::isotropic(1.0, cl);
+    let build = |model: SpectrumModel| ConvolutionKernel::build(&model, sizing);
+    let gaussian = build(SpectrumModel::gaussian(p(12.0)));
+    let cases = [
+        (gaussian.truncated(1e-3), Window::new(-37, 91, 128, 128)),
+        (build(SpectrumModel::power_law(p(8.0), 2.0)).truncated(1e-3), Window::new(5, -64, 64, 64)),
+        (build(SpectrumModel::exponential(p(4.0))).truncated(1e-3), Window::new(1000, 3, 64, 64)),
+        (gaussian.crop(0, 3), Window::new(-8, -8, 64, 64)),
+    ];
+    let got: Vec<u64> = cases
+        .into_iter()
+        .zip(17..)
+        .map(|((kernel, win), seed)| {
+            hash_grid(
+                &ConvolutionGenerator::from_kernel(kernel)
+                    .with_workers(2)
+                    .with_backend(ConvBackend::FftOverlapSave)
+                    .generate(&NoiseField::new(seed), win),
+            )
+        })
+        .collect();
+    assert_eq!(got, SERVE_HASHES);
 }
 
 #[test]
@@ -906,6 +1001,58 @@ fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
     // The exact footprint is admitted and changes nothing.
     let admitted = with_ceiling(footprint, &Recorder::disabled()).unwrap();
     assert_eq!(admitted, gen.generate(&noise, POND_WINDOW));
+}
+
+#[test]
+fn max_bytes_at_the_homogeneous_fft_footprint_is_admitted_and_one_byte_less_rejected() {
+    use rrs::obs::stage;
+    use rrs_surface::internal::{effective_workers, plan_tiles};
+    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
+    let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
+    let (kw, kh) = kernel.extent();
+    let win = Window::new(-3, 5, 150, 90);
+    let workers = 2;
+    // Noise window, output, and per running worker a packed spectrum plus
+    // the lane workspace (a real and an imaginary plane of LANES lanes, one
+    // lane longer than the longer 1-D transform), plus the one shared
+    // kernel spectrum.
+    let shape = plan_tiles(win.nx, win.ny, kw, kh);
+    let (fx, fy) = (shape.fft_nx, shape.fft_ny);
+    let arenas = effective_workers(shape, win.nx, win.ny, kw, kh, workers);
+    assert_eq!(arenas, 2, "the case must run two arenas");
+    let packed = 2 * (fx / 2 + 1) * fy;
+    let lanes = 2 * rrs_fft::LANES * ((fx / 2).max(fy) + 1);
+    let samples = (win.nx + kw - 1) * (win.ny + kh - 1)
+        + win.nx * win.ny
+        + arenas * (packed + lanes)
+        + packed;
+    let footprint = samples * 8;
+    let generator = |max_bytes: usize, rec: &Recorder| {
+        ConvolutionGenerator::from_kernel(kernel.clone())
+            .with_workers(workers)
+            .with_backend(ConvBackend::FftOverlapSave)
+            .with_recorder(rec.clone())
+            .with_budget(Budget::unlimited().with_max_bytes(max_bytes))
+    };
+    let noise = NoiseField::new(9);
+    let rec = Recorder::enabled();
+    match generator(footprint - 1, &rec).try_generate(&noise, win) {
+        Err(RrsError::BudgetExceeded { required_bytes, .. }) => {
+            assert_eq!(required_bytes, footprint as u128)
+        }
+        other => panic!("expected BudgetExceeded, got {other:?}"),
+    }
+    let report = rec.report();
+    assert_eq!(report.counter(stage::BUDGET_REJECT), 1);
+    assert!(!report.durations.contains_key(stage::WINDOW_MATERIALISE), "no noise window was built");
+    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 0);
+    assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 0, "no fallback ran");
+
+    let admitted = generator(footprint, &Recorder::disabled()).try_generate(&noise, win).unwrap();
+    let unbudgeted = ConvolutionGenerator::from_kernel(kernel.clone())
+        .with_backend(ConvBackend::FftOverlapSave)
+        .generate(&noise, win);
+    assert_eq!(admitted, unbudgeted);
 }
 
 rrs_check::props! {
