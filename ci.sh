@@ -100,9 +100,10 @@ cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
 echo "== figures gate: the default backend must beat Direct on the paper's figures =="
 # Exits 1 unless the default context (Auto: the kernel-major blend on the
 # real-input FFT engine) is >= 5x faster than the per-sample Direct loop
-# over Figures 1-4 at scale 1/4 (median of paired, alternating reps), or
-# if any figure differs from Direct by more than 1e-9 relative — see
-# bench_figures.
+# over Figures 1-4 at scale 1/4 (median of paired, alternating reps), if
+# any figure differs from Direct by more than 1e-9 relative, or if a
+# blended figure materialises more than one noise window (a count from
+# an enabled recorder, so it cannot flake) — see bench_figures.
 cargo run --release --locked --offline -p rrs-bench --bin bench_figures
 
 echo "== serving gate: pipelined load must hit the plan cache and reject overload typed =="

@@ -11,11 +11,13 @@
 //! host's speed that hits both halves of a pair cancels out.
 //!
 //! **Fails** (exit code 1) unless the default context is at least
-//! [`MIN_SPEEDUP`]x faster than `Direct` over the four-figure set, or if
+//! [`MIN_SPEEDUP`]x faster than `Direct` over the four-figure set, if
 //! any default-context figure differs from its `Direct` twin by more
-//! than 1e-9 relative. At scale 1/8 fig4's gain is only about 3–4x (its
-//! 10-kernel blend is dominated by per-kernel fixed costs), which is why
-//! the gate runs at 1/4.
+//! than 1e-9 relative, or if a blended figure materialises more than one
+//! noise window (counted from an enabled recorder in one untimed pass —
+//! a count, so the gate cannot flake). At scale 1/8 fig4's gain is only
+//! about 3–4x (its 10-kernel blend is dominated by per-kernel fixed
+//! costs), which is why the gate runs at 1/4.
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_figures`;
 //! writes `BENCH_figures.json` (`RRS_BENCH_REPS` sets the pair count).
@@ -24,6 +26,7 @@ use rrs_bench::figures::{all_figures, Figure};
 use rrs_bench::harness::median_of_sorted;
 use rrs_bench::Harness;
 use rrs_grid::{Grid2, Window};
+use rrs_obs::{stage, Recorder};
 use rrs_surface::{ConvBackend, GenContext, NoiseField};
 use std::hint::black_box;
 use std::time::Instant;
@@ -60,6 +63,24 @@ fn time_set(figs: &[Figure], per_fig: &mut [Vec<f64>]) -> f64 {
     total
 }
 
+/// Per default-context figure: its id, whether it runs the blend, and
+/// how many noise windows one generation materialises
+/// (`window/materialise` spans on an enabled recorder).
+fn noise_windows() -> Vec<(&'static str, bool, u64)> {
+    all_figures(SCALE, TRUNC_EPS, 1)
+        .into_iter()
+        .map(|fig| {
+            let rec = Recorder::enabled();
+            let fig = Figure { generator: fig.generator.with_recorder(rec.clone()), ..fig };
+            timed(&fig);
+            let blended = fig.generator.resolved_backend() != ConvBackend::Direct;
+            let report = rec.report();
+            let count = report.durations.get(stage::WINDOW_MATERIALISE).map_or(0, |d| d.count);
+            (fig.id, blended, count)
+        })
+        .collect()
+}
+
 /// Largest |a − b| relative to `a`'s largest magnitude.
 fn max_rel_err(a: &Grid2<f64>, b: &Grid2<f64>) -> f64 {
     let scale = a.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max).max(1e-30);
@@ -85,6 +106,12 @@ fn main() {
             mismatched += 1;
         }
     }
+    let windows = noise_windows();
+    for &(id, blended, count) in &windows {
+        println!("{id}: {count} noise window(s) materialised (blend: {blended})");
+    }
+    let extra_windows: Vec<&str> =
+        windows.iter().filter(|&&(_, blended, n)| blended && n > 1).map(|w| w.0).collect();
 
     let mut per_fig_direct = vec![Vec::new(); direct.len()];
     let mut per_fig_default = vec![Vec::new(); default.len()];
@@ -132,6 +159,8 @@ fn main() {
             ratios[ratios.len() - 1]
         ),
     );
+    let counts: Vec<String> = windows.iter().map(|(id, _, n)| format!("\"{id}\": {n}")).collect();
+    h.attach_section("noise_windows", format!("{{{}}}", counts.join(", ")));
     h.finish().expect("write BENCH_figures.json");
 
     let mut failed = false;
@@ -143,8 +172,15 @@ fn main() {
         eprintln!("FAIL: {mismatched} figures differ from Direct by more than 1e-9 relative");
         failed = true;
     }
+    if !extra_windows.is_empty() {
+        eprintln!("FAIL: blended figures {extra_windows:?} materialise more than one noise window");
+        failed = true;
+    }
     if failed {
         std::process::exit(1);
     }
-    println!("figures gate passed: {speedup:.2}x >= {MIN_SPEEDUP}x, every figure within 1e-9");
+    println!(
+        "figures gate passed: {speedup:.2}x >= {MIN_SPEEDUP}x, every figure within 1e-9, \
+         one noise window per blended figure"
+    );
 }

@@ -13,14 +13,16 @@
 //!
 //! * the **kernel-major blend** (every backend but
 //!   [`ConvBackend::Direct`]): one weights pass finds each kernel's
-//!   bounding box of nonzero weight; then, kernel by kernel in index
-//!   order, the field `w̃_i ⊛ X` is convolved over that box through the
-//!   real-input overlap-save engine (or by direct dot products where
-//!   [`ConvBackend::resolve`] picks `Direct` for the kernel's size) and
-//!   `g_i(n)·field_i(n)` is added into the output as each tile comes off
-//!   the inverse transform, so no field is ever stored.
-//!   `O(K·N log N)` instead of `O(N·|kernel|)`, equal to the per-sample
-//!   loop within 1e-9 relative error;
+//!   bounding box of nonzero weight and tags every sample that is pure
+//!   for one kernel; one noise window covers every kernel's box grown by
+//!   its reach; then, kernel by kernel in index order, the field
+//!   `w̃_i ⊛ X` is convolved over that box from a view of the shared
+//!   window through the real-input overlap-save engine (or by direct dot
+//!   products where [`ConvBackend::resolve`] picks `Direct` for the
+//!   kernel's size) and `g_i(n)·field_i(n)` is added into the output as
+//!   each tile comes off the inverse transform, so no field is ever
+//!   stored. `O(K·N log N)` instead of `O(N·|kernel|)`, equal to the
+//!   per-sample loop within 1e-9 relative error;
 //! * the **per-sample loop** ([`ConvBackend::Direct`], and the rung a
 //!   failed blend degrades to): one homogeneous-kernel dot product per
 //!   active kernel per sample, bit-identical to every earlier release.
@@ -36,13 +38,18 @@ use rrs_surface::internal::{
 };
 use rrs_surface::{ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Largest overlap-save tile side the blend plans (per axis, unless the
 /// kernel itself is wider): the blend holds one kernel's working set at
 /// a time, and past 256 a bigger tile buys little speed for a lot of
 /// arena memory.
 const BLEND_MAX_TILE_SIDE: usize = 256;
+
+/// The weights pass's tag for a sample that is not pure for a single
+/// kernel below this index: the blend looks its weights up again. Any
+/// other tag is the one kernel weighing exactly 1 there.
+const BLENDED: u8 = u8::MAX;
 
 /// Failures that warrant retrying the request on a simpler evaluator:
 /// worker panics and injected faults. Budget trips, shape errors and I/O
@@ -77,11 +84,9 @@ impl WeightMap for Box<dyn WeightMap> {
     }
 }
 
-/// What one weights pass over a window learns: each kernel's bounding
-/// box of nonzero weight and the kernel-selection counts the per-sample
-/// loop records. (`Default` only fills `par_map_collect`'s slots, each
-/// overwritten by its band's scan.)
-#[derive(Clone, Default)]
+/// What one weights pass over a window learns (besides the per-sample
+/// tags): each kernel's bounding box of nonzero weight and the
+/// kernel-selection counts the per-sample loop records.
 struct WeightScan {
     /// Per kernel, window-local `(x0, x1, y0, y1)`: nonzero weight only
     /// on `[x0, x1) × [y0, y1)` (none while `x0 >= x1`).
@@ -98,27 +103,49 @@ impl WeightScan {
     }
 
     /// Folds in another band's rows.
-    fn merge(mut self, other: Self) -> Self {
-        for (a, b) in self.boxes.iter_mut().zip(other.boxes) {
+    fn merge(&mut self, other: &Self) {
+        for (a, b) in self.boxes.iter_mut().zip(&other.boxes) {
             *a = (a.0.min(b.0), a.1.max(b.1), a.2.min(b.2), a.3.max(b.3));
         }
         self.pure += other.pure;
         self.blended += other.blended;
         self.evals += other.evals;
-        self
     }
 
-    /// Kernel `ki`'s bounding box in absolute coordinates, if it weighs
-    /// anywhere.
-    fn kernel_box(&self, ki: usize, win: Window) -> Option<Window> {
+    /// Kernel `ki`'s pass, if it weighs anywhere.
+    fn pass(&self, ki: usize, kernel: &ConvolutionKernel) -> Option<KernelPass> {
         let (x0, x1, y0, y1) = self.boxes[ki];
-        (x0 < x1).then(|| Window {
-            x0: win.x0 + x0 as i64,
-            y0: win.y0 + y0 as i64,
+        let (kw, kh) = kernel.extent();
+        let (ox, oy) = kernel.origin();
+        // f(n) = Σ_j w̃(j)·X(n−j): the box grown by the kernel's own reach.
+        (x0 < x1).then(|| KernelPass {
+            ki,
+            bx: x0,
+            by: y0,
             nx: x1 - x0,
             ny: y1 - y0,
+            lx: x0 as i64 - (ox + kw as i64 - 1),
+            ly: y0 as i64 - (oy + kh as i64 - 1),
+            ww: x1 - x0 + kw - 1,
+            wh: y1 - y0 + kh - 1,
         })
     }
+}
+
+/// One active kernel's share of a blended window, in window-local
+/// offsets: the `nx × ny` box of nonzero weight at `(bx, by)`, and the
+/// `ww × wh` noise its field reads at `(lx, ly)` (negative where the
+/// kernel reaches past the window's lower edges).
+struct KernelPass {
+    ki: usize,
+    bx: usize,
+    by: usize,
+    nx: usize,
+    ny: usize,
+    lx: i64,
+    ly: i64,
+    ww: usize,
+    wh: usize,
 }
 
 /// Inhomogeneous surface generator over any [`WeightMap`].
@@ -252,8 +279,8 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
 
     /// Attaches a resource [`Budget`]: deadline/cancel polled per FFT
     /// tile, per row of the blend's weights pass and per band of every
-    /// other blending pass, byte ceiling enforced before any noise
-    /// window, field or output is allocated. Defaults to
+    /// other blending pass, byte ceiling enforced before any sample tags,
+    /// noise window or output is allocated. Defaults to
     /// [`Budget::unlimited`], under which generation is bit-identical to
     /// the unbudgeted path.
     pub fn with_budget(mut self, budget: Budget) -> Self {
@@ -352,10 +379,12 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         if self.resolved_backend() == ConvBackend::Direct {
             return self.generate_per_sample(noise, win);
         }
-        // The weights pass is O(nx·ny) map lookups: admit the output
-        // first so an oversized request fails the byte ceiling before any
-        // of that work runs.
-        self.admit(win.nx as u128 * win.ny as u128)?;
+        // The weights pass is O(nx·ny) map lookups writing one tag byte
+        // per sample: admit the output and the tags first, so an
+        // oversized request fails the byte ceiling before any of that
+        // work runs.
+        let samples = win.nx as u128 * win.ny as u128;
+        self.admit(8 * samples + samples)?;
         let attempt = catch_unwind(AssertUnwindSafe(|| self.generate_blended(noise, win)))
             .unwrap_or_else(|p| Err(RrsError::worker_panicked(0, p.as_ref())));
         match attempt {
@@ -381,10 +410,10 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self.try_generate(noise, win).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Admission control: `samples` f64s against the byte ceiling. A
-    /// rejection ticks [`stage::BUDGET_REJECT`].
-    fn admit(&self, samples: u128) -> Result<(), RrsError> {
-        self.ctx.budget().admit("inhomogeneous generation", samples * 8).inspect_err(|_| {
+    /// Admission control: `bytes` against the byte ceiling. A rejection
+    /// ticks [`stage::BUDGET_REJECT`].
+    fn admit(&self, bytes: u128) -> Result<(), RrsError> {
+        self.ctx.budget().admit("inhomogeneous generation", bytes).inspect_err(|_| {
             self.ctx.recorder().add_counter(stage::BUDGET_REJECT, 1);
         })
     }
@@ -395,15 +424,21 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     fn generate_per_sample(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         self.ctx.recorder().add_counter(stage::CONV_BACKEND_DIRECT, 1);
         let Window { x0, y0, nx, ny } = win;
-        let wx0 = x0 - self.reach_left;
-        let wy0 = y0 - self.reach_down;
         let ww = nx + (self.reach_left + self.reach_right) as usize;
         let wh = ny + (self.reach_down + self.reach_up) as usize;
         // Noise window plus output field, estimated in u128 before either
         // is allocated.
-        self.admit(ww as u128 * wh as u128 + nx as u128 * ny as u128)?;
+        self.admit(8 * (ww as u128 * wh as u128 + nx as u128 * ny as u128))?;
+        // The lattice wraps at the ends of i64 (as the noise key does),
+        // so the window's origin does too; everything else is
+        // window-local.
         let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
-        let noise_win = noise.window(wx0, wy0, ww, wh);
+        let noise_win = noise.window(
+            x0.wrapping_sub(self.reach_left),
+            y0.wrapping_sub(self.reach_down),
+            ww,
+            wh,
+        );
         self.ctx.recorder().finish(span);
 
         let mut out = Grid2::zeros(nx, ny);
@@ -423,13 +458,15 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
                 let mut evals = 0u64;
                 for (row_off, row) in chunk.chunks_mut(nx).enumerate() {
                     let iy = iy0 + row_off;
-                    let gy = y0 + iy as i64;
+                    let gy = y0.wrapping_add(iy as i64) as f64;
+                    let ly = iy as i64 + self.reach_down;
                     for (ix, slot) in row.iter_mut().enumerate() {
-                        let gx = x0 + ix as i64;
-                        self.map.weights_at(gx as f64, gy as f64, &mut weights);
+                        let gx = x0.wrapping_add(ix as i64) as f64;
+                        self.map.weights_at(gx, gy, &mut weights);
+                        let lx = ix as i64 + self.reach_left;
                         let mut acc = 0.0;
                         for &(ki, g) in &weights {
-                            acc += g * self.kernel_dot(ki, &noise_win, ww, gx - wx0, gy - wy0);
+                            acc += g * self.kernel_dot(ki, &noise_win, ww, lx, ly);
                         }
                         *slot = acc;
                         if weights.len() > 1 {
@@ -451,70 +488,80 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         Ok(out)
     }
 
-    /// The kernel-major blend: weights pass, admission, then one field
-    /// per active kernel, each weighted into the output and dropped
-    /// before the next is built.
+    /// The kernel-major blend: weights pass, admission, one noise window,
+    /// then one field per active kernel, each weighted into the output
+    /// and dropped before the next is built.
     fn generate_blended(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
-        let scan = self.scan_weights(win);
+        let mut tags = vec![BLENDED; win.nx * win.ny];
+        let scan = self.scan_weights(win, &mut tags);
         // A band that tripped the budget stopped early: report it before
-        // anything is admitted or allocated.
+        // anything else is admitted or allocated.
         self.ctx.budget().check()?;
-        let boxes: Vec<Option<Window>> =
-            (0..self.kernels.len()).map(|ki| scan.kernel_box(ki, win)).collect();
-        // Plus the largest working set one kernel holds at a time (its
-        // noise window and tile arenas).
-        let largest = boxes
-            .iter()
-            .zip(&self.kernels)
-            .filter_map(|(b, k)| b.map(|b| self.kernel_footprint(k, b)))
-            .max()
-            .unwrap_or(0);
-        self.admit(win.nx as u128 * win.ny as u128 + largest)?;
+        let passes: Vec<KernelPass> =
+            self.kernels.iter().enumerate().filter_map(|(ki, k)| scan.pass(ki, k)).collect();
+        // One noise window for every kernel: the union of their noise
+        // rectangles, window-local. It lies inside the per-sample loop's
+        // window (this one grown by the largest reach on each side).
+        let ux0 = passes.iter().map(|p| p.lx).min().unwrap_or(0);
+        let uy0 = passes.iter().map(|p| p.ly).min().unwrap_or(0);
+        let ux1 = passes.iter().map(|p| p.lx + p.ww as i64).max().unwrap_or(0);
+        let uy1 = passes.iter().map(|p| p.ly + p.wh as i64).max().unwrap_or(0);
+        let (uw, uh) = ((ux1 - ux0) as usize, (uy1 - uy0) as usize);
+        // Output and tags, plus the noise window and the largest tile
+        // arenas one kernel holds at a time.
+        let arenas = passes.iter().map(|p| self.arena_footprint(p)).max().unwrap_or(0);
+        let samples = win.nx as u128 * win.ny as u128;
+        self.admit(8 * (samples + uw as u128 * uh as u128 + arenas) + samples)?;
         self.ctx.recorder().add_counter(stage::CONV_BACKEND_FFT, 1);
 
+        let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
+        let noise_win =
+            noise.window(win.x0.wrapping_add(ux0), win.y0.wrapping_add(uy0), uw, uh);
+        self.ctx.recorder().finish(span);
         let mut out = Grid2::zeros(win.nx, win.ny);
-        for (ki, kbox) in boxes.iter().enumerate() {
-            let Some(kbox) = *kbox else { continue };
+        for p in &passes {
+            let ki = p.ki;
             let kernel = &self.kernels[ki];
             let (kw, kh) = kernel.extent();
-            let (ox, oy) = kernel.origin();
-            // f(n) = Σ_j w̃(j)·X(n−j): the box grown by this kernel's own
-            // reach.
-            let wx0 = kbox.x0 - (ox + kw as i64 - 1);
-            let wy0 = kbox.y0 - (oy + kh as i64 - 1);
-            let (ww, wh) = (kbox.nx + kw - 1, kbox.ny + kh - 1);
-            let span = self.ctx.recorder().start(stage::WINDOW_MATERIALISE);
-            let noise_win = noise.window(wx0, wy0, ww, wh);
-            self.ctx.recorder().finish(span);
-            // The box's window-local corner.
-            let (bx, by) = ((kbox.x0 - win.x0) as usize, (kbox.y0 - win.y0) as usize);
-            let rows = &mut out.as_mut_slice()[by * win.nx..(by + kbox.ny) * win.nx];
-            let out_rows = OutputRows { rows, stride: win.nx, col0: bx };
+            let view = &noise_win[(p.ly - uy0) as usize * uw + (p.lx - ux0) as usize..];
+            let rows = &mut out.as_mut_slice()[p.by * win.nx..(p.by + p.ny) * win.nx];
+            let out_rows = OutputRows { rows, stride: win.nx, col0: p.bx };
             // Field values are weighted into the output row segment by row
             // segment as they are computed: no field is stored.
             let weigh = |iy: usize, ix: usize, dst: &mut [f64], src: &[f64]| {
-                let gy = (kbox.y0 + iy as i64) as f64;
-                let gx0 = kbox.x0 + ix as i64;
-                let mut weights = Vec::with_capacity(self.kernels.len());
-                for (dx, (slot, &v)) in dst.iter_mut().zip(src).enumerate() {
-                    self.map.weights_at((gx0 + dx as i64) as f64, gy, &mut weights);
-                    if let Some(&(_, g)) = weights.iter().find(|&&(k, _)| k == ki) {
-                        *slot += g * v;
+                let (row, col) = (p.by + iy, p.bx + ix);
+                let tags = &tags[row * win.nx + col..][..dst.len()];
+                let gy = win.y0.wrapping_add(row as i64) as f64;
+                let mut weights = Vec::new();
+                for (dx, ((slot, &v), &tag)) in dst.iter_mut().zip(src).zip(tags).enumerate() {
+                    match tag {
+                        BLENDED => {
+                            let gx = win.x0.wrapping_add((col + dx) as i64) as f64;
+                            self.map.weights_at(gx, gy, &mut weights);
+                            if let Some(&(_, g)) = weights.iter().find(|&&(k, _)| k == ki) {
+                                *slot += g * v;
+                            }
+                        }
+                        // This kernel's weight is exactly 1 here: 1·v is v.
+                        t if usize::from(t) == ki => *slot += v,
+                        // Another kernel's alone: this one weighs 0.
+                        _ => {}
                     }
                 }
             };
             if self.ctx.backend().resolve(kw, kh) == ConvBackend::Direct {
-                self.correlate_into(ki, &noise_win, ww, kbox, out_rows, &weigh)?;
+                self.correlate_into(p, view, uw, out_rows, &weigh)?;
             } else {
                 convolve_rfft_into(
                     &self.ctx,
                     kernel,
-                    Self::tile_shape(kernel, kbox),
-                    &noise_win,
-                    ww,
-                    wh,
-                    kbox.nx,
-                    kbox.ny,
+                    Self::tile_shape(kernel, p),
+                    view,
+                    uw,
+                    p.ww,
+                    p.wh,
+                    p.nx,
+                    p.ny,
                     out_rows,
                     &weigh,
                 )?;
@@ -527,33 +574,42 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         Ok(out)
     }
 
-    /// One weights pass over `win`, row bands spread across the workers.
-    /// Each band polls the budget once per row and stops at the first
-    /// trip, leaving the caller's next check to report it.
-    fn scan_weights(&self, win: Window) -> WeightScan {
+    /// One weights pass over `win`, row bands spread across the workers:
+    /// each kernel's box and the selection counts, and in `tags` (one per
+    /// sample, row-major) the index of the kernel weighing exactly 1 at
+    /// that sample when it is the only one and its index is below
+    /// [`BLENDED`], else [`BLENDED`]. Each band polls the budget once per
+    /// row and stops at the first trip, leaving the caller's next check
+    /// to report it.
+    fn scan_weights(&self, win: Window, tags: &mut [u8]) -> WeightScan {
         let k = self.kernels.len();
         let budget = self.ctx.budget();
         let polling = budget.needs_polling();
-        let bands = rrs_par::split_range(win.ny, self.ctx.workers());
-        rrs_par::par_map_collect(bands.len(), self.ctx.workers(), |b| {
-            let (r0, r1) = bands[b];
+        let total = Mutex::new(WeightScan::new(k));
+        // The row length must be positive; a zero-width window has no
+        // tags, so any positive length gives it no rows.
+        rrs_par::par_row_chunks_mut(tags, win.nx.max(1), self.ctx.workers(), |r0, band| {
             let mut scan = WeightScan::new(k);
             let mut weights: Vec<(usize, f64)> = Vec::with_capacity(k);
             let mut polls = 0u64;
-            for iy in r0..r1 {
+            for (iy, row) in (r0..).zip(band.chunks_mut(win.nx)) {
                 if polling {
                     polls += 1;
                     if budget.check().is_err() {
                         break;
                     }
                 }
-                let gy = (win.y0 + iy as i64) as f64;
-                for ix in 0..win.nx {
-                    self.map.weights_at((win.x0 + ix as i64) as f64, gy, &mut weights);
+                let gy = win.y0.wrapping_add(iy as i64) as f64;
+                for (ix, tag) in row.iter_mut().enumerate() {
+                    self.map.weights_at(win.x0.wrapping_add(ix as i64) as f64, gy, &mut weights);
                     for &(ki, _) in &weights {
                         let b = &mut scan.boxes[ki];
                         *b = (b.0.min(ix), b.1.max(ix + 1), b.2.min(iy), iy + 1);
                     }
+                    *tag = match weights[..] {
+                        [(ki, g)] if g == 1.0 && ki < usize::from(BLENDED) => ki as u8,
+                        _ => BLENDED,
+                    };
                     if weights.len() > 1 {
                         scan.blended += 1;
                     } else {
@@ -565,47 +621,46 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             if polling {
                 self.ctx.recorder().add_counter(stage::BUDGET_POLLS, polls);
             }
-            scan
-        })
-        .into_iter()
-        .fold(WeightScan::new(k), WeightScan::merge)
+            total.lock().expect("merging a band's scan never panics").merge(&scan);
+        });
+        total.into_inner().expect("merging a band's scan never panics")
     }
 
     /// The overlap-save tile for one kernel's box.
-    fn tile_shape(kernel: &ConvolutionKernel, kbox: Window) -> TileShape {
+    fn tile_shape(kernel: &ConvolutionKernel, p: &KernelPass) -> TileShape {
         let (kw, kh) = kernel.extent();
-        plan_tiles_within(kbox.nx, kbox.ny, kw, kh, BLEND_MAX_TILE_SIDE)
+        plan_tiles_within(p.nx, p.ny, kw, kh, BLEND_MAX_TILE_SIDE)
     }
 
-    /// f64s one kernel's pass holds at once over `kbox`: its noise
-    /// window, plus — on the FFT engine — its tile arenas.
-    fn kernel_footprint(&self, kernel: &ConvolutionKernel, kbox: Window) -> u128 {
+    /// f64s of tile arenas one kernel's pass holds at once: none for
+    /// direct dot products.
+    fn arena_footprint(&self, p: &KernelPass) -> u128 {
+        let kernel = &self.kernels[p.ki];
         let (kw, kh) = kernel.extent();
-        let noise = (kbox.nx + kw - 1) as u128 * (kbox.ny + kh - 1) as u128;
         if self.ctx.backend().resolve(kw, kh) == ConvBackend::Direct {
-            return noise;
+            return 0;
         }
-        let shape = Self::tile_shape(kernel, kbox);
-        let workers = effective_workers(shape, kbox.nx, kbox.ny, kw, kh, self.ctx.workers());
-        noise + shape.scratch_samples_real(workers)
+        let shape = Self::tile_shape(kernel, p);
+        shape.scratch_samples_real(effective_workers(shape, p.nx, p.ny, kw, kh, self.ctx.workers()))
     }
 
-    /// The direct-loop counterpart of [`convolve_rfft_into`] for kernel
-    /// `ki`: each row of `kbox` as dot products against `noise_win` (the
-    /// box grown by the kernel's reach, `ww` wide), merged into `out`
-    /// through `combine`. Row bands run across the workers.
+    /// The direct-loop counterpart of [`convolve_rfft_into`] for one
+    /// kernel's pass: each row of its box as dot products against
+    /// `noise_win` (the box grown by the kernel's reach, rows `pitch`
+    /// apart), merged into `out` through `combine`. Row bands run across
+    /// the workers.
     fn correlate_into(
         &self,
-        ki: usize,
+        p: &KernelPass,
         noise_win: &[f64],
-        ww: usize,
-        kbox: Window,
+        pitch: usize,
         out: OutputRows<'_>,
         combine: Combine<'_>,
     ) -> Result<(), RrsError> {
+        let ki = p.ki;
         let (kw, kh) = self.kernels[ki].extent();
         let (ox, oy) = self.kernels[ki].origin();
-        // Box sample (dx, dy) sits at window-local (lx0 + dx, ly0 + dy).
+        // Box sample (dx, dy) sits at noise-local (lx0 + dx, ly0 + dy).
         let (lx0, ly0) = (ox + kw as i64 - 1, oy + kh as i64 - 1);
         let OutputRows { rows, stride, col0 } = out;
         let span = self.ctx.recorder().start(stage::CORRELATE);
@@ -617,13 +672,13 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             self.ctx.budget(),
             self.ctx.chaos(),
             |r0, chunk| {
-                let mut field = vec![0.0; kbox.nx];
+                let mut field = vec![0.0; p.nx];
                 for (row_off, row) in chunk.chunks_mut(stride).enumerate() {
                     let ly = ly0 + (r0 + row_off) as i64;
                     for (dx, v) in field.iter_mut().enumerate() {
-                        *v = self.kernel_dot(ki, noise_win, ww, lx0 + dx as i64, ly);
+                        *v = self.kernel_dot(ki, noise_win, pitch, lx0 + dx as i64, ly);
                     }
-                    combine(r0 + row_off, 0, &mut row[col0..col0 + kbox.nx], &field);
+                    combine(r0 + row_off, 0, &mut row[col0..col0 + p.nx], &field);
                 }
             },
         )?;
@@ -631,10 +686,10 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         Ok(())
     }
 
-    /// Evaluates `(w̃_ki ⊛ X)(n)` for the sample at window-local
-    /// coordinates `(lx, ly)`.
+    /// Evaluates `(w̃_ki ⊛ X)(n)` for the sample at coordinates `(lx, ly)`
+    /// local to the noise window `win`, whose rows are `pitch` apart.
     #[inline]
-    fn kernel_dot(&self, ki: usize, win: &[f64], ww: usize, lx: i64, ly: i64) -> f64 {
+    fn kernel_dot(&self, ki: usize, win: &[f64], pitch: usize, lx: i64, ly: i64) -> f64 {
         let kernel = &self.kernels[ki];
         let (kw, kh) = kernel.extent();
         let (ox, oy) = kernel.origin();
@@ -646,7 +701,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             let krow = weights.row(b);
             // X(n−j) with jx = ox + a: window x index = lx − ox − a.
             let base = (lx - ox) as usize;
-            let wrow = &win[wy * ww + base + 1 - kw..=wy * ww + base];
+            let wrow = &win[wy * pitch + base + 1 - kw..=wy * pitch + base];
             let mut s = 0.0;
             for (a, &kv) in krow.iter().enumerate() {
                 s += kv * wrow[kw - 1 - a];

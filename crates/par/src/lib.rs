@@ -9,9 +9,7 @@
 //! * [`par_chunks_mut`] — split a mutable slice into contiguous chunks and
 //!   process each on its own scoped thread;
 //! * [`par_indexed_chunks_mut`] — the same, handing each closure the chunk's
-//!   starting element index (for row numbering / per-band RNG streams);
-//! * [`par_map_collect`] — evaluate a pure function over an index range and
-//!   collect results in order.
+//!   starting element index (for row numbering / per-band RNG streams).
 //!
 //! Determinism note: all primitives partition work *statically*; outputs
 //! never depend on scheduling, only on the partition, which itself depends
@@ -655,22 +653,6 @@ where
     }
 }
 
-/// Evaluates `f(i)` for `i in 0..n` on `workers` threads and returns the
-/// results in index order.
-pub fn par_map_collect<T, F>(n: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send + Default + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut out = vec![T::default(); n];
-    par_indexed_chunks_mut(&mut out, workers, |start, chunk| {
-        for (j, slot) in chunk.iter_mut().enumerate() {
-            *slot = f(start + j);
-        }
-    });
-    out
-}
-
 /// Statically splits the half-open range `[0, n)` into `parts` near-equal
 /// sub-ranges; returns `(start, end)` pairs. Empty ranges are omitted.
 pub fn split_range(n: usize, parts: usize) -> Vec<(usize, usize)> {
@@ -729,24 +711,6 @@ mod tests {
         });
         let expect: Vec<usize> = (0..n).collect();
         assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn map_collect_is_ordered() {
-        for workers in [1, 2, 5, 16] {
-            let out = par_map_collect(257, workers, |i| i * i);
-            for (i, &v) in out.iter().enumerate() {
-                assert_eq!(v, i * i);
-            }
-        }
-    }
-
-    #[test]
-    fn result_is_thread_count_invariant() {
-        let f = |i: usize| (i as f64).sin();
-        let a = par_map_collect(1000, 1, f);
-        let b = par_map_collect(1000, 8, f);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -31,10 +31,12 @@
 //! suits one kernel serving many windows. [`convolve_rfft_into`] runs the
 //! same real-input tile loop on a caller-chosen (typically
 //! [`plan_tiles_within`]-bounded) tile with a spectrum that lives only for
-//! the call, merging each tile's outputs straight into a caller-owned
-//! output — the inhomogeneous generator's weighted per-kernel fields,
-//! where a cache would hold one spectrum per kernel for the generator's
-//! lifetime and a per-kernel field would be one more output-sized buffer.
+//! the call, reading a pitched view of a caller-owned noise window and
+//! merging each tile's outputs straight into a caller-owned output — the
+//! inhomogeneous generator's weighted per-kernel fields, which all read
+//! one shared noise window, where a cache would hold one spectrum per
+//! kernel for the generator's lifetime and a per-kernel field would be
+//! one more output-sized buffer.
 //!
 //! # Tile correctness
 //!
@@ -189,8 +191,10 @@ struct TileGeom {
     /// Output row pitch and the output column request column 0 lands on.
     stride: usize,
     col0: usize,
+    /// The noise window's size and row pitch (`≥ ww`).
     ww: usize,
     wh: usize,
+    win_pitch: usize,
     kw: usize,
     kh: usize,
     fx: usize,
@@ -362,7 +366,7 @@ impl FftEngine {
         let mut out = Grid2::zeros(nx, ny);
         let rows = OutputRows { rows: out.as_mut_slice(), stride: nx, col0: 0 };
         let exec = (workers, obs, budget, chaos);
-        run_rfft(&rfft, &kspec, kernel, win, ww, wh, nx, ny, exec, rows, &store)?;
+        run_rfft(&rfft, &kspec, kernel, win, ww, ww, wh, nx, ny, exec, rows, &store)?;
         Ok(out)
     }
 
@@ -496,12 +500,18 @@ pub type Combine<'a> = &'a (dyn Fn(usize, usize, &mut [f64], &[f64]) + Sync);
 /// output sample is delivered exactly once, by the one worker that owns
 /// its tile, so `combine` may read-modify-write `dst` freely. For callers
 /// that weight many kernels' fields into one output, once each.
+///
+/// The `ww × wh` noise window is a view: row `r` starts at
+/// `win[r · pitch]`, so several kernels can read rectangles of one larger
+/// window (`pitch` is that window's width; a window of its own passes
+/// `ww`).
 #[allow(clippy::too_many_arguments)]
 pub fn convolve_rfft_into(
     ctx: &GenContext,
     kernel: &ConvolutionKernel,
     tile_shape: TileShape,
     win: &[f64],
+    pitch: usize,
     ww: usize,
     wh: usize,
     nx: usize,
@@ -517,7 +527,7 @@ pub fn convolve_rfft_into(
     let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
     let kspec = packed_kernel_spectrum(kernel, &rfft);
     let exec = (ctx.workers, &ctx.obs, &ctx.budget, &ctx.chaos);
-    run_rfft(&rfft, &kspec, kernel, win, ww, wh, nx, ny, exec, out, combine)
+    run_rfft(&rfft, &kspec, kernel, win, pitch, ww, wh, nx, ny, exec, out, combine)
 }
 
 /// [`Combine`] for a plain convolution: overwrite.
@@ -528,14 +538,16 @@ fn store(_iy: usize, _ix: usize, dst: &mut [f64], src: &[f64]) {
 /// Convolves through the real-input pipeline with an already-planned
 /// transform and kernel spectrum, merging into `out` through `combine`:
 /// the tile loop shared by [`FftEngine::convolve_rfft`] and
-/// [`convolve_rfft_into`]. `exec` is `(workers, recorder, budget,
-/// chaos)`. Each worker allocates its own arena.
+/// [`convolve_rfft_into`]. `win` holds the `ww × wh` noise window's rows
+/// `win_pitch` apart. `exec` is `(workers, recorder, budget, chaos)`.
+/// Each worker allocates its own arena.
 #[allow(clippy::too_many_arguments)]
 fn run_rfft(
     rfft: &RealFft2d,
     kspec: &[Complex64],
     kernel: &ConvolutionKernel,
     win: &[f64],
+    win_pitch: usize,
     ww: usize,
     wh: usize,
     nx: usize,
@@ -545,7 +557,7 @@ fn run_rfft(
     combine: Combine<'_>,
 ) -> Result<(), RrsError> {
     let (kw, kh) = kernel.extent();
-    debug_assert_eq!(win.len(), ww * wh);
+    debug_assert!(ww <= win_pitch && (wh == 0 || win.len() >= (wh - 1) * win_pitch + ww));
     debug_assert_eq!(ww, nx + kw - 1);
     debug_assert_eq!(wh, ny + kh - 1);
     let (fx, fy) = rfft.shape();
@@ -556,7 +568,8 @@ fn run_rfft(
     let (vx, vy) = tile_shape.valid(kw, kh);
     let (stride, col0) = (out.stride, out.col0);
     let pitch = 2 * rfft.packed_width();
-    let geom = TileGeom { nx, ny, stride, col0, ww, wh, kw, kh, fx, fy, pitch, vx, vy, tiles_x };
+    let geom =
+        TileGeom { nx, ny, stride, col0, ww, wh, win_pitch, kw, kh, fx, fy, pitch, vx, vy, tiles_x };
     let polling = budget.needs_polling();
 
     let out_ptr = SendPtr(out.rows.as_mut_ptr());
@@ -668,7 +681,7 @@ fn run_tile_range(
             let trow = &mut tile[ty * g.pitch..ty * g.pitch + g.fx];
             let wy = oy + ty;
             if wy < g.wh {
-                trow[..cols].copy_from_slice(&win[wy * g.ww + ox..wy * g.ww + ox + cols]);
+                trow[..cols].copy_from_slice(&win[wy * g.win_pitch + ox..][..cols]);
                 trow[cols..].fill(0.0);
             } else {
                 trow.fill(0.0);

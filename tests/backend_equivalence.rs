@@ -963,6 +963,7 @@ fn deadline_during_the_weights_pass_stops_it_at_the_next_row() {
 #[test]
 fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
     use rrs::obs::stage;
+    use rrs_surface::internal::{effective_workers, plan_tiles_within};
     let noise = NoiseField::new(21);
     let gen = pond_in_field(ConvBackend::Auto, 2);
     let with_ceiling = |max: u128, rec: &Recorder| {
@@ -976,14 +977,49 @@ fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
         Err(RrsError::BudgetExceeded { required_bytes, .. }) => required_bytes,
         other => panic!("expected BudgetExceeded, got {other:?}"),
     };
-    // Before the weights pass: the output.
-    let base = (POND_WINDOW.nx * POND_WINDOW.ny * 8) as u128;
+    // Before the weights pass: the output, 8 bytes a sample, and one tag
+    // byte per sample.
+    let Window { x0, y0, nx, ny } = POND_WINDOW;
+    let samples = (nx * ny) as u128;
+    let base = 8 * samples + samples;
     assert_eq!(required(base - 1), base);
-    // A ceiling that admits it reports the full blended footprint: plus
-    // the largest per-kernel noise window and tile arenas.
-    let footprint = required(base);
-    let largest_kernel = gen.kernels().iter().map(|k| k.extent().0 * k.extent().1).max().unwrap();
-    assert!(footprint > base + (largest_kernel * 8) as u128, "footprint {footprint}");
+    assert_eq!(base, 41_472);
+
+    // After it, plus the one noise window — the union of every kernel's
+    // box of nonzero weight grown by that kernel's reach — and the largest
+    // tile arenas one kernel's pass holds (tiles at most 256 a side).
+    let (mut ux0, mut ux1, mut uy0, mut uy1) = (i64::MAX, i64::MIN, i64::MAX, i64::MIN);
+    let mut arenas = 0u128;
+    let mut weights = Vec::new();
+    for (ki, kernel) in gen.kernels().iter().enumerate() {
+        let (mut bx0, mut bx1, mut by0, mut by1) = (nx, 0, ny, 0);
+        for iy in 0..ny {
+            for ix in 0..nx {
+                let (gx, gy) = ((x0 + ix as i64) as f64, (y0 + iy as i64) as f64);
+                gen.map().weights_at(gx, gy, &mut weights);
+                if weights.iter().any(|&(k, _)| k == ki) {
+                    (bx0, bx1) = (bx0.min(ix), bx1.max(ix + 1));
+                    (by0, by1) = (by0.min(iy), by1.max(iy + 1));
+                }
+            }
+        }
+        let (kw, kh) = kernel.extent();
+        let (ox, oy) = kernel.origin();
+        assert_ne!(ConvBackend::Auto.resolve(kw, kh), ConvBackend::Direct);
+        // Box column bx reads noise columns bx − ox − kw + 1 ..= bx − ox.
+        ux0 = ux0.min(bx0 as i64 - ox - kw as i64 + 1);
+        ux1 = ux1.max(bx1 as i64 - ox);
+        uy0 = uy0.min(by0 as i64 - oy - kh as i64 + 1);
+        uy1 = uy1.max(by1 as i64 - oy);
+        let (bnx, bny) = (bx1 - bx0, by1 - by0);
+        let shape = plan_tiles_within(bnx, bny, kw, kh, 256);
+        let workers = effective_workers(shape, bnx, bny, kw, kh, 2);
+        arenas = arenas.max(shape.scratch_samples_real(workers));
+    }
+    let union = (ux1 - ux0) as u128 * (uy1 - uy0) as u128;
+    let footprint = 8 * (samples + union + arenas) + samples;
+    assert_eq!(required(base), footprint);
+    assert_eq!(footprint, 429_896);
 
     let rec = Recorder::enabled();
     match with_ceiling(footprint - 1, &rec) {
@@ -1080,5 +1116,185 @@ rrs_check::props! {
                 );
             }
         }
+    }
+}
+
+// --- The blend's reads: hashes recorded before it shared one noise window. ---
+//
+// The blend materialises one noise window per call, the union of every
+// active kernel's box grown by that kernel's reach, and gives each kernel
+// a pitched view of it; the weights pass tags each sample whose only
+// weight is exactly 1 with its kernel, so the blend looks weights up again
+// only where a sample is blended. Both change what the blend reads, not
+// what it computes. These FNV-1a hashes were recorded from the per-kernel
+// noise windows and per-sample lookups they replaced (the lattice-end
+// ones from a release build, which wrapped where a test build panicked);
+// they are never regenerated.
+
+/// A sub-crossover kernel inside the blend (its field comes from direct
+/// dot products reading the pitched view) across a straddling window.
+const DIRECT_IN_BLEND_HASH: u64 = 0x7bec9b07076be0c9;
+/// 272 representative points, two rows of which (indices 238..272) fall
+/// inside the window.
+const MANY_POINTS_HASH: u64 = 0x89f2b195a34c2e57;
+/// `pond_in_field` over `POND_WINDOW` with seed 4242, at 1 and 3 workers.
+const POND_HASH: u64 = 0x7395e0fc5f0889d7;
+/// `lattice_end_generator` at `(i64::MIN, 0)` then `(0, i64::MIN)`, each
+/// on `Direct` and then `Auto`.
+const LATTICE_END_HASHES: [u64; 4] =
+    [0x87f72bfaed6e2c14, 0xd066251fd7a48007, 0xf883a83e6bf9c482, 0xbbae00ede2205b58];
+
+#[test]
+fn direct_kernels_inside_the_blend_keep_their_hash() {
+    use rrs::obs::stage;
+    let sizing = KernelSizing::Auto { factor: 8.0, min: 16, max: 64 };
+    let left = Plate {
+        region: Region::HalfPlane { a: 1.0, b: 0.0, c: 24.0 },
+        spectrum: family(0, 0.5, 3.0),
+    };
+    let layout = PlateLayout::new(vec![left], Some(family(0, 1.5, 6.0)), 8.0);
+    let small = ConvolutionKernel::build(&family(0, 0.5, 3.0), sizing).crop(4, 4);
+    let large = ConvolutionKernel::build(&family(0, 1.5, 6.0), sizing);
+    assert_eq!(ConvBackend::Auto.resolve(9, 9), ConvBackend::Direct);
+    let rec = Recorder::enabled();
+    let gen = InhomogeneousGenerator::from_kernels(layout, vec![small, large])
+        .with_workers(2)
+        .with_recorder(rec.clone());
+    let got = gen.generate(&NoiseField::new(3), Window::new(-10, 5, 64, 40));
+    assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1, "the blend ran");
+    assert_eq!(hash_grid(&got), DIRECT_IN_BLEND_HASH);
+}
+
+#[test]
+fn point_layouts_past_255_kernels_keep_their_hash() {
+    // A 17 × 16 lattice of points 12 apart, row-major, with a 2-sample
+    // half-width: every cell has a pure interior. The window covers rows
+    // 14 and 15, so samples pure for kernels 238..272 — both sides of
+    // index 255 — and the bands between them all fall inside it.
+    let points: Vec<RepresentativePoint> = (0..16)
+        .flat_map(|r| (0..17).map(move |c| (c, r)))
+        .map(|(c, r)| RepresentativePoint {
+            x: 12.0 * c as f64,
+            y: 12.0 * r as f64,
+            spectrum: family(0, 0.4 + 0.01 * (17 * r + c) as f64, 3.0),
+        })
+        .collect();
+    assert_eq!(points.len(), 272);
+    let layout = PointLayout::new(points, 2.0);
+    let sizing = KernelSizing::Explicit(GridSpec::unit(16, 16));
+    let gen = InhomogeneousGenerator::new(layout, sizing).with_workers(2);
+    assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
+    let got = gen.generate(&NoiseField::new(57), Window::new(-6, 162, 204, 24));
+    assert_eq!(hash_grid(&got), MANY_POINTS_HASH);
+}
+
+#[test]
+fn pond_window_keeps_its_hash_at_one_and_three_workers() {
+    for workers in [1, 3] {
+        let gen = pond_in_field(ConvBackend::Auto, workers);
+        let got = gen.generate(&NoiseField::new(4242), POND_WINDOW);
+        assert_eq!(hash_grid(&got), POND_HASH, "workers={workers}");
+    }
+}
+
+/// A layout whose kernels reach differently: a plate above `y = 16` on a
+/// width-1 kernel (no reach along x), a plate right of `x = 16` on a
+/// height-1 kernel (no reach along y), and a background on a full kernel.
+/// At `x0 = i64::MIN` the first plate blends with the background and only
+/// the background's noise origin wraps; at `y0 = i64::MIN` the same holds
+/// for the second plate along y.
+fn lattice_end_generator(backend: ConvBackend) -> InhomogeneousGenerator<PlateLayout> {
+    let sizing = KernelSizing::Auto { factor: 8.0, min: 16, max: 64 };
+    let above = family(0, 0.6, 3.0);
+    let right = family(0, 0.9, 3.0);
+    let field = family(0, 1.2, 5.0);
+    let plates = vec![
+        Plate { region: Region::HalfPlane { a: 0.0, b: -1.0, c: -16.0 }, spectrum: above },
+        Plate { region: Region::HalfPlane { a: -1.0, b: 0.0, c: -16.0 }, spectrum: right },
+    ];
+    let kernels = vec![
+        ConvolutionKernel::build(&above, sizing).crop(0, 3),
+        ConvolutionKernel::build(&right, sizing).crop(3, 0),
+        ConvolutionKernel::build(&field, sizing),
+    ];
+    InhomogeneousGenerator::from_kernels(PlateLayout::new(plates, Some(field), 8.0), kernels)
+        .with_workers(2)
+        .with_backend(backend)
+}
+
+#[test]
+fn windows_at_the_lattice_ends_keep_their_release_hashes() {
+    use rrs::obs::stage;
+    let noise = NoiseField::new(71);
+    let windows = [Window::new(i64::MIN, 0, 40, 32), Window::new(0, i64::MIN, 32, 40)];
+    let mut got = Vec::new();
+    for win in windows {
+        for backend in [ConvBackend::Direct, ConvBackend::Auto] {
+            let rec = Recorder::enabled();
+            let gen = lattice_end_generator(backend).with_recorder(rec.clone());
+            let surface = gen.try_generate(&noise, win).unwrap();
+            let report = rec.report();
+            assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "{win:?} {backend:?}");
+            assert!(report.counter(stage::INHOMO_BLENDED_SAMPLES) > 0, "{win:?} must blend");
+            got.push(hash_grid(&surface));
+        }
+    }
+    assert_eq!(got, LATTICE_END_HASHES);
+}
+
+#[test]
+fn each_blended_window_materialises_one_noise_window() {
+    use rrs::obs::stage;
+    use rrs_bench::figures::all_figures;
+    for fig in all_figures(0.125, 0.01, 3) {
+        let rec = Recorder::enabled();
+        let gen = fig.generator.with_recorder(rec.clone());
+        let win = Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny);
+        gen.try_generate(&NoiseField::new(fig.seed), win).unwrap();
+        let report = rec.report();
+        assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 1, "{}", fig.id);
+        assert_eq!(report.durations[stage::WINDOW_MATERIALISE].count, 1, "{}", fig.id);
+    }
+}
+
+/// Counts every weight lookup made through it.
+struct CountingMap<'a> {
+    inner: &'a dyn WeightMap,
+    calls: AtomicU64,
+}
+
+impl WeightMap for CountingMap<'_> {
+    fn kernel_count(&self) -> usize {
+        self.inner.kernel_count()
+    }
+    fn spectra(&self) -> Vec<SpectrumModel> {
+        self.inner.spectra()
+    }
+    fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        self.inner.weights_at(x, y, out)
+    }
+}
+
+#[test]
+fn the_blend_looks_weights_up_again_only_where_a_sample_is_blended() {
+    use rrs_bench::figures::all_figures;
+    // One lookup per sample in the weights pass, plus one per sample of
+    // each kernel's box that is not pure for a single kernel.
+    const LOOKUPS: [u64; 4] = [18_944, 18_944, 46_680, 94_714];
+    for workers in [1, 2] {
+        let got: Vec<u64> = all_figures(0.125, 0.01, 3)
+            .iter()
+            .map(|fig| {
+                let map = CountingMap { inner: &**fig.generator.map(), calls: AtomicU64::new(0) };
+                let kernels = fig.generator.kernels().to_vec();
+                let gen = InhomogeneousGenerator::from_kernels(map, kernels)
+                    .with_context(fig.generator.context().clone().with_workers(workers));
+                let win = Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny);
+                gen.try_generate(&NoiseField::new(fig.seed), win).unwrap();
+                gen.map().calls.load(Ordering::Relaxed)
+            })
+            .collect();
+        assert_eq!(got, LOOKUPS, "workers={workers}");
     }
 }
