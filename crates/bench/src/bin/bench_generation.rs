@@ -8,7 +8,12 @@
 //! * `direct_vs_conv` (claim C2 cost side): where the one-shot FFT method
 //!   beats per-sample convolution and vice versa;
 //! * `parallel_scaling` (ablation): row-band workers;
-//! * `streaming` (claim C4): successive-computation throughput.
+//! * `streaming` (claim C4): successive-computation throughput;
+//! * `noise` (cost side of eqn 36's lattice): a window filled in batches
+//!   with its cosines evaluated in angle order against pointwise
+//!   `NoiseField::at` over the same window, in paired reps whose order
+//!   alternates. The paired ratios are printed and written under
+//!   `noise_paired`, not gated: they spread too widely for a threshold.
 //!
 //! Every convolution row runs on [`ConvBackend::Direct`] — the paper's
 //! per-sample convolution, whose cost these claims are about (the FFT
@@ -21,6 +26,7 @@
 //! materialise / correlate / per-band counters) as an `"obs"` section of
 //! the JSON report.
 
+use rrs_bench::harness::median_of_sorted;
 use rrs_bench::Harness;
 use rrs_grid::Window;
 use rrs_obs::Recorder;
@@ -30,8 +36,24 @@ use rrs_surface::{
     NoiseField, StripGenerator,
 };
 use std::hint::black_box;
+use std::time::Instant;
 
 const OUT: usize = 128;
+
+/// Nanoseconds to fill `buf` with the `w × h` noise window at the origin,
+/// batched through [`NoiseField::window_into`] or one [`NoiseField::at`]
+/// per sample.
+fn time_noise(noise: &NoiseField, w: usize, h: usize, pointwise: bool, buf: &mut Vec<f64>) -> f64 {
+    let t0 = Instant::now();
+    if pointwise {
+        buf.clear();
+        buf.extend((0..h as i64).flat_map(|iy| (0..w as i64).map(move |ix| noise.at(ix, iy))));
+    } else {
+        noise.window_into(0, 0, w, h, buf);
+    }
+    black_box(&buf);
+    t0.elapsed().as_nanos() as f64
+}
 
 fn main() {
     let obs_on = std::env::args().any(|a| a == "--obs");
@@ -148,6 +170,43 @@ fn main() {
             entries.join(", ")
         ),
     );
+
+    // The `strip` benchmark's fresh noise per strip is 512 × 511; 96 × 96
+    // is a small served window's.
+    let noise = NoiseField::new(6);
+    let mut buf = Vec::new();
+    let mut paired = Vec::new();
+    for (w, ht) in [(512usize, 511usize), (96, 96)] {
+        time_noise(&noise, w, ht, false, &mut buf);
+        time_noise(&noise, w, ht, true, &mut buf);
+        let pairs = h.reps() as usize;
+        let (mut batched, mut pointwise, mut ratios) = (vec![], vec![], vec![]);
+        for rep in 0..pairs {
+            // Alternate which fill goes first, so a first-half advantage
+            // averages out across pairs.
+            let first_pointwise = rep % 2 == 1;
+            let a = time_noise(&noise, w, ht, first_pointwise, &mut buf);
+            let b = time_noise(&noise, w, ht, !first_pointwise, &mut buf);
+            let (tw, tp) = if first_pointwise { (b, a) } else { (a, b) };
+            batched.push(tw);
+            pointwise.push(tp);
+            ratios.push(tp / tw);
+        }
+        let elems = Some((w * ht) as u64);
+        h.record(&format!("noise/window/{w}x{ht}"), elems, batched);
+        h.record(&format!("noise/pointwise/{w}x{ht}"), elems, pointwise);
+        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        let (median, lo, hi) = (median_of_sorted(&ratios), ratios[0], ratios[pairs - 1]);
+        println!(
+            "noise {w}x{ht}: pointwise / window median paired ratio {median:.2}x \
+             (ratios {lo:.2}..{hi:.2}, {pairs} pairs)"
+        );
+        paired.push(format!(
+            "{{\"window\": \"{w}x{ht}\", \"pairs\": {pairs}, \"median_ratio\": {median:.3}, \
+             \"min_ratio\": {lo:.3}, \"max_ratio\": {hi:.3}}}"
+        ));
+    }
+    h.attach_section("noise_paired", format!("[{}]", paired.join(", ")));
 
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
     let mut sg = StripGenerator::new(&s, KernelSizing::default(), 64, 5)

@@ -194,8 +194,10 @@ pub fn median_of_sorted(sorted: &[f64]) -> f64 {
 
 /// The facts a timing depends on, as a JSON object: the host's
 /// `available_parallelism`, the compiler (`rustc --version`), the
-/// checkout (`git rev-parse`, plus whether the tree had local changes)
-/// and the build profile. Tools that are missing report `"unknown"`.
+/// checkout (`git rev-parse`, plus whether the tree had local changes),
+/// the build profile and which copy of the FFT tile transforms the CPU
+/// runs (`rfft_path`: `"avx2"` or `"portable"`). Tools that are missing
+/// report `"unknown"`.
 pub fn host_facts() -> String {
     let run = |cmd: &str, args: &[&str]| {
         std::process::Command::new(cmd)
@@ -213,9 +215,10 @@ pub fn host_facts() -> String {
     let profile = if cfg!(debug_assertions) { "debug" } else { "release" };
     format!(
         "{{\"available_parallelism\": {parallelism}, \"rustc\": \"{}\", \"git_rev\": \"{}\", \
-         \"git_dirty\": {dirty}, \"profile\": \"{profile}\"}}",
+         \"git_dirty\": {dirty}, \"profile\": \"{profile}\", \"rfft_path\": \"{}\"}}",
         json_escape(&rustc),
         json_escape(&rev),
+        rrs_fft::rfft::tile_path(),
     )
 }
 

@@ -110,10 +110,13 @@ impl FftPlan {
     /// `1.0 / n as f64` as it stores it. With those two steps every
     /// element gets exactly the operations of [`FftPlan::process`], so each
     /// lane's result is bit-identical to it. Stages run in pairs, one pass
-    /// over the planes per pair.
+    /// over the planes per pair. Always inlined, so a caller compiled for
+    /// AVX2 (the [`RealFft2d`](crate::RealFft2d) tile entry points) runs
+    /// the lane loops 4-wide.
     ///
     /// # Panics
     /// Panics if either plane does not hold exactly `n` lanes.
+    #[inline(always)]
     pub fn butterflies_lanes(&self, re: &mut [Lane], im: &mut [Lane], dir: Direction) {
         let n = self.n;
         assert!(re.len() == n && im.len() == n, "lane planes must hold {n} elements");

@@ -31,6 +31,14 @@
 //! (`nx + 2`, or 2 when `nx = 1`), so the real row sits in its first `nx`
 //! (exactly the `z[k]` pairs the half-size trick transforms).
 //!
+//! Both entry points, [`RealFft2d::forward_in_place`] and
+//! [`RealFft2d::convolve_in_place`], run an AVX2-compiled copy of their
+//! body when the CPU has AVX2 (detected at run time) and the portable
+//! copy otherwise. The two copies are the same code: each lane gets the
+//! same IEEE operations in the same order, Rust never fuses a multiply
+//! and an add, and 4-wide AVX2 arithmetic rounds exactly like 2-wide
+//! SSE2, so both give the same bits ([`tile_path`] names the one in use).
+//!
 //! Every 1-D transform runs through [`FftPlan::butterflies_lanes`]:
 //! [`LANES`] rows (or columns) are gathered into split-complex lane planes
 //! through the bit reversal, transformed together, and stored back, the
@@ -51,6 +59,17 @@ use crate::plan::{FftPlan, Lane, LANES};
 use crate::Direction;
 use rrs_num::Complex64;
 use std::ops::Range;
+
+/// Which copy of the tile transforms this CPU runs: `"avx2"` (the same
+/// code compiled for AVX2, picked at run time) or `"portable"`. Both give
+/// the same bits.
+pub fn tile_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
 
 /// A prepared real-input 2-D transform of shape `(nx, ny)`, row-major,
 /// with power-of-two sides.
@@ -125,6 +144,27 @@ impl RealFft2d {
     /// Panics if `spec.len() != packed_len()`.
     pub fn forward_in_place(&self, spec: &mut [Complex64], scratch: &mut Vec<Lane>) {
         assert_eq!(spec.len(), self.packed_len(), "spectrum buffer shape mismatch");
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { self.forward_avx2(spec, scratch) };
+        }
+        self.forward_portable(spec, scratch);
+    }
+
+    /// [`RealFft2d::forward_in_place`]'s body, compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn forward_avx2(&self, spec: &mut [Complex64], scratch: &mut Vec<Lane>) {
+        self.forward_portable(spec, scratch);
+    }
+
+    /// [`RealFft2d::forward_in_place`]'s body, which both copies compile.
+    #[inline(always)]
+    fn forward_portable(&self, spec: &mut [Complex64], scratch: &mut Vec<Lane>) {
         let (re, im) = self.planes(scratch);
         self.forward_rows(spec, re, im);
         for c0 in (0..self.packed_width()).step_by(LANES) {
@@ -154,6 +194,39 @@ impl RealFft2d {
         assert_eq!(spec.len(), self.packed_len(), "spectrum buffer shape mismatch");
         assert_eq!(kspec.len(), self.packed_len(), "kernel spectrum shape mismatch");
         assert!(rows.end <= self.ny, "rows {rows:?} reach past the {} tile rows", self.ny);
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { self.convolve_avx2(spec, kspec, rows, scratch) };
+        }
+        self.convolve_portable(spec, kspec, rows, scratch);
+    }
+
+    /// [`RealFft2d::convolve_in_place`]'s body, compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn convolve_avx2(
+        &self,
+        spec: &mut [Complex64],
+        kspec: &[Complex64],
+        rows: Range<usize>,
+        scratch: &mut Vec<Lane>,
+    ) {
+        self.convolve_portable(spec, kspec, rows, scratch);
+    }
+
+    /// [`RealFft2d::convolve_in_place`]'s body, which both copies compile.
+    #[inline(always)]
+    fn convolve_portable(
+        &self,
+        spec: &mut [Complex64],
+        kspec: &[Complex64],
+        rows: Range<usize>,
+        scratch: &mut Vec<Lane>,
+    ) {
         let (re, im) = self.planes(scratch);
         self.forward_rows(spec, re, im);
         for c0 in (0..self.packed_width()).step_by(LANES) {
@@ -174,6 +247,7 @@ impl RealFft2d {
 
     /// Real rows → packed spectrum rows, `LANES` rows per half-length
     /// transform, then the untangle pass into each packed row.
+    #[inline(always)]
     fn forward_rows(&self, spec: &mut [Complex64], re: &mut [Lane], im: &mut [Lane]) {
         let (hw, n2) = (self.packed_width(), self.nx / 2);
         if n2 == 0 {
@@ -219,6 +293,7 @@ impl RealFft2d {
     /// [`RealFft2d::forward_rows`] exactly: the untangle backwards, then
     /// `LANES` half-length inverse transforms at once (their `2/nx` and
     /// the untangle's `1/2` compose to the row's full `1/nx`).
+    #[inline(always)]
     fn inverse_rows(&self, spec: &mut [Complex64], re: &mut [Lane], im: &mut [Lane]) {
         let (hw, n2) = (self.packed_width(), self.nx / 2);
         if n2 == 0 {
@@ -253,6 +328,7 @@ impl RealFft2d {
     /// either stored (`kspec = None`) or multiplied by the kernel spectrum
     /// into bit-reversed order, inverse-transformed and stored with the
     /// column's `1/ny`.
+    #[inline(always)]
     fn column_block(
         &self,
         spec: &mut [Complex64],
@@ -424,27 +500,64 @@ mod tests {
         }
     }
 
+    /// Edge shapes, then the tile shapes the workloads run.
+    fn test_shapes() -> impl Iterator<Item = (usize, usize)> {
+        let small = [1usize, 2, 4, 64];
+        let edges = small.into_iter().flat_map(|nx| [1usize, 2, 8, 64].map(|ny| (nx, ny)));
+        edges.chain([(32, 32), (128, 256), (256, 128), (256, 256), (512, 512)])
+    }
+
+    /// A random tile of `rfft`'s shape and a random kernel's spectrum.
+    fn tile_and_kernel(rfft: &RealFft2d) -> (Vec<f64>, Vec<Complex64>) {
+        let (nx, ny) = rfft.shape();
+        let seed = (nx * 1000 + ny) as u64;
+        (random_real(nx * ny, seed), forward(rfft, &random_real(nx * ny, seed + 1)))
+    }
+
     #[test]
     fn convolve_matches_the_scalar_transforms_bit_for_bit() {
-        for nx in [1usize, 2, 4, 64] {
-            for ny in [1usize, 2, 8, 64] {
-                let rfft = RealFft2d::new(nx, ny);
-                let x = random_real(nx * ny, (nx * 100 + ny) as u64);
-                let kernel = random_real(nx * ny, (nx * 100 + ny) as u64 + 1);
-                let kspec = forward(&rfft, &kernel);
-                let mut want = laid_out(&rfft, &x);
-                scalar::convolve(nx, ny, &mut want, &kspec);
-                // Every row, then a middle band the way overlap-save asks.
-                for rows in [0..ny, ny / 4..ny - ny / 4] {
-                    let mut got = laid_out(&rfft, &x);
-                    rfft.convolve_in_place(&mut got, &kspec, rows.clone(), &mut Vec::new());
-                    assert_eq!(
-                        bits(&real_rows(&rfft, &got, rows.clone())),
-                        bits(&real_rows(&rfft, &want, rows.clone())),
-                        "{nx}x{ny}, rows {rows:?}"
-                    );
-                }
+        for (nx, ny) in test_shapes() {
+            let rfft = RealFft2d::new(nx, ny);
+            let (x, kspec) = tile_and_kernel(&rfft);
+            let mut want = laid_out(&rfft, &x);
+            scalar::convolve(nx, ny, &mut want, &kspec);
+            // Every row, then a middle band the way overlap-save asks.
+            for rows in [0..ny, ny / 4..ny - ny / 4] {
+                let mut got = laid_out(&rfft, &x);
+                rfft.convolve_in_place(&mut got, &kspec, rows.clone(), &mut Vec::new());
+                assert_eq!(
+                    bits(&real_rows(&rfft, &got, rows.clone())),
+                    bits(&real_rows(&rfft, &want, rows.clone())),
+                    "{nx}x{ny}, rows {rows:?}"
+                );
             }
+        }
+    }
+
+    #[test]
+    fn the_portable_copy_matches_the_dispatched_one_bit_for_bit() {
+        // On an AVX2 host the public entry points run the AVX2 copy; the
+        // portable body is what every other CPU runs.
+        let spectrum_bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        for (nx, ny) in test_shapes() {
+            let rfft = RealFft2d::new(nx, ny);
+            let (x, kspec) = tile_and_kernel(&rfft);
+            let mut portable = laid_out(&rfft, &x);
+            rfft.forward_portable(&mut portable, &mut Vec::new());
+            let dispatched = forward(&rfft, &x);
+            assert_eq!(spectrum_bits(&portable), spectrum_bits(&dispatched), "{nx}x{ny}");
+            let rows = ny / 4..ny - ny / 4;
+            let mut portable = laid_out(&rfft, &x);
+            rfft.convolve_portable(&mut portable, &kspec, rows.clone(), &mut Vec::new());
+            let mut dispatched = laid_out(&rfft, &x);
+            rfft.convolve_in_place(&mut dispatched, &kspec, rows.clone(), &mut Vec::new());
+            assert_eq!(
+                bits(&real_rows(&rfft, &portable, rows.clone())),
+                bits(&real_rows(&rfft, &dispatched, rows)),
+                "{nx}x{ny}"
+            );
         }
     }
 

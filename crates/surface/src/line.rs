@@ -136,10 +136,11 @@ impl LineGenerator {
         assert!(len > 0, "profile window must be non-empty");
         let kw = self.kernel.weights.len();
         let ox = self.kernel.origin;
-        // f(n) = Σ_j w̃(j)·X(n−j): noise span [x0−(ox+kw−1), x0+len−1−ox].
-        let wx0 = x0 - (ox + kw as i64 - 1);
+        // f(n) = Σ_j w̃(j)·X(n−j): noise span [x0−(ox+kw−1), x0+len−1−ox],
+        // wrapping at the ends of i64 like the noise lattice itself.
+        let wx0 = x0.wrapping_sub(ox + kw as i64 - 1);
         let ww = len + kw - 1;
-        let win: Vec<f64> = (0..ww as i64).map(|i| self.noise.at(wx0 + i, self.row)).collect();
+        let win = self.noise.window(wx0, self.row, ww, 1);
         let heights = (0..len)
             .map(|i| {
                 let mut acc = 0.0;
@@ -236,6 +237,34 @@ mod tests {
         assert!(t.weights().len() < k.weights().len());
         let loss = ((k.energy() - t.energy()).max(0.0) / k.energy()).sqrt();
         assert!(loss <= 0.0101, "loss {loss}");
+    }
+
+    fn fnv1a(heights: &[f64]) -> u64 {
+        heights
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+    }
+
+    fn hashed_generator() -> LineGenerator {
+        LineGenerator::new(&Gaussian1d::new(LineParams::new(1.0, 6.0)), 7)
+    }
+
+    #[test]
+    fn mid_lattice_profiles_keep_their_hash() {
+        // Its noise row is longer than one fill batch and not a multiple
+        // of it. Recorded before the batched fill; never regenerated.
+        let p = hashed_generator().with_row(-3).generate(-1234, 1500);
+        assert_eq!(fnv1a(&p.heights), 0x68ad_c9d6_0881_9169);
+    }
+
+    #[test]
+    fn profiles_at_the_lattice_ends_wrap_like_release_builds() {
+        // Recorded from a release build (which wrapped) before the noise
+        // origin wrapped in every build; a test build used to panic.
+        let gen = hashed_generator();
+        let got = [i64::MIN, i64::MAX - 63].map(|x0| fnv1a(&gen.generate(x0, 64).heights));
+        assert_eq!(got, [0x996e_af3c_63c3_fa4a, 0x79fe_dbd9_c943_c7df]);
     }
 
     #[test]

@@ -12,10 +12,54 @@
 //! two odd multiplicative constants, the key seeds the SplitMix64
 //! finalizer chain, and two output words drive one Box–Muller cosine
 //! branch (the paper's eqn 18).
+//!
+//! Windows are filled row by row in batches of [`BATCH`] samples, each
+//! batch's cosines evaluated in order of angle: libm's `cos` branches on
+//! its argument's range and quadrant, and on random angles those branches
+//! mispredict. Every sample still gets exactly the operations of
+//! [`NoiseField::at`], so a window equals pointwise evaluation bit for
+//! bit.
 
 use rrs_error::RrsError;
 use rrs_num::Complex64;
 use rrs_rng::{RandomSource, SplitMix64};
+
+/// Samples per batch of the row fill; its scratch (an angle word and a
+/// `u16` index per sample) lives on the stack.
+const BATCH: usize = 1024;
+
+/// Angle buckets of the counting sort: the top 6 bits of the angle word.
+const BUCKET_BITS: u32 = 6;
+
+/// The Box–Muller inputs of the sample keyed `key`: its SplitMix64 angle
+/// word and its radius `sqrt(-2 ln u2)`.
+#[inline]
+fn angle_word_and_radius(key: u64) -> (u64, f64) {
+    let mut g = SplitMix64::new(key);
+    let word = g.next_u64();
+    let u2 = g.next_f64_open();
+    (word, (-2.0 * u2.ln()).sqrt())
+}
+
+/// The angle `2π·u1` of an angle word, `u1` being the word's top 53 bits
+/// over 2⁵³ exactly as [`RandomSource::next_f64`] forms it.
+#[inline]
+fn angle(word: u64) -> f64 {
+    core::f64::consts::TAU * ((word >> 11) as f64 * (1.0 / (1u64 << 53) as f64))
+}
+
+/// The stack scratch of one batch: each sample's angle word, and the
+/// samples' indices sorted by angle bucket.
+struct Batch {
+    words: [u64; BATCH],
+    order: [u16; BATCH],
+}
+
+impl Batch {
+    fn new() -> Self {
+        Self { words: [0; BATCH], order: [0; BATCH] }
+    }
+}
 
 /// An infinite deterministic lattice of standard normal deviates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -34,20 +78,56 @@ impl NoiseField {
         self.seed
     }
 
+    /// The lattice key of `(ix, iy)`: coordinates and seed mixed into one
+    /// word. The two constants are large odd numbers (golden-ratio and a
+    /// Murmur3 finalizer prime) so distinct lattice points land on
+    /// well-separated keys.
+    #[inline]
+    fn key(&self, ix: i64, iy: i64) -> u64 {
+        self.seed
+            .wrapping_add((ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .wrapping_add((iy as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+    }
+
     /// The `N(0,1)` deviate at lattice point `(ix, iy)` — any point of ℤ².
+    /// The definition every window fill reproduces bit for bit.
     #[inline]
     pub fn at(&self, ix: i64, iy: i64) -> f64 {
-        // Mix coordinates and seed into one word; the two constants are
-        // large odd numbers (golden-ratio and a Murmur3 finalizer prime)
-        // so distinct lattice points land on well-separated keys.
-        let key = self
-            .seed
-            .wrapping_add((ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((iy as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F));
-        let mut g = SplitMix64::new(key);
-        let u1 = core::f64::consts::TAU * g.next_f64();
-        let u2 = g.next_f64_open();
-        (-2.0 * u2.ln()).sqrt() * u1.cos()
+        let (word, radius) = angle_word_and_radius(self.key(ix, iy));
+        radius * angle(word).cos()
+    }
+
+    /// Fills `out[i]` with `at(x0 + i, y)`, the column wrapping at the ends
+    /// of the lattice, one batch of [`BATCH`] samples at a time: each
+    /// sample's angle word is kept and its radius written to `out`, the
+    /// batch is counting-sorted by the word's top bits, and each output is
+    /// multiplied by its cosine in that order. `cos` is a pure function,
+    /// so the order of the calls changes no result, and `radius · cos` is
+    /// the product [`NoiseField::at`] forms.
+    fn fill_row(&self, x0: i64, y: i64, out: &mut [f64], batch: &mut Batch) {
+        let bucket = |word: u64| (word >> (64 - BUCKET_BITS)) as usize;
+        for (b, chunk) in out.chunks_mut(BATCH).enumerate() {
+            let bx0 = x0.wrapping_add((b * BATCH) as i64);
+            let mut starts = [0u16; 1 << BUCKET_BITS];
+            for (i, (slot, word)) in chunk.iter_mut().zip(&mut batch.words).enumerate() {
+                let (w, radius) = angle_word_and_radius(self.key(bx0.wrapping_add(i as i64), y));
+                (*slot, *word) = (radius, w);
+                starts[bucket(w)] += 1;
+            }
+            let mut sum = 0;
+            for start in &mut starts {
+                (*start, sum) = (sum, sum + *start);
+            }
+            let words = &batch.words[..chunk.len()];
+            for (i, &w) in words.iter().enumerate() {
+                let start = &mut starts[bucket(w)];
+                batch.order[*start as usize] = i as u16;
+                *start += 1;
+            }
+            for &i in &batch.order[..chunk.len()] {
+                chunk[i as usize] *= angle(words[i as usize]).cos();
+            }
+        }
     }
 
     /// Fills a row-major `w × h` buffer with the window whose lower corner
@@ -73,8 +153,7 @@ impl NoiseField {
     /// Fallible [`NoiseField::window_into`]: a pathological window whose
     /// sample count `w · h` overflows `usize` is rejected with
     /// [`RrsError::InvalidParam`] instead of silently wrapping the
-    /// reserve (which would reserve a tiny buffer and then grow it
-    /// unbounded through the push loop).
+    /// buffer size (which would fill a tiny buffer with the wrong rows).
     pub fn try_window_into(
         &self,
         x0: i64,
@@ -90,14 +169,16 @@ impl NoiseField {
             )
         })?;
         out.clear();
-        out.reserve(samples);
+        if samples == 0 {
+            return Ok(());
+        }
+        out.resize(samples, 0.0);
         // Coordinates wrap like the lattice key does, so a window reaching
         // past either end of i64 continues on the other, in debug and
         // release builds alike.
-        for iy in 0..h as i64 {
-            for ix in 0..w as i64 {
-                out.push(self.at(x0.wrapping_add(ix), y0.wrapping_add(iy)));
-            }
+        let mut batch = Batch::new();
+        for (iy, row) in out.chunks_exact_mut(w).enumerate() {
+            self.fill_row(x0, y0.wrapping_add(iy as i64), row, &mut batch);
         }
         Ok(())
     }
@@ -105,12 +186,7 @@ impl NoiseField {
     /// A complex deviate with independent `N(0, 1/2)` parts (unit second
     /// moment), for spectral-domain consumers.
     pub fn at_complex(&self, ix: i64, iy: i64) -> Complex64 {
-        let key = self
-            .seed
-            .wrapping_add((ix as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add((iy as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
-            ^ 0xA5A5_5A5A_F0F0_0F0F;
-        let mut g = SplitMix64::new(key);
+        let mut g = SplitMix64::new(self.key(ix, iy) ^ 0xA5A5_5A5A_F0F0_0F0F);
         let u1 = core::f64::consts::TAU * g.next_f64();
         let u2 = g.next_f64_open();
         let r = (-u2.ln()).sqrt(); // sqrt(-2 ln u / 2)
@@ -157,19 +233,17 @@ impl NoiseWindow {
             return Ok(0);
         };
         let kept = w - d.unsigned_abs() as usize;
+        let fresh = if d >= 0 { kept..w } else { 0..w - kept };
+        let fx0 = x0.wrapping_add(fresh.start as i64);
+        let mut batch = Batch::new();
         for (iy, row) in self.buf.chunks_exact_mut(w).enumerate() {
-            let y = y0.wrapping_add(iy as i64);
             // Moved right by d: old column ix + d is new column ix.
-            let fresh = if d >= 0 {
+            if d >= 0 {
                 row.copy_within(d as usize.., 0);
-                kept..w
             } else {
                 row.copy_within(..kept, w - kept);
-                0..w - kept
-            };
-            for ix in fresh {
-                row[ix] = noise.at(x0.wrapping_add(ix as i64), y);
             }
+            noise.fill_row(fx0, y0.wrapping_add(iy as i64), &mut row[fresh.clone()], &mut batch);
         }
         self.held = Some((noise.seed(), x0, y0, w, h));
         Ok(kept * h)
@@ -210,6 +284,38 @@ mod tests {
                 assert_eq!(w[(iy * 5 + ix) as usize], f.at(-3 + ix, 4 + iy));
             }
         }
+    }
+
+    #[test]
+    fn batched_rows_equal_pointwise_bit_for_bit_in_every_bucket() {
+        // Rows of 2500: two full batches and a partial one each, with
+        // samples in all 64 angle buckets.
+        let f = NoiseField::new(2024);
+        let (x0, y0, w, h) = (-1300i64, 77i64, 2500usize, 3usize);
+        let win = f.window(x0, y0, w, h);
+        let mut buckets = 0u64;
+        for (i, v) in win.iter().enumerate() {
+            let (ix, iy) = (x0 + (i % w) as i64, y0 + (i / w) as i64);
+            assert_eq!(v.to_bits(), f.at(ix, iy).to_bits(), "({ix}, {iy})");
+            let (word, _) = angle_word_and_radius(f.key(ix, iy));
+            buckets |= 1 << (word >> (64 - BUCKET_BITS));
+        }
+        assert_eq!(buckets, u64::MAX, "every angle bucket is exercised");
+    }
+
+    #[test]
+    fn empty_windows_come_back_empty() {
+        let f = NoiseField::new(5);
+        let mut buf = vec![1.0; 4];
+        for (w, h) in [(0, 7), (7, 0), (0, 0)] {
+            f.try_window_into(3, -3, w, h, &mut buf).unwrap();
+            assert!(buf.is_empty(), "{w}x{h}");
+            assert!(f.window(3, -3, w, h).is_empty(), "{w}x{h}");
+        }
+        let mut win = NoiseWindow::default();
+        assert_eq!(win.try_fill(&f, 0, 0, 0, 5).unwrap(), 0);
+        assert_eq!(win.try_fill(&f, 1, 0, 0, 5).unwrap(), 0);
+        assert!(win.as_slice().is_empty());
     }
 
     #[test]
@@ -281,6 +387,24 @@ mod tests {
             assert_eq!(win.try_fill(&f, to, -2, w, h).unwrap(), shared * h, "{x0} -> {to}");
             assert_eq!(win.as_slice(), f.window(to, -2, w, h), "{x0} -> {to}");
             x0 = to;
+        }
+    }
+
+    #[test]
+    fn held_windows_refill_fresh_columns_across_a_batch_boundary() {
+        // 1500-wide rows moved by 1100 columns either way: the 1100 fresh
+        // columns of each row span a batch boundary, starting mid-row
+        // when moving right and ending mid-row when moving left.
+        let f = NoiseField::new(41);
+        let (w, h) = (1500, 3);
+        let mut win = NoiseWindow::default();
+        win.try_fill(&f, 50, 9, w, h).unwrap();
+        for to in [1150i64, 50, -1050] {
+            assert_eq!(win.try_fill(&f, to, 9, w, h).unwrap(), 400 * h, "to {to}");
+            for (i, v) in win.as_slice().iter().enumerate() {
+                let (ix, iy) = (to + (i % w) as i64, 9 + (i / w) as i64);
+                assert_eq!(v.to_bits(), f.at(ix, iy).to_bits(), "to {to}: ({ix}, {iy})");
+            }
         }
     }
 

@@ -236,3 +236,45 @@ fn strips_at_the_ends_of_the_lattice_wrap_like_release_builds() {
         );
     }
 }
+
+/// A `Direct` window 1500 samples wide under a 33-wide kernel: each of
+/// its 1532-sample noise rows spans more than one fill batch and ends
+/// mid-batch. Recorded before the batched fill; never regenerated.
+const WIDE_DIRECT_HASH: u64 = 0xa702_9b0b_2fa5_18bd;
+
+#[test]
+fn direct_windows_wider_than_a_noise_batch_keep_their_hash() {
+    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 6.0));
+    let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).crop(16, 2);
+    assert_eq!(kernel.extent(), (33, 5));
+    let g = ConvolutionGenerator::from_kernel(kernel)
+        .with_workers(2)
+        .with_backend(ConvBackend::Direct)
+        .generate(&NoiseField::new(23), Window::new(-700, 9, 1500, 3));
+    assert_eq!(fnv1a(&g), WIDE_DIRECT_HASH);
+}
+
+/// Three consecutive 1200-wide strips on `FftOverlapSave` under a 17×17
+/// kernel: after the first, each strip's 1200 fresh noise columns start
+/// mid-row, after the 16 it shares, and cross a fill batch boundary.
+/// Recorded before the batched fill; never regenerated.
+const WIDE_STRIP_HASHES: [u64; 3] =
+    [0x23fc_908f_7ae4_66de, 0x6590_e73d_801c_5531, 0x4cab_e138_b440_79fb];
+
+#[test]
+fn wide_fft_strips_keep_their_hashes() {
+    let s = Gaussian::new(SurfaceParams::isotropic(1.0, 2.0));
+    let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).crop(8, 8);
+    let gen = ConvolutionGenerator::from_kernel(kernel)
+        .with_workers(2)
+        .with_backend(ConvBackend::FftOverlapSave);
+    let rec = Recorder::enabled();
+    let mut sg = StripGenerator::from_generator(gen, 8, 29).with_recorder(rec.clone());
+    sg.seek(-1500);
+    let got: Vec<u64> = (0..3).map(|_| fnv1a(&sg.next_strip(1200))).collect();
+    assert_eq!(got, WIDE_STRIP_HASHES);
+    assert_eq!(
+        rec.report().counter(stage::WINDOW_REUSED_SAMPLES),
+        2 * 16 * (8 + 16)
+    );
+}
