@@ -51,7 +51,7 @@ cargo test -q --test runtime_budgets --locked --offline
 echo "== chaos torture: injected faults must surface typed or degrade bit-identical =="
 # Every FaultSite x {panic,error,cancel,deadline} over the whole pipeline:
 # zero escaped panics, every failure carries the matching ErrorKind, and
-# killing both FFT rungs degrades to the Direct backend with output
+# killing the FFT rung degrades to the Direct backend with output
 # FNV-1a-hash-identical to a clean Direct run (seeded schedules replay
 # bit-for-bit) — see tests/chaos_torture.rs.
 cargo test -q --test chaos_torture --locked --offline
@@ -83,18 +83,20 @@ echo "== obs overhead gate: disabled recorder must be free =="
 # no-recorder baseline (min-of-reps ratio >= 1.5x) — see bench_obs.
 cargo run --release --locked --offline -p rrs-bench --bin bench_obs
 
-echo "== runtime budget overhead gate: the no-budget path must stay free =="
-# Exits 1 if the budgeted primitive with Budget::unlimited is measurably
-# slower than the pre-budget primitive (min-of-reps ratio >= 1.5x), or if
-# a disabled chaos injector costs >= 1.05x the budgeted primitive —
-# see bench_runtime; armed-budget overhead is reported for information.
+echo "== row-band overhead gate: the unarmed fan-out must stay free =="
+# Exits 1 if rrs-par's row-band entry with nothing armed (unlimited
+# budget, disabled chaos and recorder) costs >= 1.15x a bare
+# std::thread::scope band loop over the same partition (median of paired
+# reps) — see bench_runtime; armed-budget and armed-chaos rows are
+# reported for information.
 cargo run --release --locked --offline -p rrs-bench --bin bench_runtime
 
 echo "== convolution backend gate: FFT must beat direct where Auto says so =="
 # Exits 1 if the overlap-save FFT engine is not >= 6x the direct loop on
-# the cl32/128x128 shape, if its tile is not >= 2.6x the complex-serial
-# engine's there, or if ConvBackend::Auto resolves to a backend
-# measurably slower than the alternative — see bench_convolution.
+# the cl32/128x128 shape, if its 512^2 real-input tile is not >= 3.5x a
+# full-complex tile (forward, multiply, inverse; median of paired reps),
+# or if ConvBackend::Auto resolves to a backend measurably slower than
+# the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
 
 echo "== figures gate: the default backend must beat Direct on the paper's figures =="

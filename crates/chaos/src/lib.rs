@@ -45,13 +45,12 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum FaultSite {
-    /// One row-slice of a worker band in `rrs-par`
-    /// (`try_par_row_chunks_mut_chaos`). Polled inside the band's
-    /// panic-containment, so `Panic` plans are caught per band.
+    /// One row-slice of a worker band in `rrs-par` (`try_par_rows`, when
+    /// a schedule is armed). Polled inside the band's panic-containment,
+    /// so `Panic` plans are caught per band.
     ParBandSlice,
-    /// One overlap-save tile in either FFT convolution engine
-    /// (`FftEngine::convolve` / `convolve_rfft`). Contained by the
-    /// degradation dispatcher's `catch_unwind`.
+    /// One overlap-save tile of the FFT convolution engine. Contained by
+    /// the tile band's or the degradation ladder's `catch_unwind`.
     FftTile,
     /// One strip emitted by `StripGenerator::try_strip_at`. Polled with
     /// [`ChaosInjector::poll_contained`].

@@ -144,11 +144,11 @@ impl Planner {
 }
 
 /// Discriminates the plan families one [`FftPlanCache`] holds behind a
-/// single keying scheme: complex plans per worker count, real-input plans
-/// serial (their callers parallelise across tiles instead).
+/// single keying scheme. Both are serial: callers that parallelise do so
+/// across tiles.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum PlanKind {
-    Complex { workers: usize },
+    Complex,
     Real,
 }
 
@@ -159,18 +159,18 @@ enum CachedPlan {
     Real(Arc<RealFft2d>),
 }
 
-/// A shared, thread-safe cache of prepared 2-D transforms — complex
-/// ([`Fft2d`], per worker count) and real-input ([`RealFft2d`]) — keyed
-/// on `(kind, nx, ny)`.
+/// A shared, thread-safe cache of prepared serial 2-D transforms —
+/// complex ([`Fft2d`]) and real-input ([`RealFft2d`]) — keyed on
+/// `(kind, nx, ny)`.
 ///
 /// [`Fft2d::new`] recomputes twiddles and bit-reversal tables on every
 /// construction; hot paths that transform the same shape repeatedly
 /// (overlap-save convolution tiles, autocorrelation / periodogram
 /// estimators, spectrum verification) fetch their plan here instead.
 /// Plans are immutable once built, so sharing one `Arc` across threads
-/// is free. The `_observed` variants tick [`stage::FFT_PLAN_HIT`] /
-/// [`stage::FFT_PLAN_MISS`] so cache effectiveness is visible in
-/// reports.
+/// is free. [`FftPlanCache::plan_real_observed`] ticks
+/// [`stage::FFT_PLAN_HIT`] / [`stage::FFT_PLAN_MISS`] so cache
+/// effectiveness is visible in reports.
 #[derive(Default)]
 pub struct FftPlanCache {
     cache: Mutex<HashMap<(PlanKind, usize, usize), CachedPlan>>,
@@ -217,38 +217,16 @@ impl FftPlanCache {
         }
     }
 
-    /// Fetches (or builds and caches) the complex `nx × ny` transform
-    /// with the given worker count.
-    pub fn plan(&self, nx: usize, ny: usize, workers: usize) -> Arc<Fft2d> {
-        self.plan_observed(nx, ny, workers, &Recorder::disabled())
-    }
-
-    /// [`FftPlanCache::plan`] with cache hits and misses ticked into
-    /// `obs` ([`stage::FFT_PLAN_HIT`] / [`stage::FFT_PLAN_MISS`]).
-    pub fn plan_observed(
-        &self,
-        nx: usize,
-        ny: usize,
-        workers: usize,
-        obs: &Recorder,
-    ) -> Arc<Fft2d> {
-        let workers = workers.max(1);
+    /// Fetches (or builds and caches) the serial complex `nx × ny`
+    /// transform.
+    pub fn plan(&self, nx: usize, ny: usize) -> Arc<Fft2d> {
         let mut cache = self.lock_recovering();
-        self.flush_poisoned(obs);
-        match cache.entry((PlanKind::Complex { workers }, nx, ny)) {
-            Entry::Occupied(slot) => {
-                obs.add_counter(stage::FFT_PLAN_HIT, 1);
-                match slot.get() {
-                    CachedPlan::Complex(p) => p.clone(),
-                    CachedPlan::Real(_) => unreachable!("complex key holds a complex plan"),
-                }
-            }
-            Entry::Vacant(slot) => {
-                obs.add_counter(stage::FFT_PLAN_MISS, 1);
-                let p = Arc::new(Fft2d::with_workers(nx, ny, workers));
-                slot.insert(CachedPlan::Complex(p.clone()));
-                p
-            }
+        let slot = cache
+            .entry((PlanKind::Complex, nx, ny))
+            .or_insert_with(|| CachedPlan::Complex(Arc::new(Fft2d::with_workers(nx, ny, 1))));
+        match slot {
+            CachedPlan::Complex(p) => p.clone(),
+            CachedPlan::Real(_) => unreachable!("complex key holds a complex plan"),
         }
     }
 
@@ -467,25 +445,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_shares_per_shape_and_workers() {
+    fn plan_cache_shares_per_shape() {
         let cache = FftPlanCache::new();
         assert!(cache.is_empty());
-        let a = cache.plan(16, 8, 1);
-        let b = cache.plan(16, 8, 1);
+        let a = cache.plan(16, 8);
+        let b = cache.plan(16, 8);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one plan");
-        let c = cache.plan(16, 8, 2);
-        assert!(!Arc::ptr_eq(&a, &c), "worker count is part of the key");
-        assert_eq!(cache.len(), 2);
-        // Worker count 0 is clamped to 1, landing on the serial plan.
-        let d = cache.plan(16, 8, 0);
-        assert!(Arc::ptr_eq(&a, &d));
+        let c = cache.plan(8, 16);
+        assert!(!Arc::ptr_eq(&a, &c), "the shape is the key");
         assert_eq!(cache.len(), 2);
     }
 
     #[test]
     fn plan_cache_keys_real_and_complex_separately() {
         let cache = FftPlanCache::new();
-        let c = cache.plan(16, 8, 1);
+        let c = cache.plan(16, 8);
         let r = cache.plan_real(16, 8);
         assert_eq!(cache.len(), 2, "real and complex plans of one shape coexist");
         let r2 = cache.plan_real(16, 8);
@@ -498,14 +472,14 @@ mod tests {
     fn observed_plan_requests_tick_hit_and_miss_counters() {
         let cache = FftPlanCache::new();
         let rec = Recorder::enabled();
-        cache.plan_observed(8, 8, 1, &rec);
         cache.plan_real_observed(8, 8, &rec);
+        cache.plan_real_observed(8, 4, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 2, "two cold builds");
         assert_eq!(report.counter(stage::FFT_PLAN_HIT), 0);
-        cache.plan_observed(8, 8, 1, &rec);
         cache.plan_real_observed(8, 8, &rec);
-        cache.plan_real_observed(8, 8, &rec);
+        cache.plan_real_observed(8, 4, &rec);
+        cache.plan_real_observed(8, 4, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 2, "warm requests build nothing");
         assert_eq!(report.counter(stage::FFT_PLAN_HIT), 3);
@@ -520,7 +494,7 @@ mod tests {
         let mut fresh = x.clone();
         Fft2d::with_workers(nx, ny, 1).process(&mut fresh, Direction::Forward);
         let mut cached = x;
-        FftPlanCache::global().plan(nx, ny, 1).process(&mut cached, Direction::Forward);
+        FftPlanCache::global().plan(nx, ny).process(&mut cached, Direction::Forward);
         assert_eq!(fresh, cached, "cached plan must be bit-identical to a fresh one");
     }
 
@@ -562,14 +536,14 @@ mod tests {
     #[test]
     fn poisoned_plan_cache_recovers_by_rebuilding() {
         let cache = FftPlanCache::new();
-        cache.plan(8, 4, 1);
+        cache.plan_real(8, 4);
         assert_eq!(cache.len(), 1);
         poison(&cache);
         // The next observed lookup recovers: the half-mutated map is
         // discarded, the recovery is flushed to the recorder, and the
         // lookup re-plans from empty.
         let rec = Recorder::enabled();
-        let a = cache.plan_observed(8, 4, 1, &rec);
+        let a = cache.plan_real_observed(8, 4, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_POISONED), 1);
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 1, "cleared cache re-plans");
@@ -577,13 +551,18 @@ mod tests {
         assert_eq!(cache.len(), 1);
         // Rebuilt plans transform identically to pre-poison ones.
         let mut rng = Xoshiro256pp::seed_from_u64(27);
-        let x: Vec<Complex64> =
-            (0..8 * 4).map(|_| Complex64::new(rng.next_f64(), rng.next_f64())).collect();
-        let mut got = x.clone();
-        a.process(&mut got, Direction::Forward);
-        let mut want = x;
-        Fft2d::with_workers(8, 4, 1).process(&mut want, Direction::Forward);
-        assert_eq!(got, want);
+        let x: Vec<f64> = (0..8 * 4).map(|_| rng.next_f64() - 0.5).collect();
+        let spectrum = |rfft: &RealFft2d| {
+            let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
+            let pitch = 2 * rfft.packed_width();
+            let rows = rrs_num::complex::as_f64s_mut(&mut spec);
+            for (r, row) in x.chunks(8).enumerate() {
+                rows[r * pitch..r * pitch + 8].copy_from_slice(row);
+            }
+            rfft.forward_in_place(&mut spec, &mut Vec::new());
+            spec
+        };
+        assert_eq!(spectrum(&a), spectrum(&RealFft2d::new(8, 4)));
     }
 
     #[test]
@@ -591,10 +570,10 @@ mod tests {
         let cache = FftPlanCache::new();
         poison(&cache);
         // An unobserved lookup recovers but has no recorder to flush to.
-        cache.plan(4, 4, 1);
+        cache.plan_real(4, 4);
         assert_eq!(cache.pending_poison_recoveries(), 1);
         let rec = Recorder::enabled();
-        cache.plan_observed(4, 4, 1, &rec);
+        cache.plan_real_observed(4, 4, &rec);
         assert_eq!(rec.report().counter(stage::FFT_PLAN_POISONED), 1);
         assert_eq!(rec.report().counter(stage::FFT_PLAN_HIT), 1, "plan survived from recovery");
         assert_eq!(cache.pending_poison_recoveries(), 0);

@@ -15,48 +15,39 @@
 //!   [`ConvBackend::Direct`]): one weights pass finds each kernel's
 //!   bounding box of nonzero weight and tags every sample that is pure
 //!   for one kernel; one noise window covers every kernel's box grown by
-//!   its reach; then, kernel by kernel in index order, the field
-//!   `w̃_i ⊛ X` is convolved over that box from a view of the shared
-//!   window through the real-input overlap-save engine (or by direct dot
-//!   products where [`ConvBackend::resolve`] picks `Direct` for the
-//!   kernel's size) and `g_i(n)·field_i(n)` is added into the output as
-//!   each tile comes off the inverse transform, so no field is ever
-//!   stored. `O(K·N log N)` instead of `O(N·|kernel|)`, equal to the
-//!   per-sample loop within 1e-9 relative error;
+//!   its reach; then, kernel by kernel in index order,
+//!   [`rrs_surface::convolve_into`] evaluates the field `w̃_i ⊛ X` over
+//!   that box from a view of the shared window — on the real-input
+//!   overlap-save engine, or by the direct loop where
+//!   [`ConvBackend::resolve`] picks `Direct` for the kernel's size — and
+//!   `g_i(n)·field_i(n)` is added into the output as each tile or row is
+//!   computed, so no field is ever stored. `O(K·N log N)` instead of
+//!   `O(N·|kernel|)`, equal to the per-sample loop within 1e-9 relative
+//!   error;
 //! * the **per-sample loop** ([`ConvBackend::Direct`], and the rung a
 //!   failed blend degrades to): one homogeneous-kernel dot product per
 //!   active kernel per sample, bit-identical to every earlier release.
+//!
+//! The blend runs down the same two-rung ladder as the homogeneous
+//! generator ([`BackendHealth::run`]), so a blend that keeps failing
+//! opens this generator's circuit breaker.
 
 use rrs_chaos::ChaosInjector;
-use rrs_error::{Budget, ErrorKind, RrsError};
+use rrs_error::{Budget, RrsError};
 use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
 use rrs_obs::{stage, ObsSink, Recorder};
 use rrs_spectrum::SpectrumModel;
-use rrs_surface::internal::{
-    convolve_rfft_into, effective_workers, plan_tiles_within, Combine, OutputRows, TileShape,
+use rrs_surface::{
+    convolve_into, convolve_into_workspace, BackendHealth, ConvBackend, ConvolutionKernel,
+    GenContext, KernelSizing, NoiseField, OutputRows,
 };
-use rrs_surface::{ConvBackend, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
-
-/// Largest overlap-save tile side the blend plans (per axis, unless the
-/// kernel itself is wider): the blend holds one kernel's working set at
-/// a time, and past 256 a bigger tile buys little speed for a lot of
-/// arena memory.
-const BLEND_MAX_TILE_SIDE: usize = 256;
 
 /// The weights pass's tag for a sample that is not pure for a single
 /// kernel below this index: the blend looks its weights up again. Any
 /// other tag is the one kernel weighing exactly 1 there.
 const BLENDED: u8 = u8::MAX;
-
-/// Failures that warrant retrying the request on a simpler evaluator:
-/// worker panics and injected faults. Budget trips, shape errors and I/O
-/// failures would recur identically on every rung, so they propagate.
-fn is_degradable(e: &RrsError) -> bool {
-    matches!(e.kind(), ErrorKind::WorkerPanicked | ErrorKind::FaultInjected)
-}
 
 /// Assigns per-sample kernel weights; implemented by
 /// [`crate::PlateLayout`] and [`crate::PointLayout`].
@@ -153,6 +144,7 @@ pub struct InhomogeneousGenerator<M> {
     map: M,
     kernels: Vec<ConvolutionKernel>,
     ctx: GenContext,
+    health: BackendHealth,
     // The union of every kernel's reach: the per-sample loop's noise
     // window margins.
     reach_left: i64,
@@ -235,6 +227,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
             map,
             kernels,
             ctx: GenContext::new(),
+            health: BackendHealth::new(),
             reach_left,
             reach_right,
             reach_down,
@@ -317,7 +310,8 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// per-sample loop within 1e-9 relative error, and is bit-identical
     /// across worker counts. A blend that fails on a worker panic or an
     /// injected fault degrades to the per-sample loop
-    /// (`conv/degraded_to_direct`).
+    /// (`conv/degraded_to_direct`), behind this generator's circuit
+    /// breaker ([`InhomogeneousGenerator::backend_health`]).
     /// [`ConvBackend::Direct`] runs the per-sample loop only and is
     /// bit-identical to previous releases; pin it to reproduce their
     /// output exactly.
@@ -358,6 +352,12 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self.ctx.plan_cache()
     }
 
+    /// This generator's circuit breaker over the degradation ladder
+    /// blend → per-sample loop.
+    pub fn backend_health(&self) -> &BackendHealth {
+        &self.health
+    }
+
     /// The kernels, in map order.
     pub fn kernels(&self) -> &[ConvolutionKernel] {
         &self.kernels
@@ -385,18 +385,14 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         // work runs.
         let samples = win.nx as u128 * win.ny as u128;
         self.admit(8 * samples + samples)?;
-        let attempt = catch_unwind(AssertUnwindSafe(|| self.generate_blended(noise, win)))
-            .unwrap_or_else(|p| Err(RrsError::worker_panicked(0, p.as_ref())));
-        match attempt {
-            // The blend failed on a worker panic or an injected fault:
-            // degrade to the per-sample loop, the bit-exact reference
-            // evaluator, which shares no FFT machinery.
-            Err(e) if is_degradable(&e) => {
-                self.ctx.recorder().add_counter(stage::CONV_DEGRADED_TO_DIRECT, 1);
-                self.generate_per_sample(noise, win)
-            }
-            other => other,
-        }
+        // A blend that fails on a worker panic or an injected fault
+        // degrades to the per-sample loop, the bit-exact reference
+        // evaluator, which shares no FFT machinery.
+        self.health.run(
+            self.ctx.recorder(),
+            || self.generate_blended(noise, win),
+            || self.generate_per_sample(noise, win),
+        )
     }
 
     /// Generates the surface samples requested by `win` from the
@@ -444,7 +440,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         let mut out = Grid2::zeros(nx, ny);
         let out_slice = out.as_mut_slice();
         let span = self.ctx.recorder().start(stage::CORRELATE);
-        rrs_par::try_par_row_chunks_mut_chaos(
+        rrs_par::try_par_rows(
             out_slice,
             nx,
             self.ctx.workers(),
@@ -493,7 +489,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// and dropped before the next is built.
     fn generate_blended(&self, noise: &NoiseField, win: Window) -> Result<Grid2<f64>, RrsError> {
         let mut tags = vec![BLENDED; win.nx * win.ny];
-        let scan = self.scan_weights(win, &mut tags);
+        let scan = self.scan_weights(win, &mut tags)?;
         // A band that tripped the budget stopped early: report it before
         // anything else is admitted or allocated.
         self.ctx.budget().check()?;
@@ -508,8 +504,12 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         let uy1 = passes.iter().map(|p| p.ly + p.wh as i64).max().unwrap_or(0);
         let (uw, uh) = ((ux1 - ux0) as usize, (uy1 - uy0) as usize);
         // Output and tags, plus the noise window and the largest tile
-        // arenas one kernel holds at a time.
-        let arenas = passes.iter().map(|p| self.arena_footprint(p)).max().unwrap_or(0);
+        // workspace one kernel holds at a time.
+        let arenas = passes
+            .iter()
+            .map(|p| convolve_into_workspace(&self.ctx, &self.kernels[p.ki], p.nx, p.ny))
+            .max()
+            .unwrap_or(0);
         let samples = win.nx as u128 * win.ny as u128;
         self.admit(8 * (samples + uw as u128 * uh as u128 + arenas) + samples)?;
         self.ctx.recorder().add_counter(stage::CONV_BACKEND_FFT, 1);
@@ -521,8 +521,6 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         let mut out = Grid2::zeros(win.nx, win.ny);
         for p in &passes {
             let ki = p.ki;
-            let kernel = &self.kernels[ki];
-            let (kw, kh) = kernel.extent();
             let view = &noise_win[(p.ly - uy0) as usize * uw + (p.lx - ux0) as usize..];
             let rows = &mut out.as_mut_slice()[p.by * win.nx..(p.by + p.ny) * win.nx];
             let out_rows = OutputRows { rows, stride: win.nx, col0: p.bx };
@@ -549,23 +547,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
                     }
                 }
             };
-            if self.ctx.backend().resolve(kw, kh) == ConvBackend::Direct {
-                self.correlate_into(p, view, uw, out_rows, &weigh)?;
-            } else {
-                convolve_rfft_into(
-                    &self.ctx,
-                    kernel,
-                    Self::tile_shape(kernel, p),
-                    view,
-                    uw,
-                    p.ww,
-                    p.wh,
-                    p.nx,
-                    p.ny,
-                    out_rows,
-                    &weigh,
-                )?;
-            }
+            convolve_into(&self.ctx, &self.kernels[ki], view, uw, p.nx, p.ny, out_rows, &weigh)?;
         }
         let obs = self.ctx.recorder();
         obs.add_counter(stage::INHOMO_PURE_SAMPLES, scan.pure);
@@ -581,109 +563,59 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// [`BLENDED`], else [`BLENDED`]. Each band polls the budget once per
     /// row and stops at the first trip, leaving the caller's next check
     /// to report it.
-    fn scan_weights(&self, win: Window, tags: &mut [u8]) -> WeightScan {
+    fn scan_weights(&self, win: Window, tags: &mut [u8]) -> Result<WeightScan, RrsError> {
         let k = self.kernels.len();
         let budget = self.ctx.budget();
         let polling = budget.needs_polling();
         let total = Mutex::new(WeightScan::new(k));
         // The row length must be positive; a zero-width window has no
-        // tags, so any positive length gives it no rows.
-        rrs_par::par_row_chunks_mut(tags, win.nx.max(1), self.ctx.workers(), |r0, band| {
-            let mut scan = WeightScan::new(k);
-            let mut weights: Vec<(usize, f64)> = Vec::with_capacity(k);
-            let mut polls = 0u64;
-            for (iy, row) in (r0..).zip(band.chunks_mut(win.nx)) {
-                if polling {
-                    polls += 1;
-                    if budget.check().is_err() {
-                        break;
-                    }
-                }
-                let gy = win.y0.wrapping_add(iy as i64) as f64;
-                for (ix, tag) in row.iter_mut().enumerate() {
-                    self.map.weights_at(win.x0.wrapping_add(ix as i64) as f64, gy, &mut weights);
-                    for &(ki, _) in &weights {
-                        let b = &mut scan.boxes[ki];
-                        *b = (b.0.min(ix), b.1.max(ix + 1), b.2.min(iy), iy + 1);
-                    }
-                    *tag = match weights[..] {
-                        [(ki, g)] if g == 1.0 && ki < usize::from(BLENDED) => ki as u8,
-                        _ => BLENDED,
-                    };
-                    if weights.len() > 1 {
-                        scan.blended += 1;
-                    } else {
-                        scan.pure += 1;
-                    }
-                    scan.evals += weights.len() as u64;
-                }
-            }
-            if polling {
-                self.ctx.recorder().add_counter(stage::BUDGET_POLLS, polls);
-            }
-            total.lock().expect("merging a band's scan never panics").merge(&scan);
-        });
-        total.into_inner().expect("merging a band's scan never panics")
-    }
-
-    /// The overlap-save tile for one kernel's box.
-    fn tile_shape(kernel: &ConvolutionKernel, p: &KernelPass) -> TileShape {
-        let (kw, kh) = kernel.extent();
-        plan_tiles_within(p.nx, p.ny, kw, kh, BLEND_MAX_TILE_SIDE)
-    }
-
-    /// f64s of tile arenas one kernel's pass holds at once: none for
-    /// direct dot products.
-    fn arena_footprint(&self, p: &KernelPass) -> u128 {
-        let kernel = &self.kernels[p.ki];
-        let (kw, kh) = kernel.extent();
-        if self.ctx.backend().resolve(kw, kh) == ConvBackend::Direct {
-            return 0;
-        }
-        let shape = Self::tile_shape(kernel, p);
-        shape.scratch_samples_real(effective_workers(shape, p.nx, p.ny, kw, kh, self.ctx.workers()))
-    }
-
-    /// The direct-loop counterpart of [`convolve_rfft_into`] for one
-    /// kernel's pass: each row of its box as dot products against
-    /// `noise_win` (the box grown by the kernel's reach, rows `pitch`
-    /// apart), merged into `out` through `combine`. Row bands run across
-    /// the workers.
-    fn correlate_into(
-        &self,
-        p: &KernelPass,
-        noise_win: &[f64],
-        pitch: usize,
-        out: OutputRows<'_>,
-        combine: Combine<'_>,
-    ) -> Result<(), RrsError> {
-        let ki = p.ki;
-        let (kw, kh) = self.kernels[ki].extent();
-        let (ox, oy) = self.kernels[ki].origin();
-        // Box sample (dx, dy) sits at noise-local (lx0 + dx, ly0 + dy).
-        let (lx0, ly0) = (ox + kw as i64 - 1, oy + kh as i64 - 1);
-        let OutputRows { rows, stride, col0 } = out;
-        let span = self.ctx.recorder().start(stage::CORRELATE);
-        rrs_par::try_par_row_chunks_mut_chaos(
-            rows,
-            stride,
+        // tags, so any positive length gives it no rows. The pass does
+        // its own per-row polling and counting, so the bands run with
+        // every hook disarmed.
+        rrs_par::try_par_rows(
+            tags,
+            win.nx.max(1),
             self.ctx.workers(),
-            self.ctx.recorder(),
-            self.ctx.budget(),
-            self.ctx.chaos(),
-            |r0, chunk| {
-                let mut field = vec![0.0; p.nx];
-                for (row_off, row) in chunk.chunks_mut(stride).enumerate() {
-                    let ly = ly0 + (r0 + row_off) as i64;
-                    for (dx, v) in field.iter_mut().enumerate() {
-                        *v = self.kernel_dot(ki, noise_win, pitch, lx0 + dx as i64, ly);
+            &Recorder::disabled(),
+            &Budget::unlimited(),
+            &ChaosInjector::disabled(),
+            |r0, band| {
+                let mut scan = WeightScan::new(k);
+                let mut weights: Vec<(usize, f64)> = Vec::with_capacity(k);
+                let mut polls = 0u64;
+                for (iy, row) in (r0..).zip(band.chunks_mut(win.nx)) {
+                    if polling {
+                        polls += 1;
+                        if budget.check().is_err() {
+                            break;
+                        }
                     }
-                    combine(r0 + row_off, 0, &mut row[col0..col0 + p.nx], &field);
+                    let gy = win.y0.wrapping_add(iy as i64) as f64;
+                    for (ix, tag) in row.iter_mut().enumerate() {
+                        self.map.weights_at(win.x0.wrapping_add(ix as i64) as f64, gy, &mut weights);
+                        for &(ki, _) in &weights {
+                            let b = &mut scan.boxes[ki];
+                            *b = (b.0.min(ix), b.1.max(ix + 1), b.2.min(iy), iy + 1);
+                        }
+                        *tag = match weights[..] {
+                            [(ki, g)] if g == 1.0 && ki < usize::from(BLENDED) => ki as u8,
+                            _ => BLENDED,
+                        };
+                        if weights.len() > 1 {
+                            scan.blended += 1;
+                        } else {
+                            scan.pure += 1;
+                        }
+                        scan.evals += weights.len() as u64;
+                    }
                 }
+                if polling {
+                    self.ctx.recorder().add_counter(stage::BUDGET_POLLS, polls);
+                }
+                total.lock().expect("merging a band's scan never panics").merge(&scan);
             },
         )?;
-        self.ctx.recorder().finish(span);
-        Ok(())
+        Ok(total.into_inner().expect("merging a band's scan never panics"))
     }
 
     /// Evaluates `(w̃_ki ⊛ X)(n)` for the sample at coordinates `(lx, ly)`
@@ -1087,7 +1019,6 @@ mod tests {
             let report = rec.report();
             assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 1);
             assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 1);
-            assert_eq!(report.counter(stage::CONV_DEGRADED_TO_FFT_SERIAL), 0);
             assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 1);
             assert_eq!(chaos.visits(FaultSite::FftTile), 1, "one rung, one tile visit");
             assert_eq!(chaos.injected(), 1);

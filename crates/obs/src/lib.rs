@@ -102,17 +102,20 @@ pub mod stage {
     pub const PAR_BANDS: &str = "par/bands";
     /// Counter: worker bands whose closure panicked.
     pub const PAR_WORKER_PANICS: &str = "par/worker_panics";
-    /// Counter: serial-fallback retries after a parallel panic.
+    /// Counter: serial-fallback retries after a parallel panic. No
+    /// longer ticked: `rrs-par` has no serial fallback. Kept so reports
+    /// that read it stay valid.
     pub const PAR_SERIAL_FALLBACKS: &str = "par/serial_fallbacks";
-    /// Counter: windows the degradation ladder re-ran on the serial
-    /// complex FFT engine after the parallel real-input engine failed.
+    /// Counter: windows re-run on the retired serial complex FFT engine.
+    /// No longer ticked: the ladder is `FftOverlapSave → Direct`. Kept
+    /// so reports that read it stay valid.
     pub const CONV_DEGRADED_TO_FFT_SERIAL: &str = "conv/degraded_to_fft_serial";
-    /// Counter: windows the degradation ladder re-ran on the direct
-    /// spatial backend after every FFT engine failed.
+    /// Counter: windows the degradation ladder re-ran on the reference
+    /// rung (the direct spatial loop, or the inhomogeneous per-sample
+    /// loop) after the fast rung failed or was skipped.
     pub const CONV_DEGRADED_TO_DIRECT: &str = "conv/degraded_to_direct";
-    /// Counter: backend attempts skipped because the per-generator
-    /// circuit breaker held that backend open (too many consecutive
-    /// failures).
+    /// Counter: fast-rung attempts skipped because the per-generator
+    /// circuit breaker held it open (too many consecutive failures).
     pub const CONV_BREAKER_SKIPS: &str = "conv/breaker_skips";
     /// Counter: FFT plan/kernel-spectrum cache locks found poisoned and
     /// rebuilt from empty instead of propagating the poison.

@@ -176,7 +176,7 @@ impl GenKey {
             factor: req.sizing_factor.to_bits(),
             min: req.sizing_min,
             max: req.sizing_max,
-            backend: backend_wire(req.options.backend),
+            backend: crate::wire::backend_to_wire(req.options.backend),
             workers: req.options.workers,
             solo: if budgeted { req.request_id } else { 0 },
         }
@@ -187,17 +187,6 @@ impl GenKey {
     fn cache_key(mut self) -> Self {
         self.solo = 0;
         self
-    }
-}
-
-fn backend_wire(b: rrs_surface::ConvBackend) -> u8 {
-    match b {
-        rrs_surface::ConvBackend::Direct => 0,
-        rrs_surface::ConvBackend::FftOverlapSave => 1,
-        rrs_surface::ConvBackend::FftComplexSerial => 2,
-        rrs_surface::ConvBackend::Auto => 3,
-        // Non-exhaustive upstream: a new variant needs a wire number.
-        _ => panic!("backend {b:?} has no wire encoding"),
     }
 }
 

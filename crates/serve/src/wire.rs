@@ -442,11 +442,17 @@ pub fn error_kind_from_wire(v: u8) -> Result<ErrorKind, RrsError> {
     })
 }
 
-fn backend_to_wire(b: ConvBackend) -> u8 {
+/// Wire number of a retired backend, `FftComplexSerial` (the complex
+/// overlap-save engine). Reserved: it is never reassigned, and a request
+/// carrying it is rejected with a typed error.
+const RETIRED_FFT_COMPLEX_SERIAL: u8 = 2;
+
+/// The backend's wire number — the one mapping the codec, the shard key
+/// and the server's coalescing key share.
+pub(crate) fn backend_to_wire(b: ConvBackend) -> u8 {
     match b {
         ConvBackend::Direct => 0,
         ConvBackend::FftOverlapSave => 1,
-        ConvBackend::FftComplexSerial => 2,
         ConvBackend::Auto => 3,
         // `ConvBackend` is non-exhaustive: a future variant must get its
         // own wire number before it can be served.
@@ -458,8 +464,15 @@ fn backend_from_wire(v: u8) -> Result<ConvBackend, RrsError> {
     Ok(match v {
         0 => ConvBackend::Direct,
         1 => ConvBackend::FftOverlapSave,
-        2 => ConvBackend::FftComplexSerial,
         3 => ConvBackend::Auto,
+        // The frame passed its checksum, so this is a well-formed request
+        // for an engine this release no longer has, not corruption.
+        RETIRED_FFT_COMPLEX_SERIAL => {
+            return Err(RrsError::invalid_param(
+                "backend",
+                "backend 2 (FftComplexSerial) is retired; request FftOverlapSave, Auto or Direct",
+            ))
+        }
         other => return Err(RrsError::corrupt_snapshot(format!("unknown backend {other}"))),
     })
 }
@@ -477,7 +490,9 @@ fn backend_from_wire(v: u8) -> Result<ConvBackend, RrsError> {
 /// generator directly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RequestOptions {
-    /// Convolution engine (`Direct` by default, like the library).
+    /// Convolution engine. `Direct` by default — unlike the library,
+    /// whose default is [`ConvBackend::Auto`] — so a request with default
+    /// options gets the same bits from every release.
     pub backend: ConvBackend,
     /// Worker threads inside the generator; 0 = the server's default.
     pub workers: u16,
@@ -993,6 +1008,26 @@ mod tests {
         let e = GenerateRequest::decode(&bad).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::InvalidParam);
         assert!(e.to_string().contains("non-empty"));
+    }
+
+    #[test]
+    fn retired_backend_byte_is_rejected_typed() {
+        // The backend byte sits just before workers, deadline and byte
+        // ceiling (2 + 4 + 8 bytes).
+        let mut bytes = sample_request().encode();
+        let at = bytes.len() - 15;
+        assert_eq!(bytes[at], backend_to_wire(ConvBackend::FftOverlapSave));
+        bytes[at] = 2;
+        let e = GenerateRequest::decode(&bytes).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::InvalidParam, "{e}");
+        assert!(e.to_string().contains("FftComplexSerial"), "{e}");
+        for (backend, wire) in
+            [(ConvBackend::Direct, 0u8), (ConvBackend::FftOverlapSave, 1), (ConvBackend::Auto, 3)]
+        {
+            assert_eq!(backend_to_wire(backend), wire);
+            assert_eq!(backend_from_wire(wire).unwrap(), backend);
+        }
+        assert_eq!(backend_from_wire(4).unwrap_err().kind(), ErrorKind::CorruptSnapshot);
     }
 
     #[test]

@@ -79,7 +79,7 @@ pub fn autocorrelation_fft(f: &Grid2<f64>) -> Grid2<f64> {
     // Drawn from the process-wide plan cache: ensemble loops call this
     // once per realisation on the same lattice, and recomputing twiddles
     // each time dominated the estimator's cost.
-    let fft = FftPlanCache::global().plan(nx, ny, 1);
+    let fft = FftPlanCache::global().plan(nx, ny);
     fft.process(&mut buf, Direction::Forward);
     for z in &mut buf {
         *z = Complex64::from_re(z.norm_sqr());

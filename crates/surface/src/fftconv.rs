@@ -1,37 +1,30 @@
-//! Overlap-save FFT convolution — the engines behind
-//! [`ConvBackend::FftOverlapSave`](crate::ConvBackend) and
-//! [`ConvBackend::FftComplexSerial`](crate::ConvBackend).
+//! Overlap-save FFT convolution — the engine behind
+//! [`ConvBackend::FftOverlapSave`](crate::ConvBackend).
 //!
 //! The direct correlate loop costs `O(nx·ny·kw·kh)`; by the convolution
 //! theorem the same surface is `IFFT(FFT(X)·FFT(w̃))` at
 //! `O(N log N)`. Materialised windows are unbounded in principle, so the
 //! engine processes them in **overlap-save tiles**: each tile loads an
 //! `fft_nx × fft_ny` segment of the noise window, transforms it,
-//! multiplies by the cached kernel spectrum, inverse-transforms, and
-//! keeps only the `(fft_nx−kw+1) × (fft_ny−kh+1)` outputs whose circular
-//! convolution never wrapped.
+//! multiplies by the kernel spectrum, inverse-transforms, and keeps only
+//! the `(fft_nx−kw+1) × (fft_ny−kh+1)` outputs whose circular convolution
+//! never wrapped.
 //!
-//! Two engines share that tiling:
+//! The transforms are the **real-input** pipeline ([`RealFft2d`],
+//! half-size complex trick, packed Hermitian spectra, transforms batched
+//! [`LANES`] rows or columns at a time), with tiles dispatched across
+//! `rrs-par` workers. Each worker owns a private [`TileArena`] (packed
+//! spectrum holding the real tile, lane workspace), so steady-state tile
+//! processing allocates nothing and workers never contend. Each tile is
+//! one [`RealFft2d::convolve_in_place`], which inverts only the tile's
+//! valid output rows. Tiles write strictly disjoint output regions, so
+//! the result is bit-identical for every worker count.
 //!
-//! * [`FftEngine::convolve_rfft`] — the **real-input** pipeline
-//!   ([`RealFft2d`], half-size complex trick, packed Hermitian spectra,
-//!   transforms batched [`LANES`] rows or columns at a time) with tiles
-//!   dispatched across `rrs-par` workers. Each worker owns a private
-//!   [`TileArena`] (packed spectrum holding the real tile, lane
-//!   workspace), so steady-state tile processing allocates nothing and
-//!   workers never contend. Each tile is one
-//!   [`RealFft2d::convolve_in_place`], which inverts only the tile's valid
-//!   output rows. Tiles write strictly disjoint output regions, so the
-//!   result is bit-identical for every worker count.
-//! * [`FftEngine::convolve`] — the full-complex serial loop, kept
-//!   reachable (via `ConvBackend::FftComplexSerial`) as the bit-for-bit
-//!   comparison baseline for the real-input path.
-//!
-//! The engine caches each kernel's packed spectrum per tile shape, which
-//! suits one kernel serving many windows. [`convolve_rfft_into`] runs the
-//! same real-input tile loop on a caller-chosen (typically
-//! [`plan_tiles_within`]-bounded) tile with a spectrum that lives only for
-//! the call, reading a pitched view of a caller-owned noise window and
+//! [`FftEngine`] caches each kernel's packed spectrum per tile shape,
+//! which suits one kernel serving many windows.
+//! [`convolve_tiles_into`] runs the same tile loop on tiles of at most
+//! [`BOX_MAX_TILE_SIDE`] a side with a spectrum that lives only for the
+//! call, reading a pitched view of a caller-owned noise window and
 //! merging each tile's outputs straight into a caller-owned output — the
 //! inhomogeneous generator's weighted per-kernel fields, which all read
 //! one shared noise window, where a cache would hold one spectrum per
@@ -65,14 +58,19 @@ use crate::context::GenContext;
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
-use rrs_fft::{Direction, FftPlanCache, Lane, RealFft2d, LANES};
+use rrs_fft::{Lane, RealFft2d, LANES};
 use rrs_grid::Grid2;
 use rrs_num::complex::{as_f64s, as_f64s_mut};
 use rrs_num::Complex64;
 use rrs_obs::{stage, ObsSink, Recorder, Shard};
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Largest overlap-save tile side [`convolve_tiles_into`] plans (per
+/// axis, unless the kernel itself is wider): its callers hold one
+/// kernel's working set at a time, and past 256 a bigger tile buys
+/// little speed for a lot of arena memory.
+const BOX_MAX_TILE_SIDE: usize = 256;
 
 /// The overlap-save tile shape chosen for one `(output, kernel)` geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -96,24 +94,16 @@ impl TileShape {
         (nx.div_ceil(vx), ny.div_ceil(vy))
     }
 
-    /// Complex workspace footprint of the full-complex serial engine for
-    /// this shape, in f64-equivalents: one tile buffer plus one cached
-    /// kernel spectrum, two f64s per complex sample each.
-    pub fn scratch_samples(&self) -> u128 {
-        4 * self.fft_nx as u128 * self.fft_ny as u128
-    }
-
     /// Packed (Hermitian, half-width-plus-one) spectrum samples per tile.
     fn packed_samples(&self) -> u128 {
         (self.fft_nx / 2 + 1) as u128 * self.fft_ny as u128
     }
 
-    /// Workspace footprint of the real-input engine at a given worker
-    /// count, in f64-equivalents: each worker arena holds a packed
-    /// spectrum (which also carries the real tile, transformed in place)
-    /// and the batched transforms' lane workspace — a real and an
-    /// imaginary plane of [`LANES`] lanes,
-    /// `2·LANES·(max(fft_nx/2, fft_ny) + 1)` f64s
+    /// Workspace footprint of the engine at a given worker count, in
+    /// f64-equivalents: each worker arena holds a packed spectrum (which
+    /// also carries the real tile, transformed in place) and the batched
+    /// transforms' lane workspace — a real and an imaginary plane of
+    /// [`LANES`] lanes, `2·LANES·(max(fft_nx/2, fft_ny) + 1)` f64s
     /// ([`RealFft2d::scratch_len`]) — and one packed kernel spectrum is
     /// shared. Deterministic in its arguments, so admission control and
     /// the convolve loop agree on the footprint.
@@ -235,26 +225,23 @@ struct SendPtr(*mut f64);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// The overlap-save engine: an [`FftPlanCache`] shared through the owning
-/// generator plus the forward transforms of its kernels — full-complex
-/// and packed-real spectra cached independently per
-/// `(kernel id, tile shape)` — so repeated windows and strip tiles never
-/// re-transform the kernel.
-pub struct FftEngine {
-    plans: Arc<FftPlanCache>,
-    kernel_ffts: Mutex<HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>>,
-    kernel_rffts: Mutex<HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>>,
+/// The homogeneous generators' overlap-save engine: the packed kernel
+/// spectrum cached per tile shape, so repeated windows and strip tiles
+/// never re-transform the kernel. Plans come from the request's
+/// [`GenContext`].
+#[derive(Default)]
+pub(crate) struct FftEngine {
+    spectra: Mutex<Spectra>,
 }
 
-/// Locks a kernel-spectrum cache, recovering from poisoning by
-/// rebuilding from empty: cached spectra are pure functions of
-/// `(kernel id, tile shape)`, so clearing trades a re-transform for
-/// never propagating the poison. Each recovery ticks
-/// [`stage::FFT_PLAN_POISONED`].
-fn lock_spectra<'a>(
-    cache: &'a Mutex<HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>>,
-    obs: &Recorder,
-) -> MutexGuard<'a, HashMap<(usize, usize, usize), Arc<Vec<Complex64>>>> {
+/// Packed kernel spectra keyed by tile shape `(fft_nx, fft_ny)`.
+type Spectra = HashMap<(usize, usize), Arc<Vec<Complex64>>>;
+
+/// Locks the kernel-spectrum cache, recovering from poisoning by
+/// rebuilding from empty: cached spectra are pure functions of the tile
+/// shape, so clearing trades a re-transform for never propagating the
+/// poison. Each recovery ticks [`stage::FFT_PLAN_POISONED`].
+fn lock_spectra<'a>(cache: &'a Mutex<Spectra>, obs: &Recorder) -> MutexGuard<'a, Spectra> {
     cache.lock().unwrap_or_else(|poisoned| {
         // Un-poison first: the rebuild makes the map coherent again, and
         // without this every later lock would re-clear it.
@@ -267,194 +254,52 @@ fn lock_spectra<'a>(
 }
 
 impl FftEngine {
-    /// Builds an engine drawing 2-D transforms from `plans`.
-    pub fn new(plans: Arc<FftPlanCache>) -> Self {
-        Self {
-            plans,
-            kernel_ffts: Mutex::new(HashMap::new()),
-            kernel_rffts: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The plan cache this engine draws 2-D transforms from.
-    pub fn plans(&self) -> &Arc<FftPlanCache> {
-        &self.plans
-    }
-
-    /// The full-complex kernel spectrum on the `tile` lattice: the kernel
-    /// weights zero-padded at the tile origin and forward-transformed
-    /// once, then cached under `kernel_id` (callers with several kernels
-    /// — the inhomogeneous blender — key each one distinctly).
+    /// The packed kernel spectrum on `rfft`'s tile lattice, transformed
+    /// once per tile shape.
     fn kernel_spectrum(
         &self,
-        kernel_id: usize,
-        kernel: &ConvolutionKernel,
-        tile: TileShape,
-        workers: usize,
-        obs: &Recorder,
-    ) -> Arc<Vec<Complex64>> {
-        let key = (kernel_id, tile.fft_nx, tile.fft_ny);
-        if let Some(cached) = lock_spectra(&self.kernel_ffts, obs).get(&key) {
-            return cached.clone();
-        }
-        let (kw, kh) = kernel.extent();
-        let weights = kernel.weights();
-        let mut buf = vec![Complex64::ZERO; tile.fft_nx * tile.fft_ny];
-        for b in 0..kh {
-            let krow = weights.row(b);
-            let dst = &mut buf[b * tile.fft_nx..b * tile.fft_nx + kw];
-            for (slot, &v) in dst.iter_mut().zip(krow) {
-                *slot = Complex64::from_re(v);
-            }
-        }
-        self.plans.plan(tile.fft_nx, tile.fft_ny, workers).process(&mut buf, Direction::Forward);
-        let arc = Arc::new(buf);
-        lock_spectra(&self.kernel_ffts, obs).entry(key).or_insert(arc).clone()
-    }
-
-    /// The packed-real kernel spectrum on `rfft`'s tile lattice,
-    /// transformed once and cached like [`FftEngine::kernel_spectrum`].
-    fn kernel_spectrum_real(
-        &self,
-        kernel_id: usize,
         kernel: &ConvolutionKernel,
         rfft: &RealFft2d,
         obs: &Recorder,
     ) -> Arc<Vec<Complex64>> {
-        let (fx, fy) = rfft.shape();
-        let key = (kernel_id, fx, fy);
-        if let Some(cached) = lock_spectra(&self.kernel_rffts, obs).get(&key) {
+        let key = rfft.shape();
+        if let Some(cached) = lock_spectra(&self.spectra, obs).get(&key) {
             return cached.clone();
         }
         let arc = Arc::new(packed_kernel_spectrum(kernel, rfft));
-        lock_spectra(&self.kernel_rffts, obs).entry(key).or_insert(arc).clone()
+        lock_spectra(&self.spectra, obs).entry(key).or_insert(arc).clone()
     }
 
-    /// Convolves a materialised `ww × wh` noise window with `kernel`,
-    /// producing the `nx × ny` output — the exact sum the direct loop
-    /// computes (`out[ix,iy] = Σ w̃[a,b]·win[ix+kw−1−a, iy+kh−1−b]`) —
-    /// through the **real-input** overlap-save pipeline, with tiles
-    /// dispatched across up to `workers` threads. The attached budget is
+    /// Convolves the materialised `(nx+kw−1) × (ny+kh−1)` noise window
+    /// `win` with `kernel`, producing the `nx × ny` output — the exact
+    /// sum the direct loop computes
+    /// (`out[ix,iy] = Σ w̃[a,b]·win[ix+kw−1−a, iy+kh−1−b]`) — with tiles
+    /// dispatched across the context's workers. The context's budget is
     /// polled once per tile (ticking [`stage::BUDGET_POLLS`]), so
     /// deadlines and cancellation take effect at tile granularity on
     /// every worker; a panicking worker is contained and reported as
     /// [`RrsError::WorkerPanicked`]. Output is bit-identical for every
     /// worker count: tiles own disjoint output regions and per-tile
     /// arithmetic never depends on the partition.
-    #[allow(clippy::too_many_arguments)]
-    pub fn convolve_rfft(
+    pub(crate) fn convolve(
         &self,
-        kernel_id: usize,
+        ctx: &GenContext,
         kernel: &ConvolutionKernel,
         win: &[f64],
-        ww: usize,
-        wh: usize,
         nx: usize,
         ny: usize,
-        workers: usize,
-        obs: &Recorder,
-        budget: &Budget,
-        chaos: &ChaosInjector,
     ) -> Result<Grid2<f64>, RrsError> {
         let (kw, kh) = kernel.extent();
         let tile_shape = plan_tiles(nx, ny, kw, kh);
         // Parallelism lives at the tile level: one plan is shared by
         // every arena (plans are immutable).
-        chaos.poll(FaultSite::PlanCacheLookup)?;
-        let rfft = self.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, obs);
-        let kspec = self.kernel_spectrum_real(kernel_id, kernel, &rfft, obs);
+        ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
+        let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
+        let kspec = self.kernel_spectrum(kernel, &rfft, &ctx.obs);
         let mut out = Grid2::zeros(nx, ny);
+        let ww = nx + kw - 1;
         let rows = OutputRows { rows: out.as_mut_slice(), stride: nx, col0: 0 };
-        let exec = (workers, obs, budget, chaos);
-        run_rfft(&rfft, &kspec, kernel, win, ww, ww, wh, nx, ny, exec, rows, &store)?;
-        Ok(out)
-    }
-
-    /// Convolves a materialised `ww × wh` noise window with `kernel`
-    /// through the **full-complex serial** overlap-save loop — the
-    /// baseline the real-input pipeline is compared against. Computes the
-    /// same sum as [`FftEngine::convolve_rfft`] and the direct loop; the
-    /// attached budget is polled once per tile.
-    #[allow(clippy::too_many_arguments)]
-    pub fn convolve(
-        &self,
-        kernel_id: usize,
-        kernel: &ConvolutionKernel,
-        win: &[f64],
-        ww: usize,
-        wh: usize,
-        nx: usize,
-        ny: usize,
-        workers: usize,
-        obs: &Recorder,
-        budget: &Budget,
-        chaos: &ChaosInjector,
-    ) -> Result<Grid2<f64>, RrsError> {
-        let (kw, kh) = kernel.extent();
-        debug_assert_eq!(win.len(), ww * wh);
-        debug_assert_eq!(ww, nx + kw - 1);
-        debug_assert_eq!(wh, ny + kh - 1);
-        let tile_shape = plan_tiles(nx, ny, kw, kh);
-        let (fx, fy) = (tile_shape.fft_nx, tile_shape.fft_ny);
-        let (vx, vy) = tile_shape.valid(kw, kh);
-        chaos.poll(FaultSite::PlanCacheLookup)?;
-        let fft = self.plans.plan_observed(fx, fy, workers, obs);
-        let kspec = self.kernel_spectrum(kernel_id, kernel, tile_shape, workers, obs);
-        let polling = budget.needs_polling();
-
-        let mut out = Grid2::zeros(nx, ny);
-        let out_slice = out.as_mut_slice();
-        let mut tile = vec![Complex64::ZERO; fx * fy];
-        let span = obs.start(stage::CORRELATE);
-        let mut tiles = 0u64;
-        let mut oy = 0;
-        while oy < ny {
-            let mut ox = 0;
-            while ox < nx {
-                if polling {
-                    obs.add_counter(stage::BUDGET_POLLS, 1);
-                    budget.check()?;
-                }
-                chaos.poll(FaultSite::FftTile)?;
-                // Gather the segment [ox, ox+fx) × [oy, oy+fy) of the
-                // window, zero-padded past its edges.
-                let cols = (ww - ox).min(fx);
-                for ty in 0..fy {
-                    let trow = &mut tile[ty * fx..(ty + 1) * fx];
-                    let wy = oy + ty;
-                    if wy < wh {
-                        let wrow = &win[wy * ww + ox..wy * ww + ox + cols];
-                        for (slot, &v) in trow.iter_mut().zip(wrow) {
-                            *slot = Complex64::from_re(v);
-                        }
-                        trow[cols..].fill(Complex64::ZERO);
-                    } else {
-                        trow.fill(Complex64::ZERO);
-                    }
-                }
-                fft.process(&mut tile, Direction::Forward);
-                for (z, k) in tile.iter_mut().zip(kspec.iter()) {
-                    *z = *z * *k;
-                }
-                fft.process(&mut tile, Direction::Inverse);
-                // Scatter the non-wrapped outputs.
-                let cx = (nx - ox).min(vx);
-                let cy = (ny - oy).min(vy);
-                for dy in 0..cy {
-                    let src = (kh - 1 + dy) * fx + (kw - 1);
-                    let dst = (oy + dy) * nx + ox;
-                    for dx in 0..cx {
-                        out_slice[dst + dx] = tile[src + dx].re;
-                    }
-                }
-                tiles += 1;
-                ox += vx;
-            }
-            oy += vy;
-        }
-        obs.finish(span);
-        obs.add_counter(stage::CONV_FFT_TILES, tiles);
-        obs.add_counter(stage::CORRELATE_SAMPLES, (nx * ny) as u64);
+        run_rfft(ctx, &rfft, &kspec, kernel, win, ww, nx, ny, rows, &store)?;
         Ok(out)
     }
 }
@@ -474,9 +319,9 @@ fn packed_kernel_spectrum(kernel: &ConvolutionKernel, rfft: &RealFft2d) -> Vec<C
     spec
 }
 
-/// A caller-owned output region for [`convolve_rfft_into`]: `rows` holds
-/// the request's `ny` output rows, `stride` f64s apart, and request
-/// column `ix` lands at column `col0 + ix` of each row.
+/// A caller-owned output region: `rows` holds the request's `ny` output
+/// rows, `stride` f64s apart, and request column `ix` lands at column
+/// `col0 + ix` of each row.
 pub struct OutputRows<'a> {
     /// The rows, row-major.
     pub rows: &'a mut [f64],
@@ -486,156 +331,121 @@ pub struct OutputRows<'a> {
     pub col0: usize,
 }
 
-/// How a tile's valid outputs merge into the output:
+/// How computed outputs merge into an [`OutputRows`]:
 /// `combine(iy, ix, dst, src)` receives request row `iy`, its columns
 /// `[ix, ix + src.len())` as `src`, and the matching segment of the
-/// output as `dst`.
+/// output as `dst`. Each output sample is delivered exactly once, so
+/// `combine` may read-modify-write `dst` freely.
 pub type Combine<'a> = &'a (dyn Fn(usize, usize, &mut [f64], &[f64]) + Sync);
 
-/// The real-input engine's `FftEngine::convolve_rfft` on a caller-chosen
-/// `tile_shape`, with the kernel spectrum transformed for this call alone
-/// and dropped on return, merging the outputs into `out` through
-/// `combine` instead of returning a fresh grid: nothing but the shared
-/// plan outlives the call, and no output-sized buffer is allocated. Each
-/// output sample is delivered exactly once, by the one worker that owns
-/// its tile, so `combine` may read-modify-write `dst` freely. For callers
-/// that weight many kernels' fields into one output, once each.
-///
-/// The `ww × wh` noise window is a view: row `r` starts at
-/// `win[r · pitch]`, so several kernels can read rectangles of one larger
-/// window (`pitch` is that window's width; a window of its own passes
-/// `ww`).
+/// The tile shape [`convolve_tiles_into`] plans for an `nx × ny` box
+/// under `kernel`.
+fn box_tile_shape(kernel: &ConvolutionKernel, nx: usize, ny: usize) -> TileShape {
+    let (kw, kh) = kernel.extent();
+    plan_tiles_within(nx, ny, kw, kh, BOX_MAX_TILE_SIDE)
+}
+
+/// f64s of tile workspace [`convolve_tiles_into`] allocates for an
+/// `nx × ny` box at `workers` workers: the arenas of the workers it
+/// runs, and the kernel spectrum.
+pub(crate) fn box_scratch_samples(
+    kernel: &ConvolutionKernel,
+    nx: usize,
+    ny: usize,
+    workers: usize,
+) -> u128 {
+    let (kw, kh) = kernel.extent();
+    let shape = box_tile_shape(kernel, nx, ny);
+    shape.scratch_samples_real(effective_workers(shape, nx, ny, kw, kh, workers))
+}
+
+/// [`FftEngine::convolve`] on [`box_tile_shape`]'s tiles, with the
+/// kernel spectrum transformed for this call alone and dropped on
+/// return, merging the outputs into `out` through `combine` instead of
+/// returning a fresh grid: nothing but the shared plan outlives the
+/// call, and no output-sized buffer is allocated. `win` holds the
+/// `(nx+kw−1) × (ny+kh−1)` noise window's rows `pitch` apart.
 #[allow(clippy::too_many_arguments)]
-pub fn convolve_rfft_into(
+pub(crate) fn convolve_tiles_into(
     ctx: &GenContext,
     kernel: &ConvolutionKernel,
-    tile_shape: TileShape,
     win: &[f64],
     pitch: usize,
-    ww: usize,
-    wh: usize,
     nx: usize,
     ny: usize,
     out: OutputRows<'_>,
     combine: Combine<'_>,
 ) -> Result<(), RrsError> {
-    assert!(
-        out.col0 + nx <= out.stride && out.rows.len() == ny * out.stride,
-        "output rows must cover the {nx}x{ny} request"
-    );
+    let tile_shape = box_tile_shape(kernel, nx, ny);
     ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
     let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
     let kspec = packed_kernel_spectrum(kernel, &rfft);
-    let exec = (ctx.workers, &ctx.obs, &ctx.budget, &ctx.chaos);
-    run_rfft(&rfft, &kspec, kernel, win, pitch, ww, wh, nx, ny, exec, out, combine)
+    run_rfft(ctx, &rfft, &kspec, kernel, win, pitch, nx, ny, out, combine)
 }
 
 /// [`Combine`] for a plain convolution: overwrite.
-fn store(_iy: usize, _ix: usize, dst: &mut [f64], src: &[f64]) {
+pub(crate) fn store(_iy: usize, _ix: usize, dst: &mut [f64], src: &[f64]) {
     dst.copy_from_slice(src);
 }
 
-/// Convolves through the real-input pipeline with an already-planned
-/// transform and kernel spectrum, merging into `out` through `combine`:
-/// the tile loop shared by [`FftEngine::convolve_rfft`] and
-/// [`convolve_rfft_into`]. `win` holds the `ww × wh` noise window's rows
-/// `win_pitch` apart. `exec` is `(workers, recorder, budget, chaos)`.
-/// Each worker allocates its own arena.
+/// Convolves with an already-planned transform and kernel spectrum,
+/// merging into `out` through `combine`: the tile loop shared by
+/// [`FftEngine::convolve`] and [`convolve_tiles_into`]. `win` holds the
+/// `(nx+kw−1) × (ny+kh−1)` noise window's rows `win_pitch` apart. Each
+/// worker allocates its own arena.
 #[allow(clippy::too_many_arguments)]
 fn run_rfft(
+    ctx: &GenContext,
     rfft: &RealFft2d,
     kspec: &[Complex64],
     kernel: &ConvolutionKernel,
     win: &[f64],
     win_pitch: usize,
-    ww: usize,
-    wh: usize,
     nx: usize,
     ny: usize,
-    (workers, obs, budget, chaos): (usize, &Recorder, &Budget, &ChaosInjector),
     out: OutputRows<'_>,
     combine: Combine<'_>,
 ) -> Result<(), RrsError> {
     let (kw, kh) = kernel.extent();
+    let (ww, wh) = (nx + kw - 1, ny + kh - 1);
+    assert!(
+        out.col0 + nx <= out.stride && out.rows.len() == ny * out.stride,
+        "output rows must cover the {nx}x{ny} request"
+    );
     debug_assert!(ww <= win_pitch && (wh == 0 || win.len() >= (wh - 1) * win_pitch + ww));
-    debug_assert_eq!(ww, nx + kw - 1);
-    debug_assert_eq!(wh, ny + kh - 1);
     let (fx, fy) = rfft.shape();
     let tile_shape = TileShape { fft_nx: fx, fft_ny: fy };
     let (tiles_x, tiles_y) = tile_shape.tiles(nx, ny, kw, kh);
     let total = tiles_x * tiles_y;
-    let workers = effective_workers(tile_shape, nx, ny, kw, kh, workers);
+    let workers = effective_workers(tile_shape, nx, ny, kw, kh, ctx.workers);
     let (vx, vy) = tile_shape.valid(kw, kh);
     let (stride, col0) = (out.stride, out.col0);
     let pitch = 2 * rfft.packed_width();
     let geom =
         TileGeom { nx, ny, stride, col0, ww, wh, win_pitch, kw, kh, fx, fy, pitch, vx, vy, tiles_x };
+    let (obs, budget, chaos) = (&ctx.obs, &ctx.budget, &ctx.chaos);
     let polling = budget.needs_polling();
 
     let out_ptr = SendPtr(out.rows.as_mut_ptr());
-    let span = obs.start(stage::CORRELATE);
-    if workers == 1 {
+    // One band of tiles through its own arena; its counters are merged
+    // whether or not the band finishes.
+    let tile_band = |tiles: std::ops::Range<usize>| {
         let mut arena = TileArena::new(rfft);
         let mut shard = obs.shard();
         let result = run_tile_range(
-            0, total, geom, win, rfft, kspec, out_ptr, combine, &mut arena, &mut shard,
-            budget, polling, chaos,
+            tiles, geom, win, rfft, kspec, out_ptr, combine, &mut arena, &mut shard, budget,
+            polling, chaos,
         );
         obs.absorb(shard);
-        result?;
+        result
+    };
+    let span = obs.start(stage::CORRELATE);
+    if workers == 1 {
+        tile_band(0..total)?;
     } else {
-        let ranges = rrs_par::split_range(total, workers);
-        let bands = ranges.len() as u64;
-        let results: Vec<Result<Shard, RrsError>> = rrs_par::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .enumerate()
-                .map(|(band, &(t0, t1))| {
-                    s.spawn(move || {
-                        // Rebind the Send wrapper, not its pointer field.
-                        #[allow(clippy::redundant_locals)]
-                        let out_ptr = out_ptr;
-                        catch_unwind(AssertUnwindSafe(|| {
-                            let mut arena = TileArena::new(rfft);
-                            let mut shard = obs.shard();
-                            run_tile_range(
-                                t0, t1, geom, win, rfft, kspec, out_ptr, combine, &mut arena,
-                                &mut shard, budget, polling, chaos,
-                            )
-                            .map(|()| shard)
-                        }))
-                        .unwrap_or_else(|p| Err(RrsError::worker_panicked(band, p.as_ref())))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker result survives catch_unwind"))
-                .collect()
-        });
-        obs.add_counter(stage::PAR_BANDS, bands);
-        // Lowest failed band wins, matching the `rrs-par` primitives;
-        // shards from successful bands are still absorbed so counters
-        // reflect the work actually done.
-        let mut first: Option<RrsError> = None;
-        for result in results {
-            match result {
-                Ok(shard) => obs.absorb(shard),
-                Err(e) => {
-                    if e.kind() == rrs_error::ErrorKind::WorkerPanicked {
-                        obs.add_counter(stage::PAR_WORKER_PANICS, 1);
-                    }
-                    if first.is_none() {
-                        first = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first {
-            // The span is dropped unfinished: a failed correlate
-            // records no timing, like every other error path.
-            return Err(e);
-        }
+        // A failed band drops the span unfinished: a failed correlate
+        // records no timing, like every other error path.
+        rrs_par::try_par_ranges(total, workers, obs, tile_band)?;
         obs.add_counter(stage::CONV_TILES_PARALLEL, total as u64);
     }
     obs.finish(span);
@@ -644,14 +454,13 @@ fn run_rfft(
     Ok(())
 }
 
-/// Processes the flattened tile indices `[t0, t1)` through one arena:
+/// Processes the flattened tile indices `tiles` through one arena:
 /// gather (zero-padded), then one [`RealFft2d::convolve_in_place`]
 /// (forward transform, packed multiply, inverse of the valid rows only),
 /// and `combine` of the non-wrapped outputs into `out`.
 #[allow(clippy::too_many_arguments)]
 fn run_tile_range(
-    t0: usize,
-    t1: usize,
+    tiles: std::ops::Range<usize>,
     g: TileGeom,
     win: &[f64],
     rfft: &RealFft2d,
@@ -664,7 +473,7 @@ fn run_tile_range(
     polling: bool,
     chaos: &ChaosInjector,
 ) -> Result<(), RrsError> {
-    for t in t0..t1 {
+    for t in tiles {
         if polling {
             shard.add(stage::BUDGET_POLLS, 1);
             budget.check()?;
@@ -695,9 +504,9 @@ fn run_tile_range(
         for dy in 0..cy {
             let src = &tile[(g.kh - 1 + dy) * g.pitch + (g.kw - 1)..][..cx];
             // SAFETY: rows [oy, oy+cy) × cols [ox, ox+cx) of the output
-            // belong to tile t alone, and `run_rfft`'s caller checked they
-            // lie inside `out`; the enclosing scope keeps the allocation
-            // alive for every worker.
+            // belong to tile t alone, and `run_rfft` checked they lie
+            // inside `out`; the enclosing scope keeps the allocation alive
+            // for every worker.
             let dst = unsafe {
                 std::slice::from_raw_parts_mut(out.0.add((oy + dy) * g.stride + g.col0 + ox), cx)
             };

@@ -114,7 +114,7 @@ impl ConvolutionKernel {
             v.as_slice().iter().map(|&x| Complex64::from_re(x)).collect();
         // Inhomogeneous layouts build several kernels on one lattice; the
         // process-wide plan cache transforms them with shared tables.
-        FftPlanCache::global().plan(nx, ny, 1).process(&mut buf, Direction::Forward);
+        FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward);
         obs.finish(span);
         let span = obs.start(stage::KERNEL_PERMUTE);
         let norm = 1.0 / ((nx * ny) as f64).sqrt();

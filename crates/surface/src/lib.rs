@@ -32,19 +32,12 @@ pub mod noise;
 pub mod stream;
 
 pub use context::GenContext;
-pub use conv::{BackendHealth, ConvBackend, ConvolutionGenerator};
-
-#[doc(hidden)]
-pub mod internal {
-    //! Workspace-internal seam: the real-input overlap-save engine and
-    //! its tile planner, shared with `rrs-inhomo` so each kernel of a
-    //! blended window runs through the same FFT path as the homogeneous
-    //! generator. Not a stable public API.
-    pub use crate::fftconv::{
-        convolve_rfft_into, effective_workers, plan_tiles, plan_tiles_within, Combine,
-        OutputRows, TileShape,
-    };
-}
+pub use conv::{
+    convolve_into, convolve_into_workspace, BackendHealth, ConvBackend, ConvolutionGenerator,
+};
+pub use fftconv::{
+    effective_workers, plan_tiles, plan_tiles_within, Combine, OutputRows, TileShape,
+};
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};
 pub use line::{LineGenerator, LineKernel};

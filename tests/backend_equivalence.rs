@@ -2,9 +2,8 @@
 //!
 //! Three contracts pin the convolution backends:
 //!
-//! * `ConvBackend::FftOverlapSave` (the parallel real-input pipeline) and
-//!   `ConvBackend::FftComplexSerial` (the preserved complex baseline)
-//!   compute the *same sum* as `ConvBackend::Direct` in the frequency
+//! * `ConvBackend::FftOverlapSave` (the parallel real-input pipeline)
+//!   computes the *same sum* as `ConvBackend::Direct` in the frequency
 //!   domain — equal within 1e-9 relative error across spectrum families,
 //!   anisotropic correlation lengths, truncated and full kernels,
 //!   worker counts, and strip-tile seams — and the real-input engine is
@@ -199,7 +198,7 @@ fn width_one_kernels() -> [ConvolutionKernel; 3] {
 }
 
 #[test]
-fn width_one_kernels_match_direct_on_both_fft_engines() {
+fn width_one_kernels_match_direct_on_the_fft_engine() {
     use rrs::obs::stage;
     let noise = NoiseField::new(61);
     let win = Window::new(-5, 7, 23, 41);
@@ -209,23 +208,20 @@ fn width_one_kernels_match_direct_on_both_fft_engines() {
         let direct = ConvolutionGenerator::from_kernel(kernel.clone())
             .with_backend(ConvBackend::Direct)
             .generate(&noise, win);
-        for backend in [ConvBackend::FftOverlapSave, ConvBackend::FftComplexSerial] {
-            for workers in [1, 2] {
-                let rec = Recorder::enabled();
-                let got = ConvolutionGenerator::from_kernel(kernel.clone())
-                    .with_workers(workers)
-                    .with_backend(backend)
-                    .with_recorder(rec.clone())
-                    .try_generate(&noise, win)
-                    .unwrap();
-                let what = format!("{shape:?} kernel, {backend:?}, {workers} workers");
-                assert_close(&direct, &got, 1e-9, &what);
-                // Served by the engine itself, not by a fallback rung.
-                let report = rec.report();
-                assert!(report.counter(stage::CONV_FFT_TILES) > 0, "{what}");
-                assert_eq!(report.counter(stage::CONV_DEGRADED_TO_FFT_SERIAL), 0, "{what}");
-                assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "{what}");
-            }
+        for workers in [1, 2] {
+            let rec = Recorder::enabled();
+            let got = ConvolutionGenerator::from_kernel(kernel.clone())
+                .with_workers(workers)
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_recorder(rec.clone())
+                .try_generate(&noise, win)
+                .unwrap();
+            let what = format!("{shape:?} kernel, {workers} workers");
+            assert_close(&direct, &got, 1e-9, &what);
+            // Served by the engine itself, not by the fallback rung.
+            let report = rec.report();
+            assert!(report.counter(stage::CONV_FFT_TILES) > 0, "{what}");
+            assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "{what}");
         }
     }
 }
@@ -323,14 +319,13 @@ fn correlate_window_api_matches_generate() {
     assert_eq!(err.kind(), ErrorKind::InvalidParam);
 }
 
-// --- Real-input engine: ≡ complex-serial ≡ Direct, across worker counts. ---
+// --- Real-input engine: ≡ Direct, across worker counts. ---
 
 #[test]
-fn real_fft_matches_complex_serial_and_direct_across_worker_counts() {
-    // Three engines, one sum: the parallel real-input pipeline
-    // (FftOverlapSave), the preserved complex serial engine
-    // (FftComplexSerial), and the Direct reference must agree within
-    // 1e-9 for every worker count — including whatever the host actually
+fn real_fft_matches_direct_across_worker_counts() {
+    // Two engines, one sum: the parallel real-input pipeline
+    // (FftOverlapSave) and the Direct reference must agree within 1e-9
+    // for every worker count — including whatever the host actually
     // has — on an anisotropic truncated kernel with an offset window.
     let s = Gaussian::new(SurfaceParams::new(1.1, 9.0, 4.0));
     let k = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-4);
@@ -345,12 +340,7 @@ fn real_fft_matches_complex_serial_and_direct_across_worker_counts() {
             .with_workers(workers)
             .with_backend(ConvBackend::FftOverlapSave)
             .generate(&noise, win);
-        let serial = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(workers)
-            .with_backend(ConvBackend::FftComplexSerial)
-            .generate(&noise, win);
         assert_close(&direct, &rfft, 1e-9, &format!("rfft vs direct, workers={workers}"));
-        assert_close(&direct, &serial, 1e-9, &format!("complex vs direct, workers={workers}"));
     }
 }
 
@@ -503,7 +493,7 @@ fn serve_sized_fft_windows_keep_their_hashes() {
 #[test]
 fn plan_cache_and_parallel_tiles_are_observed() {
     use rrs::obs::stage;
-    use rrs_surface::internal::{effective_workers, plan_tiles};
+    use rrs_surface::{effective_workers, plan_tiles};
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
     let k = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
     let (kw, kh) = k.extent();
@@ -639,30 +629,18 @@ rrs_check::props! {
             .with_workers(workers)
             .with_backend(ConvBackend::Direct)
             .generate(&noise, win);
-        let fft = ConvolutionGenerator::from_kernel(kernel.clone())
+        let fft = ConvolutionGenerator::from_kernel(kernel)
             .with_workers(workers)
             .with_backend(ConvBackend::FftOverlapSave)
             .generate(&noise, win);
-        let serial = ConvolutionGenerator::from_kernel(kernel)
-            .with_workers(workers)
-            .with_backend(ConvBackend::FftComplexSerial)
-            .generate(&noise, win);
         let scale = direct.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max).max(1e-30);
-        for (i, ((a, b), c)) in direct
-            .as_slice()
-            .iter()
-            .zip(fft.as_slice())
-            .zip(serial.as_slice())
-            .enumerate()
-        {
-            for (engine, v) in [("rfft", b), ("complex", c)] {
-                let rel = (a - v).abs() / scale;
-                assert!(
-                    rel <= 1e-9,
-                    "{engine}: family {} {}x{} trunc {:?} sample {i}: rel err {rel:e}",
-                    case.family, case.nx, case.ny, case.truncate
-                );
-            }
+        for (i, (a, b)) in direct.as_slice().iter().zip(fft.as_slice()).enumerate() {
+            let rel = (a - b).abs() / scale;
+            assert!(
+                rel <= 1e-9,
+                "family {} {}x{} trunc {:?} sample {i}: rel err {rel:e}",
+                case.family, case.nx, case.ny, case.truncate
+            );
         }
     }
 
@@ -963,7 +941,7 @@ fn deadline_during_the_weights_pass_stops_it_at_the_next_row() {
 #[test]
 fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
     use rrs::obs::stage;
-    use rrs_surface::internal::{effective_workers, plan_tiles_within};
+    use rrs_surface::{effective_workers, plan_tiles_within};
     let noise = NoiseField::new(21);
     let gen = pond_in_field(ConvBackend::Auto, 2);
     let with_ceiling = |max: u128, rec: &Recorder| {
@@ -1042,53 +1020,109 @@ fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
 #[test]
 fn max_bytes_at_the_homogeneous_fft_footprint_is_admitted_and_one_byte_less_rejected() {
     use rrs::obs::stage;
-    use rrs_surface::internal::{effective_workers, plan_tiles};
+    use rrs_surface::{effective_workers, plan_tiles};
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
     let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
     let (kw, kh) = kernel.extent();
+    let (ox, oy) = kernel.origin();
     let win = Window::new(-3, 5, 150, 90);
     let workers = 2;
-    // Noise window, output, and per running worker a packed spectrum plus
-    // the lane workspace (a real and an imaginary plane of LANES lanes, one
+    // On the FFT engine: per running worker a packed spectrum plus the
+    // lane workspace (a real and an imaginary plane of LANES lanes, one
     // lane longer than the longer 1-D transform), plus the one shared
-    // kernel spectrum.
+    // kernel spectrum. None on Direct.
     let shape = plan_tiles(win.nx, win.ny, kw, kh);
     let (fx, fy) = (shape.fft_nx, shape.fft_ny);
     let arenas = effective_workers(shape, win.nx, win.ny, kw, kh, workers);
     assert_eq!(arenas, 2, "the case must run two arenas");
     let packed = 2 * (fx / 2 + 1) * fy;
     let lanes = 2 * rrs_fft::LANES * ((fx / 2).max(fy) + 1);
-    let samples = (win.nx + kw - 1) * (win.ny + kh - 1)
-        + win.nx * win.ny
-        + arenas * (packed + lanes)
-        + packed;
-    let footprint = samples * 8;
-    let generator = |max_bytes: usize, rec: &Recorder| {
-        ConvolutionGenerator::from_kernel(kernel.clone())
-            .with_workers(workers)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_recorder(rec.clone())
-            .with_budget(Budget::unlimited().with_max_bytes(max_bytes))
-    };
+    let fft_workspace = arenas * (packed + lanes) + packed;
+    let noise_window = (win.nx + kw - 1) * (win.ny + kh - 1);
     let noise = NoiseField::new(9);
-    let rec = Recorder::enabled();
-    match generator(footprint - 1, &rec).try_generate(&noise, win) {
-        Err(RrsError::BudgetExceeded { required_bytes, .. }) => {
-            assert_eq!(required_bytes, footprint as u128)
-        }
-        other => panic!("expected BudgetExceeded, got {other:?}"),
-    }
-    let report = rec.report();
-    assert_eq!(report.counter(stage::BUDGET_REJECT), 1);
-    assert!(!report.durations.contains_key(stage::WINDOW_MATERIALISE), "no noise window was built");
-    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 0);
-    assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 0, "no fallback ran");
+    let prefetched =
+        noise.window(win.x0 - (ox + kw as i64 - 1), win.y0 - (oy + kh as i64 - 1), win.nx + kw - 1, win.ny + kh - 1);
+    for (backend, workspace) in [(ConvBackend::Direct, 0), (ConvBackend::FftOverlapSave, fft_workspace)] {
+        let generator = |max_bytes: usize, rec: &Recorder| {
+            ConvolutionGenerator::from_kernel(kernel.clone())
+                .with_workers(workers)
+                .with_backend(backend)
+                .with_recorder(rec.clone())
+                .with_budget(Budget::unlimited().with_max_bytes(max_bytes))
+        };
+        // Generation admits the noise window, the output and the
+        // workspace; correlating a caller-owned window admits the last
+        // two.
+        type Input<'a> = (&'a str, usize, &'a dyn Fn(&ConvolutionGenerator) -> Result<Grid2<f64>, RrsError>);
+        let inputs: [Input; 2] = [
+            ("generate", noise_window, &|g| g.try_generate(&noise, win)),
+            ("correlate window", 0, &|g| g.try_correlate_window(&prefetched, win.nx, win.ny)),
+        ];
+        for (what, window_samples, run) in inputs {
+            let footprint = 8 * (window_samples + win.nx * win.ny + workspace);
+            let what = format!("{what} on {backend:?}");
+            let rec = Recorder::enabled();
+            match run(&generator(footprint - 1, &rec)) {
+                Err(RrsError::BudgetExceeded { required_bytes, .. }) => {
+                    assert_eq!(required_bytes, footprint as u128, "{what}")
+                }
+                other => panic!("{what}: expected BudgetExceeded, got {other:?}"),
+            }
+            let report = rec.report();
+            assert_eq!(report.counter(stage::BUDGET_REJECT), 1, "{what}");
+            assert!(
+                !report.durations.contains_key(stage::WINDOW_MATERIALISE),
+                "{what}: no noise window was built"
+            );
+            assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 0, "{what}");
+            assert_eq!(report.counter(stage::CONV_BACKEND_DIRECT), 0, "{what}: no fallback ran");
 
-    let admitted = generator(footprint, &Recorder::disabled()).try_generate(&noise, win).unwrap();
-    let unbudgeted = ConvolutionGenerator::from_kernel(kernel.clone())
-        .with_backend(ConvBackend::FftOverlapSave)
-        .generate(&noise, win);
-    assert_eq!(admitted, unbudgeted);
+            let admitted = run(&generator(footprint, &Recorder::disabled())).unwrap();
+            let unbudgeted =
+                ConvolutionGenerator::from_kernel(kernel.clone()).with_backend(backend).generate(&noise, win);
+            assert_eq!(admitted, unbudgeted, "{what}");
+        }
+    }
+}
+
+#[test]
+fn blend_failures_open_the_breaker_and_skip_to_the_per_sample_loop() {
+    use rrs::obs::stage;
+    // Three windows across the pond's shoreline, each blending both
+    // kernels. A fresh one-worker generator whose first three FFT tile
+    // visits fault fails three blends in a row, and each degrades.
+    let windows = [Window::new(20, 20, 24, 24), Window::new(70, 40, 24, 24), Window::new(40, 80, 24, 24)];
+    let direct = pond_in_field(ConvBackend::Direct, 1);
+    let chaos = ChaosInjector::new(
+        FaultSchedule::new(8)
+            .with_fault(FaultSite::FftTile, FaultKind::Error, 0)
+            .with_fault(FaultSite::FftTile, FaultKind::Panic, 1)
+            .with_fault(FaultSite::FftTile, FaultKind::Error, 2),
+    );
+    let rec = Recorder::enabled();
+    let gen = pond_in_field(ConvBackend::FftOverlapSave, 1)
+        .with_recorder(rec.clone())
+        .with_chaos(chaos.clone());
+    let noise = NoiseField::new(23);
+    for win in windows {
+        let got = gen.try_generate(&noise, win).unwrap();
+        assert_eq!(hash_grid(&got), hash_grid(&direct.generate(&noise, win)), "{win:?}");
+    }
+    assert_eq!(chaos.visits(FaultSite::FftTile), 3);
+    assert!(gen.backend_health().is_open(), "three failed blends open the breaker");
+    let report = rec.report();
+    assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 3);
+    assert_eq!(report.counter(stage::CONV_BREAKER_SKIPS), 0);
+
+    // The fourth request skips the blend: the per-sample loop serves it
+    // without a single FFT tile poll.
+    let got = gen.try_generate(&noise, windows[0]).unwrap();
+    assert_eq!(hash_grid(&got), hash_grid(&direct.generate(&noise, windows[0])));
+    assert_eq!(chaos.visits(FaultSite::FftTile), 3, "an open breaker polls no FFT tile");
+    let report = rec.report();
+    assert_eq!(report.counter(stage::CONV_BREAKER_SKIPS), 1);
+    assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 4);
+    assert_eq!(report.counter(stage::CONV_BACKEND_FFT), 3, "the skipped blend never started");
 }
 
 rrs_check::props! {

@@ -11,7 +11,7 @@
 //! * **typed outcomes** — every failed run's [`ErrorKind`] matches the
 //!   injected kind (`Panic → WorkerPanicked`, `Error → FaultInjected`,
 //!   `Cancel → Cancelled`, `Deadline → DeadlineExceeded`);
-//! * **bit-identical degradation** — when both FFT rungs are killed, the
+//! * **bit-identical degradation** — when the FFT rung is killed, the
 //!   Direct rung serves the request with output FNV-1a-hash-equal to a
 //!   clean Direct run, and the degradation is visible in the obs report;
 //! * **replayability** — the same schedule seed reproduces the same
@@ -201,13 +201,11 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
             .with_backend(ConvBackend::Direct)
             .generate(&noise, win),
     );
-    // Serial tile loops visit FftTile deterministically: visit 0 kills
-    // the overlap-save rung, visit 1 the complex-serial rung, and the
-    // Direct rung serves the request.
+    // The serial tile loop visits FftTile deterministically: visit 0
+    // kills the overlap-save rung, and the Direct rung serves the
+    // request.
     let chaos = ChaosInjector::new(
-        FaultSchedule::new(3)
-            .with_fault(FaultSite::FftTile, FaultKind::Panic, 0)
-            .with_fault(FaultSite::FftTile, FaultKind::Error, 1),
+        FaultSchedule::new(3).with_fault(FaultSite::FftTile, FaultKind::Panic, 0),
     );
     let rec = Recorder::enabled();
     let got = ConvolutionGenerator::new(&s, KernelSizing::default())
@@ -222,9 +220,8 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
         clean_hash,
         "degraded output must hash identically to a clean Direct run"
     );
-    assert_eq!(chaos.visits(FaultSite::FftTile), 2, "one tile poll per failed rung");
+    assert_eq!(chaos.visits(FaultSite::FftTile), 1, "one tile poll on the failed rung");
     let report = rec.report();
-    assert_eq!(report.counter("conv/degraded_to_fft_serial"), 1);
     assert_eq!(report.counter("conv/degraded_to_direct"), 1);
     assert_eq!(report.counter("conv/backend_direct"), 1);
 }
@@ -252,16 +249,14 @@ fn seeded_schedules_replay_bit_for_bit() {
 #[test]
 fn degraded_strip_stream_still_tiles_seamlessly() {
     quiet_chaos_panics();
-    // Kill both FFT rungs for the first strip only; later strips run the
+    // Kill the FFT rung for the first strip only; later strips run the
     // FFT path. The degraded strip must still tile seamlessly against
     // its neighbours because the Direct rung computes the same sum.
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
     let clean = StripGenerator::new(&s, KernelSizing::default(), 24, 11)
         .with_backend(ConvBackend::Direct);
     let chaos = ChaosInjector::new(
-        FaultSchedule::new(5)
-            .with_fault(FaultSite::FftTile, FaultKind::Panic, 0)
-            .with_fault(FaultSite::FftTile, FaultKind::Error, 1),
+        FaultSchedule::new(5).with_fault(FaultSite::FftTile, FaultKind::Panic, 0),
     );
     let faulted = StripGenerator::new(&s, KernelSizing::default(), 24, 11)
         .with_backend(ConvBackend::FftOverlapSave)

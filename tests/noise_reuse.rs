@@ -11,7 +11,7 @@
 
 use rrs::obs::stage;
 use rrs::prelude::*;
-use rrs_surface::internal::plan_tiles;
+use rrs_surface::plan_tiles;
 use std::sync::Arc;
 
 const NY: usize = 24;

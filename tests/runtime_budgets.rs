@@ -291,9 +291,9 @@ fn fft_backend_rejections_match_the_direct_contract() {
         assert_eq!(err.kind(), ErrorKind::DeadlineExceeded, "deterministic across calls");
     }
 
-    // Admission control counts the complex tile scratch the FFT engine
-    // needs on top of the window and output, and still fires before any
-    // of it is allocated.
+    // Admission control counts the tile workspace the FFT engine needs
+    // on top of the window and output, and still fires before any of it
+    // is allocated.
     let gen = fft_generator().with_budget(Budget::unlimited().with_max_bytes(1 << 20));
     let err = gen.try_generate(&noise, huge).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::BudgetExceeded);

@@ -41,14 +41,9 @@ fn served_windows_are_bit_identical_to_direct_generation_across_backends() {
     let mut client = Client::connect(server.addr()).expect("connect");
     let model = spectrum();
     let win = Window::new(-5, 3, 40, 32);
-    for (i, backend) in [
-        ConvBackend::Direct,
-        ConvBackend::FftOverlapSave,
-        ConvBackend::FftComplexSerial,
-        ConvBackend::Auto,
-    ]
-    .into_iter()
-    .enumerate()
+    for (i, backend) in [ConvBackend::Direct, ConvBackend::FftOverlapSave, ConvBackend::Auto]
+        .into_iter()
+        .enumerate()
     {
         let req = GenerateRequest::new(i as u64 + 1, 0, 0xBEE5 + i as u64, model, win)
             .with_truncation(1e-3)
@@ -289,6 +284,38 @@ fn malformed_and_bit_flipped_frames_get_typed_errors_over_tcp() {
     assert_eq!(kind, FrameKind::GenerateErr);
     let err = rrs::serve::GenerateErr::decode(&payload).expect("decodable");
     assert_eq!(err.kind, ErrorKind::CorruptSnapshot);
+    server.shutdown();
+}
+
+#[test]
+fn retired_backend_byte_gets_a_typed_invalid_param_over_tcp() {
+    use rrs::serve::wire::{read_frame, write_frame, FrameKind};
+    use std::io::Write;
+
+    let server = serve(ServeConfig::default()).expect("bind");
+    // A well-formed request whose backend byte — just before workers,
+    // deadline and byte ceiling (2 + 4 + 8 bytes) — names the retired
+    // FftComplexSerial engine (wire byte 2). The frame checksum covers
+    // the patched payload, so only the decoder can reject it.
+    let req = GenerateRequest::new(41, 0, 7, spectrum(), Window::sized(16, 16))
+        .with_backend(ConvBackend::FftOverlapSave);
+    let mut payload = req.encode();
+    let at = payload.len() - 15;
+    assert_eq!(payload[at], 1, "FftOverlapSave's wire byte");
+    payload[at] = 2;
+    let mut buf = Vec::new();
+    write_frame(&mut buf, FrameKind::Generate, &payload).expect("encode");
+    let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+    raw.write_all(&buf).expect("write frame");
+    raw.flush().expect("flush");
+    let (kind, reply) = read_frame(&mut raw.try_clone().expect("clone"))
+        .expect("server reply")
+        .expect("typed reply");
+    assert_eq!(kind, FrameKind::GenerateErr);
+    let err = rrs::serve::GenerateErr::decode(&reply).expect("decodable");
+    assert_eq!(err.kind, ErrorKind::InvalidParam, "{}", err.message);
+    assert_eq!(err.request_id, 41, "the rejection correlates to the request");
+    assert!(err.message.contains("FftComplexSerial"), "{}", err.message);
     server.shutdown();
 }
 
