@@ -99,6 +99,14 @@ echo "== convolution backend gate: FFT must beat direct where Auto says so =="
 # the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
 
+echo "== FFT lanes gate: batched 2-D passes must beat the scalar ones they replaced =="
+# Exits 1 if Fft2d's lane passes and the scalar row/column composition of
+# Fft::process written in the bench differ in any bit on a 160^2
+# Bluestein lattice (a kernel build's DFT), or if the lane transform is
+# not >= 1.3x the scalar one (median of 15 paired reps). Over 14 runs on
+# the 2-vCPU bench host the median read 1.64-2.38 — see bench_fft.
+cargo run --release --locked --offline -p rrs-bench --bin bench_fft
+
 echo "== figures gate: the default backend must beat Direct on the paper's figures =="
 # Exits 1 unless the default context (Auto: the kernel-major blend on the
 # real-input FFT engine) is >= 5x faster than the per-sample Direct loop

@@ -13,10 +13,10 @@
 //! It also times one 512² overlap-save tile — the `cl32` shape's single
 //! tile — two ways, in paired reps ([`tile_gate`]): `tile/512/real` is
 //! [`RealFft2d::convolve_in_place`], the engine's tile; `tile/512/complex`
-//! is the full-complex tile the engine replaced, written here with public
-//! `rrs-fft` calls (a complex [`Fft2d`] forward transform, a pointwise
-//! multiply by the kernel spectrum, an inverse transform of the same
-//! tile).
+//! is the full-complex tile the engine replaced: a scalar complex forward
+//! transform ([`ScalarFft2d`], one row or column at a time through the
+//! public `Fft::process`), a pointwise multiply by the kernel spectrum,
+//! an inverse transform of the same tile.
 //!
 //! **Fails** (exit code 1) if any of:
 //!
@@ -42,8 +42,8 @@
 //! the paired tile ratios.
 
 use rrs_bench::harness::median_of_sorted;
-use rrs_bench::Harness;
-use rrs_fft::{Direction, Fft2d, RealFft2d, LANES};
+use rrs_bench::{Harness, ScalarFft2d};
+use rrs_fft::{Direction, RealFft2d, LANES};
 use rrs_grid::Window;
 use rrs_num::complex::{as_f64s, as_f64s_mut};
 use rrs_num::Complex64;
@@ -81,7 +81,7 @@ fn tile_gate(kernel: &ConvolutionKernel, noise: &NoiseField) -> (Vec<f64>, Vec<f
 
     // The complex tile: kernel zero-padded at the origin and transformed
     // once, then per tile a gather, forward, multiply and inverse.
-    let fft = Fft2d::with_workers(TILE, TILE, 1);
+    let fft = ScalarFft2d::new(TILE, TILE);
     let mut kspec_c = vec![Complex64::ZERO; TILE * TILE];
     for b in 0..kh {
         for (a, &v) in weights.row(b).iter().enumerate() {

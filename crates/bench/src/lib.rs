@@ -9,9 +9,14 @@
 //! [`harness`] is the in-repo timing substrate those binaries share:
 //! warmup + repeated timed runs, median/min/stddev summaries, and
 //! machine-readable `BENCH_*.json` output.
+//!
+//! [`ScalarFft2d`] is the scalar 2-D transform the FFT gates time the
+//! batched transforms against.
 
 pub mod figures;
 pub mod harness;
+pub mod scalar_fft;
 
 pub use figures::{Figure, FigureRegion};
 pub use harness::{BenchRecord, Harness};
+pub use scalar_fft::ScalarFft2d;

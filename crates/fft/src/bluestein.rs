@@ -6,7 +6,7 @@
 //! `M ≥ 2N − 1`. This keeps the paper's generator free to use *any* grid
 //! dimension (surface lengths are physical, not algorithmic, choices).
 
-use crate::plan::FftPlan;
+use crate::plan::{lane_planes, FftPlan, Lane, LANES};
 use crate::Direction;
 use rrs_num::Complex64;
 
@@ -80,6 +80,71 @@ impl Bluestein {
         for (k, out) in buf.iter_mut().enumerate() {
             let v = a[k] * self.chirp[k];
             *out = if conjugate { v.conj().scale(norm) } else { v };
+        }
+    }
+
+    /// [`Bluestein::process`] on [`LANES`] sequences at once, in place on
+    /// the split-complex planes `re` and `im` (`n` lanes each, natural
+    /// order in and out).
+    ///
+    /// The chirp multiply loads the sequences bit-reversed into two inner
+    /// planes taken from `scratch` (grown at most once), zero-padded to the
+    /// inner length; the inner forward transform, the filter multiply and
+    /// the inner inverse run there on lanes; and the chirp multiply stores
+    /// the results back. Every element gets exactly the operations of
+    /// `process`, in its order — the full complex products, the inner
+    /// inverse's `1/m`, and on the inverse the conjugations and the `1/n` —
+    /// so each lane is bit-identical to it.
+    #[inline(always)]
+    pub(crate) fn process_lanes(
+        &self,
+        re: &mut [Lane],
+        im: &mut [Lane],
+        dir: Direction,
+        scratch: &mut Vec<Lane>,
+    ) {
+        let (n, m) = (self.n, self.inner.len());
+        assert!(re.len() == n && im.len() == n, "lane planes must hold {n} elements");
+        let (ar, ai) = lane_planes(scratch, m);
+        let conjugate = dir == Direction::Inverse;
+        for (k, &c) in self.chirp.iter().enumerate() {
+            let s = self.inner.bit_reversed(k);
+            for l in 0..LANES {
+                let x = Complex64::new(re[k][l], im[k][l]);
+                let x = if conjugate { x.conj() } else { x };
+                let v = x * c;
+                (ar[s][l], ai[s][l]) = (v.re, v.im);
+            }
+        }
+        for k in n..m {
+            let s = self.inner.bit_reversed(k);
+            (ar[s], ai[s]) = ([0.0; LANES], [0.0; LANES]);
+        }
+        self.inner.butterflies_lanes(ar, ai, Direction::Forward);
+        // The products trade places pairwise, {i, bitrev(i)}, into the
+        // bit-reversed order the inner inverse reads.
+        for i in 0..m {
+            let r = self.inner.bit_reversed(i);
+            if r < i {
+                continue; // moved with its partner
+            }
+            let (fi, fr) = (self.filter_spectrum[i], self.filter_spectrum[r]);
+            for l in 0..LANES {
+                let zi = Complex64::new(ar[i][l], ai[i][l]) * fi;
+                let zr = Complex64::new(ar[r][l], ai[r][l]) * fr;
+                (ar[r][l], ai[r][l]) = (zi.re, zi.im);
+                (ar[i][l], ai[i][l]) = (zr.re, zr.im);
+            }
+        }
+        self.inner.butterflies_lanes(ar, ai, Direction::Inverse);
+        let inner_norm = 1.0 / m as f64;
+        let norm = if conjugate { 1.0 / n as f64 } else { 1.0 };
+        for (k, &c) in self.chirp.iter().enumerate() {
+            for l in 0..LANES {
+                let v = Complex64::new(ar[k][l], ai[k][l]).scale(inner_norm) * c;
+                let v = if conjugate { v.conj().scale(norm) } else { v };
+                (re[k][l], im[k][l]) = (v.re, v.im);
+            }
         }
     }
 }

@@ -1,13 +1,25 @@
 //! Row–column 2-D FFT with optional multithreading.
 //!
-//! The 2-D DFT separates into 1-D transforms along each axis. Rows are
-//! contiguous in the workspace's row-major layout; columns are gathered
-//! into per-thread scratch, transformed, and scattered back. Both passes
-//! parallelise over disjoint bands via `rrs-par`.
+//! The 2-D DFT separates into 1-D transforms along each axis. Both passes
+//! run [`LANES`] rows (or columns) at a time through the 1-D engine's lane
+//! entry (`Fft::process_lanes`): each block is gathered into
+//! split-complex lane planes, transformed together and stored back. A pass splits its sequences into bands of whole lane blocks, one
+//! per worker; a single band runs on the calling thread. Rows are
+//! contiguous, so a band of rows is one slice; a band of columns owns
+//! its columns' piece of every row.
+//!
+//! Every element gets exactly the operations of the scalar row and column
+//! transforms — [`Fft::process`] per sequence, then, on the inverse,
+//! `·n` to undo its `1/n`, and one `1/(nx·ny)` at the end — so the result
+//! is bit-identical to them, in both directions, at every worker count.
 
-use crate::{Direction, Fft};
+use crate::{Direction, Fft, Lane, LANES};
 use rrs_num::Complex64;
 use std::sync::Arc;
+
+/// The 1-D lane entry a pass runs: `Fft::process_lanes`, or in tests its
+/// portable copy.
+type LaneFn = fn(&Fft, &mut [Lane], &mut [Lane], Direction, &mut Vec<Lane>);
 
 /// A prepared 2-D transform of shape `(nx, ny)`, row-major.
 pub struct Fft2d {
@@ -45,12 +57,16 @@ impl Fft2d {
     /// # Panics
     /// Panics if `buf.len() != nx * ny`.
     pub fn process(&self, buf: &mut [Complex64], dir: Direction) {
+        self.process_with(buf, dir, Fft::process_lanes);
+    }
+
+    fn process_with(&self, buf: &mut [Complex64], dir: Direction, lanes: LaneFn) {
         assert_eq!(buf.len(), self.nx * self.ny, "buffer shape mismatch");
         // Run both passes UN-normalised, then apply the 1/(Nx·Ny) once —
         // the per-axis inverse normalisation would otherwise be applied by
         // each 1-D call and double-count on the shared-plan path.
-        self.rows_pass(buf, dir);
-        self.cols_pass(buf, dir);
+        self.rows_pass(buf, dir, lanes);
+        self.cols_pass(buf, dir, lanes);
         if dir == Direction::Inverse {
             let k = 1.0 / (self.nx * self.ny) as f64;
             for z in buf.iter_mut() {
@@ -59,116 +75,125 @@ impl Fft2d {
         }
     }
 
-    /// Forward-transforms a real row-major `nx × ny` field into `buf`,
-    /// reusing `buf`'s allocation (cleared and refilled, grown at most
-    /// once). Equivalent to widening to complex and calling
-    /// [`Fft2d::process`] with [`Direction::Forward`], without the
-    /// caller-side intermediate vector.
-    ///
-    /// # Panics
-    /// Panics if `input.len() != nx * ny`.
-    pub fn forward_real_into(&self, input: &[f64], buf: &mut Vec<Complex64>) {
-        assert_eq!(input.len(), self.nx * self.ny, "buffer shape mismatch");
-        buf.clear();
-        buf.extend(input.iter().map(|&x| Complex64::from_re(x)));
-        self.process(buf, Direction::Forward);
+    /// Sequences per band when `count` of them split over the workers:
+    /// whole lane blocks, as evenly as they go.
+    fn band(&self, count: usize) -> usize {
+        count.div_ceil(LANES).div_ceil(self.workers) * LANES
     }
 
-    fn rows_pass(&self, buf: &mut [Complex64], dir: Direction) {
-        let nx = self.nx;
-        let fft = &self.row_fft;
-        let workers = self.workers.min(self.ny);
-        // Band over whole rows: chunk size is an exact multiple of nx so a
-        // row is never split across workers.
-        let rows_per_band = self.ny.div_ceil(workers);
-        if workers == 1 {
-            for row in buf.chunks_exact_mut(nx) {
-                process_unnormalised(fft, row, dir);
-            }
-            return;
-        }
-        rrs_par::scope(|s| {
-            for band in buf.chunks_mut(rows_per_band * nx) {
-                s.spawn(move || {
-                    for row in band.chunks_exact_mut(nx) {
-                        process_unnormalised(fft, row, dir);
+    fn rows_pass(&self, buf: &mut [Complex64], dir: Direction, lanes: LaneFn) {
+        let (nx, fft) = (self.nx, &*self.row_fft);
+        let bands = buf.chunks_mut(self.band(self.ny) * nx).collect();
+        fan_out(bands, |band: &mut [Complex64]| {
+            let mut planes = LanePlanes::new(fft, dir, lanes);
+            for block in band.chunks_mut(LANES * nx) {
+                for (c, row) in block.chunks_exact(nx).enumerate() {
+                    for (i, &z) in row.iter().enumerate() {
+                        planes.load(i, c, z);
                     }
-                });
+                }
+                planes.transform();
+                for (c, row) in block.chunks_exact_mut(nx).enumerate() {
+                    for (i, z) in row.iter_mut().enumerate() {
+                        *z = planes.store(i, c);
+                    }
+                }
             }
         });
     }
 
-    fn cols_pass(&self, buf: &mut [Complex64], dir: Direction) {
-        let nx = self.nx;
-        let ny = self.ny;
-        let fft = &self.col_fft;
-        if self.workers <= 1 || nx == 1 {
-            let mut scratch = vec![Complex64::ZERO; ny];
-            for cx in 0..nx {
-                for iy in 0..ny {
-                    scratch[iy] = buf[iy * nx + cx];
-                }
-                process_unnormalised(fft, &mut scratch, dir);
-                for iy in 0..ny {
-                    buf[iy * nx + cx] = scratch[iy];
-                }
+    fn cols_pass(&self, buf: &mut [Complex64], dir: Direction, lanes: LaneFn) {
+        let (nx, ny, fft) = (self.nx, self.ny, &*self.col_fft);
+        let width = self.band(nx);
+        // Each band owns its `width` columns of every row.
+        let mut bands: Vec<Vec<&mut [Complex64]>> =
+            (0..nx.div_ceil(width)).map(|_| Vec::with_capacity(ny)).collect();
+        for row in buf.chunks_exact_mut(nx) {
+            for (band, cols) in bands.iter_mut().zip(row.chunks_mut(width)) {
+                band.push(cols);
             }
-            return;
         }
-        // Parallel column pass: split columns into bands; each worker owns
-        // an exclusive set of columns. Safe disjoint access is expressed by
-        // sending each worker a raw pointer wrapper over the shared buffer.
-        let ranges = rrs_par::split_range(nx, self.workers);
-        let ptr = SendPtr(buf.as_mut_ptr());
-        rrs_par::scope(|s| {
-            for &(c0, c1) in &ranges {
-                s.spawn(move || {
-                    // Rebind the whole wrapper first: edition-2021 closures
-                    // would otherwise capture the raw-pointer *field* (which
-                    // is not Send) instead of the Send wrapper.
-                    #[allow(clippy::redundant_locals)]
-                    let ptr = ptr;
-                    let buf_ptr = ptr.0;
-                    let mut scratch = vec![Complex64::ZERO; ny];
-                    for cx in c0..c1 {
-                        // SAFETY: column cx is touched by exactly one worker
-                        // (ranges are disjoint) and the scope outlives use.
-                        unsafe {
-                            for (iy, slot) in scratch.iter_mut().enumerate() {
-                                *slot = *buf_ptr.add(iy * nx + cx);
-                            }
-                        }
-                        process_unnormalised(fft, &mut scratch, dir);
-                        unsafe {
-                            for (iy, &v) in scratch.iter().enumerate() {
-                                *buf_ptr.add(iy * nx + cx) = v;
-                            }
-                        }
+        fan_out(bands, |mut rows: Vec<&mut [Complex64]>| {
+            let mut planes = LanePlanes::new(fft, dir, lanes);
+            let width = rows[0].len();
+            for c0 in (0..width).step_by(LANES) {
+                let c1 = (c0 + LANES).min(width);
+                for (iy, row) in rows.iter().enumerate() {
+                    for (c, &z) in row[c0..c1].iter().enumerate() {
+                        planes.load(iy, c, z);
                     }
-                });
+                }
+                planes.transform();
+                for (iy, row) in rows.iter_mut().enumerate() {
+                    for (c, z) in row[c0..c1].iter_mut().enumerate() {
+                        *z = planes.store(iy, c);
+                    }
+                }
             }
         });
     }
 }
 
-/// Applies the 1-D engine without its inverse normalisation (the 2-D
-/// driver applies the full `1/(Nx·Ny)` itself).
-fn process_unnormalised(fft: &Fft, buf: &mut [Complex64], dir: Direction) {
-    fft.process(buf, dir);
-    if dir == Direction::Inverse {
-        let n = buf.len() as f64;
-        for z in buf.iter_mut() {
-            *z = z.scale(n);
+/// Runs `run` on every band: on the calling thread when there is one,
+/// otherwise each on its own scoped thread.
+fn fan_out<B: Send>(bands: Vec<B>, run: impl Fn(B) + Sync) {
+    if bands.len() <= 1 {
+        bands.into_iter().for_each(run);
+        return;
+    }
+    let run = &run;
+    rrs_par::scope(|s| {
+        for band in bands {
+            s.spawn(move || run(band));
+        }
+    });
+}
+
+/// One band's lane planes for sequences of `fft.len()` elements, and the
+/// scratch the 1-D engine keeps between blocks.
+struct LanePlanes<'a> {
+    fft: &'a Fft,
+    dir: Direction,
+    lanes: LaneFn,
+    /// The real plane in `[..n]`, the imaginary one in `[n + 1..]`: one
+    /// lane apart more than `n`, as `plan::lane_planes` lays them out.
+    planes: Vec<Lane>,
+    scratch: Vec<Lane>,
+}
+
+impl<'a> LanePlanes<'a> {
+    fn new(fft: &'a Fft, dir: Direction, lanes: LaneFn) -> Self {
+        let planes = vec![[0.0; LANES]; 2 * (fft.len() + 1)];
+        Self { fft, dir, lanes, planes, scratch: Vec::new() }
+    }
+
+    /// Element `i` of lane `c`, placed where the engine reads it.
+    #[inline(always)]
+    fn load(&mut self, i: usize, c: usize, z: Complex64) {
+        let (n, s) = (self.fft.len(), self.fft.lane_slot(i));
+        self.planes[s][c] = z.re;
+        self.planes[n + 1 + s][c] = z.im;
+    }
+
+    fn transform(&mut self) {
+        let n = self.fft.len();
+        let (re, im) = self.planes.split_at_mut(n + 1);
+        (self.lanes)(self.fft, &mut re[..n], &mut im[..n], self.dir, &mut self.scratch);
+    }
+
+    /// Element `i` of lane `c`'s transform, un-normalised: the inverse's
+    /// `1/n` is undone with `·n`, as the scalar passes did.
+    #[inline(always)]
+    fn store(&self, i: usize, c: usize) -> Complex64 {
+        let n = self.fft.len();
+        let z = Complex64::new(self.planes[i][c], self.planes[n + 1 + i][c]);
+        if self.dir == Direction::Inverse {
+            z.scale(n as f64)
+        } else {
+            z
         }
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr(*mut Complex64);
-// SAFETY: workers access strictly disjoint column sets of the pointee.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
 
 #[cfg(test)]
 mod tests {
@@ -198,18 +223,74 @@ mod tests {
         }
     }
 
+    /// The transform the lane passes replaced: one row, then one column,
+    /// at a time through [`Fft::process`], each inverse's `1/n` undone
+    /// with `·n`, and one `1/(nx·ny)` at the end.
+    fn scalar(x: &[Complex64], nx: usize, ny: usize, dir: Direction) -> Vec<Complex64> {
+        let unnormalised = |fft: &Fft, seq: &mut [Complex64]| {
+            fft.process(seq, dir);
+            if dir == Direction::Inverse {
+                let n = seq.len() as f64;
+                seq.iter_mut().for_each(|z| *z = z.scale(n));
+            }
+        };
+        let (row, col) = (Fft::new(nx), Fft::new(ny));
+        let mut buf = x.to_vec();
+        buf.chunks_exact_mut(nx).for_each(|r| unnormalised(&row, r));
+        let mut seq = vec![Complex64::ZERO; ny];
+        for cx in 0..nx {
+            (0..ny).for_each(|iy| seq[iy] = buf[iy * nx + cx]);
+            unnormalised(&col, &mut seq);
+            (0..ny).for_each(|iy| buf[iy * nx + cx] = seq[iy]);
+        }
+        if dir == Direction::Inverse {
+            let k = 1.0 / (nx * ny) as f64;
+            buf.iter_mut().for_each(|z| *z = z.scale(k));
+        }
+        buf
+    }
+
     #[test]
-    fn parallel_equals_serial() {
-        let (nx, ny) = (32, 24);
-        let x = random_field(nx, ny, 5);
-        let mut serial = x.clone();
-        let mut parallel = x.clone();
-        Fft2d::with_workers(nx, ny, 1).process(&mut serial, Direction::Forward);
-        Fft2d::with_workers(nx, ny, 4).process(&mut parallel, Direction::Forward);
-        assert_eq!(serial.len(), parallel.len());
-        // Bit-identical: the same plan runs on the same rows/columns.
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a, b);
+    fn passes_match_the_scalar_row_column_transform_bit_for_bit() {
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        // Square, non-square and odd shapes on both engines, with partial
+        // lane blocks; a third of the samples real (`+0` imaginary parts,
+        // as kernel amplitudes are) and some `-0` parts.
+        let shapes = [
+            (16usize, 16usize),
+            (128, 128),
+            (160, 160),
+            (32, 24),
+            (96, 150),
+            (9, 7),
+            (17, 33),
+            (1, 9),
+            (5, 1),
+        ];
+        for (nx, ny) in shapes {
+            let mut x = random_field(nx, ny, (nx * 1000 + ny) as u64);
+            for (i, z) in x.iter_mut().enumerate() {
+                match i % 6 {
+                    0 | 3 => *z = Complex64::from_re(z.re),
+                    4 => z.im = -0.0,
+                    _ => {}
+                }
+            }
+            let fft2 = |workers| Fft2d::with_workers(nx, ny, workers);
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let want = bits(&scalar(&x, nx, ny, dir));
+                for workers in [1, 2, 3, 4] {
+                    let mut got = x.clone();
+                    fft2(workers).process(&mut got, dir);
+                    let what = format!("{nx}x{ny} {dir:?} at {workers} workers");
+                    assert_eq!(bits(&got), want, "{what}, dispatched copy");
+                    let mut got = x.clone();
+                    fft2(workers).process_with(&mut got, dir, Fft::lanes_portable);
+                    assert_eq!(bits(&got), want, "{what}, portable copy");
+                }
+            }
         }
     }
 

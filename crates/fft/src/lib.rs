@@ -15,8 +15,11 @@
 //! * [`bluestein::Bluestein`] — chirp-z re-expression of arbitrary lengths
 //!   as a power-of-two convolution, so *any* grid size works;
 //! * [`Fft`] — a length-dispatching front end caching whichever engine a
-//!   length needs;
-//! * [`fft2d`] — row–column 2-D transforms with optional multi-threading;
+//!   length needs, one sequence at a time or [`LANES`] at once (Bluestein
+//!   included: its chirp and filter multiplies are elementwise, its inner
+//!   transforms power-of-two);
+//! * [`fft2d`] — row–column 2-D transforms on those lanes, with optional
+//!   multi-threading;
 //! * [`rfft`] — real-input 2-D transforms on packed Hermitian spectra,
 //!   batched across lanes, with a fused whole-tile convolution;
 //! * [`spectral`] — `fftshift`, frequency grids (eqn 13) and the index
@@ -111,35 +114,92 @@ impl Fft {
             Engine::Bluestein(b) => b.process(buf, dir),
         }
     }
-}
 
-/// A shared, thread-safe cache of [`Fft`] instances keyed by length.
-///
-/// 2-D transforms and repeated generator calls reuse plans through this.
-#[derive(Default)]
-pub struct Planner {
-    cache: Mutex<HashMap<usize, Arc<Fft>>>,
-}
-
-impl Planner {
-    /// An empty planner.
-    pub fn new() -> Self {
-        Self::default()
+    /// Where element `i` of a sequence goes in the planes
+    /// [`Fft::process_lanes`] reads: its bit-reversed index on radix-2
+    /// lengths (the butterflies read bit-reversed input, so the caller's
+    /// load does the permutation), `i` itself on Bluestein lengths (the
+    /// chirp multiply reads in order).
+    #[inline]
+    pub(crate) fn lane_slot(&self, i: usize) -> usize {
+        match &self.engine {
+            Engine::Radix2(p) => p.bit_reversed(i),
+            Engine::Bluestein(_) => i,
+        }
     }
 
-    /// Fetches (or creates) the FFT of length `len`.
+    /// [`Fft::process`] on [`LANES`] sequences at once, in place on the
+    /// split-complex planes `re` and `im` ([`Lane`] rows, `len()` each):
+    /// on entry element `i` of lane `c` sits at `[lane_slot(i)][c]`, on
+    /// exit element `i` of its transform at `[i][c]`. Radix-2 lengths run
+    /// [`FftPlan::butterflies_lanes`]; Bluestein lengths run the chirp
+    /// multiplies, the inner transforms and the filter multiply on lanes
+    /// in `scratch` (grown at most once). Each lane gets exactly the
+    /// operations `process` applies, so its result is bit-identical to
+    /// it; unfilled lanes are transformed too and never touch the others.
     ///
-    /// A poisoned cache lock (a panic while holding it) is recovered by
-    /// rebuilding from empty: plans are immutable once built, so the
-    /// worst case is re-planning, never a wrong transform.
-    pub fn plan(&self, len: usize) -> Arc<Fft> {
-        let mut cache = self.cache.lock().unwrap_or_else(|poisoned| {
-            self.cache.clear_poison();
-            let mut guard = poisoned.into_inner();
-            guard.clear();
-            guard
-        });
-        cache.entry(len).or_insert_with(|| Arc::new(Fft::new(len))).clone()
+    /// Runs an AVX2-compiled copy when the CPU has AVX2 (detected at run
+    /// time) and the portable copy otherwise, with the same bits (see
+    /// [`rfft`]).
+    ///
+    /// # Panics
+    /// Panics if either plane does not hold exactly `len()` lanes.
+    pub(crate) fn process_lanes(
+        &self,
+        re: &mut [Lane],
+        im: &mut [Lane],
+        dir: Direction,
+        scratch: &mut Vec<Lane>,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked just above.
+            return unsafe { self.lanes_avx2(re, im, dir, scratch) };
+        }
+        self.lanes_portable(re, im, dir, scratch);
+    }
+
+    /// [`Fft::process_lanes`]' body, compiled for AVX2.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn lanes_avx2(
+        &self,
+        re: &mut [Lane],
+        im: &mut [Lane],
+        dir: Direction,
+        scratch: &mut Vec<Lane>,
+    ) {
+        self.lanes_portable(re, im, dir, scratch);
+    }
+
+    /// [`Fft::process_lanes`]' body, which both copies compile.
+    #[inline(always)]
+    pub(crate) fn lanes_portable(
+        &self,
+        re: &mut [Lane],
+        im: &mut [Lane],
+        dir: Direction,
+        scratch: &mut Vec<Lane>,
+    ) {
+        match &self.engine {
+            Engine::Radix2(p) => {
+                p.butterflies_lanes(re, im, dir);
+                // `FftPlan::process` returns before its `1/n` when n = 1.
+                if dir == Direction::Inverse && self.len > 1 {
+                    let k = 1.0 / self.len as f64;
+                    for (r, i) in re.iter_mut().zip(im.iter_mut()) {
+                        for c in 0..LANES {
+                            let z = Complex64::new(r[c], i[c]).scale(k);
+                            (r[c], i[c]) = (z.re, z.im);
+                        }
+                    }
+                }
+            }
+            Engine::Bluestein(b) => b.process_lanes(re, im, dir, scratch),
+        }
     }
 }
 
@@ -287,13 +347,6 @@ impl FftPlanCache {
     }
 }
 
-/// Convenience: out-of-place forward transform of a real sequence.
-pub fn forward_real(input: &[f64]) -> Vec<Complex64> {
-    let mut buf: Vec<Complex64> = input.iter().map(|&x| Complex64::from_re(x)).collect();
-    Fft::new(buf.len().max(1)).process(&mut buf, Direction::Forward);
-    buf
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,8 +442,9 @@ mod tests {
     fn real_input_is_hermitian() {
         let n = 32;
         let mut rng = Xoshiro256pp::seed_from_u64(9);
-        let x: Vec<f64> = (0..n).map(|_| rng.next_f64() - 0.5).collect();
-        let spec = forward_real(&x);
+        let mut spec: Vec<Complex64> =
+            (0..n).map(|_| Complex64::from_re(rng.next_f64() - 0.5)).collect();
+        Fft::new(n).process(&mut spec, Direction::Forward);
         for k in 1..n {
             let a = spec[k];
             let b = spec[n - k].conj();
@@ -420,6 +474,81 @@ mod tests {
         }
     }
 
+    /// A test signal with exact zeros of both signs mixed in, so a batched
+    /// path that skipped or reordered an operation would show in the sign
+    /// bits of zero results as well as in roundoff.
+    fn signal(n: usize, lane: usize) -> Vec<Complex64> {
+        (0..n)
+            .map(|i| match (i + lane) % 7 {
+                0 => Complex64::new(0.0, -0.0),
+                3 => Complex64::new(-0.0, ((i * 5 + lane) as f64 * 0.71).cos()),
+                _ => Complex64::new(
+                    ((i * 37 + lane * 11) as f64 * 0.618).sin(),
+                    ((i * 13 + lane * 3) as f64 * 0.377).cos() - 0.25,
+                ),
+            })
+            .collect()
+    }
+
+    type LaneFn = fn(&Fft, &mut [Lane], &mut [Lane], Direction, &mut Vec<Lane>);
+
+    /// Runs up to `LANES` signals through `lanes` the way a caller does:
+    /// loaded through [`Fft::lane_slot`], read back in natural order.
+    /// Unused lanes hold NaN, which must not leak into the filled ones;
+    /// `scratch` carries the previous call's contents in.
+    fn batched(
+        fft: &Fft,
+        signals: &[Vec<Complex64>],
+        dir: Direction,
+        lanes: LaneFn,
+        scratch: &mut Vec<Lane>,
+    ) -> Vec<Vec<Complex64>> {
+        let n = fft.len();
+        let mut re = vec![[f64::NAN; LANES]; n];
+        let mut im = vec![[f64::NAN; LANES]; n];
+        for (c, x) in signals.iter().enumerate() {
+            for (i, z) in x.iter().enumerate() {
+                (re[fft.lane_slot(i)][c], im[fft.lane_slot(i)][c]) = (z.re, z.im);
+            }
+        }
+        lanes(fft, &mut re, &mut im, dir, scratch);
+        (0..signals.len())
+            .map(|c| (0..n).map(|i| Complex64::new(re[i][c], im[i][c])).collect())
+            .collect()
+    }
+
+    #[test]
+    fn lanes_match_the_scalar_transform_bit_for_bit() {
+        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
+            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+        };
+        // Every radix-2 length to 1024, then Bluestein lengths: small odd
+        // and even ones, the Auto-sized kernel lattices, and the longest
+        // `KernelSizing`'s default cap allows (inner length 4096).
+        let radix2 = (0..=10).map(|e| 1usize << e);
+        let bluestein = [3, 5, 6, 7, 12, 45, 80, 96, 100, 120, 150, 160, 200, 1000, 1025, 2046];
+        let copies: [(&str, LaneFn); 2] =
+            [("dispatched", Fft::process_lanes), ("portable", Fft::lanes_portable)];
+        for n in radix2.chain(bluestein) {
+            let fft = Fft::new(n);
+            let mut scratch = Vec::new();
+            for dir in [Direction::Forward, Direction::Inverse] {
+                for filled in [1, 3, LANES] {
+                    let signals: Vec<_> = (0..filled).map(|c| signal(n, c)).collect();
+                    for (copy, lanes) in copies {
+                        let got = batched(&fft, &signals, dir, lanes, &mut scratch);
+                        for (c, x) in signals.iter().enumerate() {
+                            let mut want = x.clone();
+                            fft.process(&mut want, dir);
+                            let what = format!("n={n} {dir:?} {copy} lane {c} of {filled}");
+                            assert_eq!(bits(&got[c]), bits(&want), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn wrong_buffer_length_panics() {
@@ -432,16 +561,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_length_panics() {
         Fft::new(0);
-    }
-
-    #[test]
-    fn planner_caches_and_shares() {
-        let planner = Planner::new();
-        let a = planner.plan(64);
-        let b = planner.plan(64);
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = planner.plan(65);
-        assert_eq!(c.len(), 65);
     }
 
     #[test]
@@ -496,19 +615,6 @@ mod tests {
         let mut cached = x;
         FftPlanCache::global().plan(nx, ny).process(&mut cached, Direction::Forward);
         assert_eq!(fresh, cached, "cached plan must be bit-identical to a fresh one");
-    }
-
-    #[test]
-    fn forward_real_into_matches_widening() {
-        let (nx, ny) = (8, 6);
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let x: Vec<f64> = (0..nx * ny).map(|_| rng.next_f64() - 0.5).collect();
-        let fft = Fft2d::with_workers(nx, ny, 1);
-        let mut wide: Vec<Complex64> = x.iter().map(|&v| Complex64::from_re(v)).collect();
-        fft.process(&mut wide, Direction::Forward);
-        let mut buf = vec![Complex64::ONE; 3]; // stale contents must be discarded
-        fft.forward_real_into(&x, &mut buf);
-        assert_eq!(wide, buf);
     }
 
     #[test]

@@ -22,6 +22,20 @@ pub const LANES: usize = 8;
 /// imaginary) parts.
 pub type Lane = [f64; LANES];
 
+/// Splits `scratch` (grown to `2·(n + 1)` lanes at most once) into a real
+/// and an imaginary plane of `n` lanes each. The planes start `n + 1`
+/// lanes apart, not `n`: for the power-of-two lengths the transforms run
+/// on, `n` lanes is a multiple of 4 KiB, which would put the same element
+/// of both planes in one L1 cache set.
+pub(crate) fn lane_planes(scratch: &mut Vec<Lane>, n: usize) -> (&mut [Lane], &mut [Lane]) {
+    let len = 2 * (n + 1);
+    if scratch.len() < len {
+        scratch.resize(len, [0.0; LANES]);
+    }
+    let (re, im) = scratch[..len].split_at_mut(n + 1);
+    (&mut re[..n], &mut im[..n])
+}
+
 /// A precomputed radix-2 FFT of length `n = 2^k`.
 pub struct FftPlan {
     n: usize,
@@ -111,8 +125,9 @@ impl FftPlan {
     /// element gets exactly the operations of [`FftPlan::process`], so each
     /// lane's result is bit-identical to it. Stages run in pairs, one pass
     /// over the planes per pair. Always inlined, so a caller compiled for
-    /// AVX2 (the [`RealFft2d`](crate::RealFft2d) tile entry points) runs
-    /// the lane loops 4-wide.
+    /// AVX2 (the lane entry of [`Fft`](crate::Fft) and the
+    /// [`RealFft2d`](crate::RealFft2d) tile entry points) runs the lane
+    /// loops 4-wide.
     ///
     /// # Panics
     /// Panics if either plane does not hold exactly `n` lanes.
@@ -245,78 +260,6 @@ mod tests {
         plan.process(&mut buf, Direction::Inverse);
         for (a, b) in buf.iter().zip(&x) {
             assert!((*a - *b).abs() < 1e-12);
-        }
-    }
-
-    /// A test signal with exact zeros of both signs mixed in, so a batched
-    /// path that skipped or reordered an operation would show in the sign
-    /// bits of zero results as well as in roundoff.
-    fn signal(n: usize, lane: usize) -> Vec<Complex64> {
-        (0..n)
-            .map(|i| match (i + lane) % 7 {
-                0 => Complex64::new(0.0, -0.0),
-                3 => Complex64::new(-0.0, ((i * 5 + lane) as f64 * 0.71).cos()),
-                _ => Complex64::new(
-                    ((i * 37 + lane * 11) as f64 * 0.618).sin(),
-                    ((i * 13 + lane * 3) as f64 * 0.377).cos() - 0.25,
-                ),
-            })
-            .collect()
-    }
-
-    /// Runs up to `LANES` signals through the batched path the way a
-    /// caller does: gather through the bit reversal, butterflies, and the
-    /// inverse's `1/n` on the store. Unused lanes hold NaN, which must not
-    /// leak into the filled ones.
-    fn batched(plan: &FftPlan, signals: &[Vec<Complex64>], dir: Direction) -> Vec<Vec<Complex64>> {
-        let n = plan.len();
-        let mut re = vec![[f64::NAN; LANES]; n];
-        let mut im = vec![[f64::NAN; LANES]; n];
-        for (c, x) in signals.iter().enumerate() {
-            for (i, z) in x.iter().enumerate() {
-                re[plan.bit_reversed(i)][c] = z.re;
-                im[plan.bit_reversed(i)][c] = z.im;
-            }
-        }
-        plan.butterflies_lanes(&mut re, &mut im, dir);
-        let inverse = dir == Direction::Inverse;
-        (0..signals.len())
-            .map(|c| {
-                (0..n)
-                    .map(|i| {
-                        let z = Complex64::new(re[i][c], im[i][c]);
-                        if inverse {
-                            z.scale(1.0 / n as f64)
-                        } else {
-                            z
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    #[test]
-    fn lanes_match_the_scalar_transform_bit_for_bit() {
-        let bits = |v: &[Complex64]| -> Vec<(u64, u64)> {
-            v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
-        };
-        for exp in 0..=10 {
-            let n = 1usize << exp;
-            let plan = FftPlan::new(n);
-            let fft = crate::Fft::new(n);
-            for dir in [Direction::Forward, Direction::Inverse] {
-                for filled in [1, 3, LANES] {
-                    let signals: Vec<_> = (0..filled).map(|c| signal(n, c)).collect();
-                    let got = batched(&plan, &signals, dir);
-                    for (c, x) in signals.iter().enumerate() {
-                        let mut want = x.clone();
-                        fft.process(&mut want, dir);
-                        let what = format!("n={n} {dir:?} lane {c} of {filled}");
-                        assert_eq!(bits(&got[c]), bits(&want), "{what}");
-                    }
-                }
-            }
         }
     }
 

@@ -55,14 +55,15 @@
 //! convolution's inverse carries the `1/(nx·ny)` factor (split between the
 //! half-length inverse FFT and the column pass).
 
-use crate::plan::{FftPlan, Lane, LANES};
+use crate::plan::{lane_planes, FftPlan, Lane, LANES};
 use crate::Direction;
 use rrs_num::Complex64;
 use std::ops::Range;
 
-/// Which copy of the tile transforms this CPU runs: `"avx2"` (the same
-/// code compiled for AVX2, picked at run time) or `"portable"`. Both give
-/// the same bits.
+/// Which copy of the batched transforms — these tiles and the lane passes
+/// of [`Fft2d`](crate::Fft2d) — this CPU runs: `"avx2"` (the same code
+/// compiled for AVX2, picked at run time) or `"portable"`. Both give the
+/// same bits.
 pub fn tile_path() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
@@ -123,15 +124,19 @@ impl RealFft2d {
 
     /// Scratch capacity, in [`Lane`]s, the transforms need: one
     /// split-complex lane buffer, a real and an imaginary plane of
-    /// `max(nx/2, ny) + 1` lanes (`2·LANES·(max(nx/2, ny) + 1)` `f64`s).
-    /// Each plane is one lane longer than the longest transform so that
-    /// the planes do not start a multiple of 4 KiB apart, which would put
-    /// the same element of both planes in one L1 cache set. The scratch
-    /// vector handed to the transforms is grown to this once and then
-    /// reused.
+    /// `max(nx/2, ny) + 1` lanes (`2·LANES·(max(nx/2, ny) + 1)` `f64`s;
+    /// each plane is one lane longer than the longest transform so the
+    /// two do not share L1 cache sets). The scratch vector handed to the
+    /// transforms is grown to this once and then reused.
     #[inline]
     pub fn scratch_len(&self) -> usize {
-        2 * ((self.nx / 2).max(self.ny) + 1)
+        2 * (self.longest() + 1)
+    }
+
+    /// The longest 1-D transform a tile runs: `max(nx/2, ny)`.
+    #[inline]
+    fn longest(&self) -> usize {
+        (self.nx / 2).max(self.ny)
     }
 
     /// Forward-transforms in place: on entry row `r` of `spec`, viewed as
@@ -165,7 +170,7 @@ impl RealFft2d {
     /// [`RealFft2d::forward_in_place`]'s body, which both copies compile.
     #[inline(always)]
     fn forward_portable(&self, spec: &mut [Complex64], scratch: &mut Vec<Lane>) {
-        let (re, im) = self.planes(scratch);
+        let (re, im) = lane_planes(scratch, self.longest());
         self.forward_rows(spec, re, im);
         for c0 in (0..self.packed_width()).step_by(LANES) {
             self.column_block(spec, c0, None, re, im);
@@ -227,22 +232,13 @@ impl RealFft2d {
         rows: Range<usize>,
         scratch: &mut Vec<Lane>,
     ) {
-        let (re, im) = self.planes(scratch);
+        let (re, im) = lane_planes(scratch, self.longest());
         self.forward_rows(spec, re, im);
         for c0 in (0..self.packed_width()).step_by(LANES) {
             self.column_block(spec, c0, Some(kspec), re, im);
         }
         let hw = self.packed_width();
         self.inverse_rows(&mut spec[rows.start * hw..rows.end * hw], re, im);
-    }
-
-    /// Splits the (grown) scratch into the real and imaginary planes.
-    fn planes<'a>(&self, scratch: &'a mut Vec<Lane>) -> (&'a mut [Lane], &'a mut [Lane]) {
-        let len = self.scratch_len();
-        if scratch.len() < len {
-            scratch.resize(len, [0.0; LANES]);
-        }
-        scratch[..len].split_at_mut(len / 2)
     }
 
     /// Real rows → packed spectrum rows, `LANES` rows per half-length

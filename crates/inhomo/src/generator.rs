@@ -42,6 +42,7 @@ use rrs_surface::{
     convolve_into, convolve_into_workspace, BackendHealth, ConvBackend, ConvolutionKernel,
     GenContext, KernelSizing, NoiseField, OutputRows,
 };
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 
 /// The weights pass's tag for a sample that is not pure for a single
@@ -139,6 +140,25 @@ struct KernelPass {
     wh: usize,
 }
 
+/// One kernel per spectrum, built once per distinct spectrum: a layout
+/// that repeats a spectrum (Figure 4's ring points share three spectra)
+/// gets clones of the first build. A build is a pure function of the
+/// spectrum, so a clone has the bits a second build would have.
+fn build_once<E>(
+    spectra: &[SpectrumModel],
+    build: impl Fn(&SpectrumModel) -> Result<ConvolutionKernel, E>,
+) -> Result<Vec<ConvolutionKernel>, E> {
+    let mut kernels: Vec<ConvolutionKernel> = Vec::with_capacity(spectra.len());
+    for (i, s) in spectra.iter().enumerate() {
+        let kernel = match spectra[..i].iter().position(|t| t == s) {
+            Some(j) => kernels[j].clone(),
+            None => build(s)?,
+        };
+        kernels.push(kernel);
+    }
+    Ok(kernels)
+}
+
 /// Inhomogeneous surface generator over any [`WeightMap`].
 pub struct InhomogeneousGenerator<M> {
     map: M,
@@ -155,13 +175,12 @@ pub struct InhomogeneousGenerator<M> {
 
 impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// Builds the generator, constructing one kernel per map entry with
-    /// the given sizing policy.
+    /// the given sizing policy. Entries with equal spectra share one
+    /// build (see [`build_once`]).
     pub fn new(map: M, sizing: KernelSizing) -> Self {
-        let kernels = map
-            .spectra()
-            .iter()
-            .map(|s| ConvolutionKernel::build(s, sizing))
-            .collect();
+        let Ok(kernels) = build_once(&map.spectra(), |s| {
+            Ok::<_, Infallible>(ConvolutionKernel::build(s, sizing))
+        });
         Self::from_kernels(map, kernels)
     }
 
@@ -182,11 +201,9 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         sizing: KernelSizing,
         epsilon: f64,
     ) -> Result<Self, RrsError> {
-        let kernels = map
-            .spectra()
-            .iter()
-            .map(|s| ConvolutionKernel::build(s, sizing).try_truncated(epsilon))
-            .collect::<Result<Vec<_>, _>>()?;
+        let kernels = build_once(&map.spectra(), |s| {
+            ConvolutionKernel::build(s, sizing).try_truncated(epsilon)
+        })?;
         Self::try_from_kernels(map, kernels)
     }
 
@@ -658,6 +675,22 @@ mod tests {
 
     fn sizing() -> KernelSizing {
         KernelSizing::Auto { factor: 8.0, min: 16, max: 128 }
+    }
+
+    #[test]
+    fn equal_spectra_share_one_build_with_its_bits() {
+        let spectra = [sm(1.0, 4.0), sm(1.5, 6.0), sm(1.0, 4.0), sm(1.5, 6.0), sm(2.0, 4.0)];
+        let builds = std::cell::Cell::new(0);
+        let kernels = build_once(&spectra, |s| {
+            builds.set(builds.get() + 1);
+            ConvolutionKernel::build(s, sizing()).try_truncated(0.01)
+        })
+        .expect("valid epsilon");
+        assert_eq!(builds.get(), 3, "one build per distinct spectrum");
+        for (s, k) in spectra.iter().zip(&kernels) {
+            let fresh = ConvolutionKernel::build(s, sizing()).truncated(0.01);
+            assert_eq!(*k, fresh, "a shared kernel equals its own build");
+        }
     }
 
     #[test]

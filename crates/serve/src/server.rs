@@ -14,7 +14,9 @@
 //! space, in this order:
 //!
 //! 1. byte quota — `Budget::admit` against the tenant's
-//!    `max_request_bytes` ceiling, yielding a typed `BudgetExceeded`
+//!    `max_request_bytes` ceiling, of the output window and then of the
+//!    output plus the kernel build's footprint on the lattice the
+//!    request's sizing resolves to, yielding a typed `BudgetExceeded`
 //!    error reply;
 //! 2. queue capacity — a typed [`Overloaded`] (`QueueFull`) reply;
 //! 3. tenant in-flight cap — a typed [`Overloaded`] (`TenantQuota`)
@@ -37,6 +39,7 @@ use rrs_error::{Budget, CancelToken, ErrorKind, RrsError};
 use rrs_fft::FftPlanCache;
 use rrs_obs::report::ObsReport;
 use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_spectrum::Spectrum;
 use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
@@ -51,8 +54,9 @@ use std::time::Duration;
 pub struct TenantQuota {
     /// Requests a tenant may have queued or generating at once.
     pub max_in_flight: usize,
-    /// Output-byte ceiling per request (`nx·ny·8`), enforced by
-    /// [`Budget::admit`] before the request is queued.
+    /// Byte ceiling per request — the output (`nx·ny·8`) and the kernel
+    /// build's footprint together — enforced by [`Budget::admit`] before
+    /// the request is queued.
     pub max_request_bytes: usize,
 }
 
@@ -158,7 +162,7 @@ struct GenKey {
 
 impl GenKey {
     fn of(req: &GenerateRequest) -> Self {
-        use rrs_spectrum::{Spectrum, SpectrumModel};
+        use rrs_spectrum::SpectrumModel;
         let (family, n) = match req.spectrum {
             SpectrumModel::Gaussian(_) => (1u8, 0.0),
             SpectrumModel::PowerLaw(m) => (2u8, m.n),
@@ -275,12 +279,7 @@ impl Shared {
     }
 
     fn build_generator(&self, req: &GenerateRequest) -> Result<ConvolutionGenerator, RrsError> {
-        let sizing = KernelSizing::Auto {
-            factor: req.sizing_factor,
-            min: req.sizing_min as usize,
-            max: req.sizing_max as usize,
-        };
-        let mut kernel = ConvolutionKernel::build_observed(&req.spectrum, sizing, &self.obs);
+        let mut kernel = ConvolutionKernel::build_observed(&req.spectrum, sizing(req), &self.obs);
         if let Some(eps) = req.truncation {
             kernel = kernel.try_truncated_observed(eps, &self.obs)?;
         }
@@ -305,6 +304,15 @@ impl Shared {
                 q.in_flight.remove(&tenant);
             }
         }
+    }
+}
+
+/// The kernel lattice policy a request asks for.
+fn sizing(req: &GenerateRequest) -> KernelSizing {
+    KernelSizing::Auto {
+        factor: req.sizing_factor,
+        min: req.sizing_min as usize,
+        max: req.sizing_max as usize,
     }
 }
 
@@ -435,9 +443,17 @@ fn handle_generate(
     };
     let quota = shared.config.quota_for(req.tenant);
     // Byte quota first — before the request touches the queue, and long
-    // before any allocation matching its size exists.
+    // before any allocation matching its size exists: the output window,
+    // then the output together with the kernel lattice the request's
+    // sizing resolves to (a cache miss builds it at full size before any
+    // truncation).
     let gate = Budget::unlimited().with_max_bytes(quota.max_request_bytes);
-    if let Err(e) = gate.admit("serve/window", req.output_bytes()) {
+    let lattice = sizing(&req).resolve(req.spectrum.params());
+    let admitted = gate.admit("serve/window", req.output_bytes()).and_then(|()| {
+        let kernel = ConvolutionKernel::build_bytes(lattice);
+        gate.admit("serve/kernel", req.output_bytes() + kernel)
+    });
+    if let Err(e) = admitted {
         respond(
             shared,
             conn,

@@ -819,7 +819,8 @@ impl GenerateErr {
     pub fn from_error(request_id: u64, e: &RrsError) -> Self {
         let (required_bytes, max_bytes) = match e.root_cause() {
             RrsError::BudgetExceeded { required_bytes, max_bytes, .. } => {
-                (*required_bytes as u64, *max_bytes as u64)
+                // A kernel lattice's footprint can pass u64: saturate.
+                (u64::try_from(*required_bytes).unwrap_or(u64::MAX), *max_bytes as u64)
             }
             _ => (0, 0),
         };

@@ -35,7 +35,8 @@ pub enum KernelSizing {
     /// Use this lattice exactly.
     Explicit(GridSpec),
     /// Size each axis to `factor × cl / spacing`, rounded up to the next
-    /// even integer and clamped to `[min, max]` samples, at unit spacing.
+    /// even integer and clamped to `[min, max]` samples (never below 2),
+    /// at unit spacing.
     Auto {
         /// Support factor in correlation lengths (8 is a safe default).
         factor: f64,
@@ -59,9 +60,11 @@ impl KernelSizing {
             Self::Explicit(spec) => spec,
             Self::Auto { factor, min, max } => {
                 let pick = |cl: f64| -> usize {
+                    // `as` saturates a huge product at `usize::MAX` (odd),
+                    // so rounding up to even must saturate too.
                     let raw = (factor * cl).ceil() as usize;
-                    let even = raw + raw % 2;
-                    even.clamp(min.max(2), max)
+                    let even = raw.saturating_add(raw % 2);
+                    even.min(max).max(min).max(2)
                 };
                 GridSpec::unit(pick(params.clx), pick(params.cly))
             }
@@ -93,6 +96,15 @@ impl ConvolutionKernel {
     ) -> Self {
         let spec = sizing.resolve(spectrum.params());
         Self::build_on_observed(spectrum, spec, obs)
+    }
+
+    /// Bytes building a kernel on `spec` allocates: the amplitudes, the
+    /// complex transform buffer and the weights, all alive at once (32
+    /// bytes a sample; the transform's lane scratch grows only with
+    /// `nx + ny`). Widened so no lattice overflows it.
+    pub fn build_bytes(spec: GridSpec) -> u128 {
+        let per_sample = 2 * std::mem::size_of::<f64>() + std::mem::size_of::<Complex64>();
+        spec.nx as u128 * spec.ny as u128 * per_sample as u128
     }
 
     /// Builds the kernel on an explicit lattice (eqns 34–35 verbatim).
@@ -235,11 +247,22 @@ impl ConvolutionKernel {
         let (w, h) = self.extent();
         let (hx, hy) = ((w / 2) as i64, (h / 2) as i64);
         // Binary search the scale factor t: window half-widths
-        // (ceil(t·hx), ceil(t·hy)).
-        let ok = |t: f64| -> bool {
-            let rx = ((t * hx as f64).ceil() as i64).min(hx - 1).max(0);
-            let ry = ((t * hy as f64).ceil() as i64).min(hy - 1).max(0);
-            self.window_energy(rx, ry) >= total * (1.0 - epsilon * epsilon)
+        // (ceil(t·hx), ceil(t·hy)). The predicate depends on t only
+        // through them, and most of the 40 steps land on a window already
+        // summed, so each distinct window's verdict is kept.
+        let half_widths = |t: f64| {
+            let r = |half: i64| ((t * half as f64).ceil() as i64).min(half - 1).max(0);
+            (r(hx), r(hy))
+        };
+        let mut seen: Vec<((i64, i64), bool)> = Vec::new();
+        let mut ok = |t: f64| -> bool {
+            let (rx, ry) = half_widths(t);
+            if let Some(&(_, verdict)) = seen.iter().find(|(r, _)| *r == (rx, ry)) {
+                return verdict;
+            }
+            let verdict = self.window_energy(rx, ry) >= total * (1.0 - epsilon * epsilon);
+            seen.push(((rx, ry), verdict));
+            verdict
         };
         if !ok(1.0) {
             // Even the largest centred odd window can't hold the energy
@@ -256,8 +279,7 @@ impl ConvolutionKernel {
                 lo = mid;
             }
         }
-        let rx = ((hi * hx as f64).ceil() as i64).min(hx - 1).max(0);
-        let ry = ((hi * hy as f64).ceil() as i64).min(hy - 1).max(0);
+        let (rx, ry) = half_widths(hi);
         Ok(self.crop(rx, ry))
     }
 
@@ -307,6 +329,19 @@ mod tests {
             &Gaussian::new(SurfaceParams::isotropic(h, cl)),
             GridSpec::unit(n, n),
         )
+    }
+
+    #[test]
+    fn auto_sizing_clamps_huge_and_tiny_correlation_lengths() {
+        let sizing = KernelSizing::default();
+        let huge = SurfaceParams::isotropic(1.0, 1e300);
+        assert_eq!(sizing.resolve(huge), GridSpec::unit(2048, 2048), "saturates to max");
+        let tiny = SurfaceParams::isotropic(1.0, 1e-300);
+        assert_eq!(sizing.resolve(tiny), GridSpec::unit(16, 16), "rounds up to min");
+        let one = KernelSizing::Auto { factor: 8.0, min: 1, max: 1 };
+        assert_eq!(one.resolve(huge), GridSpec::unit(2, 2), "never below 2");
+        let spec = sizing.resolve(SurfaceParams::new(1.0, 10.0, 1e300));
+        assert_eq!(ConvolutionKernel::build_bytes(spec), 80 * 2048 * 32);
     }
 
     #[test]

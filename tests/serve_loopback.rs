@@ -217,6 +217,38 @@ fn byte_quota_rejects_typed_before_any_allocation() {
 }
 
 #[test]
+fn an_oversized_kernel_lattice_is_rejected_typed_and_the_connection_keeps_serving() {
+    let server = serve(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    // A tiny window whose kernel is not: cl = 1e6 at factor 8 resolves
+    // to an 8e6 × 8e6 lattice once `sizing_max` no longer caps it.
+    let huge = SpectrumModel::gaussian(SurfaceParams::isotropic(1.0, 1e6));
+    let win = Window::sized(16, 16);
+    let req = GenerateRequest::new(1, 0, 3, huge, win).with_sizing(8.0, 16, u32::MAX);
+    match client.try_generate(&req) {
+        Err(ServeError::Remote(e)) => {
+            assert_eq!(e.kind, ErrorKind::BudgetExceeded);
+            let lattice = 8_000_000u64 * 8_000_000;
+            assert_eq!(e.required_bytes, 16 * 16 * 8 + lattice * 32);
+            assert_eq!(e.max_bytes, TenantQuota::default().max_request_bytes as u64);
+        }
+        other => panic!("expected a typed BudgetExceeded, got {other:?}"),
+    }
+    let report = server.report();
+    assert_eq!(report.counter(stage::SERVE_KERNEL_MISS), 0, "no kernel build started");
+    assert_eq!(report.counter(stage::SERVE_GENERATE), 0);
+
+    // The same connection serves the next request, bit-identical to
+    // direct generation.
+    let model = spectrum();
+    let next = GenerateRequest::new(2, 0, 9, model, win).with_sizing(6.0, 8, 64);
+    let served = client.try_generate(&next).expect("served window");
+    let sizing = KernelSizing::Auto { factor: 6.0, min: 8, max: 64 };
+    assert_eq!(served, direct(&model, None, sizing, next.options.backend, 9, win));
+    server.shutdown();
+}
+
+#[test]
 fn per_request_budgets_ride_the_wire() {
     let server = serve(ServeConfig::default()).expect("bind");
     let mut client = Client::connect(server.addr()).expect("connect");
