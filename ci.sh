@@ -72,6 +72,11 @@ echo "== partition torture: failover, draining and wire-level chaos =="
 # window — see tests/serve_partition.rs.
 cargo test -q --test serve_partition --locked --offline
 
+echo "== docs: every intra-doc link must resolve =="
+# Fails on a doc link to a deleted or renamed item (and on an unescaped
+# bracketed citation rustdoc would read as a link).
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --locked --offline
+
 echo "== guard: no internal calls to deprecated APIs =="
 # The deprecated positional generate_window wrappers have been deleted;
 # the flag now guards against reintroducing them (or calling any newly

@@ -49,7 +49,7 @@ use rrs_num::complex::{as_f64s, as_f64s_mut};
 use rrs_num::Complex64;
 use rrs_spectrum::{Gaussian, SurfaceParams};
 use rrs_surface::{
-    ConvBackend, ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -217,8 +217,11 @@ fn main() {
         let mut mins = vec![0.0f64; engines.len()];
         for (i, &(tag, backend, workers)) in engines.iter().enumerate() {
             let gen = ConvolutionGenerator::from_kernel(shape.kernel.clone())
-                .with_workers(workers)
-                .with_backend(backend);
+                .with_context(
+                    GenContext::new()
+                        .with_workers(workers)
+                        .with_backend(backend),
+                );
             h.bench_elems(
                 &format!("{group}/{}/{tag}", shape.label),
                 (OUT * OUT) as u64,
@@ -236,8 +239,11 @@ fn main() {
         let rfft_min = min_of("rfft").expect("rfft always measured");
 
         let auto = ConvolutionGenerator::from_kernel(shape.kernel.clone())
-            .with_workers(1)
-            .with_backend(ConvBackend::Auto);
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Auto),
+            );
         let resolved = auto.resolved_backend();
         h.bench_elems(&format!("{group}/{}/auto", shape.label), (OUT * OUT) as u64, || {
             black_box(auto.generate(&noise, win))

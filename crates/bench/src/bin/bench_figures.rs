@@ -71,7 +71,8 @@ fn noise_windows() -> Vec<(&'static str, bool, u64)> {
         .into_iter()
         .map(|fig| {
             let rec = Recorder::enabled();
-            let fig = Figure { generator: fig.generator.with_recorder(rec.clone()), ..fig };
+            let ctx = fig.generator.context().clone().with_recorder(rec.clone());
+            let fig = Figure { generator: fig.generator.with_context(ctx), ..fig };
             timed(&fig);
             let blended = fig.generator.resolved_backend() != ConvBackend::Direct;
             let report = rec.report();

@@ -32,8 +32,8 @@ use rrs_grid::Window;
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
 use rrs_surface::{
-    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing,
-    NoiseField, StripGenerator,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, GenContext,
+    KernelSizing, NoiseField, StripGenerator,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -64,9 +64,13 @@ fn main() {
     let out_win = Window::sized(OUT, OUT);
     for cl in [4.0, 8.0, 16.0, 32.0] {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, cl));
-        let gen = ConvolutionGenerator::new_observed(&s, KernelSizing::default(), rec.clone())
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct);
+        let kernel = ConvolutionKernel::build_observed(&s, KernelSizing::default(), &rec);
+        let gen = ConvolutionGenerator::from_kernel(kernel).with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::Direct)
+                .with_recorder(rec.clone()),
+        );
         h.bench_elems(&format!("kernel_scaling/cl{}", cl as u64), (OUT * OUT) as u64, || {
             black_box(gen.generate(&noise, out_win))
         });
@@ -77,15 +81,18 @@ fn main() {
     let full = ConvolutionKernel::build_observed(&s, KernelSizing::default(), &rec);
     for (label, kernel) in [
         ("full", full.clone()),
-        ("eps1e-1", full.try_truncated_observed(1e-1, &rec).expect("valid epsilon")),
-        ("eps1e-2", full.try_truncated_observed(1e-2, &rec).expect("valid epsilon")),
-        ("eps1e-4", full.try_truncated_observed(1e-4, &rec).expect("valid epsilon")),
+        ("eps1e-1", full.try_truncated(1e-1, &rec).expect("valid epsilon")),
+        ("eps1e-2", full.try_truncated(1e-2, &rec).expect("valid epsilon")),
+        ("eps1e-4", full.try_truncated(1e-4, &rec).expect("valid epsilon")),
     ] {
         let extent = kernel.extent().0;
         let gen = ConvolutionGenerator::from_kernel(kernel)
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct)
-            .with_recorder(rec.clone());
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct)
+                    .with_recorder(rec.clone()),
+            );
         h.bench(&format!("kernel_truncation/{label}/{extent}"), || {
             black_box(gen.generate(&noise, out_win))
         });
@@ -103,18 +110,24 @@ fn main() {
         });
         let win = Window::sized(n, n);
         let conv = ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct)
-            .with_recorder(rec.clone());
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct)
+                    .with_recorder(rec.clone()),
+            );
         h.bench_elems(&format!("direct_vs_conv/convolution/{n}"), (n * n) as u64, || {
             black_box(conv.generate(&noise, win))
         });
         let conv_t = ConvolutionGenerator::from_kernel(
             ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-2),
         )
-        .with_workers(1)
-        .with_backend(ConvBackend::Direct)
-        .with_recorder(rec.clone());
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::Direct)
+                .with_recorder(rec.clone()),
+        );
         h.bench_elems(&format!("direct_vs_conv/convolution_trunc/{n}"), (n * n) as u64, || {
             black_box(conv_t.generate(&noise, win))
         });
@@ -144,9 +157,12 @@ fn main() {
     let mut scaling: Vec<(usize, f64)> = Vec::new();
     for workers in [1usize, 2, 4, 8] {
         let gen = ConvolutionGenerator::from_kernel(kernel.clone())
-            .with_workers(workers)
-            .with_backend(ConvBackend::Direct)
-            .with_recorder(rec.clone());
+            .with_context(
+                GenContext::new()
+                    .with_workers(workers)
+                    .with_backend(ConvBackend::Direct)
+                    .with_recorder(rec.clone()),
+            );
         h.bench_elems(&format!("parallel_scaling/w{workers}"), (bx * by) as u64, || {
             black_box(gen.try_correlate_window(&win_buf, bx, by).expect("correlate"))
         });
@@ -210,8 +226,11 @@ fn main() {
 
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
     let mut sg = StripGenerator::new(&s, KernelSizing::default(), 64, 5)
-        .with_backend(ConvBackend::Direct)
-        .with_recorder(rec.clone());
+        .with_context(
+            GenContext::new()
+                .with_backend(ConvBackend::Direct)
+                .with_recorder(rec.clone()),
+        );
     h.bench_elems("streaming/next_strip_256x64", (256 * 64) as u64, || {
         black_box(sg.next_strip(256))
     });

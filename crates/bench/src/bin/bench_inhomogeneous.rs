@@ -21,7 +21,7 @@ use rrs_inhomo::plate::quadrant_layout;
 use rrs_inhomo::{InhomogeneousGenerator, PointLayout, RepresentativePoint, WeightMap};
 use rrs_spectrum::{SpectrumModel, SurfaceParams};
 use rrs_surface::{
-    ConvBackend, ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField,
 };
 use std::hint::black_box;
 
@@ -111,7 +111,10 @@ fn main() {
     let ratio = bench_both(
         &mut h,
         name,
-        |b| ConvolutionGenerator::new(&sm(1.0, 8.0), sizing()).with_workers(1).with_backend(b),
+        |b| {
+            ConvolutionGenerator::new(&sm(1.0, 8.0), sizing())
+                .with_context(GenContext::new().with_workers(1).with_backend(b))
+        },
         |g| g.generate(&noise, win),
     );
     speedups.push((name.to_string(), ratio));
@@ -126,7 +129,10 @@ fn main() {
     let ratio = bench_both(
         &mut h,
         name,
-        |b| InhomogeneousGenerator::new(plates.clone(), sizing()).with_workers(1).with_backend(b),
+        |b| {
+            InhomogeneousGenerator::new(plates.clone(), sizing())
+                .with_context(GenContext::new().with_workers(1).with_backend(b))
+        },
         |g| g.generate(&noise, win),
     );
     speedups.push((name.to_string(), ratio));
@@ -148,7 +154,10 @@ fn main() {
     let ratio = bench_both(
         &mut h,
         name,
-        |b| InhomogeneousGenerator::new(points.clone(), sizing()).with_workers(1).with_backend(b),
+        |b| {
+            InhomogeneousGenerator::new(points.clone(), sizing())
+                .with_context(GenContext::new().with_workers(1).with_backend(b))
+        },
         |g| g.generate(&noise, win),
     );
     speedups.push((name.to_string(), ratio));
@@ -162,8 +171,9 @@ fn main() {
         [sm(1.0, 6.0), sm(1.5, 6.0), sm(2.0, 6.0), sm(1.5, 6.0)],
         12.0,
     );
+    let explicit = KernelSizing::Explicit(spec);
     let kernels: Vec<ConvolutionKernel> =
-        layout.spectra().iter().map(|s| ConvolutionKernel::build_on(s, spec)).collect();
+        layout.spectra().iter().map(|s| ConvolutionKernel::build(s, explicit)).collect();
 
     let name = format!("blend_ablation/blend_fields/{N}");
     let ratio = bench_both(
@@ -171,8 +181,7 @@ fn main() {
         &name,
         |b| {
             InhomogeneousGenerator::from_kernels(layout.clone(), kernels.clone())
-                .with_workers(1)
-                .with_backend(b)
+                .with_context(GenContext::new().with_workers(1).with_backend(b))
         },
         |g| g.generate(&noise, win),
     );

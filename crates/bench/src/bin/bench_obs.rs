@@ -23,7 +23,7 @@ use rrs_bench::Harness;
 use rrs_grid::Window;
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, SurfaceParams};
-use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField};
+use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::hint::black_box;
 
 const N: usize = 192;
@@ -36,22 +36,25 @@ fn main() {
     let noise = NoiseField::new(42);
     let win = Window::sized(N, N);
 
-    let plain = ConvolutionGenerator::from_kernel(kernel.clone()).with_workers(1);
+    let plain = ConvolutionGenerator::from_kernel(kernel.clone())
+        .with_context(GenContext::new().with_workers(1));
     h.bench_elems("obs/baseline_no_recorder", (N * N) as u64, || {
         black_box(plain.generate(&noise, win))
     });
 
     let disabled = ConvolutionGenerator::from_kernel(kernel.clone())
-        .with_workers(1)
-        .with_recorder(Recorder::disabled());
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_recorder(Recorder::disabled()),
+        );
     h.bench_elems("obs/disabled_recorder", (N * N) as u64, || {
         black_box(disabled.generate(&noise, win))
     });
 
     let rec = Recorder::enabled();
     let enabled = ConvolutionGenerator::from_kernel(kernel)
-        .with_workers(1)
-        .with_recorder(rec.clone());
+        .with_context(GenContext::new().with_workers(1).with_recorder(rec.clone()));
     h.bench_elems("obs/enabled_recorder", (N * N) as u64, || {
         black_box(enabled.generate(&noise, win))
     });

@@ -16,13 +16,15 @@
 //! figure on most filesystems.
 
 use rrs_bench::Harness;
+use rrs_chaos::ChaosInjector;
+use rrs_error::Budget;
 use rrs_io::{
-    write_checkpoint, write_checkpoint_file_observed, write_checkpoint_file_retrying,
-    RetryPolicy, StreamCheckpoint,
+    write_checkpoint, write_checkpoint_file, write_checkpoint_file_resilient, RetryPolicy,
+    StreamCheckpoint,
 };
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, SurfaceParams};
-use rrs_surface::{KernelSizing, StripGenerator};
+use rrs_surface::{GenContext, KernelSizing, StripGenerator};
 use std::hint::black_box;
 
 const NY: usize = 256;
@@ -38,15 +40,15 @@ fn main() {
     let mut h = Harness::new("resume").with_reps(20);
 
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
-    let mut sg =
-        StripGenerator::new(&s, KernelSizing::default(), NY, 11).with_recorder(rec.clone());
+    let mut sg = StripGenerator::new(&s, KernelSizing::default(), NY, 11)
+        .with_context(GenContext::new().with_recorder(rec.clone()));
 
     h.bench_elems("resume/strip_only", (NY * STRIP_W) as u64, || {
         black_box(sg.next_strip(STRIP_W))
     });
 
-    let mut sg =
-        StripGenerator::new(&s, KernelSizing::default(), NY, 11).with_recorder(rec.clone());
+    let mut sg = StripGenerator::new(&s, KernelSizing::default(), NY, 11)
+        .with_context(GenContext::new().with_recorder(rec.clone()));
     h.bench_elems("resume/strip_plus_mem_checkpoint", (NY * STRIP_W) as u64, || {
         let strip = sg.next_strip(STRIP_W);
         let mut buf = Vec::with_capacity(64);
@@ -56,17 +58,17 @@ fn main() {
 
     let dir = std::env::var("RRS_BENCH_DIR").unwrap_or_else(|_| ".".into());
     let path = format!("{dir}/bench_resume.ckpt");
-    let mut sg =
-        StripGenerator::new(&s, KernelSizing::default(), NY, 11).with_recorder(rec.clone());
+    let mut sg = StripGenerator::new(&s, KernelSizing::default(), NY, 11)
+        .with_context(GenContext::new().with_recorder(rec.clone()));
     h.bench_elems("resume/strip_plus_file_checkpoint", (NY * STRIP_W) as u64, || {
         let strip = sg.next_strip(STRIP_W);
-        write_checkpoint_file_observed(&path, &checkpoint_of(&sg), &rec).expect("checkpoint");
+        write_checkpoint_file(&path, &checkpoint_of(&sg), &rec).expect("checkpoint");
         black_box(strip)
     });
 
     let sg = StripGenerator::new(&s, KernelSizing::default(), NY, 11);
     h.bench("resume/file_checkpoint_only", || {
-        write_checkpoint_file_observed(&path, &checkpoint_of(&sg), &rec).expect("checkpoint");
+        write_checkpoint_file(&path, &checkpoint_of(&sg), &rec).expect("checkpoint");
     });
 
     // The production streaming loop wraps the durable write in a retry
@@ -74,8 +76,15 @@ fn main() {
     // measures the policy's bookkeeping overhead and (with --obs) surfaces
     // the retry/attempts counter in the report.
     h.bench("resume/file_checkpoint_retrying", || {
-        write_checkpoint_file_retrying(&path, &checkpoint_of(&sg), RetryPolicy::default(), &rec)
-            .expect("checkpoint");
+        write_checkpoint_file_resilient(
+            &path,
+            &checkpoint_of(&sg),
+            RetryPolicy::default(),
+            &rec,
+            &Budget::unlimited(),
+            &ChaosInjector::disabled(),
+        )
+        .expect("checkpoint");
     });
 
     if obs_on {

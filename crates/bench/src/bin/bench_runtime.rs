@@ -38,7 +38,7 @@ use rrs_error::{Budget, CancelToken};
 use rrs_grid::Window;
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, SurfaceParams};
-use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField};
+use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -141,19 +141,18 @@ fn main() {
     let noise = NoiseField::new(42);
     let win = Window::sized(N, N);
 
-    let plain = ConvolutionGenerator::from_kernel(kernel.clone()).with_workers(1);
+    let plain = ConvolutionGenerator::from_kernel(kernel.clone())
+        .with_context(GenContext::new().with_workers(1));
     h.bench_elems("runtime/conv_no_budget", (N * N) as u64, || {
         black_box(plain.generate(&noise, win))
     });
 
+    let budget = Budget::unlimited()
+        .with_cancel_token(CancelToken::new())
+        .with_timeout(Duration::from_secs(3600))
+        .with_max_bytes(usize::MAX);
     let armed_gen = ConvolutionGenerator::from_kernel(kernel)
-        .with_workers(1)
-        .with_budget(
-            Budget::unlimited()
-                .with_cancel_token(CancelToken::new())
-                .with_timeout(Duration::from_secs(3600))
-                .with_max_bytes(usize::MAX),
-        );
+        .with_context(GenContext::new().with_workers(1).with_budget(budget));
     h.bench_elems("runtime/conv_armed_budget", (N * N) as u64, || {
         black_box(armed_gen.try_generate(&noise, win).unwrap())
     });

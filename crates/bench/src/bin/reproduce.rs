@@ -19,8 +19,8 @@ use rrs_spectrum::{
 };
 use rrs_stats::Moments;
 use rrs_surface::{
-    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing,
-    NoiseField, StripGenerator,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, GenContext,
+    KernelSizing, NoiseField, StripGenerator,
 };
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -162,8 +162,8 @@ fn run_figure(figure: &Figure, out: &Path, reps: u64) {
         surface.std_dev()
     );
     let base = out.join(figure.id);
-    rrs_io::write_pgm(File::create(base.with_extension("pgm")).unwrap(), &surface).unwrap();
-    rrs_io::write_ppm(File::create(base.with_extension("ppm")).unwrap(), &surface).unwrap();
+    rrs_io::try_write_pgm(File::create(base.with_extension("pgm")).unwrap(), &surface).unwrap();
+    rrs_io::try_write_ppm(File::create(base.with_extension("ppm")).unwrap(), &surface).unwrap();
     rrs_io::write_gnuplot_matrix(
         File::create(base.with_extension("dat")).unwrap(),
         &surface,
@@ -295,7 +295,7 @@ fn claim_c4(seed: u64) {
     println!("\n=== claim C4: streaming strips are seamless and stationary");
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
     let mut sg = StripGenerator::new(&s, KernelSizing::default(), 128, seed)
-        .with_backend(ConvBackend::Direct);
+        .with_context(GenContext::new().with_backend(ConvBackend::Direct));
     let tile = 256usize;
     let tiles = 8usize;
     let t0 = Instant::now();

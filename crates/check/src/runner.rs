@@ -1,5 +1,6 @@
 //! Case scheduling, seed derivation and failure reporting.
 
+use rrs_num::fnv1a;
 use rrs_rng::{RandomSource, SplitMix64, Xoshiro256pp};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
@@ -47,15 +48,6 @@ impl CaseRng {
     pub fn draw<G: crate::Gen>(&mut self, gen: G) -> G::Value {
         gen.generate(self)
     }
-}
-
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 fn parse_seed(s: &str) -> Option<u64> {

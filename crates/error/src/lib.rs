@@ -3,10 +3,10 @@
 //! Every fallible entry point in the workspace — parameter validation,
 //! shape checks, snapshot decoding, parallel execution — reports a
 //! [`RrsError`]. The taxonomy is deliberately small: callers match on
-//! [`RrsError::kind`] to branch programmatically, while [`Display`]
-//! produces the same human-readable one-liners the old panicking
-//! constructors used, so `try_*` APIs and their panicking wrappers speak
-//! one language.
+//! [`RrsError::kind`] to branch programmatically, while
+//! [`Display`](std::fmt::Display) produces the same human-readable
+//! one-liners the old panicking constructors used, so `try_*` APIs and
+//! their panicking wrappers speak one language.
 //!
 //! # Error-handling policy
 //!

@@ -228,7 +228,7 @@ enum CachedPlan {
 /// (overlap-save convolution tiles, autocorrelation / periodogram
 /// estimators, spectrum verification) fetch their plan here instead.
 /// Plans are immutable once built, so sharing one `Arc` across threads
-/// is free. [`FftPlanCache::plan_real_observed`] ticks
+/// is free. [`FftPlanCache::plan_real`] ticks
 /// [`stage::FFT_PLAN_HIT`] / [`stage::FFT_PLAN_MISS`] so cache
 /// effectiveness is visible in reports.
 #[derive(Default)]
@@ -290,17 +290,13 @@ impl FftPlanCache {
         }
     }
 
-    /// Fetches (or builds and caches) the real-input `nx × ny` transform.
+    /// Fetches (or builds and caches) the real-input `nx × ny` transform,
+    /// ticking cache hits and misses into `obs` ([`stage::FFT_PLAN_HIT`] /
+    /// [`stage::FFT_PLAN_MISS`]).
     ///
     /// # Panics
     /// Panics unless both sides are powers of two.
-    pub fn plan_real(&self, nx: usize, ny: usize) -> Arc<RealFft2d> {
-        self.plan_real_observed(nx, ny, &Recorder::disabled())
-    }
-
-    /// [`FftPlanCache::plan_real`] with cache hits and misses ticked into
-    /// `obs` ([`stage::FFT_PLAN_HIT`] / [`stage::FFT_PLAN_MISS`]).
-    pub fn plan_real_observed(&self, nx: usize, ny: usize, obs: &Recorder) -> Arc<RealFft2d> {
+    pub fn plan_real(&self, nx: usize, ny: usize, obs: &Recorder) -> Arc<RealFft2d> {
         let mut cache = self.lock_recovering();
         self.flush_poisoned(obs);
         match cache.entry((PlanKind::Real, nx, ny)) {
@@ -579,9 +575,9 @@ mod tests {
     fn plan_cache_keys_real_and_complex_separately() {
         let cache = FftPlanCache::new();
         let c = cache.plan(16, 8);
-        let r = cache.plan_real(16, 8);
+        let r = cache.plan_real(16, 8, &Recorder::disabled());
         assert_eq!(cache.len(), 2, "real and complex plans of one shape coexist");
-        let r2 = cache.plan_real(16, 8);
+        let r2 = cache.plan_real(16, 8, &Recorder::disabled());
         assert!(Arc::ptr_eq(&r, &r2), "same real key must share one plan");
         assert_eq!(c.shape(), r.shape());
         assert_eq!(cache.len(), 2);
@@ -591,14 +587,14 @@ mod tests {
     fn observed_plan_requests_tick_hit_and_miss_counters() {
         let cache = FftPlanCache::new();
         let rec = Recorder::enabled();
-        cache.plan_real_observed(8, 8, &rec);
-        cache.plan_real_observed(8, 4, &rec);
+        cache.plan_real(8, 8, &rec);
+        cache.plan_real(8, 4, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 2, "two cold builds");
         assert_eq!(report.counter(stage::FFT_PLAN_HIT), 0);
-        cache.plan_real_observed(8, 8, &rec);
-        cache.plan_real_observed(8, 4, &rec);
-        cache.plan_real_observed(8, 4, &rec);
+        cache.plan_real(8, 8, &rec);
+        cache.plan_real(8, 4, &rec);
+        cache.plan_real(8, 4, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 2, "warm requests build nothing");
         assert_eq!(report.counter(stage::FFT_PLAN_HIT), 3);
@@ -642,14 +638,14 @@ mod tests {
     #[test]
     fn poisoned_plan_cache_recovers_by_rebuilding() {
         let cache = FftPlanCache::new();
-        cache.plan_real(8, 4);
+        cache.plan_real(8, 4, &Recorder::disabled());
         assert_eq!(cache.len(), 1);
         poison(&cache);
         // The next observed lookup recovers: the half-mutated map is
         // discarded, the recovery is flushed to the recorder, and the
         // lookup re-plans from empty.
         let rec = Recorder::enabled();
-        let a = cache.plan_real_observed(8, 4, &rec);
+        let a = cache.plan_real(8, 4, &rec);
         let report = rec.report();
         assert_eq!(report.counter(stage::FFT_PLAN_POISONED), 1);
         assert_eq!(report.counter(stage::FFT_PLAN_MISS), 1, "cleared cache re-plans");
@@ -676,10 +672,10 @@ mod tests {
         let cache = FftPlanCache::new();
         poison(&cache);
         // An unobserved lookup recovers but has no recorder to flush to.
-        cache.plan_real(4, 4);
+        cache.plan_real(4, 4, &Recorder::disabled());
         assert_eq!(cache.pending_poison_recoveries(), 1);
         let rec = Recorder::enabled();
-        cache.plan_real_observed(4, 4, &rec);
+        cache.plan_real(4, 4, &rec);
         assert_eq!(rec.report().counter(stage::FFT_PLAN_POISONED), 1);
         assert_eq!(rec.report().counter(stage::FFT_PLAN_HIT), 1, "plan survived from recovery");
         assert_eq!(cache.pending_poison_recoveries(), 0);

@@ -34,7 +34,6 @@
 
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, RrsError};
-use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
 use rrs_obs::{stage, ObsSink, Recorder};
 use rrs_spectrum::SpectrumModel;
@@ -43,7 +42,7 @@ use rrs_surface::{
     GenContext, KernelSizing, NoiseField, OutputRows,
 };
 use std::convert::Infallible;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// The weights pass's tag for a sample that is not pure for a single
 /// kernel below this index: the blend looks its weights up again. Any
@@ -160,6 +159,33 @@ fn build_once<E>(
 }
 
 /// Inhomogeneous surface generator over any [`WeightMap`].
+///
+/// Configured through one [`GenContext`]
+/// ([`InhomogeneousGenerator::with_context`]). Its backend picks the
+/// evaluator. Every policy but [`ConvBackend::Direct`] runs the
+/// kernel-major blend (see the module docs) whenever a kernel resolves to
+/// the FFT engine: each kernel's field over its own box of nonzero weight,
+/// from the real-input overlap-save engine — or from direct dot products
+/// for a kernel [`ConvBackend::resolve`] sends to `Direct` — weighted and
+/// summed in kernel-index order. That covers pure windows and windows
+/// across transition bands alike, equals the per-sample loop within 1e-9
+/// relative error, and is bit-identical across worker counts. A blend that
+/// fails on a worker panic or an injected fault degrades to the per-sample
+/// loop (`conv/degraded_to_direct`), behind this generator's circuit
+/// breaker ([`InhomogeneousGenerator::backend_health`]).
+/// [`ConvBackend::Direct`] runs the per-sample loop only and is
+/// bit-identical to previous releases; pin it to reproduce their output
+/// exactly.
+///
+/// The context's budget polls its deadline and cancel token per FFT tile,
+/// per row of the blend's weights pass and per band of every other
+/// blending pass, and its byte ceiling is admitted before any sample tags,
+/// noise window or output is allocated. An enabled recorder times window
+/// materialisation, FFT tiles and the blending passes, and counts the
+/// kernel-selection mix (`inhomo/pure_samples`, `inhomo/blended_samples`,
+/// `inhomo/kernel_evals`) with the same values on every backend. Neither
+/// an idle budget, a recorder nor a disabled chaos injector changes an
+/// output bit.
 pub struct InhomogeneousGenerator<M> {
     map: M,
     kernels: Vec<ConvolutionKernel>,
@@ -202,7 +228,7 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         epsilon: f64,
     ) -> Result<Self, RrsError> {
         let kernels = build_once(&map.spectra(), |s| {
-            ConvolutionKernel::build(s, sizing).try_truncated(epsilon)
+            ConvolutionKernel::build(s, sizing).try_truncated(epsilon, &Recorder::disabled())
         })?;
         Self::try_from_kernels(map, kernels)
     }
@@ -252,9 +278,8 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         })
     }
 
-    /// Replaces the whole [`GenContext`] at once — the single entry
-    /// point every `with_*` builder delegates to, shared verbatim with
-    /// the homogeneous generators.
+    /// Replaces the whole [`GenContext`] at once, like the homogeneous
+    /// generators' `with_context`.
     pub fn with_context(mut self, ctx: GenContext) -> Self {
         self.ctx = ctx;
         self
@@ -264,82 +289,6 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// budget, chaos).
     pub fn context(&self) -> &GenContext {
         &self.ctx
-    }
-
-    /// Sets the worker count (output is identical for any value).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.ctx = self.ctx.with_workers(workers);
-        self
-    }
-
-    /// Attaches a recorder: window materialisation, FFT tiles and the
-    /// blending passes are timed, and the kernel-selection mix is counted
-    /// (`inhomo/pure_samples`, `inhomo/blended_samples`,
-    /// `inhomo/kernel_evals`) with the same values on every backend.
-    /// Observation never changes output.
-    pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.ctx = self.ctx.with_recorder(obs);
-        self
-    }
-
-    /// The attached recorder (disabled by default).
-    pub fn recorder(&self) -> &Recorder {
-        self.ctx.recorder()
-    }
-
-    /// Attaches a resource [`Budget`]: deadline/cancel polled per FFT
-    /// tile, per row of the blend's weights pass and per band of every
-    /// other blending pass, byte ceiling enforced before any sample tags,
-    /// noise window or output is allocated. Defaults to
-    /// [`Budget::unlimited`], under which generation is bit-identical to
-    /// the unbudgeted path.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.ctx = self.ctx.with_budget(budget);
-        self
-    }
-
-    /// The attached budget ([`Budget::unlimited`] by default).
-    pub fn budget(&self) -> &Budget {
-        self.ctx.budget()
-    }
-
-    /// Attaches a [`ChaosInjector`]: the fault sites of the FFT tiles,
-    /// plan lookups and blending bands consult its schedule. Disabled by
-    /// default, under which generation is bit-identical to the
-    /// un-instrumented path.
-    pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
-        self.ctx = self.ctx.with_chaos(chaos);
-        self
-    }
-
-    /// The attached chaos injector (disabled by default).
-    pub fn chaos(&self) -> &ChaosInjector {
-        self.ctx.chaos()
-    }
-
-    /// Selects the evaluator. Every policy but [`ConvBackend::Direct`]
-    /// runs the kernel-major blend (see the module docs) whenever a kernel
-    /// resolves to the FFT engine: each kernel's field over its own box of
-    /// nonzero weight, from the real-input overlap-save engine — or from
-    /// direct dot products for a kernel [`ConvBackend::resolve`] sends to
-    /// `Direct` — weighted and summed in kernel-index order. That covers
-    /// pure windows and windows across transition bands alike, equals the
-    /// per-sample loop within 1e-9 relative error, and is bit-identical
-    /// across worker counts. A blend that fails on a worker panic or an
-    /// injected fault degrades to the per-sample loop
-    /// (`conv/degraded_to_direct`), behind this generator's circuit
-    /// breaker ([`InhomogeneousGenerator::backend_health`]).
-    /// [`ConvBackend::Direct`] runs the per-sample loop only and is
-    /// bit-identical to previous releases; pin it to reproduce their
-    /// output exactly.
-    pub fn with_backend(mut self, backend: ConvBackend) -> Self {
-        self.ctx = self.ctx.with_backend(backend);
-        self
-    }
-
-    /// The configured backend policy ([`ConvBackend::Auto`] by default).
-    pub fn backend(&self) -> ConvBackend {
-        self.ctx.backend()
     }
 
     /// The evaluator this generator runs: [`ConvBackend::Direct`] (the
@@ -355,18 +304,6 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         } else {
             ConvBackend::Direct
         }
-    }
-
-    /// Shares an [`FftPlanCache`] with other generators so the blend's
-    /// FFT tiles reuse their twiddle tables.
-    pub fn with_plan_cache(mut self, plans: Arc<FftPlanCache>) -> Self {
-        self.ctx = self.ctx.with_plan_cache(plans);
-        self
-    }
-
-    /// The plan cache backing the FFT path.
-    pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        self.ctx.plan_cache()
     }
 
     /// This generator's circuit breaker over the degradation ladder
@@ -683,7 +620,7 @@ mod tests {
         let builds = std::cell::Cell::new(0);
         let kernels = build_once(&spectra, |s| {
             builds.set(builds.get() + 1);
-            ConvolutionKernel::build(s, sizing()).try_truncated(0.01)
+            ConvolutionKernel::build(s, sizing()).try_truncated(0.01, &Recorder::disabled())
         })
         .expect("valid epsilon");
         assert_eq!(builds.get(), 3, "one build per distinct spectrum");
@@ -701,8 +638,9 @@ mod tests {
         let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
         let kernel = ConvolutionKernel::build(&spectrum, sizing());
         let inh = InhomogeneousGenerator::from_kernels(layout, vec![kernel.clone()])
-            .with_workers(1);
-        let hom = rrs_surface::ConvolutionGenerator::from_kernel(kernel).with_workers(1);
+            .with_context(GenContext::new().with_workers(1));
+        let hom = rrs_surface::ConvolutionGenerator::from_kernel(kernel)
+            .with_context(GenContext::new().with_workers(1));
         let noise = NoiseField::new(7);
         let a = inh.generate(&noise, Window::new(-3, 4, 40, 24));
         let b = hom.generate(&noise, Window::new(-3, 4, 40, 24));
@@ -751,8 +689,11 @@ mod tests {
             6.0,
         );
         let gen = InhomogeneousGenerator::new(layout, sizing())
-            .with_workers(2)
-            .with_backend(ConvBackend::Direct);
+            .with_context(
+                GenContext::new()
+                    .with_workers(2)
+                    .with_backend(ConvBackend::Direct),
+            );
         let noise = NoiseField::new(9);
         let whole = gen.generate(&noise, Window::sized(64, 64));
         let part = gen.generate(&noise, Window::new(16, 24, 32, 20));
@@ -774,8 +715,9 @@ mod tests {
             [sm(1.0, 4.0), sm(1.5, 5.0), sm(2.0, 6.0), sm(1.5, 5.0)],
             6.0,
         );
-        let gen = InhomogeneousGenerator::new(layout, sizing()).with_workers(2);
-        assert_eq!(gen.backend(), ConvBackend::Auto);
+        let gen = InhomogeneousGenerator::new(layout, sizing())
+            .with_context(GenContext::new().with_workers(2));
+        assert_eq!(gen.context().backend(), ConvBackend::Auto);
         assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
         let noise = NoiseField::new(9);
         let whole = gen.generate(&noise, Window::sized(64, 64));
@@ -803,10 +745,10 @@ mod tests {
             .map(|s| ConvolutionKernel::build(s, sizing()))
             .collect();
         let a = InhomogeneousGenerator::from_kernels(layout.clone(), k.clone())
-            .with_workers(1)
+            .with_context(GenContext::new().with_workers(1))
             .generate(&NoiseField::new(5), Window::sized(48, 48));
         let b = InhomogeneousGenerator::from_kernels(layout, k)
-            .with_workers(6)
+            .with_context(GenContext::new().with_workers(6))
             .generate(&NoiseField::new(5), Window::sized(48, 48));
         assert_eq!(a, b);
     }
@@ -894,15 +836,14 @@ mod tests {
             .map(|s| ConvolutionKernel::build(s, sizing()))
             .collect();
         let plain = InhomogeneousGenerator::from_kernels(layout.clone(), k.clone())
-            .with_workers(3)
+            .with_context(GenContext::new().with_workers(3))
             .generate(&NoiseField::new(5), Window::sized(48, 48));
         let budget = Budget::unlimited()
             .with_cancel_token(CancelToken::new())
             .with_timeout(std::time::Duration::from_secs(3600))
             .with_max_bytes(usize::MAX);
         let gen = InhomogeneousGenerator::from_kernels(layout, k)
-            .with_workers(3)
-            .with_budget(budget);
+            .with_context(GenContext::new().with_workers(3).with_budget(budget));
         assert_eq!(
             gen.try_generate(&NoiseField::new(5), Window::sized(48, 48)).unwrap(),
             plain,
@@ -912,13 +853,15 @@ mod tests {
         // Pre-cancelled: fails before the huge window is ever allocated.
         let token = CancelToken::new();
         token.cancel();
-        let gen = gen.with_budget(Budget::unlimited().with_cancel_token(token));
+        let ctx = gen.context().clone().with_budget(Budget::unlimited().with_cancel_token(token));
+        let gen = gen.with_context(ctx);
         let huge = Window::sized(1 << 28, 1 << 28);
         let err = gen.try_generate(&NoiseField::new(5), huge).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Cancelled);
 
         // Admission: oversized request is rejected with the precise error.
-        let gen = gen.with_budget(Budget::unlimited().with_max_bytes(1 << 20));
+        let ctx = gen.context().clone().with_budget(Budget::unlimited().with_max_bytes(1 << 20));
+        let gen = gen.with_context(ctx);
         let err = gen.try_generate(&NoiseField::new(5), huge).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::BudgetExceeded);
         assert!(err.to_string().contains("inhomogeneous generation"), "{err}");
@@ -941,15 +884,20 @@ mod tests {
             region: Region::Circle { cx: 64.0, cy: 64.0, r: 32.0 },
             spectrum: SpectrumModel::exponential(SurfaceParams::isotropic(0.2, 6.0)),
         };
-        let make = || {
+        let make = |backend, rec: &Recorder| {
             let layout = PlateLayout::new(vec![pond], Some(sm(1.0, 6.0)), 10.0);
-            InhomogeneousGenerator::new(layout, sizing()).with_workers(2)
+            InhomogeneousGenerator::new(layout, sizing()).with_context(
+                GenContext::new()
+                    .with_workers(2)
+                    .with_backend(backend)
+                    .with_recorder(rec.clone()),
+            )
         };
         let direct_rec = Recorder::enabled();
-        let direct = make().with_backend(ConvBackend::Direct).with_recorder(direct_rec.clone());
+        let direct = make(ConvBackend::Direct, &direct_rec);
         let rec = Recorder::enabled();
-        let fft = make().with_backend(ConvBackend::FftOverlapSave).with_recorder(rec.clone());
-        assert_eq!(fft.backend(), ConvBackend::FftOverlapSave);
+        let fft = make(ConvBackend::FftOverlapSave, &rec);
+        assert_eq!(fft.context().backend(), ConvBackend::FftOverlapSave);
         assert_eq!(direct.resolved_backend(), ConvBackend::Direct);
         let noise = NoiseField::new(29);
         let windows = [
@@ -977,8 +925,8 @@ mod tests {
 
         // Auto resolves each kernel by area: both are far past the
         // crossover, so it runs exactly the FftOverlapSave blend.
-        let auto = make();
-        assert_eq!(auto.backend(), ConvBackend::Auto);
+        let auto = make(ConvBackend::Auto, &Recorder::disabled());
+        assert_eq!(auto.context().backend(), ConvBackend::Auto);
         for win in windows {
             assert_eq!(auto.generate(&noise, win), fft.generate(&noise, win), "{win:?}");
         }
@@ -997,16 +945,20 @@ mod tests {
         let small = ConvolutionKernel::build(&sm(0.5, 3.0), sizing()).crop(4, 4);
         let large = ConvolutionKernel::build(&sm(1.5, 6.0), sizing());
         assert!(large.extent().0 * large.extent().1 > 13 * 13);
-        let make = |backend| {
+        let make = |backend, rec: &Recorder| {
             InhomogeneousGenerator::from_kernels(layout.clone(), vec![small.clone(), large.clone()])
-                .with_workers(2)
-                .with_backend(backend)
+                .with_context(
+                    GenContext::new()
+                        .with_workers(2)
+                        .with_backend(backend)
+                        .with_recorder(rec.clone()),
+                )
         };
         let rec = Recorder::enabled();
-        let auto = make(ConvBackend::Auto).with_recorder(rec.clone());
+        let auto = make(ConvBackend::Auto, &rec);
         let noise = NoiseField::new(3);
         let win = Window::new(-10, 5, 64, 40);
-        let direct = make(ConvBackend::Direct).generate(&noise, win);
+        let direct = make(ConvBackend::Direct, &Recorder::disabled()).generate(&noise, win);
         let err = max_rel_err(&direct, &auto.generate(&noise, win));
         assert!(err <= 1e-9, "max relative error {err:e}");
         assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1);
@@ -1016,7 +968,7 @@ mod tests {
         let tiny = InhomogeneousGenerator::from_kernels(layout.clone(), tiny_kernels);
         assert_eq!(tiny.resolved_backend(), ConvBackend::Direct);
         let direct = InhomogeneousGenerator::from_kernels(layout, vec![small.clone(), small])
-            .with_backend(ConvBackend::Direct);
+            .with_context(GenContext::new().with_backend(ConvBackend::Direct));
         assert_eq!(tiny.generate(&noise, win), direct.generate(&noise, win));
     }
 
@@ -1031,22 +983,25 @@ mod tests {
             region: Region::HalfPlane { a: 1.0, b: 0.0, c: 12.0 },
             spectrum: sm(0.7, 4.0),
         };
-        let make = || {
+        let make = |ctx: GenContext| {
             let layout = PlateLayout::new(vec![left], Some(sm(1.1, 5.0)), 6.0);
-            InhomogeneousGenerator::new(layout, sizing()).with_workers(1)
+            InhomogeneousGenerator::new(layout, sizing()).with_context(ctx.with_workers(1))
         };
         let noise = NoiseField::new(37);
         let win = Window::new(-8, 4, 40, 20);
-        let direct = make().with_backend(ConvBackend::Direct).generate(&noise, win);
+        let direct =
+            make(GenContext::new().with_backend(ConvBackend::Direct)).generate(&noise, win);
         for kind in [FaultKind::Error, FaultKind::Panic] {
             let chaos = ChaosInjector::new(
                 FaultSchedule::new(5).with_fault(FaultSite::FftTile, kind, 0),
             );
             let rec = Recorder::enabled();
-            let gen = make()
-                .with_backend(ConvBackend::FftOverlapSave)
-                .with_recorder(rec.clone())
-                .with_chaos(chaos.clone());
+            let gen = make(
+                GenContext::new()
+                    .with_backend(ConvBackend::FftOverlapSave)
+                    .with_recorder(rec.clone())
+                    .with_chaos(chaos.clone()),
+            );
             let got = gen.try_generate(&noise, win).unwrap();
             assert_eq!(got, direct, "{kind:?}: degraded output must match the direct loop");
             let report = rec.report();
@@ -1056,35 +1011,6 @@ mod tests {
             assert_eq!(chaos.visits(FaultSite::FftTile), 1, "one rung, one tile visit");
             assert_eq!(chaos.injected(), 1);
         }
-    }
-
-    #[test]
-    fn with_context_matches_the_sugar_builders() {
-        let spectrum = sm(1.2, 5.0);
-        let make = || {
-            let layout = PlateLayout::new(vec![], Some(spectrum), 1.0);
-            InhomogeneousGenerator::new(layout, sizing())
-        };
-        let plans = Arc::new(FftPlanCache::new());
-        let sugar = make()
-            .with_workers(2)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_plan_cache(Arc::clone(&plans));
-        let ctx = GenContext::new()
-            .with_workers(2)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_plan_cache(Arc::clone(&plans));
-        let via_ctx = make().with_context(ctx);
-        let noise = NoiseField::new(91);
-        let win = Window::new(-6, 2, 28, 20);
-        assert_eq!(
-            sugar.try_generate(&noise, win).unwrap(),
-            via_ctx.try_generate(&noise, win).unwrap(),
-            "one with_context must equal the chained sugar builders bit-for-bit"
-        );
-        assert!(Arc::ptr_eq(via_ctx.plan_cache(), &plans));
-        assert_eq!(via_ctx.context().workers(), 2);
-        assert_eq!(via_ctx.backend(), ConvBackend::FftOverlapSave);
     }
 
     #[test]
@@ -1103,11 +1029,10 @@ mod tests {
             .map(|s| ConvolutionKernel::build(s, sizing))
             .collect();
         let plain = InhomogeneousGenerator::from_kernels(layout.clone(), k.clone())
-            .with_workers(2);
+            .with_context(GenContext::new().with_workers(2));
         let rec = Recorder::enabled();
         let observed = InhomogeneousGenerator::from_kernels(layout, k)
-            .with_workers(2)
-            .with_recorder(rec.clone());
+            .with_context(GenContext::new().with_workers(2).with_recorder(rec.clone()));
         let noise = NoiseField::new(31);
         let win = Window::sized(48, 32);
         assert_eq!(plain.generate(&noise, win), observed.generate(&noise, win));

@@ -7,7 +7,7 @@ use rrs_check::{from_fn, props, CaseRng};
 use rrs_error::ErrorKind;
 use rrs_inhomo::{InhomogeneousGenerator, Plate, PlateLayout, PointLayout, Region, RepresentativePoint, WeightMap};
 use rrs_spectrum::{GridSpec, SpectrumModel, SurfaceParams};
-use rrs_surface::{ConvolutionKernel, KernelSizing};
+use rrs_surface::{ConvolutionKernel, GenContext, KernelSizing};
 
 fn sm(h: f64, cl: f64) -> SpectrumModel {
     SpectrumModel::gaussian(SurfaceParams::isotropic(h, cl))
@@ -89,7 +89,8 @@ props! {
     fn empty_window_rejected(nx in 0usize..2, ny in 0usize..2, seed in rrs_check::any::<u64>()) {
         let layout = PlateLayout::new(vec![], Some(sm(1.0, 3.0)), 1.0);
         let sizing = KernelSizing::Explicit(GridSpec::unit(16, 16));
-        let gen = InhomogeneousGenerator::new(layout, sizing).with_workers(1);
+        let gen = InhomogeneousGenerator::new(layout, sizing)
+            .with_context(GenContext::new().with_workers(1));
         let noise = rrs_surface::NoiseField::new(seed);
         match rrs_grid::Window::try_new(0, 0, nx, ny).and_then(|w| gen.try_generate(&noise, w)) {
             Ok(g) => {

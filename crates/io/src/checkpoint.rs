@@ -20,9 +20,10 @@
 
 use crate::atomic::AtomicFile;
 use crate::retry::{RetryPolicy, ThreadSleeper};
-use crate::snapshot::{fnv1a, read_u64_le};
+use crate::snapshot::read_u64_le;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
+use rrs_grid::fnv1a;
 use rrs_obs::{stage, ObsSink, Recorder};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -60,20 +61,12 @@ pub fn write_checkpoint<W: Write>(mut w: W, cp: &StreamCheckpoint) -> Result<(),
 /// Writes a checkpoint to `path` crash-atomically: the record goes to a
 /// tmp file first, is fsynced, and only then renamed over `path`, so a
 /// crash mid-write can never replace a good checkpoint with a torn one —
-/// the previous checkpoint survives intact.
+/// the previous checkpoint survives intact. The write and the durability
+/// barrier are timed separately into `obs` (`checkpoint/write`,
+/// `checkpoint/fsync` — the latter covering fsync + rename) and bytes
+/// counted (`checkpoint/bytes`) — fsync dominates on most filesystems,
+/// and this split makes that visible in resume benchmarks.
 pub fn write_checkpoint_file<P: AsRef<Path>>(
-    path: P,
-    cp: &StreamCheckpoint,
-) -> Result<(), RrsError> {
-    write_checkpoint_file_observed(path, cp, &Recorder::disabled())
-}
-
-/// [`write_checkpoint_file`] with the write and the durability barrier
-/// timed separately (`checkpoint/write`, `checkpoint/fsync` — the latter
-/// covering fsync + rename) and bytes counted (`checkpoint/bytes`) —
-/// fsync dominates on most filesystems, and this split makes that visible
-/// in resume benchmarks.
-pub fn write_checkpoint_file_observed<P: AsRef<Path>>(
     path: P,
     cp: &StreamCheckpoint,
     obs: &Recorder,
@@ -89,37 +82,19 @@ pub fn write_checkpoint_file_observed<P: AsRef<Path>>(
     Ok(())
 }
 
-/// [`write_checkpoint_file_observed`] wrapped in a [`RetryPolicy`]:
-/// transient I/O faults (a briefly-full disk, an injected `failpoints`
-/// fault) are retried with deterministic exponential backoff before the
-/// stream gives up, and every attempt is visible in the obs report
-/// (`retry/attempts`, `retry/backoff`). Each attempt is itself atomic, so
-/// a failed attempt never corrupts the previous checkpoint.
-pub fn write_checkpoint_file_retrying<P: AsRef<Path>>(
-    path: P,
-    cp: &StreamCheckpoint,
-    policy: RetryPolicy,
-    obs: &Recorder,
-) -> Result<(), RrsError> {
-    write_checkpoint_file_resilient(
-        path,
-        cp,
-        policy,
-        obs,
-        &Budget::unlimited(),
-        &ChaosInjector::disabled(),
-    )
-}
-
-/// [`write_checkpoint_file_retrying`] under a [`Budget`] and a
-/// [`ChaosInjector`] — the full-fidelity form used by deadlined streaming
-/// runs and the chaos torture suite. Backoffs are clamped against the
-/// budget's deadline (see
-/// [`RetryPolicy::run_with_sleeper_budgeted`]), and the injector's
-/// [`FaultSite::CheckpointWrite`] site is polled (contained) before every
-/// write attempt, so an injected panic surfaces as a typed
-/// [`RrsError::WorkerPanicked`] while the previous checkpoint on disk
-/// stays intact.
+/// [`write_checkpoint_file`] wrapped in a [`RetryPolicy`] under a
+/// [`Budget`] and a [`ChaosInjector`]: transient I/O faults (a
+/// briefly-full disk, an injected `failpoints` fault) are retried with
+/// deterministic exponential backoff before the stream gives up, and
+/// every attempt is visible in the obs report (`retry/attempts`,
+/// `retry/backoff`). Each attempt is itself atomic, so a failed attempt
+/// never corrupts the previous checkpoint. Backoffs are clamped against
+/// the budget's deadline (see [`RetryPolicy::run`]); pass
+/// [`Budget::unlimited`] and [`ChaosInjector::disabled`] for a plain
+/// retrying write. The injector's [`FaultSite::CheckpointWrite`] site is
+/// polled (contained) before every write attempt, so an injected panic
+/// surfaces as a typed [`RrsError::WorkerPanicked`] while the previous
+/// checkpoint on disk stays intact.
 pub fn write_checkpoint_file_resilient<P: AsRef<Path>>(
     path: P,
     cp: &StreamCheckpoint,
@@ -129,9 +104,9 @@ pub fn write_checkpoint_file_resilient<P: AsRef<Path>>(
     chaos: &ChaosInjector,
 ) -> Result<(), RrsError> {
     let path = path.as_ref();
-    policy.run_with_sleeper_budgeted(obs, &ThreadSleeper, budget, chaos, &mut || {
+    policy.run(obs, &ThreadSleeper, budget, chaos, &mut || {
         chaos.poll_contained(FaultSite::CheckpointWrite)?;
-        write_checkpoint_file_observed(path, cp, obs)
+        write_checkpoint_file(path, cp, obs)
     })
 }
 
@@ -225,7 +200,15 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("rrs_ckpt_retry_{}.bin", std::process::id()));
         let rec = Recorder::enabled();
-        write_checkpoint_file_retrying(&path, &sample(), RetryPolicy::default(), &rec).unwrap();
+        write_checkpoint_file_resilient(
+            &path,
+            &sample(),
+            RetryPolicy::default(),
+            &rec,
+            &Budget::unlimited(),
+            &ChaosInjector::disabled(),
+        )
+        .unwrap();
         let got = read_checkpoint_file(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(got, sample());
@@ -238,9 +221,9 @@ mod tests {
             .join(format!("rrs_ckpt_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream.ckpt");
-        write_checkpoint_file(&path, &sample()).unwrap();
+        write_checkpoint_file(&path, &sample(), &Recorder::disabled()).unwrap();
         let newer = StreamCheckpoint { cursor: sample().cursor + 64, ..sample() };
-        write_checkpoint_file(&path, &newer).unwrap();
+        write_checkpoint_file(&path, &newer, &Recorder::disabled()).unwrap();
         assert_eq!(read_checkpoint_file(&path).unwrap(), newer);
         let stray: Vec<_> = std::fs::read_dir(&dir)
             .unwrap()
@@ -257,7 +240,7 @@ mod tests {
         use rrs_error::ErrorKind;
         let path = std::env::temp_dir()
             .join(format!("rrs_ckpt_chaos_{}.bin", std::process::id()));
-        write_checkpoint_file(&path, &sample()).unwrap();
+        write_checkpoint_file(&path, &sample(), &Recorder::disabled()).unwrap();
         let newer = StreamCheckpoint { cursor: sample().cursor + 64, ..sample() };
 
         // An Error fault at the first CheckpointWrite visit: the write
@@ -301,7 +284,7 @@ mod tests {
         let path = std::env::temp_dir()
             .join(format!("rrs_ckpt_obs_{}.bin", std::process::id()));
         let rec = Recorder::enabled();
-        write_checkpoint_file_observed(&path, &sample(), &rec).unwrap();
+        write_checkpoint_file(&path, &sample(), &rec).unwrap();
         let got = read_checkpoint_file(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(got, sample());

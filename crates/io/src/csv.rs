@@ -5,13 +5,8 @@ use rrs_grid::Grid2;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 
 /// Writes the surface as a plain matrix CSV: one row per `y`, columns are
-/// `x`, full `f64` precision. Non-finite heights are rejected.
-pub fn write_matrix_csv<W: Write>(w: W, grid: &Grid2<f64>) -> io::Result<()> {
-    try_write_matrix_csv(w, grid).map_err(Into::into)
-}
-
-/// Fallible [`write_matrix_csv`]: a NaN/∞ height is a generation bug, not
-/// a number a downstream CSV consumer should discover — rejected as
+/// `x`, full `f64` precision. A NaN/∞ height is a generation bug, not a
+/// number a downstream CSV consumer should discover — rejected as
 /// [`RrsError::NonFinite`].
 pub fn try_write_matrix_csv<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), RrsError> {
     ensure_all_finite("csv heights", grid.as_slice())?;
@@ -30,7 +25,7 @@ pub fn try_write_matrix_csv<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), Rrs
     Ok(())
 }
 
-/// Reads a matrix CSV produced by [`write_matrix_csv`] (or any rectangular
+/// Reads a matrix CSV produced by [`try_write_matrix_csv`] (or any rectangular
 /// comma-separated block of numbers).
 pub fn read_matrix_csv<R: Read>(r: R) -> io::Result<Grid2<f64>> {
     let reader = BufReader::new(r);
@@ -68,22 +63,8 @@ pub fn read_matrix_csv<R: Read>(r: R) -> io::Result<Grid2<f64>> {
     Ok(Grid2::from_vec(nx, ny, data))
 }
 
-/// Writes a matrix CSV to `path` crash-atomically (tmp + fsync + rename):
-/// a fault mid-export never leaves a torn file at `path`.
-pub fn try_write_matrix_csv_file<P: AsRef<std::path::Path>>(
-    path: P,
-    grid: &Grid2<f64>,
-) -> Result<(), RrsError> {
-    crate::atomic::write_atomic(path, |w| try_write_matrix_csv(w, grid))
-}
-
 /// Writes the surface in long `x,y,height` format with a header row —
-/// convenient for dataframe tooling. Non-finite heights are rejected.
-pub fn write_xyz_csv<W: Write>(w: W, grid: &Grid2<f64>) -> io::Result<()> {
-    try_write_xyz_csv(w, grid).map_err(Into::into)
-}
-
-/// Fallible [`write_xyz_csv`]: non-finite heights are rejected as
+/// convenient for dataframe tooling. Non-finite heights are rejected as
 /// [`RrsError::NonFinite`].
 pub fn try_write_xyz_csv<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), RrsError> {
     ensure_all_finite("csv heights", grid.as_slice())?;
@@ -98,15 +79,6 @@ pub fn try_write_xyz_csv<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), RrsErr
     Ok(())
 }
 
-/// Writes an `x,y,height` CSV to `path` crash-atomically (tmp + fsync +
-/// rename).
-pub fn try_write_xyz_csv_file<P: AsRef<std::path::Path>>(
-    path: P,
-    grid: &Grid2<f64>,
-) -> Result<(), RrsError> {
-    crate::atomic::write_atomic(path, |w| try_write_xyz_csv(w, grid))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,7 +87,7 @@ mod tests {
     fn matrix_round_trip_is_exact() {
         let g = Grid2::from_fn(5, 3, |x, y| (x as f64 + 0.1) * (y as f64 - 0.7) / 3.0);
         let mut buf = Vec::new();
-        write_matrix_csv(&mut buf, &g).unwrap();
+        try_write_matrix_csv(&mut buf, &g).unwrap();
         let back = read_matrix_csv(buf.as_slice()).unwrap();
         assert_eq!(back, g);
     }
@@ -124,7 +96,7 @@ mod tests {
     fn extreme_values_round_trip() {
         let g = Grid2::from_vec(2, 2, vec![f64::MIN_POSITIVE, 1e308, -1e-300, 0.0]);
         let mut buf = Vec::new();
-        write_matrix_csv(&mut buf, &g).unwrap();
+        try_write_matrix_csv(&mut buf, &g).unwrap();
         assert_eq!(read_matrix_csv(buf.as_slice()).unwrap(), g);
     }
 
@@ -132,7 +104,7 @@ mod tests {
     fn xyz_format_shape() {
         let g = Grid2::from_fn(2, 2, |x, y| (x + y) as f64);
         let mut buf = Vec::new();
-        write_xyz_csv(&mut buf, &g).unwrap();
+        try_write_xyz_csv(&mut buf, &g).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 5);
@@ -175,10 +147,6 @@ mod tests {
             assert!(e.to_string().contains("index 0"), "{e}");
             let e = try_write_xyz_csv(Vec::new(), &g).unwrap_err();
             assert_eq!(e.kind(), rrs_error::ErrorKind::NonFinite, "{bad}: {e}");
-            assert_eq!(
-                write_matrix_csv(Vec::new(), &g).unwrap_err().kind(),
-                io::ErrorKind::InvalidData
-            );
         }
     }
 }

@@ -7,7 +7,7 @@
 
 use rrs_error::{ensure_all_finite, RrsError};
 use rrs_grid::Grid2;
-use std::io::{self, BufWriter, Write};
+use std::io::{BufWriter, Write};
 
 fn normalise(grid: &Grid2<f64>) -> (f64, f64) {
     let lo = grid.min();
@@ -31,18 +31,9 @@ fn check_renderable(grid: &Grid2<f64>, context: &'static str) -> Result<(), RrsE
     ensure_all_finite(context, grid.as_slice())
 }
 
-/// Writes an 8-bit binary PGM (P5) grayscale heightmap.
-///
-/// # Panics
-/// Panics on an empty grid. Fallible callers (and callers that may hold
-/// non-finite heights, which are rejected) use [`try_write_pgm`].
-pub fn write_pgm<W: Write>(w: W, grid: &Grid2<f64>) -> io::Result<()> {
-    assert!(!grid.is_empty(), "cannot render an empty grid");
-    try_write_pgm(w, grid).map_err(Into::into)
-}
-
-/// Fallible [`write_pgm`]: rejects empty grids ([`RrsError::InvalidParam`])
-/// and non-finite heights ([`RrsError::NonFinite`]).
+/// Writes an 8-bit binary PGM (P5) grayscale heightmap. Rejects empty
+/// grids ([`RrsError::InvalidParam`]) and non-finite heights
+/// ([`RrsError::NonFinite`]).
 pub fn try_write_pgm<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), RrsError> {
     check_renderable(grid, "pgm heights")?;
     let mut w = BufWriter::new(w);
@@ -88,18 +79,9 @@ fn terrain_color(t: f64) -> [u8; 3] {
     [c[0].round() as u8, c[1].round() as u8, c[2].round() as u8]
 }
 
-/// Writes an 8-bit binary PPM (P6) false-colour heightmap.
-///
-/// # Panics
-/// Panics on an empty grid. Fallible callers (and callers that may hold
-/// non-finite heights, which are rejected) use [`try_write_ppm`].
-pub fn write_ppm<W: Write>(w: W, grid: &Grid2<f64>) -> io::Result<()> {
-    assert!(!grid.is_empty(), "cannot render an empty grid");
-    try_write_ppm(w, grid).map_err(Into::into)
-}
-
-/// Fallible [`write_ppm`]: rejects empty grids ([`RrsError::InvalidParam`])
-/// and non-finite heights ([`RrsError::NonFinite`]).
+/// Writes an 8-bit binary PPM (P6) false-colour heightmap. Rejects empty
+/// grids ([`RrsError::InvalidParam`]) and non-finite heights
+/// ([`RrsError::NonFinite`]).
 pub fn try_write_ppm<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), RrsError> {
     check_renderable(grid, "ppm heights")?;
     let mut w = BufWriter::new(w);
@@ -116,23 +98,6 @@ pub fn try_write_ppm<W: Write>(w: W, grid: &Grid2<f64>) -> Result<(), RrsError> 
     Ok(())
 }
 
-/// Writes a PGM heightmap to `path` crash-atomically (tmp + fsync +
-/// rename): a fault mid-render never leaves a torn image at `path`.
-pub fn try_write_pgm_file<P: AsRef<std::path::Path>>(
-    path: P,
-    grid: &Grid2<f64>,
-) -> Result<(), RrsError> {
-    crate::atomic::write_atomic(path, |w| try_write_pgm(w, grid))
-}
-
-/// Writes a PPM render to `path` crash-atomically (tmp + fsync + rename).
-pub fn try_write_ppm_file<P: AsRef<std::path::Path>>(
-    path: P,
-    grid: &Grid2<f64>,
-) -> Result<(), RrsError> {
-    crate::atomic::write_atomic(path, |w| try_write_ppm(w, grid))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +106,7 @@ mod tests {
     fn pgm_header_and_size() {
         let g = Grid2::from_fn(4, 3, |x, y| (x + y) as f64);
         let mut buf = Vec::new();
-        write_pgm(&mut buf, &g).unwrap();
+        try_write_pgm(&mut buf, &g).unwrap();
         let header_end = buf.windows(4).position(|w| w == b"255\n").unwrap() + 4;
         let header = std::str::from_utf8(&buf[..header_end]).unwrap();
         assert!(header.starts_with("P5\n4 3\n255\n"));
@@ -152,7 +117,7 @@ mod tests {
     fn pgm_spans_full_range() {
         let g = Grid2::from_vec(2, 1, vec![0.0, 10.0]);
         let mut buf = Vec::new();
-        write_pgm(&mut buf, &g).unwrap();
+        try_write_pgm(&mut buf, &g).unwrap();
         let pixels = &buf[buf.len() - 2..];
         assert_eq!(pixels, &[0u8, 255u8]);
     }
@@ -162,7 +127,7 @@ mod tests {
         // Higher y must appear earlier in the file.
         let g = Grid2::from_vec(1, 2, vec![0.0, 10.0]); // y=0 low, y=1 high
         let mut buf = Vec::new();
-        write_pgm(&mut buf, &g).unwrap();
+        try_write_pgm(&mut buf, &g).unwrap();
         let pixels = &buf[buf.len() - 2..];
         assert_eq!(pixels, &[255u8, 0u8]);
     }
@@ -171,7 +136,7 @@ mod tests {
     fn flat_surface_renders_without_nan() {
         let g = Grid2::filled(8, 8, 3.0);
         let mut buf = Vec::new();
-        write_pgm(&mut buf, &g).unwrap();
+        try_write_pgm(&mut buf, &g).unwrap();
         let pixels = &buf[buf.len() - 64..];
         assert!(pixels.iter().all(|&p| p == pixels[0]));
     }
@@ -180,7 +145,7 @@ mod tests {
     fn ppm_has_three_channels() {
         let g = Grid2::from_fn(5, 5, |x, y| (x * y) as f64);
         let mut buf = Vec::new();
-        write_ppm(&mut buf, &g).unwrap();
+        try_write_ppm(&mut buf, &g).unwrap();
         let header_end = buf.windows(4).position(|w| w == b"255\n").unwrap() + 4;
         assert!(std::str::from_utf8(&buf[..header_end]).unwrap().starts_with("P6\n5 5\n"));
         assert_eq!(buf.len() - header_end, 75);
@@ -200,12 +165,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty grid")]
-    fn empty_grid_rejected() {
-        write_pgm(Vec::new(), &Grid2::zeros(0, 0)).unwrap();
-    }
-
-    #[test]
     fn non_finite_heights_rejected() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let g = Grid2::from_vec(2, 1, vec![0.0, bad]);
@@ -214,10 +173,12 @@ mod tests {
             assert!(e.to_string().contains("index 1"), "{e}");
             let e = try_write_ppm(Vec::new(), &g).unwrap_err();
             assert_eq!(e.kind(), rrs_error::ErrorKind::NonFinite, "{bad}: {e}");
-            // The io::Result wrappers surface the same failure as
-            // InvalidData instead of silently clamping the pixel.
-            let e = write_pgm(Vec::new(), &g).unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidData);
         }
+        // An empty grid has no range to normalise: rejected, not rendered.
+        let empty = Grid2::zeros(0, 0);
+        let e = try_write_pgm(Vec::new(), &empty).unwrap_err();
+        assert_eq!(e.kind(), rrs_error::ErrorKind::InvalidParam, "{e}");
+        let e = try_write_ppm(Vec::new(), &empty).unwrap_err();
+        assert_eq!(e.kind(), rrs_error::ErrorKind::InvalidParam, "{e}");
     }
 }

@@ -19,13 +19,13 @@
 //!   durable writes, with an injectable [`retry::Sleeper`] so fault-
 //!   injection tests run instantly.
 //!
-//! Every writer/reader has a `try_*` twin returning
-//! `Result<_, `[`RrsError`]`>`; the plain variants keep their historical
-//! `io::Result` signatures by converting through
-//! `From<RrsError> for io::Error`. Decoders fail *closed*: a corrupt or
-//! hostile input is always an error, never a panic and never unflagged
-//! garbage (the `failpoints` feature compiles the [`fault`] harness that
-//! proves this).
+//! The snapshot, checkpoint, CSV and image writers and the snapshot and
+//! checkpoint readers have one signature each, returning
+//! `Result<_, `[`RrsError`]`>` with no `io::Result` twin (the stream
+//! writers and the snapshot reader keep their `try_` prefix). Decoders
+//! fail *closed*: a corrupt or hostile input is
+//! always an error, never a panic and never unflagged garbage (the
+//! `failpoints` feature compiles the `fault` harness that proves this).
 
 #![warn(missing_docs)]
 
@@ -42,20 +42,13 @@ pub mod snapshot;
 pub use atomic::{write_atomic, AtomicFile};
 pub use checkpoint::{
     read_checkpoint, read_checkpoint_file, write_checkpoint, write_checkpoint_file,
-    write_checkpoint_file_observed, write_checkpoint_file_resilient,
-    write_checkpoint_file_retrying, StreamCheckpoint,
+    write_checkpoint_file_resilient, StreamCheckpoint,
 };
-pub use csv::{
-    read_matrix_csv, try_write_matrix_csv, try_write_matrix_csv_file, try_write_xyz_csv,
-    try_write_xyz_csv_file, write_matrix_csv, write_xyz_csv,
-};
+pub use csv::{read_matrix_csv, try_write_matrix_csv, try_write_xyz_csv};
 pub use gnuplot::write_gnuplot_matrix;
-pub use image::{
-    try_write_pgm, try_write_pgm_file, try_write_ppm, try_write_ppm_file, write_pgm, write_ppm,
-};
+pub use image::{try_write_pgm, try_write_ppm};
 pub use retry::{RetryPolicy, Sleeper, ThreadSleeper};
 pub use rrs_error::RrsError;
 pub use snapshot::{
-    read_snapshot, try_read_snapshot, try_write_snapshot, try_write_snapshot_file,
-    try_write_snapshot_file_observed, try_write_snapshot_observed, write_snapshot,
+    try_read_snapshot, try_write_snapshot, try_write_snapshot_file, try_write_snapshot_observed,
 };

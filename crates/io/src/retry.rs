@@ -71,16 +71,9 @@ impl RetryPolicy {
         }
     }
 
-    /// Runs `op` under this policy with the production sleeper.
-    pub fn run<T, F>(&self, obs: &Recorder, mut op: F) -> Result<T, RrsError>
-    where
-        F: FnMut() -> Result<T, RrsError>,
-    {
-        self.run_with_sleeper(obs, &ThreadSleeper, &mut op)
-    }
-
     /// Runs `op` until it succeeds, fails permanently, or the attempt
-    /// budget is exhausted.
+    /// budget is exhausted, sleeping through `sleeper` between attempts
+    /// (production callers pass [`ThreadSleeper`]).
     ///
     /// Only [`ErrorKind::Io`] failures are treated as transient and
     /// retried; every other kind fails closed immediately (retrying a
@@ -88,27 +81,6 @@ impl RetryPolicy {
     /// ticks [`stage::RETRY_ATTEMPTS`] and each backoff slept is recorded
     /// in the [`stage::RETRY_BACKOFF`] duration histogram. On exhaustion
     /// the final error is wrapped with the attempt history.
-    pub fn run_with_sleeper<T, F, S>(
-        &self,
-        obs: &Recorder,
-        sleeper: &S,
-        op: &mut F,
-    ) -> Result<T, RrsError>
-    where
-        F: FnMut() -> Result<T, RrsError>,
-        S: Sleeper + ?Sized,
-    {
-        self.run_with_sleeper_budgeted(
-            obs,
-            sleeper,
-            &Budget::unlimited(),
-            &ChaosInjector::disabled(),
-            op,
-        )
-    }
-
-    /// [`RetryPolicy::run_with_sleeper`] under a [`Budget`] and a
-    /// [`ChaosInjector`].
     ///
     /// The budget is polled before every attempt, and each backoff is
     /// clamped against an armed deadline *before* sleeping: if
@@ -116,8 +88,9 @@ impl RetryPolicy {
     /// returns [`RrsError::DeadlineExceeded`] immediately instead of
     /// sleeping through a deadline it is guaranteed to miss. The chaos
     /// injector's [`FaultSite::RetrySleep`] site is polled (contained)
-    /// before each backoff.
-    pub fn run_with_sleeper_budgeted<T, F, S>(
+    /// before each backoff. Pass [`Budget::unlimited`] and
+    /// [`ChaosInjector::disabled`] to arm neither.
+    pub fn run<T, F, S>(
         &self,
         obs: &Recorder,
         sleeper: &S,
@@ -209,15 +182,22 @@ mod tests {
         let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
         let policy = RetryPolicy::default();
         let out = policy
-            .run_with_sleeper(&rec, &sleeper, &mut || {
-                if fails.fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                    .is_ok()
-                {
-                    Err(io_err("transient"))
-                } else {
-                    Ok(42)
-                }
-            })
+            .run(
+                &rec,
+                &sleeper,
+                &Budget::unlimited(),
+                &ChaosInjector::disabled(),
+                &mut || {
+                    if fails
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                        .is_ok()
+                    {
+                        Err(io_err("transient"))
+                    } else {
+                        Ok(42)
+                    }
+                },
+            )
             .unwrap();
         assert_eq!(out, 42);
         let report = rec.report();
@@ -236,7 +216,13 @@ mod tests {
         let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
         let policy = RetryPolicy::default();
         let err = policy
-            .run_with_sleeper::<(), _, _>(&rec, &sleeper, &mut || Err(io_err("disk on fire")))
+            .run::<(), _, _>(
+                &rec,
+                &sleeper,
+                &Budget::unlimited(),
+                &ChaosInjector::disabled(),
+                &mut || Err(io_err("disk on fire")),
+            )
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io, "kind penetrates the context wrapper");
         let msg = err.to_string();
@@ -251,10 +237,16 @@ mod tests {
         let rec = Recorder::enabled();
         let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
         let err = RetryPolicy::default()
-            .run_with_sleeper::<(), _, _>(&rec, &sleeper, &mut || {
-                calls.fetch_add(1, Ordering::SeqCst);
-                Err(RrsError::corrupt_snapshot("retrying cannot fix this"))
-            })
+            .run::<(), _, _>(
+                &rec,
+                &sleeper,
+                &Budget::unlimited(),
+                &ChaosInjector::disabled(),
+                &mut || {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    Err(RrsError::corrupt_snapshot("retrying cannot fix this"))
+                },
+            )
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::CorruptSnapshot);
         assert_eq!(calls.load(Ordering::SeqCst), 1, "permanent failure: exactly one attempt");
@@ -266,7 +258,7 @@ mod tests {
         let rec = Recorder::enabled();
         let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
         let out = RetryPolicy::default()
-            .run_with_sleeper(&rec, &sleeper, &mut || Ok(7))
+            .run(&rec, &sleeper, &Budget::unlimited(), &ChaosInjector::disabled(), &mut || Ok(7))
             .unwrap();
         assert_eq!(out, 7);
         assert_eq!(rec.report().counter(stage::RETRY_ATTEMPTS), 1);
@@ -276,7 +268,15 @@ mod tests {
     #[test]
     fn zero_attempts_is_clamped_to_one() {
         let policy = RetryPolicy { max_attempts: 0, base_delay: Duration::ZERO };
-        let out = policy.run(&Recorder::disabled(), || Ok::<_, RrsError>(1)).unwrap();
+        let out = policy
+            .run(
+                &Recorder::disabled(),
+                &ThreadSleeper,
+                &Budget::unlimited(),
+                &ChaosInjector::disabled(),
+                &mut || Ok::<_, RrsError>(1),
+            )
+            .unwrap();
         assert_eq!(out, 1);
     }
 
@@ -293,7 +293,7 @@ mod tests {
         let budget =
             rrs_error::Budget::unlimited().with_timeout(Duration::from_millis(50));
         let err = policy
-            .run_with_sleeper_budgeted::<(), _, _>(
+            .run::<(), _, _>(
                 &rec,
                 &sleeper,
                 &budget,
@@ -317,7 +317,7 @@ mod tests {
             FaultSchedule::new(1).with_fault(FaultSite::RetrySleep, FaultKind::Error, 0),
         );
         let err = RetryPolicy::default()
-            .run_with_sleeper_budgeted::<(), _, _>(
+            .run::<(), _, _>(
                 &Recorder::disabled(),
                 &sleeper,
                 &rrs_error::Budget::unlimited(),
@@ -334,7 +334,7 @@ mod tests {
             FaultSchedule::new(2).with_fault(FaultSite::RetrySleep, FaultKind::Panic, 0),
         );
         let err = RetryPolicy::default()
-            .run_with_sleeper_budgeted::<(), _, _>(
+            .run::<(), _, _>(
                 &Recorder::disabled(),
                 &sleeper,
                 &rrs_error::Budget::unlimited(),
@@ -368,7 +368,7 @@ mod tests {
             let budget = rrs_error::Budget::unlimited().with_timeout(offset);
             let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
             let err = policy
-                .run_with_sleeper_budgeted::<(), _, _>(
+                .run::<(), _, _>(
                     &Recorder::disabled(),
                     &sleeper,
                     &budget,

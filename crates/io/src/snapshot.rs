@@ -16,9 +16,9 @@
 //! rather than behind a third-party serialisation layer.
 
 use rrs_error::RrsError;
-use rrs_grid::Grid2;
+use rrs_grid::{fnv1a, Grid2};
 use rrs_obs::{stage, Recorder};
-use std::io::{self, Read, Write};
+use std::io::{Read, Write};
 
 /// The 8-byte magic prefix identifying a snapshot stream (format v1).
 pub const MAGIC: &[u8; 8] = b"RRSSNAP1";
@@ -26,21 +26,7 @@ pub const MAGIC: &[u8; 8] = b"RRSSNAP1";
 /// Byte length of the fixed header: magic + `nx` + `ny`.
 pub const HEADER_LEN: usize = 24;
 
-pub(crate) fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
-/// Serialises a grid to the snapshot format.
-pub fn write_snapshot<W: Write>(w: W, grid: &Grid2<f64>) -> io::Result<()> {
-    try_write_snapshot(w, grid).map_err(Into::into)
-}
-
-/// Fallible [`write_snapshot`]: write failures surface as
+/// Serialises a grid to the snapshot format. Write failures surface as
 /// [`RrsError::Io`].
 pub fn try_write_snapshot<W: Write>(mut w: W, grid: &Grid2<f64>) -> Result<(), RrsError> {
     let mut buf = Vec::with_capacity(HEADER_LEN + grid.len() * 8 + 8);
@@ -67,19 +53,11 @@ pub fn try_write_snapshot_observed<W: Write>(
     obs.time(stage::EXPORT_SNAPSHOT, || try_write_snapshot(w, grid))
 }
 
-/// Writes a snapshot to `path` crash-atomically (tmp + fsync + rename):
-/// a crash or fault mid-export can never leave a torn snapshot at `path`
-/// — the previous file, if any, survives intact.
+/// Writes a snapshot to `path` crash-atomically (tmp + fsync + rename),
+/// timed as one `export/snapshot` observation: a crash or fault
+/// mid-export can never leave a torn snapshot at `path` — the previous
+/// file, if any, survives intact.
 pub fn try_write_snapshot_file<P: AsRef<std::path::Path>>(
-    path: P,
-    grid: &Grid2<f64>,
-) -> Result<(), RrsError> {
-    try_write_snapshot_file_observed(path, grid, &Recorder::disabled())
-}
-
-/// [`try_write_snapshot_file`] timed as one `export/snapshot`
-/// observation.
-pub fn try_write_snapshot_file_observed<P: AsRef<std::path::Path>>(
     path: P,
     grid: &Grid2<f64>,
     obs: &Recorder,
@@ -93,13 +71,9 @@ pub(crate) fn read_u64_le(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte slice"))
 }
 
-/// Deserialises a snapshot, verifying magic, shape and checksum.
-pub fn read_snapshot<R: Read>(r: R) -> io::Result<Grid2<f64>> {
-    try_read_snapshot(r).map_err(Into::into)
-}
-
-/// Fallible [`read_snapshot`]: corruption surfaces as
-/// [`RrsError::CorruptSnapshot`], read failures as [`RrsError::Io`].
+/// Deserialises a snapshot, verifying magic, shape and checksum:
+/// corruption surfaces as [`RrsError::CorruptSnapshot`], read failures as
+/// [`RrsError::Io`].
 ///
 /// The declared shape is validated against the remaining payload with
 /// overflow-checked arithmetic *before* any data allocation, so a hostile
@@ -150,8 +124,8 @@ mod tests {
             (x as f64).sin() * (y as f64).exp() / 3.0 - 0.123456789012345
         });
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
-        let back = read_snapshot(buf.as_slice()).unwrap();
+        try_write_snapshot(&mut buf, &g).unwrap();
+        let back = try_read_snapshot(buf.as_slice()).unwrap();
         assert_eq!(back, g);
     }
 
@@ -159,8 +133,8 @@ mod tests {
     fn special_values_round_trip() {
         let g = Grid2::from_vec(2, 2, vec![f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e-308]);
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
-        let back = read_snapshot(buf.as_slice()).unwrap();
+        try_write_snapshot(&mut buf, &g).unwrap();
+        let back = try_read_snapshot(buf.as_slice()).unwrap();
         assert_eq!(back.as_slice()[0], f64::INFINITY);
         assert_eq!(back.as_slice()[1], f64::NEG_INFINITY);
         assert_eq!(back.as_slice()[3], 1e-308);
@@ -170,8 +144,8 @@ mod tests {
     fn empty_grid_round_trips() {
         let g = Grid2::zeros(0, 0);
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
-        let back = read_snapshot(buf.as_slice()).unwrap();
+        try_write_snapshot(&mut buf, &g).unwrap();
+        let back = try_read_snapshot(buf.as_slice()).unwrap();
         assert_eq!(back.shape(), (0, 0));
     }
 
@@ -179,11 +153,11 @@ mod tests {
     fn corruption_is_detected() {
         let g = Grid2::from_fn(8, 8, |x, y| (x + y) as f64);
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
+        try_write_snapshot(&mut buf, &g).unwrap();
         // Flip one data byte.
         let idx = HEADER_LEN + 13;
         buf[idx] ^= 0x40;
-        let err = read_snapshot(buf.as_slice()).unwrap_err();
+        let err = try_read_snapshot(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("checksum"));
     }
 
@@ -191,17 +165,17 @@ mod tests {
     fn truncation_is_detected() {
         let g = Grid2::from_fn(4, 4, |x, _| x as f64);
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
+        try_write_snapshot(&mut buf, &g).unwrap();
         buf.truncate(buf.len() - 5);
-        assert!(read_snapshot(buf.as_slice()).is_err());
+        assert!(try_read_snapshot(buf.as_slice()).is_err());
     }
 
     #[test]
     fn wrong_magic_rejected() {
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &Grid2::zeros(2, 2)).unwrap();
+        try_write_snapshot(&mut buf, &Grid2::zeros(2, 2)).unwrap();
         buf[0] = b'X';
-        let err = read_snapshot(buf.as_slice()).unwrap_err();
+        let err = try_read_snapshot(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("magic"));
     }
 
@@ -211,7 +185,7 @@ mod tests {
         // be rejected by the length check before any data allocation —
         // including shapes where nx·ny or nx·ny·8 overflow usize.
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &Grid2::zeros(2, 2)).unwrap();
+        try_write_snapshot(&mut buf, &Grid2::zeros(2, 2)).unwrap();
         for (nx, ny) in [
             (u64::MAX, u64::MAX),        // nx·ny overflows
             (u64::MAX / 4, 2),           // nx·ny fits, ·8 overflows

@@ -138,7 +138,7 @@ props! {
             .join(format!("rrs_torn_{}_{case:x}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let dest = dir.join("field.snap");
-        rrs_io::try_write_snapshot_file(&dest, &old).unwrap();
+        rrs_io::try_write_snapshot_file(&dest, &old, &rrs_obs::Recorder::disabled()).unwrap();
 
         let err = rrs_io::write_atomic(&dest, |w| {
             try_write_snapshot(&mut FailingWriter::new(&mut *w, budget), &new)
@@ -162,7 +162,8 @@ props! {
 }
 
 mod retry_under_injected_faults {
-    use rrs_error::ErrorKind;
+    use rrs_chaos::ChaosInjector;
+    use rrs_error::{Budget, ErrorKind};
     use rrs_io::checkpoint::{self, StreamCheckpoint, CHECKPOINT_LEN};
     use rrs_io::fault::FailingWriter;
     use rrs_io::retry::{RetryPolicy, Sleeper};
@@ -194,18 +195,24 @@ mod retry_under_injected_faults {
         let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
         let out = RefCell::new(Vec::new());
         RetryPolicy::default()
-            .run_with_sleeper(&rec, &sleeper, &mut || {
-                let n = attempt.fetch_add(1, Ordering::SeqCst);
-                if n < 2 {
-                    // Fault: the writer accepts half the record, then dies.
-                    checkpoint::write_checkpoint(
-                        &mut FailingWriter::new(Vec::new(), CHECKPOINT_LEN / 2),
-                        &cp(),
-                    )
-                } else {
-                    checkpoint::write_checkpoint(&mut *out.borrow_mut(), &cp())
-                }
-            })
+            .run(
+                &rec,
+                &sleeper,
+                &Budget::unlimited(),
+                &ChaosInjector::disabled(),
+                &mut || {
+                    let n = attempt.fetch_add(1, Ordering::SeqCst);
+                    if n < 2 {
+                        // Fault: the writer accepts half the record, then dies.
+                        checkpoint::write_checkpoint(
+                            &mut FailingWriter::new(Vec::new(), CHECKPOINT_LEN / 2),
+                            &cp(),
+                        )
+                    } else {
+                        checkpoint::write_checkpoint(&mut *out.borrow_mut(), &cp())
+                    }
+                },
+            )
             .expect("transient faults below max_attempts must recover");
         assert_eq!(checkpoint::read_checkpoint(out.borrow().as_slice()).unwrap(), cp());
         let report = rec.report();
@@ -223,9 +230,13 @@ mod retry_under_injected_faults {
         let rec = Recorder::enabled();
         let sleeper = RecordingSleeper(RefCell::new(Vec::new()));
         let err = RetryPolicy::default()
-            .run_with_sleeper(&rec, &sleeper, &mut || {
-                checkpoint::write_checkpoint(FailingWriter::new(Vec::new(), 0), &cp())
-            })
+            .run(
+                &rec,
+                &sleeper,
+                &Budget::unlimited(),
+                &ChaosInjector::disabled(),
+                &mut || checkpoint::write_checkpoint(FailingWriter::new(Vec::new(), 0), &cp()),
+            )
             .expect_err("a persistent fault must fail closed");
         assert_eq!(err.kind(), ErrorKind::Io);
         let msg = err.to_string();

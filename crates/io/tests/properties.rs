@@ -2,7 +2,9 @@
 
 use rrs_check::{any, map, Gen};
 use rrs_grid::Grid2;
-use rrs_io::{read_matrix_csv, read_snapshot, write_matrix_csv, write_pgm, write_snapshot};
+use rrs_io::{
+    read_matrix_csv, try_read_snapshot, try_write_matrix_csv, try_write_pgm, try_write_snapshot,
+};
 
 fn arb_grid() -> impl Gen<Value = Grid2<f64>> {
     map((1usize..20, 1usize..20, any::<u64>()), |(nx, ny, seed)| {
@@ -22,19 +24,19 @@ rrs_check::props! {
 
     fn snapshot_round_trip_bit_exact(g in arb_grid()) {
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
-        assert_eq!(read_snapshot(buf.as_slice()).unwrap(), g);
+        try_write_snapshot(&mut buf, &g).unwrap();
+        assert_eq!(try_read_snapshot(buf.as_slice()).unwrap(), g);
     }
 
     fn snapshot_detects_any_single_byte_corruption(g in arb_grid(), at in any::<u64>(), bit in 0u8..8) {
         rrs_check::assume!(!g.is_empty());
         let mut buf = Vec::new();
-        write_snapshot(&mut buf, &g).unwrap();
+        try_write_snapshot(&mut buf, &g).unwrap();
         // Corrupt one data byte (skip the 24-byte header: magic/shape
         // corruption is detected by different paths).
         let idx = rrs_io::snapshot::HEADER_LEN + (at as usize) % (g.len() * 8);
         buf[idx] ^= 1 << bit;
-        let r = read_snapshot(buf.as_slice());
+        let r = try_read_snapshot(buf.as_slice());
         // Either the checksum fires, or (exceedingly unlikely with FNV)
         // a value changed silently — treat surviving equality as failure.
         match r {
@@ -45,13 +47,13 @@ rrs_check::props! {
 
     fn csv_round_trip_exact(g in arb_grid()) {
         let mut buf = Vec::new();
-        write_matrix_csv(&mut buf, &g).unwrap();
+        try_write_matrix_csv(&mut buf, &g).unwrap();
         assert_eq!(read_matrix_csv(buf.as_slice()).unwrap(), g);
     }
 
     fn pgm_has_exact_pixel_count(g in arb_grid()) {
         let mut buf = Vec::new();
-        write_pgm(&mut buf, &g).unwrap();
+        try_write_pgm(&mut buf, &g).unwrap();
         let header_end = buf.windows(4).position(|w| w == b"255\n").unwrap() + 4;
         assert_eq!(buf.len() - header_end, g.len());
     }

@@ -29,6 +29,25 @@ pub mod special;
 pub use complex::Complex64;
 pub use kahan::KahanSum;
 
+/// FNV-1a's 64-bit offset basis: the hash of zero bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a of `bytes` — the workspace's one byte checksum (snapshot
+/// and checkpoint records, wire frames) and the golden-hash function of
+/// the test suites.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash `state` over `bytes`, so a checksum can span
+/// several buffers: `fnv1a_extend(fnv1a(a), b)` equals the hash of `a`
+/// followed by `b`.
+#[inline]
+pub fn fnv1a_extend(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3))
+}
+
 /// Machine-epsilon-scaled tolerance helpers used across the workspace tests.
 pub mod approx {
     /// Returns `true` if `a` and `b` agree to within `rel` relative error,

@@ -1,4 +1,4 @@
-//! The Hata empirical propagation model (Hata 1980 — the paper's ref [7]).
+//! The Hata empirical propagation model (Hata 1980 — the paper's ref \[7\]).
 //!
 //! The paper's introduction cites Hata's urban formula as the established
 //! tool for cellular planning and argues it does not transfer to sensor

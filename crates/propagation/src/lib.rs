@@ -11,7 +11,7 @@
 //! * [`diffraction`] — single knife-edge loss (ITU-R P.526 approximation)
 //!   and the Epstein–Peterson / Deygout multiple-edge constructions over a
 //!   terrain profile;
-//! * [`hata`] — the Hata empirical model (the paper's ref [7]), kept as
+//! * [`hata`] — the Hata empirical model (the paper's ref \[7\]), kept as
 //!   the urban-area contrast the introduction argues is inapplicable to
 //!   sensor fields;
 //! * [`link`] — distance sweeps of total loss along a profile.

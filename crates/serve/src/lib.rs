@@ -21,7 +21,7 @@
 //!   the batch; a small LRU keeps hot kernels warm and one server-wide
 //!   [`rrs_fft::FftPlanCache`] backs every backend.
 //! * **Observability** — a `Metrics` frame returns the server's
-//!   [`rrs_obs::ObsReport`] as JSON (requests, batches, coalesced jobs,
+//!   [`rrs_obs::report::ObsReport`] as JSON (requests, batches, coalesced jobs,
 //!   cache hits/misses/evictions, overloads, plus all library stages).
 //! * **Resilience** ([`sharded`]) — a [`ShardedClient`] routes by
 //!   rendezvous hashing on the coalescing key across N endpoints, with

@@ -281,12 +281,14 @@ impl Shared {
     fn build_generator(&self, req: &GenerateRequest) -> Result<ConvolutionGenerator, RrsError> {
         let mut kernel = ConvolutionKernel::build_observed(&req.spectrum, sizing(req), &self.obs);
         if let Some(eps) = req.truncation {
-            kernel = kernel.try_truncated_observed(eps, &self.obs)?;
+            kernel = kernel.try_truncated(eps, &self.obs)?;
         }
-        let workers = if req.options.workers == 0 {
-            rrs_par::default_workers()
-        } else {
-            req.options.workers as usize
+        // A client's worker count never exceeds the machine's: it picks at
+        // most one thread per core, not one per row of a tall window.
+        let cap = rrs_par::default_workers();
+        let workers = match req.options.workers {
+            0 => cap,
+            n => cap.min(n as usize),
         };
         let ctx = GenContext::new()
             .with_backend(req.options.backend)

@@ -28,7 +28,7 @@
 
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{ErrorKind, RrsError};
-use rrs_grid::{Grid2, Window};
+use rrs_grid::{fnv1a_extend, Grid2, Window};
 use rrs_spectrum::{PowerLaw, SpectrumModel, SurfaceParams};
 use rrs_surface::ConvBackend;
 use std::io::{Read, Write};
@@ -41,16 +41,9 @@ pub const MAGIC: [u8; 4] = *b"RRSF";
 /// declared length *before* any allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 256 << 20;
 
-/// FNV-1a 64-bit — the workspace's framing checksum (same constants as
-/// the checkpoint codec).
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
+/// FNV-1a 64-bit — the framing checksum, the same function as the
+/// snapshot and checkpoint codecs'.
+pub use rrs_grid::fnv1a;
 
 /// The message kinds of the serving protocol.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -67,7 +60,7 @@ pub enum FrameKind {
     Overloaded = 4,
     /// Client → server: request the metrics report (empty payload).
     Metrics = 5,
-    /// Server → client: the [`rrs_obs::ObsReport`] as UTF-8 JSON.
+    /// Server → client: the [`rrs_obs::report::ObsReport`] as UTF-8 JSON.
     MetricsReport = 6,
     /// Client → server: liveness probe (empty payload).
     Ping = 7,
@@ -101,12 +94,8 @@ fn encode_frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut head = [0u8; 5];
     head[0] = kind as u8;
     head[1..5].copy_from_slice(&len.to_le_bytes());
-    let mut crc = fnv1a(&head);
-    // Continue the running hash over the payload (FNV-1a is byte-serial).
-    for &b in payload {
-        crc ^= u64::from(b);
-        crc = crc.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    // The checksum runs over the header, then on over the payload.
+    let crc = fnv1a_extend(fnv1a(&head), payload);
     let mut frame = Vec::with_capacity(17 + payload.len());
     frame.extend_from_slice(&MAGIC);
     frame.extend_from_slice(&head);
@@ -204,12 +193,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, Rrs
     read_fully(r, &mut payload)?;
     let mut crc_bytes = [0u8; 8];
     read_fully(r, &mut crc_bytes)?;
-    let mut crc = fnv1a(&head);
-    for &b in &payload {
-        crc ^= u64::from(b);
-        crc = crc.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    if crc != u64::from_le_bytes(crc_bytes) {
+    if fnv1a_extend(fnv1a(&head), &payload) != u64::from_le_bytes(crc_bytes) {
         return Err(RrsError::corrupt_snapshot("frame checksum mismatch"));
     }
     let kind = FrameKind::from_u8(head[0])?;
@@ -494,7 +478,8 @@ pub struct RequestOptions {
     /// whose default is [`ConvBackend::Auto`] — so a request with default
     /// options gets the same bits from every release.
     pub backend: ConvBackend,
-    /// Worker threads inside the generator; 0 = the server's default.
+    /// Worker threads inside the generator; 0 = the server's default
+    /// (`rrs_par::default_workers`), which also caps any other value.
     pub workers: u16,
     /// Per-request deadline in milliseconds from processing start; 0 =
     /// none.
@@ -582,7 +567,8 @@ impl GenerateRequest {
         self
     }
 
-    /// Sets the in-generator worker count (0 = server default).
+    /// Sets the in-generator worker count (0 = server default, which
+    /// also caps it).
     pub fn with_workers(mut self, workers: u16) -> Self {
         self.options.workers = workers;
         self

@@ -1,6 +1,6 @@
 //! One-dimensional rough *profile* spectra.
 //!
-//! The paper's companion studies (its refs [8]–[12]) analyse wave
+//! The paper's companion studies (its refs \[8\]–\[12\]) analyse wave
 //! propagation along 1-D height profiles. This module provides the 1-D
 //! analogue of the 2-D machinery with the same conventions:
 //!

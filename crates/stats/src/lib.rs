@@ -8,9 +8,9 @@
 //!   open boundaries) and FFT-based (all lags, periodic);
 //! * [`fit`] — correlation-length estimation from the measured
 //!   autocorrelation's `1/e` crossing;
-//! * [`periodogram`] — spectral density estimation from realisations
-//!   (the inverse check: the generator writes the spectrum it was asked
-//!   for);
+//! * [`periodogram`](mod@periodogram) — spectral density estimation
+//!   from realisations (the inverse check: the generator writes the
+//!   spectrum it was asked for);
 //! * [`histogram`] — binned height distributions;
 //! * [`normality`] — Kolmogorov–Smirnov, χ² and Jarque–Bera tests that the
 //!   heights are Gaussian (they must be: the generator is linear in

@@ -1,17 +1,18 @@
 //! Shared generation context — the one bundle of cross-cutting options
-//! every generator accepts.
+//! every generator accepts, and the only way to set them.
 //!
-//! A [`GenContext`] carries the six knobs that used to be threaded
-//! through per-generator `with_*` builders (workers, backend, FFT plan
-//! cache, recorder, budget, chaos injector). All three generators —
+//! A [`GenContext`] carries six knobs: workers, backend, FFT plan cache,
+//! recorder, budget and chaos injector. All three generators —
 //! [`ConvolutionGenerator`](crate::ConvolutionGenerator),
 //! [`StripGenerator`](crate::StripGenerator) and the inhomogeneous
-//! generator — accept one via `with_context`, and their individual
-//! `with_*` methods are thin sugar over it, so option threading cannot
-//! diverge per generator. Because the context is plain data (every field
-//! cheap to clone, shared state behind `Arc`s), it doubles as the
-//! decoded form of a serving request's per-request options: the server
-//! and the library configure generation through exactly the same struct.
+//! generator — take one through `with_context` and show it through
+//! `context()`, so option threading cannot diverge per generator. Build
+//! the whole context first and apply it once: `with_context` replaces
+//! every option, a shared plan cache or recorder included. Because the
+//! context is plain data (every field cheap to clone, shared state behind
+//! `Arc`s), it doubles as the decoded form of a serving request's
+//! per-request options: the server and the library configure generation
+//! through exactly the same struct.
 
 use crate::conv::ConvBackend;
 use rrs_chaos::ChaosInjector;

@@ -12,26 +12,24 @@
 //!   the transform of the same Hermitian array (this identity is what the
 //!   convolution theorem derivation promises, and the tests enforce it).
 //!
-//! Attach an enabled [`Recorder`] with
-//! [`ConvolutionGenerator::with_recorder`] to time window materialisation
-//! and the correlation loops (`window/materialise`, `correlate/inner`)
-//! and count per-band output samples (`correlate/samples`); the default
-//! disabled recorder records nothing and costs nothing, and enabling it
-//! never changes a single output bit.
+//! Attach an enabled [`Recorder`] through the generator's [`GenContext`]
+//! to time window materialisation and the correlation loops
+//! (`window/materialise`, `correlate/inner`) and count per-band output
+//! samples (`correlate/samples`); the default disabled recorder records
+//! nothing and costs nothing, and enabling it never changes a single
+//! output bit.
 
 use crate::context::GenContext;
 use crate::fftconv::{self, Combine, FftEngine, OutputRows};
 use crate::kernel::{ConvolutionKernel, KernelSizing};
 use crate::noise::{NoiseField, NoiseWindow};
-use rrs_chaos::ChaosInjector;
-use rrs_error::{Budget, ErrorKind, RrsError};
-use rrs_fft::FftPlanCache;
+use rrs_error::{ErrorKind, RrsError};
 use rrs_grid::{Grid2, Window};
 use rrs_obs::{stage, ObsSink, Recorder};
 use rrs_spectrum::Spectrum;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Kernel area (`kw·kh`) above which [`ConvBackend::Auto`] dispatches to
 /// the FFT overlap-save engine. Measured with `bench_convolution`'s
@@ -212,6 +210,19 @@ fn is_degradable(e: &RrsError) -> bool {
 }
 
 /// Homogeneous surface generator by real-space convolution.
+///
+/// Configured through one [`GenContext`]
+/// ([`ConvolutionGenerator::with_context`]): its backend picks the engine
+/// for this kernel ([`ConvolutionGenerator::resolved_backend`]); its
+/// budget's deadline and cancel token are polled at band granularity
+/// while correlating and its byte ceiling is admitted *before* the noise
+/// window or output field is allocated; its chaos schedule is polled at
+/// every band slice, FFT tile and plan-cache lookup this generator
+/// touches. With the defaults (an unlimited budget, a disabled chaos
+/// injector and recorder) every poll is a single branch. Output bits
+/// depend only on the kernel, the noise and the engine that ran: the
+/// worker count, the plan cache, a recorder and an idle budget change
+/// none.
 pub struct ConvolutionGenerator {
     kernel: ConvolutionKernel,
     ctx: GenContext,
@@ -233,20 +244,6 @@ impl ConvolutionGenerator {
         Self::from_kernel(ConvolutionKernel::build(spectrum, sizing))
     }
 
-    /// [`ConvolutionGenerator::new`] with kernel construction stages timed
-    /// into `obs`, which the generator then keeps for generation-time
-    /// observations (equivalent to `new` + [`with_recorder`]).
-    ///
-    /// [`with_recorder`]: ConvolutionGenerator::with_recorder
-    pub fn new_observed<S: Spectrum + ?Sized>(
-        spectrum: &S,
-        sizing: KernelSizing,
-        obs: Recorder,
-    ) -> Self {
-        Self::from_kernel(ConvolutionKernel::build_observed(spectrum, sizing, &obs))
-            .with_recorder(obs)
-    }
-
     /// Wraps a prebuilt (possibly truncated) kernel with the default
     /// [`GenContext`].
     pub fn from_kernel(kernel: ConvolutionKernel) -> Self {
@@ -259,11 +256,11 @@ impl ConvolutionGenerator {
         }
     }
 
-    /// Replaces the whole [`GenContext`] at once — the single entry
-    /// point every `with_*` builder delegates to, and the one a serving
-    /// front-end uses to apply wire-decoded per-request options. The
-    /// generator's cached kernel spectra stay warm: they depend only on
-    /// the kernel and the tile shape.
+    /// Replaces the whole [`GenContext`] at once — the one way to set
+    /// workers, plan cache, recorder, budget and chaos, and the one a
+    /// serving front-end uses to apply wire-decoded per-request options.
+    /// The generator's cached kernel spectra stay warm: they depend only
+    /// on the kernel and the tile shape.
     pub fn with_context(mut self, ctx: GenContext) -> Self {
         self.ctx = ctx;
         self
@@ -275,30 +272,17 @@ impl ConvolutionGenerator {
         &self.ctx
     }
 
-    /// Sets the worker count (1 = serial). Output is identical for any
-    /// worker count. Sugar for [`GenContext::with_workers`] via
-    /// [`ConvolutionGenerator::with_context`].
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.ctx = self.ctx.with_workers(workers);
-        self
-    }
-
     /// Selects the convolution engine. [`ConvBackend::Auto`] (the
     /// default) picks per kernel size; [`ConvBackend::Direct`] keeps the
     /// reference spatial loop — bit-identical across releases;
     /// [`ConvBackend::FftOverlapSave`] evaluates the same sum in the
     /// frequency domain (equal within 1e-9 relative). Each request ticks
     /// [`stage::CONV_BACKEND_DIRECT`] or [`stage::CONV_BACKEND_FFT`] for
-    /// the engine it actually ran.
+    /// the engine it actually ran. Changes only the context's backend,
+    /// keeping its other options.
     pub fn with_backend(mut self, backend: ConvBackend) -> Self {
         self.ctx = self.ctx.with_backend(backend);
         self
-    }
-
-    /// The configured backend policy (not yet resolved — see
-    /// [`ConvolutionGenerator::resolved_backend`]).
-    pub fn backend(&self) -> ConvBackend {
-        self.ctx.backend
     }
 
     /// The backend this generator actually runs for its kernel:
@@ -306,64 +290,6 @@ impl ConvolutionGenerator {
     pub fn resolved_backend(&self) -> ConvBackend {
         let (kw, kh) = self.kernel.extent();
         self.ctx.backend.resolve(kw, kh)
-    }
-
-    /// Shares an [`FftPlanCache`] with this generator (and, through
-    /// [`StripGenerator`](crate::StripGenerator), with streams built on
-    /// it), so several generators transforming the same tile shapes reuse
-    /// one set of twiddle tables. Clears nothing: the generator's cached
-    /// kernel spectra are keyed independently.
-    pub fn with_plan_cache(mut self, plans: Arc<FftPlanCache>) -> Self {
-        self.ctx = self.ctx.with_plan_cache(plans);
-        self
-    }
-
-    /// The FFT plan cache backing the overlap-save engine.
-    pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        &self.ctx.plans
-    }
-
-    /// Attaches a recorder for stage timings and counters. Observation
-    /// never alters output: an enabled run is bit-identical to a disabled
-    /// one.
-    pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.ctx = self.ctx.with_recorder(obs);
-        self
-    }
-
-    /// Attaches a resource [`Budget`]: a deadline and/or cancel token is
-    /// polled cooperatively at band granularity during correlation, and a
-    /// byte ceiling is enforced by admission control *before* the noise
-    /// window or output field is allocated. The default is
-    /// [`Budget::unlimited`], under which every code path is bit-identical
-    /// to (and as fast as) the unbudgeted generator.
-    pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.ctx = self.ctx.with_budget(budget);
-        self
-    }
-
-    /// The attached budget ([`Budget::unlimited`] unless
-    /// [`ConvolutionGenerator::with_budget`] was called).
-    pub fn budget(&self) -> &Budget {
-        &self.ctx.budget
-    }
-
-    /// Arms a deterministic fault schedule ([`ChaosInjector`]): every
-    /// cooperative poll point this generator touches — parallel band
-    /// slices, FFT tile loops, plan-cache lookups — polls the schedule
-    /// and can be made to panic, error, cancel or expire on exact visit
-    /// indices. The default is [`ChaosInjector::disabled`], under which
-    /// every poll is a single branch and output is untouched (the
-    /// `bench_runtime` gate holds the overhead under 1.05x).
-    pub fn with_chaos(mut self, chaos: ChaosInjector) -> Self {
-        self.ctx = self.ctx.with_chaos(chaos);
-        self
-    }
-
-    /// The armed chaos injector (disabled unless
-    /// [`ConvolutionGenerator::with_chaos`] was called).
-    pub fn chaos(&self) -> &ChaosInjector {
-        &self.ctx.chaos
     }
 
     /// This generator's circuit breaker over the degradation ladder
@@ -375,12 +301,6 @@ impl ConvolutionGenerator {
     /// The kernel in use.
     pub fn kernel(&self) -> &ConvolutionKernel {
         &self.kernel
-    }
-
-    /// The attached recorder (disabled unless
-    /// [`ConvolutionGenerator::with_recorder`] was called).
-    pub fn recorder(&self) -> &Recorder {
-        &self.ctx.obs
     }
 
     /// Admission control against the attached budget: `required_bytes` is
@@ -412,7 +332,7 @@ impl ConvolutionGenerator {
 
     /// Fallible [`ConvolutionGenerator::generate`]: reports a worker
     /// panic as [`RrsError::WorkerPanicked`](rrs_error::RrsError) instead
-    /// of propagating the unwind. With a [`Budget`] attached, an
+    /// of propagating the unwind. With a [`Budget`](rrs_error::Budget) attached, an
     /// already-tripped cancel token / expired deadline returns before any
     /// allocation, and a byte ceiling rejects an oversized request
     /// ([`RrsError::BudgetExceeded`]) before the noise window or output
@@ -740,14 +660,16 @@ mod tests {
     use super::*;
     use crate::direct::DirectDftGenerator;
     use crate::hermitian::hermitian_gaussian_array;
-    use rrs_fft::{Direction, Fft2d};
+    use rrs_fft::{Direction, Fft2d, FftPlanCache};
     use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
     use rrs_rng::Xoshiro256pp;
+    use std::sync::Arc;
 
     #[test]
     fn window_shape_and_determinism() {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
-        let gen = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(1);
+        let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
+            .with_context(GenContext::new().with_workers(1));
         let noise = NoiseField::new(5);
         let a = gen.generate(&noise, Window::sized(32, 16));
         assert_eq!(a.shape(), (32, 16));
@@ -760,8 +682,11 @@ mod tests {
         // The paper's "successive computations" claim, exactly.
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
         let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct);
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct),
+            );
         let noise = NoiseField::new(11);
         let whole = gen.generate(&noise, Window::sized(64, 32));
         let left = gen.generate(&noise, Window::sized(32, 32));
@@ -778,8 +703,11 @@ mod tests {
     fn vertical_tiles_are_seamless_too() {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
         let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_workers(2)
-            .with_backend(ConvBackend::Direct);
+            .with_context(
+                GenContext::new()
+                    .with_workers(2)
+                    .with_backend(ConvBackend::Direct),
+            );
         let noise = NoiseField::new(13);
         let whole = gen.generate(&noise, Window::new(-5, -5, 24, 48));
         let top = gen.generate(&noise, Window::new(-5, -5 + 24, 24, 24));
@@ -796,7 +724,8 @@ mod tests {
         // of different sizes plan different tiles, so seams agree within
         // 1e-9 relative rather than to the bit.
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
-        let gen = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(2);
+        let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
+            .with_context(GenContext::new().with_workers(2));
         assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
         let noise = NoiseField::new(11);
         let whole = gen.generate(&noise, Window::new(-5, -5, 64, 48));
@@ -819,10 +748,10 @@ mod tests {
         let k = ConvolutionKernel::build(&s, KernelSizing::default());
         let noise = NoiseField::new(3);
         let serial = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(1)
+            .with_context(GenContext::new().with_workers(1))
             .generate(&noise, Window::sized(48, 48));
         let parallel = ConvolutionGenerator::from_kernel(k)
-            .with_workers(5)
+            .with_context(GenContext::new().with_workers(5))
             .generate(&noise, Window::sized(48, 48));
         assert_eq!(serial, parallel);
     }
@@ -862,9 +791,10 @@ mod tests {
             spec.ny,
             x.iter().map(|z| z.re * scale).collect(),
         );
-        let kernel = ConvolutionKernel::build_on(&s, spec);
-        let f_conv =
-            ConvolutionGenerator::from_kernel(kernel).with_workers(1).convolve_periodic(&noise);
+        let kernel = ConvolutionKernel::build(&s, KernelSizing::Explicit(spec));
+        let f_conv = ConvolutionGenerator::from_kernel(kernel)
+            .with_context(GenContext::new().with_workers(1))
+            .convolve_periodic(&noise);
 
         let max_err = f_direct
             .as_slice()
@@ -900,33 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn with_context_matches_the_sugar_builders() {
-        use crate::context::GenContext;
-        let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
-        let k = ConvolutionKernel::build(&s, KernelSizing::default());
-        let noise = NoiseField::new(77);
-        let win = Window::new(-3, 9, 20, 12);
-        let plans = Arc::new(FftPlanCache::new());
-        let sugar = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(2)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_plan_cache(Arc::clone(&plans));
-        let ctx = GenContext::new()
-            .with_workers(2)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_plan_cache(Arc::clone(&plans));
-        let via_ctx = ConvolutionGenerator::from_kernel(k).with_context(ctx);
-        assert_eq!(
-            sugar.try_generate(&noise, win).unwrap(),
-            via_ctx.try_generate(&noise, win).unwrap(),
-            "one with_context must equal the chained sugar builders bit-for-bit"
-        );
-        assert!(Arc::ptr_eq(sugar.plan_cache(), via_ctx.plan_cache()));
-        assert_eq!(via_ctx.context().workers(), 2);
-        assert_eq!(via_ctx.context().backend(), ConvBackend::FftOverlapSave);
-    }
-
-    #[test]
     fn reapplying_a_same_cache_context_keeps_the_fft_engine() {
         use crate::context::GenContext;
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
@@ -938,7 +841,7 @@ mod tests {
         let other = Arc::new(FftPlanCache::new());
         let ctx = GenContext::new().with_plan_cache(Arc::clone(&other));
         let gen = gen.with_context(ctx);
-        assert!(Arc::ptr_eq(gen.plan_cache(), &other));
+        assert!(Arc::ptr_eq(gen.context().plan_cache(), &other));
     }
 
     #[test]
@@ -949,15 +852,14 @@ mod tests {
         let noise = NoiseField::new(41);
         let win = Window::new(-7, 3, 40, 28);
         let plain = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(3)
+            .with_context(GenContext::new().with_workers(3))
             .generate(&noise, win);
         let budget = Budget::unlimited()
             .with_cancel_token(CancelToken::new())
             .with_timeout(std::time::Duration::from_secs(3600))
             .with_max_bytes(usize::MAX);
         let budgeted = ConvolutionGenerator::from_kernel(k)
-            .with_workers(3)
-            .with_budget(budget)
+            .with_context(GenContext::new().with_workers(3).with_budget(budget))
             .try_generate(&noise, win)
             .unwrap();
         assert_eq!(plain, budgeted, "armed-but-idle budget must not change a single bit");
@@ -970,7 +872,10 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_budget(Budget::unlimited().with_cancel_token(token));
+            .with_context(
+                GenContext::new()
+                    .with_budget(Budget::unlimited().with_cancel_token(token)),
+            );
         // A window this large would abort the process if the generator
         // tried to materialise it; returning Cancelled proves the
         // pre-flight check fires first.
@@ -985,8 +890,11 @@ mod tests {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
         let rec = Recorder::enabled();
         let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_recorder(rec.clone())
-            .with_budget(Budget::unlimited().with_max_bytes(1 << 20));
+            .with_context(
+                GenContext::new()
+                    .with_recorder(rec.clone())
+                    .with_budget(Budget::unlimited().with_max_bytes(1 << 20)),
+            );
         // Would abort the allocator if admission did not fire first.
         let win = Window::new(0, 0, 1 << 30, 1 << 30);
         let err = gen.try_generate(&NoiseField::new(1), win).unwrap_err();
@@ -1003,16 +911,21 @@ mod tests {
         use rrs_error::Budget;
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
         let spec = GridSpec::unit(16, 16);
-        let kernel = ConvolutionKernel::build_on(&s, spec);
+        let kernel = ConvolutionKernel::build(&s, KernelSizing::Explicit(spec));
         let noise = Grid2::from_vec(16, 16, (0..256).map(|i| (i as f64).sin()).collect());
         let plain = ConvolutionGenerator::from_kernel(kernel.clone())
-            .with_workers(1)
+            .with_context(GenContext::new().with_workers(1))
             .convolve_periodic(&noise);
         let gen = ConvolutionGenerator::from_kernel(kernel)
-            .with_workers(1)
-            .with_budget(Budget::unlimited().with_max_bytes(16 * 16 * 8));
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_budget(Budget::unlimited().with_max_bytes(16 * 16 * 8)),
+            );
         assert_eq!(gen.try_convolve_periodic(&noise).unwrap(), plain);
-        let tight = gen.with_budget(Budget::unlimited().with_max_bytes(16 * 16 * 8 - 1));
+        let budget = Budget::unlimited().with_max_bytes(16 * 16 * 8 - 1);
+        let ctx = gen.context().clone().with_budget(budget);
+        let tight = gen.with_context(ctx);
         let err = tight.try_convolve_periodic(&noise).unwrap_err();
         assert_eq!(err.kind(), rrs_error::ErrorKind::BudgetExceeded);
     }
@@ -1020,10 +933,12 @@ mod tests {
     #[test]
     fn observed_run_is_bit_identical_and_reports_stages() {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
-        let plain = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(2);
+        let plain = ConvolutionGenerator::new(&s, KernelSizing::default())
+            .with_context(GenContext::new().with_workers(2));
         let rec = Recorder::enabled();
-        let observed = ConvolutionGenerator::new_observed(&s, KernelSizing::default(), rec.clone())
-            .with_workers(2);
+        let kernel = ConvolutionKernel::build_observed(&s, KernelSizing::default(), &rec);
+        let observed = ConvolutionGenerator::from_kernel(kernel)
+            .with_context(GenContext::new().with_workers(2).with_recorder(rec.clone()));
         let noise = NoiseField::new(19);
         let win = Window::new(-4, 6, 40, 24);
         assert_eq!(plain.generate(&noise, win), observed.generate(&noise, win));
@@ -1049,8 +964,11 @@ mod tests {
         let noise = NoiseField::new(41);
         let win = Window::sized(24, 24);
         let clean = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct)
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct),
+            )
             .generate(&noise, win);
         // The serial tile loop visits FftTile deterministically: an error
         // or a panic (to prove rung-level containment) at visit 0 fails
@@ -1061,10 +979,13 @@ mod tests {
                 ChaosInjector::new(FaultSchedule::new(1).with_fault(FaultSite::FftTile, kind, 0));
             let rec = Recorder::enabled();
             let gen = ConvolutionGenerator::from_kernel(k.clone())
-                .with_workers(1)
-                .with_backend(ConvBackend::FftOverlapSave)
-                .with_recorder(rec.clone())
-                .with_chaos(chaos.clone());
+                .with_context(
+                    GenContext::new()
+                        .with_workers(1)
+                        .with_backend(ConvBackend::FftOverlapSave)
+                        .with_recorder(rec.clone())
+                        .with_chaos(chaos.clone()),
+                );
             let got = gen.try_generate(&noise, win).unwrap();
             assert_eq!(got, clean, "{kind:?}: degraded output must be bit-identical to Direct");
             let report = rec.report();
@@ -1095,10 +1016,13 @@ mod tests {
         );
         let rec = Recorder::enabled();
         let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_workers(1)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_recorder(rec.clone())
-            .with_chaos(chaos);
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::FftOverlapSave)
+                    .with_recorder(rec.clone())
+                    .with_chaos(chaos),
+            );
         let err = gen.try_generate(&NoiseField::new(5), Window::sized(16, 16)).unwrap_err();
         assert_eq!(err.kind(), rrs_error::ErrorKind::Cancelled);
         assert_eq!(rec.report().counter(stage::CONV_DEGRADED_TO_DIRECT), 0);
@@ -1126,14 +1050,20 @@ mod tests {
         let noise = NoiseField::new(47);
         let win = Window::sized(18, 18);
         let clean = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct)
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct),
+            )
             .generate(&noise, win);
         let rec = Recorder::enabled();
         let gen = ConvolutionGenerator::from_kernel(k)
-            .with_workers(1)
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_recorder(rec.clone());
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::FftOverlapSave)
+                    .with_recorder(rec.clone()),
+            );
         for _ in 0..BREAKER_THRESHOLD {
             gen.backend_health().record_failure();
         }

@@ -294,7 +294,7 @@ impl FftEngine {
         // Parallelism lives at the tile level: one plan is shared by
         // every arena (plans are immutable).
         ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
-        let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
+        let rfft = ctx.plans.plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
         let kspec = self.kernel_spectrum(kernel, &rfft, &ctx.obs);
         let mut out = Grid2::zeros(nx, ny);
         let ww = nx + kw - 1;
@@ -378,7 +378,7 @@ pub(crate) fn convolve_tiles_into(
 ) -> Result<(), RrsError> {
     let tile_shape = box_tile_shape(kernel, nx, ny);
     ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
-    let rfft = ctx.plans.plan_real_observed(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
+    let rfft = ctx.plans.plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
     let kspec = packed_kernel_spectrum(kernel, &rfft);
     run_rfft(ctx, &rfft, &kspec, kernel, win, pitch, nx, ny, out, combine)
 }

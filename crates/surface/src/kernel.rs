@@ -88,37 +88,15 @@ impl ConvolutionKernel {
     }
 
     /// [`ConvolutionKernel::build`] with construction stages (amplitude
-    /// evaluation, DFT, re-centring permutation) timed into `obs`.
+    /// evaluation, DFT, re-centring permutation) timed into `obs`. Eqns
+    /// 34–35 verbatim on the lattice `sizing` resolves to; pin a lattice
+    /// with [`KernelSizing::Explicit`].
     pub fn build_observed<S: Spectrum + ?Sized>(
         spectrum: &S,
         sizing: KernelSizing,
         obs: &Recorder,
     ) -> Self {
         let spec = sizing.resolve(spectrum.params());
-        Self::build_on_observed(spectrum, spec, obs)
-    }
-
-    /// Bytes building a kernel on `spec` allocates: the amplitudes, the
-    /// complex transform buffer and the weights, all alive at once (32
-    /// bytes a sample; the transform's lane scratch grows only with
-    /// `nx + ny`). Widened so no lattice overflows it.
-    pub fn build_bytes(spec: GridSpec) -> u128 {
-        let per_sample = 2 * std::mem::size_of::<f64>() + std::mem::size_of::<Complex64>();
-        spec.nx as u128 * spec.ny as u128 * per_sample as u128
-    }
-
-    /// Builds the kernel on an explicit lattice (eqns 34–35 verbatim).
-    pub fn build_on<S: Spectrum + ?Sized>(spectrum: &S, spec: GridSpec) -> Self {
-        Self::build_on_observed(spectrum, spec, &Recorder::disabled())
-    }
-
-    /// [`ConvolutionKernel::build_on`] with construction stages timed
-    /// into `obs`.
-    pub fn build_on_observed<S: Spectrum + ?Sized>(
-        spectrum: &S,
-        spec: GridSpec,
-        obs: &Recorder,
-    ) -> Self {
         let v = obs.time(stage::KERNEL_AMPLITUDE, || amplitude_array(spectrum, spec));
         let (nx, ny) = (spec.nx, spec.ny);
         let span = obs.start(stage::KERNEL_DFT);
@@ -143,6 +121,15 @@ impl ConvolutionKernel {
             x0: -((nx / 2) as i64),
             y0: -((ny / 2) as i64),
         }
+    }
+
+    /// Bytes building a kernel on `spec` allocates: the amplitudes, the
+    /// complex transform buffer and the weights, all alive at once (32
+    /// bytes a sample; the transform's lane scratch grows only with
+    /// `nx + ny`). Widened so no lattice overflows it.
+    pub fn build_bytes(spec: GridSpec) -> u128 {
+        let per_sample = 2 * std::mem::size_of::<f64>() + std::mem::size_of::<Complex64>();
+        spec.nx as u128 * spec.ny as u128 * per_sample as u128
     }
 
     /// Builds a kernel directly from explicit centred weights (used by the
@@ -210,23 +197,14 @@ impl ConvolutionKernel {
     /// Panics unless `0 < epsilon < 1`. Fallible callers use
     /// [`ConvolutionKernel::try_truncated`].
     pub fn truncated(&self, epsilon: f64) -> Self {
-        self.try_truncated(epsilon).unwrap_or_else(|e| panic!("{e}"))
+        self.try_truncated(epsilon, &Recorder::disabled()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`ConvolutionKernel::truncated`]: the energy budget
-    /// `epsilon` must be finite and strictly inside `(0, 1)` (NaN is
-    /// rejected too — both comparisons fail on it).
-    pub fn try_truncated(&self, epsilon: f64) -> Result<Self, RrsError> {
-        self.try_truncated_observed(epsilon, &Recorder::disabled())
-    }
-
-    /// [`ConvolutionKernel::try_truncated`] with the truncation search
-    /// (energy scan + binary search + crop) timed into `obs`.
-    pub fn try_truncated_observed(
-        &self,
-        epsilon: f64,
-        obs: &Recorder,
-    ) -> Result<Self, RrsError> {
+    /// Fallible [`ConvolutionKernel::truncated`], with the truncation
+    /// search (energy scan + binary search + crop) timed into `obs`: the
+    /// energy budget `epsilon` must be finite and strictly inside `(0, 1)`
+    /// (NaN is rejected too — both comparisons fail on it).
+    pub fn try_truncated(&self, epsilon: f64, obs: &Recorder) -> Result<Self, RrsError> {
         let span = obs.start(stage::KERNEL_TRUNCATE);
         let out = self.truncate_impl(epsilon);
         obs.finish(span);
@@ -325,9 +303,9 @@ mod tests {
     use rrs_spectrum::{Exponential, Gaussian, PowerLaw};
 
     fn gaussian_kernel(h: f64, cl: f64, n: usize) -> ConvolutionKernel {
-        ConvolutionKernel::build_on(
+        ConvolutionKernel::build(
             &Gaussian::new(SurfaceParams::isotropic(h, cl)),
-            GridSpec::unit(n, n),
+            KernelSizing::Explicit(GridSpec::unit(n, n)),
         )
     }
 
@@ -372,7 +350,7 @@ mod tests {
         let h = 1.5;
         let cl = 8.0;
         let s = Gaussian::new(SurfaceParams::isotropic(h, cl));
-        let k = ConvolutionKernel::build_on(&s, GridSpec::unit(128, 128));
+        let k = ConvolutionKernel::build(&s, KernelSizing::Explicit(GridSpec::unit(128, 128)));
         for &(dx, dy) in &[(0i64, 0i64), (4, 0), (0, 4), (8, 0), (6, 6), (16, 0)] {
             let got = k.self_correlation(dx, dy);
             let expect = s.autocorrelation(dx as f64, dy as f64);
@@ -386,7 +364,7 @@ mod tests {
     #[test]
     fn self_correlation_exponential_spectrum() {
         let s = Exponential::new(SurfaceParams::isotropic(1.0, 10.0));
-        let k = ConvolutionKernel::build_on(&s, GridSpec::unit(256, 256));
+        let k = ConvolutionKernel::build(&s, KernelSizing::Explicit(GridSpec::unit(256, 256)));
         for &(dx, dy) in &[(0i64, 0i64), (5, 0), (0, 10), (10, 10)] {
             let got = k.self_correlation(dx, dy);
             let expect = s.autocorrelation(dx as f64, dy as f64);
@@ -397,7 +375,7 @@ mod tests {
     #[test]
     fn self_correlation_power_law_spectrum() {
         let s = PowerLaw::new(SurfaceParams::isotropic(1.0, 10.0), 2.0);
-        let k = ConvolutionKernel::build_on(&s, GridSpec::unit(256, 256));
+        let k = ConvolutionKernel::build(&s, KernelSizing::Explicit(GridSpec::unit(256, 256)));
         for &(dx, dy) in &[(0i64, 0i64), (5, 0), (0, 8)] {
             let got = k.self_correlation(dx, dy);
             let expect = s.autocorrelation(dx as f64, dy as f64);
@@ -432,7 +410,8 @@ mod tests {
     #[test]
     fn truncated_kernel_preserves_statistics() {
         let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
-        let k = ConvolutionKernel::build_on(&s, GridSpec::unit(128, 128)).truncated(1e-3);
+        let k = ConvolutionKernel::build(&s, KernelSizing::Explicit(GridSpec::unit(128, 128)))
+            .truncated(1e-3);
         for &(dx, dy) in &[(0i64, 0i64), (3, 0), (0, 5)] {
             let got = k.self_correlation(dx, dy);
             let expect = s.autocorrelation(dx as f64, dy as f64);

@@ -240,10 +240,8 @@ mod tests {
     }
 
     fn fnv1a(heights: &[f64]) -> u64 {
-        heights
-            .iter()
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x100_0000_01b3))
+        let bytes: Vec<u8> = heights.iter().flat_map(|v| v.to_le_bytes()).collect();
+        rrs_num::fnv1a(&bytes)
     }
 
     fn hashed_generator() -> LineGenerator {

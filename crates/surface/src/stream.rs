@@ -7,17 +7,32 @@
 //! seamless by construction and can be produced out of order or in
 //! parallel across processes.
 
+use crate::context::GenContext;
 use crate::conv::ConvolutionGenerator;
 use crate::kernel::KernelSizing;
 use crate::noise::NoiseField;
 use rrs_error::RrsError;
-use rrs_fft::FftPlanCache;
 use rrs_grid::{Grid2, Window};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, ObsSink};
 use rrs_spectrum::Spectrum;
-use std::sync::Arc;
 
 /// Generates an unbounded-in-`x` surface strip by strip.
+///
+/// The inner [`ConvolutionGenerator`]'s [`GenContext`] configures every
+/// strip ([`StripGenerator::with_context`]). Strips from the FFT engine
+/// tile as seamlessly as direct ones, within floating-point roundoff: the
+/// backend changes the arithmetic order, not the window geometry. Every
+/// strip request — [`StripGenerator::try_strip_at`] as well as the
+/// sequential [`StripGenerator::try_next_strip`] loop — re-runs the
+/// budget's pre-flight check and admission control before allocating, so
+/// a tripped budget stops the stream within one tile. The strip boundary
+/// is a fault site of its own: each request polls
+/// [`FaultSite::StripTile`](rrs_chaos::FaultSite) (panic-contained) before
+/// generating. An enabled recorder counts strips under `strip/tiles`.
+///
+/// The cursor advances only on success, so a stream stopped by a
+/// cancelled or expired budget, an injected fault or any other error
+/// resumes exactly where it stopped.
 pub struct StripGenerator {
     gen: ConvolutionGenerator,
     noise: NoiseField,
@@ -70,97 +85,16 @@ impl StripGenerator {
         Self::try_from_generator(gen, ny, seed).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Replaces the inner generator's whole [`GenContext`] at once —
-    /// the entry point every `with_*` builder below delegates through.
-    /// See [`ConvolutionGenerator::with_context`].
-    pub fn with_context(mut self, ctx: crate::GenContext) -> Self {
+    /// Replaces the inner generator's whole [`GenContext`] at once. See
+    /// [`ConvolutionGenerator::with_context`].
+    pub fn with_context(mut self, ctx: GenContext) -> Self {
         self.gen = self.gen.with_context(ctx);
         self
     }
 
     /// The inner generator's generation context.
-    pub fn context(&self) -> &crate::GenContext {
+    pub fn context(&self) -> &GenContext {
         self.gen.context()
-    }
-
-    /// Attaches a recorder to the inner convolution generator: strips
-    /// count under `strip/tiles` and generation stages are timed. Output
-    /// is unchanged.
-    pub fn with_recorder(mut self, obs: Recorder) -> Self {
-        self.gen = self.gen.with_recorder(obs);
-        self
-    }
-
-    /// Selects the convolution engine for every strip — see
-    /// [`ConvBackend`](crate::ConvBackend). Strips from the FFT engines
-    /// ([`ConvBackend::FftOverlapSave`](crate::ConvBackend)'s parallel
-    /// real-input tiles included) tile as seamlessly as direct ones (the
-    /// backend changes arithmetic order, not the window geometry), within
-    /// floating-point roundoff.
-    pub fn with_backend(mut self, backend: crate::ConvBackend) -> Self {
-        self.gen = self.gen.with_backend(backend);
-        self
-    }
-
-    /// The backend policy of the inner generator.
-    pub fn backend(&self) -> crate::ConvBackend {
-        self.gen.backend()
-    }
-
-    /// Shares an [`FftPlanCache`] with the inner generator, so several
-    /// streams (or a stream and a plain generator) transforming the same
-    /// overlap-save tile shapes reuse one set of twiddle tables and
-    /// real-input plans instead of rebuilding them per stream.
-    pub fn with_plan_cache(mut self, plans: Arc<FftPlanCache>) -> Self {
-        self.gen = self.gen.with_plan_cache(plans);
-        self
-    }
-
-    /// The FFT plan cache backing the inner generator's overlap-save
-    /// engines.
-    pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        self.gen.plan_cache()
-    }
-
-    /// Attaches a resource [`Budget`](rrs_error::Budget) to the inner
-    /// convolution generator. Every strip request —
-    /// [`StripGenerator::try_strip_at`] as well as the sequential
-    /// [`StripGenerator::try_next_strip`] loop — re-runs the budget's
-    /// pre-flight check and admission control before allocating, and polls
-    /// the deadline/cancel token at band granularity while correlating, so
-    /// a tripped budget stops the stream within one tile. The cursor only
-    /// advances on success, so a cancelled stream resumes exactly where it
-    /// stopped.
-    pub fn with_budget(mut self, budget: rrs_error::Budget) -> Self {
-        self.gen = self.gen.with_budget(budget);
-        self
-    }
-
-    /// The budget attached to the inner generator.
-    pub fn budget(&self) -> &rrs_error::Budget {
-        self.gen.budget()
-    }
-
-    /// Arms a deterministic fault schedule on the inner generator and on
-    /// this stream's own strip boundary: each strip request polls
-    /// [`FaultSite::StripTile`](rrs_chaos::FaultSite) (panic-contained)
-    /// before generating, and the inner generator's band/tile/plan sites
-    /// poll the same shared schedule. The cursor advances only on
-    /// success, so an injected fault leaves the stream resumable exactly
-    /// like a real one.
-    pub fn with_chaos(mut self, chaos: rrs_chaos::ChaosInjector) -> Self {
-        self.gen = self.gen.with_chaos(chaos);
-        self
-    }
-
-    /// The chaos injector attached to the inner generator.
-    pub fn chaos(&self) -> &rrs_chaos::ChaosInjector {
-        self.gen.chaos()
-    }
-
-    /// The recorder attached to the inner generator.
-    pub fn recorder(&self) -> &Recorder {
-        self.gen.recorder()
     }
 
     /// Transverse extent.
@@ -185,16 +119,19 @@ impl StripGenerator {
     /// Fallible [`StripGenerator::strip_at`]. Routed through the attached
     /// budget: an oversized strip fails with
     /// [`RrsError::BudgetExceeded`] before anything is allocated instead
-    /// of aborting inside the allocator. Strips reaching past either end
-    /// of the `i64` lattice wrap around it, like the noise key does.
+    /// of aborting inside the allocator. A strip must fit on the `i64`
+    /// lattice: one reaching past its end (`x0 + width > i64::MAX`) is
+    /// rejected with [`RrsError::InvalidParam`]. Only the noise the kernel
+    /// reads beyond a lattice end wraps around it, like the noise key does.
     pub fn try_strip_at(&self, x0: i64, width: usize) -> Result<Grid2<f64>, RrsError> {
         let win = Window::try_new(x0, 0, width, self.ny)?;
+        let ctx = self.gen.context();
         // The strip boundary is a registered fault site; the poll
         // contains its own injected panic, so a scheduled fault here
         // surfaces as a typed error with the cursor unadvanced.
-        self.gen.chaos().poll_contained(rrs_chaos::FaultSite::StripTile)?;
+        ctx.chaos().poll_contained(rrs_chaos::FaultSite::StripTile)?;
         let out = self.gen.try_generate(&self.noise, win)?;
-        self.gen.recorder().add_counter(stage::STRIP_TILES, 1);
+        ctx.recorder().add_counter(stage::STRIP_TILES, 1);
         Ok(out)
     }
 
@@ -229,6 +166,7 @@ impl StripGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_obs::Recorder;
     use rrs_spectrum::{Gaussian, SurfaceParams};
 
     fn make(seed: u64) -> StripGenerator {
@@ -238,7 +176,8 @@ mod tests {
 
     #[test]
     fn sequential_strips_tile_the_long_surface() {
-        let mut sg = make(42).with_backend(crate::ConvBackend::Direct);
+        let direct = GenContext::new().with_backend(crate::ConvBackend::Direct);
+        let mut sg = make(42).with_context(direct);
         let a = sg.next_strip(16);
         let b = sg.next_strip(16);
         assert_eq!(sg.cursor(), 32);
@@ -254,7 +193,7 @@ mod tests {
     #[test]
     fn sequential_auto_strips_tile_within_roundoff() {
         let mut sg = make(42);
-        assert_eq!(sg.backend(), crate::ConvBackend::Auto);
+        assert_eq!(sg.context().backend(), crate::ConvBackend::Auto);
         let a = sg.next_strip(16);
         let b = sg.next_strip(16);
         let whole = sg.strip_at(0, 32);
@@ -310,7 +249,8 @@ mod tests {
     #[test]
     fn oversized_strip_is_rejected_not_aborted() {
         use rrs_error::Budget;
-        let sg = make(9).with_budget(Budget::unlimited().with_max_bytes(1 << 20));
+        let budget = Budget::unlimited().with_max_bytes(1 << 20);
+        let sg = make(9).with_context(GenContext::new().with_budget(budget));
         // Wide enough that the alloc would abort; admission must fire first.
         let err = sg.try_strip_at(0, 1 << 30).unwrap_err();
         assert_eq!(err.kind(), rrs_error::ErrorKind::BudgetExceeded);
@@ -322,7 +262,8 @@ mod tests {
     fn cancelled_stream_leaves_cursor_unadvanced() {
         use rrs_error::{Budget, CancelToken};
         let token = CancelToken::new();
-        let mut sg = make(11).with_budget(Budget::unlimited().with_cancel_token(token.clone()));
+        let budget = Budget::unlimited().with_cancel_token(token.clone());
+        let mut sg = make(11).with_context(GenContext::new().with_budget(budget));
         sg.next_strip(8);
         assert_eq!(sg.cursor(), 8);
         token.cancel();
@@ -331,7 +272,8 @@ mod tests {
         assert_eq!(sg.cursor(), 8, "failed strip must not advance the cursor");
         // The resumable state still continues the identical surface.
         let resumed = make(11).strip_at(8, 8);
-        let mut fresh = make(11).with_budget(Budget::unlimited().with_cancel_token(CancelToken::new()));
+        let budget = Budget::unlimited().with_cancel_token(CancelToken::new());
+        let mut fresh = make(11).with_context(GenContext::new().with_budget(budget));
         fresh.seek(8);
         assert_eq!(fresh.try_next_strip(8).unwrap(), resumed);
     }
@@ -340,7 +282,7 @@ mod tests {
     fn recorder_counts_tiles_without_changing_output() {
         let rec = Recorder::enabled();
         let mut plain = make(42);
-        let mut observed = make(42).with_recorder(rec.clone());
+        let mut observed = make(42).with_context(GenContext::new().with_recorder(rec.clone()));
         for _ in 0..3 {
             assert_eq!(plain.next_strip(8), observed.next_strip(8));
         }
@@ -356,7 +298,7 @@ mod tests {
         let chaos = ChaosInjector::new(
             FaultSchedule::new(21).with_fault(FaultSite::StripTile, FaultKind::Error, 1),
         );
-        let mut sg = make(42).with_chaos(chaos);
+        let mut sg = make(42).with_context(GenContext::new().with_chaos(chaos));
         let mut clean = make(42);
         assert_eq!(sg.next_strip(8), clean.next_strip(8));
         let err = sg.try_next_strip(8).unwrap_err();
@@ -367,23 +309,12 @@ mod tests {
     }
 
     #[test]
-    fn with_context_matches_the_sugar_builders() {
-        let rec = Recorder::enabled();
-        let ctx = crate::GenContext::new().with_workers(1).with_recorder(rec.clone());
-        let mut via_ctx = make(42).with_context(ctx);
-        let mut sugar = make(42).with_recorder(Recorder::enabled());
-        assert_eq!(via_ctx.next_strip(8), sugar.next_strip(8));
-        assert!(via_ctx.context().recorder().is_enabled());
-        assert_eq!(rec.report().counter(stage::STRIP_TILES), 1);
-    }
-
-    #[test]
     fn chaos_panic_at_a_strip_boundary_is_contained() {
         use rrs_chaos::{ChaosInjector, FaultKind, FaultSchedule, FaultSite};
         let chaos = ChaosInjector::new(
             FaultSchedule::new(23).with_fault(FaultSite::StripTile, FaultKind::Panic, 0),
         );
-        let sg = make(7).with_chaos(chaos);
+        let sg = make(7).with_context(GenContext::new().with_chaos(chaos));
         let err = sg.try_strip_at(0, 8).unwrap_err();
         assert_eq!(err.kind(), rrs_error::ErrorKind::WorkerPanicked);
         assert_eq!(sg.try_strip_at(0, 8).unwrap(), make(7).strip_at(0, 8));

@@ -7,12 +7,15 @@ use rrs_check::{from_fn, props, CaseRng};
 use rrs_error::ErrorKind;
 use rrs_grid::{Grid2, Window};
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
-use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, NoiseField, StripGenerator};
+use rrs_obs::Recorder;
+use rrs_surface::{
+    ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField, StripGenerator,
+};
 
 fn small_kernel(cl: f64) -> ConvolutionKernel {
-    ConvolutionKernel::build_on(
+    ConvolutionKernel::build(
         &Gaussian::new(SurfaceParams::isotropic(1.0, cl)),
-        GridSpec::unit(16, 16),
+        KernelSizing::Explicit(GridSpec::unit(16, 16)),
     )
 }
 
@@ -20,7 +23,8 @@ props! {
     #![cases = 48]
 
     fn empty_windows_rejected(nx in 0usize..3, ny in 0usize..3, seed in rrs_check::any::<u64>()) {
-        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0)).with_workers(1);
+        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0))
+            .with_context(GenContext::new().with_workers(1));
         let noise = NoiseField::new(seed);
         match Window::try_new(0, 0, nx, ny).and_then(|w| gen.try_generate(&noise, w)) {
             Ok(g) => {
@@ -46,21 +50,22 @@ props! {
             _ => 1.0 + rng.next_f64() * 10.0,
         }
     })) {
-        let e = small_kernel(3.0).try_truncated(eps).unwrap_err();
+        let e = small_kernel(3.0).try_truncated(eps, &Recorder::disabled()).unwrap_err();
         assert_eq!(e.kind(), ErrorKind::InvalidParam, "eps={eps}: {e}");
         assert!(e.to_string().contains("epsilon"), "{e}");
     }
 
     fn good_epsilon_accepted(eps in 1e-6f64..0.999) {
         let k = small_kernel(3.0);
-        let t = k.try_truncated(eps).expect("valid epsilon accepted");
+        let t = k.try_truncated(eps, &Recorder::disabled()).expect("valid epsilon accepted");
         assert_eq!(t, k.truncated(eps));
     }
 
     fn kernel_larger_than_periodic_grid_rejected(n in 1usize..40) {
         // The kernel extent is fixed at 16x16; periodic convolution only
         // accepts noise grids at least that large on both axes.
-        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0)).with_workers(1);
+        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0))
+            .with_context(GenContext::new().with_workers(1));
         let noise = Grid2::filled(n, n, 0.5);
         match gen.try_convolve_periodic(&noise) {
             Ok(out) => {
@@ -76,7 +81,8 @@ props! {
     }
 
     fn stream_height_boundary(ny in 0usize..6, seed in rrs_check::any::<u64>()) {
-        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0)).with_workers(1);
+        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0))
+            .with_context(GenContext::new().with_workers(1));
         match StripGenerator::try_from_generator(gen, ny, seed) {
             Ok(sg) => {
                 assert!(ny > 0);

@@ -4,8 +4,8 @@ use rrs_check::any;
 use rrs_grid::Window;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
 use rrs_surface::{
-    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, KernelSizing,
-    NoiseField,
+    ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator, GenContext,
+    KernelSizing, NoiseField,
 };
 
 rrs_check::props! {
@@ -75,8 +75,11 @@ rrs_check::props! {
             &s,
             KernelSizing::Auto { factor: 6.0, min: 16, max: 48 },
         )
-        .with_workers(1)
-        .with_backend(ConvBackend::Direct);
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::Direct),
+        );
         let noise = NoiseField::new(seed);
         let a = gen.generate(&noise, Window::new(dx, dy, 8, 8));
         let b = gen.generate(&noise, Window::new(dx, dy, 16, 16));
@@ -100,7 +103,7 @@ rrs_check::props! {
             &s,
             KernelSizing::Auto { factor: 6.0, min: 16, max: 48 },
         )
-        .with_workers(1);
+        .with_context(GenContext::new().with_workers(1));
         assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
         let noise = NoiseField::new(seed);
         let a = gen.generate(&noise, Window::new(dx, dy, 8, 8));

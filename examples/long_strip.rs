@@ -21,7 +21,7 @@ fn main() {
     // Auto picks the overlap-save FFT engine for this kernel size and
     // reuses its cached kernel spectrum across every tile below.
     let mut gen = StripGenerator::new(&spectrum, KernelSizing::default(), height, 31)
-        .with_backend(ConvBackend::Auto);
+        .with_context(GenContext::new().with_backend(ConvBackend::Auto));
 
     println!(
         "streaming a {}-sample-high surface in {} tiles of width {} (total length {})",

@@ -55,7 +55,7 @@ fn main() {
     println!("  rms slope x: {:.4}", rms_slope_x(&sea, 1.0));
     println!("  rms slope y: {:.4}", rms_slope_y(&sea, 1.0));
 
-    rrs::io::write_ppm(File::create("ocean.ppm").expect("create file"), &sea)
+    rrs::io::try_write_ppm(File::create("ocean.ppm").expect("create file"), &sea)
         .expect("write PPM");
     println!("wrote ocean.ppm (30°-rotated swell crests with ripple texture)");
 }

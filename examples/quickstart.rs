@@ -39,6 +39,6 @@ fn main() {
 
     // Render to a grayscale PGM you can open with any image viewer.
     let path = "quickstart_surface.pgm";
-    rrs::io::write_pgm(File::create(path).expect("create file"), &surface).expect("write PGM");
+    rrs::io::try_write_pgm(File::create(path).expect("create file"), &surface).expect("write PGM");
     println!("wrote {path}");
 }

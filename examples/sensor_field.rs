@@ -47,7 +47,7 @@ fn main() {
     let terrain = generator.generate(&NoiseField::new(99), Window::new(-half, -half, n, n));
 
     println!("terrain {}x{}: overall h = {:.2}", n, n, terrain.std_dev());
-    rrs::io::write_ppm(File::create("sensor_field.ppm").expect("create"), &terrain)
+    rrs::io::try_write_ppm(File::create("sensor_field.ppm").expect("create"), &terrain)
         .expect("write PPM");
 
     // Link budgets: centre node to a node in each ring group. Grid unit

@@ -51,6 +51,6 @@ fn main() {
     );
 
     let path = "field_pond.ppm";
-    rrs::io::write_ppm(File::create(path).expect("create file"), &surface).expect("write PPM");
+    rrs::io::try_write_ppm(File::create(path).expect("create file"), &surface).expect("write PPM");
     println!("wrote {path} (false-colour heightmap — the flat disc is the pond)");
 }

@@ -43,36 +43,47 @@
 //! wrappers that panic with the same message for quick scripts and tests.
 //! Library and service callers should prefer the `try_*` forms.
 //!
+//! ## Configuration
+//!
+//! Every generator is configured through one [`surface::GenContext`],
+//! applied with `with_context`: the worker count, the convolution
+//! backend, a shared FFT plan cache, and the recorder, budget and chaos
+//! injector below. Build the whole context first and apply it once, since
+//! `with_context` replaces every option. Operations outside a generator
+//! (kernel truncation, plan lookups, file writes, retries) take the
+//! recorder, and where it applies the budget and injector, as arguments.
+//!
 //! ## Observability
 //!
-//! Every generator accepts an [`obs::Recorder`] via `with_recorder`;
-//! generation stages (kernel build, window materialisation, correlation,
-//! checkpoint write/fsync) are timed into named histograms and counters,
-//! exportable as JSON. The default disabled recorder costs nothing and
-//! enabling one never changes a single output bit.
+//! A context's [`obs::Recorder`] times generation stages (kernel build,
+//! window materialisation, correlation, checkpoint write/fsync) into
+//! named histograms and counters, exportable as JSON. The default
+//! disabled recorder costs nothing and enabling one never changes a
+//! single output bit.
 //!
 //! ## Runtime budgets
 //!
-//! Every generator also accepts a resource [`error::Budget`] via
-//! `with_budget`: a wall-clock deadline and/or a shared
-//! [`error::CancelToken`] are polled cooperatively at band granularity
-//! (a tripped request returns [`error::RrsError::Cancelled`] /
+//! A context's resource [`error::Budget`] bounds every request: a
+//! wall-clock deadline and/or a shared [`error::CancelToken`] are polled
+//! cooperatively at band granularity (a tripped request returns
+//! [`error::RrsError::Cancelled`] /
 //! [`error::RrsError::DeadlineExceeded`] within one band or strip tile,
 //! never partial output), and a byte ceiling is enforced by admission
 //! control *before* allocation, so an oversized request fails with a
 //! precise [`error::RrsError::BudgetExceeded`] instead of aborting the
-//! process. Durable writes (checkpoints, snapshots, images, CSV) are
-//! crash-atomic (tmp + fsync + rename) and can be wrapped in a
-//! deterministic [`io::RetryPolicy`] that retries transient I/O faults
-//! with exponential backoff. With the default [`error::Budget::unlimited`]
-//! every code path is bit-identical to — and as fast as — the unbudgeted
-//! generator.
+//! process. Checkpoint and snapshot files are written crash-atomically
+//! (tmp + fsync + rename), and checkpoint writes can be
+//! wrapped in a deterministic [`io::RetryPolicy`]
+//! ([`io::write_checkpoint_file_resilient`]) that retries transient I/O
+//! faults with exponential backoff. With the default
+//! [`error::Budget::unlimited`] every code path is bit-identical to — and
+//! as fast as — the unbudgeted generator.
 //!
 //! ## Fault model and graceful degradation
 //!
-//! Every generator accepts a [`chaos::ChaosInjector`] via `with_chaos`: a
-//! seeded, replayable [`chaos::FaultSchedule`] injects panics, typed
-//! errors, cancellations or deadline expiry at numbered
+//! A context's [`chaos::ChaosInjector`] arms a seeded, replayable
+//! [`chaos::FaultSchedule`] that injects panics, typed errors,
+//! cancellations or deadline expiry at numbered
 //! [`chaos::FaultSite`]s across the whole pipeline (parallel band slices,
 //! FFT tiles, plan-cache lookups, strip boundaries, retry backoffs,
 //! checkpoint writes). Injected faults always surface as typed
@@ -105,8 +116,8 @@ pub mod prelude {
     pub use rrs_error::{Budget, CancelToken, ErrorKind, RrsError};
     pub use rrs_grid::{Grid2, Window};
     pub use rrs_io::{
-        try_write_snapshot, write_checkpoint_file, write_checkpoint_file_resilient,
-        write_checkpoint_file_retrying, write_snapshot, RetryPolicy, StreamCheckpoint,
+        try_read_snapshot, try_write_snapshot, write_checkpoint_file,
+        write_checkpoint_file_resilient, RetryPolicy, StreamCheckpoint,
     };
     pub use rrs_obs::Recorder;
     pub use rrs_inhomo::{

@@ -30,14 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 fn fnv1a(bits: impl Iterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in bits {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = bits.flat_map(u64::to_le_bytes).collect();
+    rrs::num::fnv1a(&bytes)
 }
 
 fn hash_grid(g: &Grid2<f64>) -> u64 {
@@ -70,20 +64,17 @@ fn assert_close(reference: &Grid2<f64>, other: &Grid2<f64>, tol: f64, what: &str
 fn seed_windows(backend: ConvBackend) -> [Grid2<f64>; 3] {
     let s1 = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
     let g1 = ConvolutionGenerator::new(&s1, KernelSizing::default())
-        .with_workers(1)
-        .with_backend(backend)
+        .with_context(GenContext::new().with_workers(1).with_backend(backend))
         .generate(&NoiseField::new(5), Window::sized(32, 16));
     let s2 = Gaussian::new(SurfaceParams::new(1.3, 6.0, 4.0));
     let k2 = ConvolutionKernel::build(&s2, KernelSizing::default()).truncated(1e-3);
     let g2 = ConvolutionGenerator::from_kernel(k2)
-        .with_workers(3)
-        .with_backend(backend)
+        .with_context(GenContext::new().with_workers(3).with_backend(backend))
         .generate(&NoiseField::new(41), Window::new(-7, 3, 40, 28));
     let s3 = Exponential::new(SurfaceParams::new(0.8, 3.0, 7.0));
     let k3 = ConvolutionKernel::build(&s3, KernelSizing::default()).truncated(1e-2);
     let g3 = ConvolutionGenerator::from_kernel(k3)
-        .with_workers(2)
-        .with_backend(backend)
+        .with_context(GenContext::new().with_workers(2).with_backend(backend))
         .generate(&NoiseField::new(99), Window::new(11, -5, 33, 21));
     [g1, g2, g3]
 }
@@ -112,8 +103,8 @@ fn default_backend_matches_the_seed_windows_within_1e9() {
 #[test]
 fn strip_stream_is_bit_identical_to_seed() {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
-    let mut sg =
-        StripGenerator::new(&s, KernelSizing::default(), 24, 7).with_backend(ConvBackend::Direct);
+    let mut sg = StripGenerator::new(&s, KernelSizing::default(), 24, 7)
+        .with_context(GenContext::new().with_backend(ConvBackend::Direct));
     assert_eq!(hash_grid(&sg.next_strip(16)), 0x0e02845b448152b8, "strip 0");
     assert_eq!(hash_grid(&sg.next_strip(16)), 0x0eb0089b6b1be169, "strip 1");
 }
@@ -121,8 +112,8 @@ fn strip_stream_is_bit_identical_to_seed() {
 #[test]
 fn default_strip_stream_matches_the_seed_strips_within_1e9() {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
-    let mut direct =
-        StripGenerator::new(&s, KernelSizing::default(), 24, 7).with_backend(ConvBackend::Direct);
+    let mut direct = StripGenerator::new(&s, KernelSizing::default(), 24, 7)
+        .with_context(GenContext::new().with_backend(ConvBackend::Direct));
     let mut auto = StripGenerator::new(&s, KernelSizing::default(), 24, 7);
     for strip in 0..2 {
         assert_close(&direct.next_strip(16), &auto.next_strip(16), 1e-9, &format!("strip {strip}"));
@@ -135,11 +126,17 @@ fn generators(
     kernel: ConvolutionKernel,
 ) -> (ConvolutionGenerator, ConvolutionGenerator) {
     let direct = ConvolutionGenerator::from_kernel(kernel.clone())
-        .with_workers(2)
-        .with_backend(ConvBackend::Direct);
+        .with_context(
+            GenContext::new()
+                .with_workers(2)
+                .with_backend(ConvBackend::Direct),
+        );
     let fft = ConvolutionGenerator::from_kernel(kernel)
-        .with_workers(2)
-        .with_backend(ConvBackend::FftOverlapSave);
+        .with_context(
+            GenContext::new()
+                .with_workers(2)
+                .with_backend(ConvBackend::FftOverlapSave),
+        );
     (direct, fft)
 }
 
@@ -211,9 +208,12 @@ fn width_one_kernels_match_direct_on_the_fft_engine() {
         for workers in [1, 2] {
             let rec = Recorder::enabled();
             let got = ConvolutionGenerator::from_kernel(kernel.clone())
-                .with_workers(workers)
-                .with_backend(ConvBackend::FftOverlapSave)
-                .with_recorder(rec.clone())
+                .with_context(
+                    GenContext::new()
+                        .with_workers(workers)
+                        .with_backend(ConvBackend::FftOverlapSave)
+                        .with_recorder(rec.clone()),
+                )
                 .try_generate(&noise, win)
                 .unwrap();
             let what = format!("{shape:?} kernel, {workers} workers");
@@ -243,15 +243,13 @@ fn width_one_kernels_blend_like_the_direct_loop() {
     for kernels in [vec![column.clone(), four], vec![pair, column]] {
         let make = |backend| {
             InhomogeneousGenerator::from_kernels(layout.clone(), kernels.clone())
-                .with_workers(2)
-                .with_backend(backend)
+                .with_context(GenContext::new().with_workers(2).with_backend(backend))
         };
         let direct = make(ConvBackend::Direct).generate(&noise, win);
         let rec = Recorder::enabled();
-        let got = make(ConvBackend::FftOverlapSave)
-            .with_recorder(rec.clone())
-            .try_generate(&noise, win)
-            .unwrap();
+        let gen = make(ConvBackend::FftOverlapSave);
+        let ctx = gen.context().clone().with_recorder(rec.clone());
+        let got = gen.with_context(ctx).try_generate(&noise, win).unwrap();
         let shapes: Vec<_> = kernels.iter().map(|k| k.extent()).collect();
         assert_close(&direct, &got, 1e-9, &format!("blend of {shapes:?}"));
         let report = rec.report();
@@ -268,8 +266,11 @@ fn auto_dispatches_by_kernel_area_and_counts() {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 16.0));
     let rec = Recorder::enabled();
     let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-        .with_backend(ConvBackend::Auto)
-        .with_recorder(rec.clone());
+        .with_context(
+            GenContext::new()
+                .with_backend(ConvBackend::Auto)
+                .with_recorder(rec.clone()),
+        );
     assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
     gen.generate(&NoiseField::new(1), Window::sized(48, 48));
     let report = rec.report();
@@ -282,8 +283,11 @@ fn auto_dispatches_by_kernel_area_and_counts() {
     let tiny = ConvolutionKernel::build(&s, KernelSizing::default()).crop(3, 3);
     let rec2 = Recorder::enabled();
     let gen2 = ConvolutionGenerator::from_kernel(tiny)
-        .with_backend(ConvBackend::Auto)
-        .with_recorder(rec2.clone());
+        .with_context(
+            GenContext::new()
+                .with_backend(ConvBackend::Auto)
+                .with_recorder(rec2.clone()),
+        );
     assert_eq!(gen2.resolved_backend(), ConvBackend::Direct);
     gen2.generate(&NoiseField::new(1), Window::sized(16, 16));
     assert_eq!(rec2.report().counter(stage::CONV_BACKEND_DIRECT), 1);
@@ -337,8 +341,11 @@ fn real_fft_matches_direct_across_worker_counts() {
     let host = std::thread::available_parallelism().map_or(1, |n| n.get());
     for workers in [1, 2, host] {
         let rfft = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(workers)
-            .with_backend(ConvBackend::FftOverlapSave)
+            .with_context(
+                GenContext::new()
+                    .with_workers(workers)
+                    .with_backend(ConvBackend::FftOverlapSave),
+            )
             .generate(&noise, win);
         assert_close(&direct, &rfft, 1e-9, &format!("rfft vs direct, workers={workers}"));
     }
@@ -353,13 +360,19 @@ fn real_fft_is_bit_identical_across_worker_counts() {
     let noise = NoiseField::new(1618);
     let win = Window::new(3, -9, 180, 120);
     let reference = ConvolutionGenerator::from_kernel(k.clone())
-        .with_workers(1)
-        .with_backend(ConvBackend::FftOverlapSave)
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::FftOverlapSave),
+        )
         .generate(&noise, win);
     for workers in [2, 3, 7] {
         let g = ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(workers)
-            .with_backend(ConvBackend::FftOverlapSave)
+            .with_context(
+                GenContext::new()
+                    .with_workers(workers)
+                    .with_backend(ConvBackend::FftOverlapSave),
+            )
             .generate(&noise, win);
         assert_eq!(hash_grid(&reference), hash_grid(&g), "workers={workers}");
         assert_eq!(reference, g, "workers={workers}");
@@ -376,8 +389,11 @@ fn parallel_real_fft_strips_tile_seamlessly() {
     let seed = 31415;
     let mut sg = StripGenerator::from_generator(
         ConvolutionGenerator::from_kernel(k.clone())
-            .with_workers(3)
-            .with_backend(ConvBackend::FftOverlapSave),
+            .with_context(
+                GenContext::new()
+                    .with_workers(3)
+                    .with_backend(ConvBackend::FftOverlapSave),
+            ),
         36,
         seed,
     );
@@ -424,7 +440,8 @@ fn paper_figures_keep_their_fft_path_hashes_at_every_worker_count() {
         let got: Vec<u64> = all_figures(0.125, 0.01, 3)
             .into_iter()
             .map(|fig| {
-                let gen = fig.generator.with_workers(workers);
+                let ctx = fig.generator.context().clone().with_workers(workers);
+                let gen = fig.generator.with_context(ctx);
                 assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave, "{}", fig.id);
                 hash_grid(&gen.generate(
                     &NoiseField::new(fig.seed),
@@ -451,7 +468,9 @@ fn strip_benchmark_stream(seed: u64) -> StripGenerator {
 fn strip_benchmark_stream_keeps_its_fft_path_hashes() {
     use rrs::obs::stage;
     let rec = Recorder::enabled();
-    let mut sg = strip_benchmark_stream(1).with_recorder(rec.clone());
+    let sg = strip_benchmark_stream(1);
+    let ctx = sg.context().clone().with_recorder(rec.clone());
+    let mut sg = sg.with_context(ctx);
     sg.seek(-777);
     let got: Vec<u64> = (0..3).map(|_| hash_grid(&sg.next_strip(512))).collect();
     assert_eq!(got, STRIP_HASHES);
@@ -481,8 +500,11 @@ fn serve_sized_fft_windows_keep_their_hashes() {
         .map(|((kernel, win), seed)| {
             hash_grid(
                 &ConvolutionGenerator::from_kernel(kernel)
-                    .with_workers(2)
-                    .with_backend(ConvBackend::FftOverlapSave)
+                    .with_context(
+                        GenContext::new()
+                            .with_workers(2)
+                            .with_backend(ConvBackend::FftOverlapSave),
+                    )
                     .generate(&NoiseField::new(seed), win),
             )
         })
@@ -508,9 +530,12 @@ fn plan_cache_and_parallel_tiles_are_observed() {
 
     let rec = Recorder::enabled();
     let gen = ConvolutionGenerator::from_kernel(k)
-        .with_workers(4)
-        .with_backend(ConvBackend::FftOverlapSave)
-        .with_recorder(rec.clone());
+        .with_context(
+            GenContext::new()
+                .with_workers(4)
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_recorder(rec.clone()),
+        );
     let noise = NoiseField::new(55);
     let first = gen.generate(&noise, win);
     let after_first = rec.report();
@@ -548,8 +573,11 @@ fn shared_plan_cache_is_warm_across_generators() {
 
     // Warm the cache through a plain generator…
     ConvolutionGenerator::from_kernel(k.clone())
-        .with_backend(ConvBackend::FftOverlapSave)
-        .with_plan_cache(plans.clone())
+        .with_context(
+            GenContext::new()
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_plan_cache(plans.clone()),
+        )
         .generate(&noise, win);
 
     // …then a strip generator sharing the cache and transforming the same
@@ -557,9 +585,12 @@ fn shared_plan_cache_is_warm_across_generators() {
     let rec = Recorder::enabled();
     let mut sg = StripGenerator::from_generator(
         ConvolutionGenerator::from_kernel(k.clone())
-            .with_backend(ConvBackend::FftOverlapSave)
-            .with_plan_cache(plans)
-            .with_recorder(rec.clone()),
+            .with_context(
+                GenContext::new()
+                    .with_backend(ConvBackend::FftOverlapSave)
+                    .with_plan_cache(plans)
+                    .with_recorder(rec.clone()),
+            ),
         win.ny,
         808,
     );
@@ -626,12 +657,18 @@ rrs_check::props! {
         let noise = NoiseField::new(case.seed);
         let win = Window::new(case.x0, case.y0, case.nx, case.ny);
         let direct = ConvolutionGenerator::from_kernel(kernel.clone())
-            .with_workers(workers)
-            .with_backend(ConvBackend::Direct)
+            .with_context(
+                GenContext::new()
+                    .with_workers(workers)
+                    .with_backend(ConvBackend::Direct),
+            )
             .generate(&noise, win);
         let fft = ConvolutionGenerator::from_kernel(kernel)
-            .with_workers(workers)
-            .with_backend(ConvBackend::FftOverlapSave)
+            .with_context(
+                GenContext::new()
+                    .with_workers(workers)
+                    .with_backend(ConvBackend::FftOverlapSave),
+            )
             .generate(&noise, win);
         let scale = direct.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max).max(1e-30);
         for (i, (a, b)) in direct.as_slice().iter().zip(fft.as_slice()).enumerate() {
@@ -753,8 +790,11 @@ fn blend_generator(
 ) -> InhomogeneousGenerator<Box<dyn WeightMap>> {
     let (layout, _) = blend_layout(case);
     InhomogeneousGenerator::new(layout, KernelSizing::Auto { factor: 6.0, min: 16, max: 64 })
-        .with_workers(workers)
-        .with_backend(backend)
+        .with_context(
+            GenContext::new()
+                .with_workers(workers)
+                .with_backend(backend),
+        )
 }
 
 /// An exponential pond in a Gaussian field with a point-free margin: a
@@ -767,8 +807,11 @@ fn pond_in_field(backend: ConvBackend, workers: usize) -> InhomogeneousGenerator
     let field = SpectrumModel::gaussian(SurfaceParams::isotropic(1.2, 6.0));
     let layout = PlateLayout::new(vec![pond], Some(field), 8.0);
     InhomogeneousGenerator::new(layout, KernelSizing::Auto { factor: 8.0, min: 16, max: 96 })
-        .with_workers(workers)
-        .with_backend(backend)
+        .with_context(
+            GenContext::new()
+                .with_workers(workers)
+                .with_backend(backend),
+        )
 }
 
 const POND_WINDOW: Window = Window { x0: -4, y0: -4, nx: 72, ny: 64 };
@@ -804,9 +847,10 @@ fn paper_figures_on_the_default_backend_match_direct() {
     for fig in all_figures(0.125, 0.01, 3) {
         let noise = NoiseField::new(fig.seed);
         let win = Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny);
-        assert_eq!(fig.generator.backend(), ConvBackend::Auto);
+        assert_eq!(fig.generator.context().backend(), ConvBackend::Auto);
         let auto = fig.generator.generate(&noise, win);
-        let direct = fig.generator.with_backend(ConvBackend::Direct).generate(&noise, win);
+        let ctx = fig.generator.context().clone().with_backend(ConvBackend::Direct);
+        let direct = fig.generator.with_context(ctx).generate(&noise, win);
         assert_close(&direct, &auto, 1e-9, fig.id);
     }
 }
@@ -822,8 +866,9 @@ fn fft_tile_fault_on_a_blended_window_degrades_to_the_direct_hash() {
         FaultSchedule::new(11).with_fault(FaultSite::FftTile, FaultKind::Error, 1),
     );
     let rec = Recorder::enabled();
-    let gen =
-        pond_in_field(ConvBackend::Auto, 1).with_recorder(rec.clone()).with_chaos(chaos.clone());
+    let gen = pond_in_field(ConvBackend::Auto, 1);
+    let ctx = gen.context().clone().with_recorder(rec.clone()).with_chaos(chaos.clone());
+    let gen = gen.with_context(ctx);
     let got = gen.try_generate(&noise, POND_WINDOW).unwrap();
     assert_eq!(hash_grid(&got), direct, "degraded output must hash like a clean Direct run");
     assert_eq!(chaos.injected(), 1);
@@ -873,9 +918,11 @@ fn cancel_during_the_blend_returns_cancelled() {
     };
     let rec = Recorder::enabled();
     let cancelling = InhomogeneousGenerator::from_kernels(map, gen.kernels().to_vec())
-        .with_context(gen.context().clone())
-        .with_recorder(rec.clone())
-        .with_budget(Budget::unlimited().with_cancel_token(token.clone()));
+        .with_context(
+            gen.context().clone()
+                .with_recorder(rec.clone())
+                .with_budget(Budget::unlimited().with_cancel_token(token.clone())),
+        );
     let err = cancelling.try_generate(&NoiseField::new(5), POND_WINDOW).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Cancelled, "{err}");
     assert!(token.is_cancelled());
@@ -922,9 +969,11 @@ fn deadline_during_the_weights_pass_stops_it_at_the_next_row() {
     };
     let rec = Recorder::enabled();
     let stalling = InhomogeneousGenerator::from_kernels(map, gen.kernels().to_vec())
-        .with_context(gen.context().clone())
-        .with_recorder(rec.clone())
-        .with_budget(Budget::unlimited().with_timeout(Duration::from_millis(200)));
+        .with_context(
+            gen.context().clone()
+                .with_recorder(rec.clone())
+                .with_budget(Budget::unlimited().with_timeout(Duration::from_millis(200))),
+        );
     let err = stalling.try_generate(&NoiseField::new(5), POND_WINDOW).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::DeadlineExceeded, "{err}");
     // The pass finished the stalled row and stopped at the next row's
@@ -946,9 +995,11 @@ fn max_bytes_just_below_the_blended_footprint_is_rejected_before_allocating() {
     let gen = pond_in_field(ConvBackend::Auto, 2);
     let with_ceiling = |max: u128, rec: &Recorder| {
         InhomogeneousGenerator::from_kernels(gen.map().clone(), gen.kernels().to_vec())
-            .with_context(gen.context().clone())
-            .with_recorder(rec.clone())
-            .with_budget(Budget::unlimited().with_max_bytes(max as usize))
+            .with_context(
+                gen.context().clone()
+                    .with_recorder(rec.clone())
+                    .with_budget(Budget::unlimited().with_max_bytes(max as usize)),
+            )
             .try_generate(&noise, POND_WINDOW)
     };
     let required = |max: u128| match with_ceiling(max, &Recorder::disabled()) {
@@ -1045,10 +1096,13 @@ fn max_bytes_at_the_homogeneous_fft_footprint_is_admitted_and_one_byte_less_reje
     for (backend, workspace) in [(ConvBackend::Direct, 0), (ConvBackend::FftOverlapSave, fft_workspace)] {
         let generator = |max_bytes: usize, rec: &Recorder| {
             ConvolutionGenerator::from_kernel(kernel.clone())
-                .with_workers(workers)
-                .with_backend(backend)
-                .with_recorder(rec.clone())
-                .with_budget(Budget::unlimited().with_max_bytes(max_bytes))
+                .with_context(
+                    GenContext::new()
+                        .with_workers(workers)
+                        .with_backend(backend)
+                        .with_recorder(rec.clone())
+                        .with_budget(Budget::unlimited().with_max_bytes(max_bytes)),
+                )
         };
         // Generation admits the noise window, the output and the
         // workspace; correlating a caller-owned window admits the last
@@ -1100,9 +1154,9 @@ fn blend_failures_open_the_breaker_and_skip_to_the_per_sample_loop() {
             .with_fault(FaultSite::FftTile, FaultKind::Error, 2),
     );
     let rec = Recorder::enabled();
-    let gen = pond_in_field(ConvBackend::FftOverlapSave, 1)
-        .with_recorder(rec.clone())
-        .with_chaos(chaos.clone());
+    let gen = pond_in_field(ConvBackend::FftOverlapSave, 1);
+    let ctx = gen.context().clone().with_recorder(rec.clone()).with_chaos(chaos.clone());
+    let gen = gen.with_context(ctx);
     let noise = NoiseField::new(23);
     for win in windows {
         let got = gen.try_generate(&noise, win).unwrap();
@@ -1192,8 +1246,7 @@ fn direct_kernels_inside_the_blend_keep_their_hash() {
     assert_eq!(ConvBackend::Auto.resolve(9, 9), ConvBackend::Direct);
     let rec = Recorder::enabled();
     let gen = InhomogeneousGenerator::from_kernels(layout, vec![small, large])
-        .with_workers(2)
-        .with_recorder(rec.clone());
+        .with_context(GenContext::new().with_workers(2).with_recorder(rec.clone()));
     let got = gen.generate(&NoiseField::new(3), Window::new(-10, 5, 64, 40));
     assert_eq!(rec.report().counter(stage::CONV_BACKEND_FFT), 1, "the blend ran");
     assert_eq!(hash_grid(&got), DIRECT_IN_BLEND_HASH);
@@ -1216,7 +1269,8 @@ fn point_layouts_past_255_kernels_keep_their_hash() {
     assert_eq!(points.len(), 272);
     let layout = PointLayout::new(points, 2.0);
     let sizing = KernelSizing::Explicit(GridSpec::unit(16, 16));
-    let gen = InhomogeneousGenerator::new(layout, sizing).with_workers(2);
+    let gen = InhomogeneousGenerator::new(layout, sizing)
+        .with_context(GenContext::new().with_workers(2));
     assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
     let got = gen.generate(&NoiseField::new(57), Window::new(-6, 162, 204, 24));
     assert_eq!(hash_grid(&got), MANY_POINTS_HASH);
@@ -1252,8 +1306,7 @@ fn lattice_end_generator(backend: ConvBackend) -> InhomogeneousGenerator<PlateLa
         ConvolutionKernel::build(&field, sizing),
     ];
     InhomogeneousGenerator::from_kernels(PlateLayout::new(plates, Some(field), 8.0), kernels)
-        .with_workers(2)
-        .with_backend(backend)
+        .with_context(GenContext::new().with_workers(2).with_backend(backend))
 }
 
 #[test]
@@ -1265,7 +1318,9 @@ fn windows_at_the_lattice_ends_keep_their_release_hashes() {
     for win in windows {
         for backend in [ConvBackend::Direct, ConvBackend::Auto] {
             let rec = Recorder::enabled();
-            let gen = lattice_end_generator(backend).with_recorder(rec.clone());
+            let gen = lattice_end_generator(backend);
+            let ctx = gen.context().clone().with_recorder(rec.clone());
+            let gen = gen.with_context(ctx);
             let surface = gen.try_generate(&noise, win).unwrap();
             let report = rec.report();
             assert_eq!(report.counter(stage::CONV_DEGRADED_TO_DIRECT), 0, "{win:?} {backend:?}");
@@ -1282,7 +1337,8 @@ fn each_blended_window_materialises_one_noise_window() {
     use rrs_bench::figures::all_figures;
     for fig in all_figures(0.125, 0.01, 3) {
         let rec = Recorder::enabled();
-        let gen = fig.generator.with_recorder(rec.clone());
+        let ctx = fig.generator.context().clone().with_recorder(rec.clone());
+        let gen = fig.generator.with_context(ctx);
         let win = Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny);
         gen.try_generate(&NoiseField::new(fig.seed), win).unwrap();
         let report = rec.report();

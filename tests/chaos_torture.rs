@@ -23,14 +23,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 fn fnv1a(bits: impl Iterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in bits {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = bits.flat_map(u64::to_le_bytes).collect();
+    rrs::num::fnv1a(&bytes)
 }
 
 fn hash_grid(g: &Grid2<f64>) -> u64 {
@@ -87,21 +81,27 @@ fn tmp_dir(test: &str) -> std::path::PathBuf {
 fn run_pipeline(chaos: &ChaosInjector, dir: &std::path::Path) -> Result<u64, RrsError> {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
     let sg = StripGenerator::new(&s, KernelSizing::default(), 16, 42)
-        .with_backend(ConvBackend::FftOverlapSave)
-        .with_chaos(chaos.clone());
+        .with_context(
+            GenContext::new()
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_chaos(chaos.clone()),
+        );
     let strip = sg.try_strip_at(0, 12)?;
 
     let gen = ConvolutionGenerator::new(&s, KernelSizing::default())
-        .with_workers(1)
-        .with_backend(ConvBackend::Direct)
-        .with_chaos(chaos.clone());
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::Direct)
+                .with_chaos(chaos.clone()),
+        );
     let field = gen.try_generate(&NoiseField::new(7), Window::sized(12, 12))?;
 
     let fails = AtomicU32::new(1);
     let policy = RetryPolicy { max_attempts: 3, base_delay: Duration::from_micros(1) };
     let path = dir.join("torture.ckpt");
     let cp = StreamCheckpoint { seed: 42, height: 16, cursor: 12 };
-    policy.run_with_sleeper_budgeted(
+    policy.run(
         &Recorder::disabled(),
         &ThreadSleeper,
         &Budget::unlimited(),
@@ -114,7 +114,7 @@ fn run_pipeline(chaos: &ChaosInjector, dir: &std::path::Path) -> Result<u64, Rrs
             {
                 return Err(io_err());
             }
-            write_checkpoint_file(&path, &cp)
+            write_checkpoint_file(&path, &cp, &Recorder::disabled())
         },
     )?;
 
@@ -197,8 +197,11 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
     let win = Window::sized(20, 20);
     let clean_hash = hash_grid(
         &ConvolutionGenerator::new(&s, KernelSizing::default())
-            .with_workers(1)
-            .with_backend(ConvBackend::Direct)
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct),
+            )
             .generate(&noise, win),
     );
     // The serial tile loop visits FftTile deterministically: visit 0
@@ -209,10 +212,13 @@ fn killing_both_fft_rungs_degrades_to_direct_hash_equal() {
     );
     let rec = Recorder::enabled();
     let got = ConvolutionGenerator::new(&s, KernelSizing::default())
-        .with_workers(1)
-        .with_backend(ConvBackend::FftOverlapSave)
-        .with_recorder(rec.clone())
-        .with_chaos(chaos.clone())
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_recorder(rec.clone())
+                .with_chaos(chaos.clone()),
+        )
         .try_generate(&noise, win)
         .unwrap();
     assert_eq!(
@@ -254,13 +260,16 @@ fn degraded_strip_stream_still_tiles_seamlessly() {
     // its neighbours because the Direct rung computes the same sum.
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
     let clean = StripGenerator::new(&s, KernelSizing::default(), 24, 11)
-        .with_backend(ConvBackend::Direct);
+        .with_context(GenContext::new().with_backend(ConvBackend::Direct));
     let chaos = ChaosInjector::new(
         FaultSchedule::new(5).with_fault(FaultSite::FftTile, FaultKind::Panic, 0),
     );
     let faulted = StripGenerator::new(&s, KernelSizing::default(), 24, 11)
-        .with_backend(ConvBackend::FftOverlapSave)
-        .with_chaos(chaos);
+        .with_context(
+            GenContext::new()
+                .with_backend(ConvBackend::FftOverlapSave)
+                .with_chaos(chaos),
+        );
     let degraded = faulted.try_strip_at(0, 8).unwrap();
     assert_eq!(
         hash_grid(&degraded),

@@ -23,11 +23,11 @@ fn window_is_bit_identical_across_worker_counts() {
     let s = spectrum();
     let noise = NoiseField::new(0x5EED_CAFE);
     let serial = ConvolutionGenerator::new(&s, sizing())
-        .with_workers(1)
+        .with_context(GenContext::new().with_workers(1))
         .generate(&noise, Window::new(-17, 23, 96, 64));
     for workers in [2, 3, 8] {
         let parallel = ConvolutionGenerator::new(&s, sizing())
-            .with_workers(workers)
+            .with_context(GenContext::new().with_workers(workers))
             .generate(&noise, Window::new(-17, 23, 96, 64));
         assert_eq!(
             serial.as_slice(),
@@ -41,7 +41,8 @@ fn window_is_bit_identical_across_worker_counts() {
 #[test]
 fn same_seed_runs_are_bit_identical() {
     let s = spectrum();
-    let gen = ConvolutionGenerator::new(&s, sizing()).with_workers(4);
+    let gen = ConvolutionGenerator::new(&s, sizing())
+        .with_context(GenContext::new().with_workers(4));
     let a = gen.generate(&NoiseField::new(42), Window::new(0, 0, 64, 64));
     let b = gen.generate(&NoiseField::new(42), Window::new(0, 0, 64, 64));
     assert_eq!(a, b, "same-seed runs must be reproducible");
@@ -79,8 +80,11 @@ fn full_and_quadrants(gen: &ConvolutionGenerator) -> (Grid2<f64>, Vec<Placed>) {
 fn quadrant_windows_tile_seamlessly() {
     let s = spectrum();
     let gen = ConvolutionGenerator::new(&s, sizing())
-        .with_workers(4)
-        .with_backend(ConvBackend::Direct);
+        .with_context(
+            GenContext::new()
+                .with_workers(4)
+                .with_backend(ConvBackend::Direct),
+        );
     let (full, quads) = full_and_quadrants(&gen);
     for (ox, oy, q) in &quads {
         let (qw, qh) = q.shape();
@@ -102,7 +106,8 @@ fn quadrant_windows_tile_seamlessly() {
 #[test]
 fn auto_quadrant_windows_tile_within_roundoff() {
     let s = spectrum();
-    let gen = ConvolutionGenerator::new(&s, sizing()).with_workers(4);
+    let gen = ConvolutionGenerator::new(&s, sizing())
+        .with_context(GenContext::new().with_workers(4));
     assert_eq!(gen.resolved_backend(), ConvBackend::FftOverlapSave);
     let (full, quads) = full_and_quadrants(&gen);
     let scale = full.as_slice().iter().map(|v| v.abs()).fold(0.0, f64::max);

@@ -33,8 +33,10 @@ fn plate_and_point_methods_agree_in_pure_zones() {
         t / 2.0,
     );
     let noise = NoiseField::new(21);
-    let plates = InhomogeneousGenerator::new(plate_layout, sizing()).with_workers(2);
-    let points = InhomogeneousGenerator::new(point_layout, sizing()).with_workers(2);
+    let plates = InhomogeneousGenerator::new(plate_layout, sizing())
+        .with_context(GenContext::new().with_workers(2));
+    let points = InhomogeneousGenerator::new(point_layout, sizing())
+        .with_context(GenContext::new().with_workers(2));
     let fa = plates.generate(&noise, Window::new(0, 0, 128, 128));
     let fb = points.generate(&noise, Window::new(0, 0, 128, 128));
 
@@ -64,7 +66,8 @@ fn transition_width_controls_blend_extent() {
             Some(sm(2.0, 4.0)),
             t,
         );
-        let gen = InhomogeneousGenerator::new(layout, sizing()).with_workers(2);
+        let gen = InhomogeneousGenerator::new(layout, sizing())
+            .with_context(GenContext::new().with_workers(2));
         // Ensemble of 6 seeds for a stable variance profile.
         let mut acc = [0.0f64; 24];
         for seed in 0..6u64 {
@@ -135,7 +138,8 @@ fn pond_generator(backend: ConvBackend) -> InhomogeneousGenerator<PlateLayout> {
         spectrum: SpectrumModel::exponential(SurfaceParams::isotropic(0.2, 5.0)),
     };
     let layout = PlateLayout::new(vec![pond], Some(sm(1.0, 5.0)), 8.0);
-    InhomogeneousGenerator::new(layout, sizing()).with_workers(3).with_backend(backend)
+    InhomogeneousGenerator::new(layout, sizing())
+        .with_context(GenContext::new().with_workers(3).with_backend(backend))
 }
 
 /// Heights of an inhomogeneous surface stay Gaussian in every pure
@@ -150,7 +154,8 @@ fn inhomogeneous_regions_remain_gaussian() {
         Some(sm(2.0, 6.0)),
         10.0,
     );
-    let gen = InhomogeneousGenerator::new(layout, sizing()).with_workers(2);
+    let gen = InhomogeneousGenerator::new(layout, sizing())
+        .with_context(GenContext::new().with_workers(2));
     // Generate a wide surface and pool decorrelated samples: the JB and
     // KS tests assume i.i.d. input, so subsample at ≥ 2·cl stride and
     // pool several seeds.
@@ -184,9 +189,10 @@ fn inhomogeneous_regions_remain_gaussian() {
 #[test]
 fn truncated_inhomogeneous_generation_stays_faithful() {
     let layout = PlateLayout::new(vec![], Some(sm(1.0, 6.0)), 4.0);
-    let exact = InhomogeneousGenerator::new(layout.clone(), sizing()).with_workers(1);
-    let trunc =
-        InhomogeneousGenerator::new_truncated(layout, sizing(), 0.05).with_workers(1);
+    let exact = InhomogeneousGenerator::new(layout.clone(), sizing())
+        .with_context(GenContext::new().with_workers(1));
+    let trunc = InhomogeneousGenerator::new_truncated(layout, sizing(), 0.05)
+        .with_context(GenContext::new().with_workers(1));
     assert!(trunc.kernels()[0].extent().0 < exact.kernels()[0].extent().0);
     let noise = NoiseField::new(6);
     let fe = exact.generate(&noise, Window::new(0, 0, 160, 160));

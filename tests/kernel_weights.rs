@@ -11,14 +11,8 @@
 use rrs::prelude::*;
 
 fn fnv1a(bits: impl Iterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for w in bits {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = bits.flat_map(u64::to_le_bytes).collect();
+    rrs::num::fnv1a(&bytes)
 }
 
 fn hash(kernel: &ConvolutionKernel) -> u64 {

@@ -36,9 +36,9 @@ fn direct_and_convolution_agree_exactly_per_spectrum() {
     for (i, s) in spectra.iter().enumerate() {
         let f_direct =
             DirectDftGenerator::with_workers(*s, spec, 1).generate_from_bins(&u);
-        let kernel = ConvolutionKernel::build_on(s, spec);
+        let kernel = ConvolutionKernel::build(s, KernelSizing::Explicit(spec));
         let f_conv = ConvolutionGenerator::from_kernel(kernel)
-            .with_workers(1)
+            .with_context(GenContext::new().with_workers(1))
             .convolve_periodic(&noise);
         let err = f_direct
             .as_slice()
@@ -61,7 +61,8 @@ fn ensemble_statistics_agree_between_methods() {
     let reps = 10u64;
 
     let direct = DirectDftGenerator::with_workers(s, GridSpec::unit(n, n), 1);
-    let conv = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(1);
+    let conv = ConvolutionGenerator::new(&s, KernelSizing::default())
+        .with_context(GenContext::new().with_workers(1));
 
     let mut var_direct = 0.0;
     let mut var_conv = 0.0;
@@ -116,7 +117,8 @@ fn measured_autocorrelation_matches_model() {
     let p = SurfaceParams::isotropic(1.0, 8.0);
     let s = Gaussian::new(p);
     let n = 256usize;
-    let conv = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(2);
+    let conv = ConvolutionGenerator::new(&s, KernelSizing::default())
+        .with_context(GenContext::new().with_workers(2));
     let f = conv.generate(&NoiseField::new(77), Window::new(0, 0, n, n));
     let lags: Vec<(i64, i64)> = vec![(0, 0), (4, 0), (8, 0), (0, 8), (12, 0), (6, 6)];
     let measured = rrs::stats::autocorrelation_lags_with_mean(&f, &lags, 0.0);
@@ -139,8 +141,10 @@ fn full_pipeline_is_worker_count_invariant() {
         let a = DirectDftGenerator::with_workers(s, GridSpec::unit(64, 64), w1).generate(3);
         let b = DirectDftGenerator::with_workers(s, GridSpec::unit(64, 64), w2).generate(3);
         assert_eq!(a, b, "direct method differs between {w1} and {w2} workers");
-        let ka = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(w1);
-        let kb = ConvolutionGenerator::new(&s, KernelSizing::default()).with_workers(w2);
+        let ka = ConvolutionGenerator::new(&s, KernelSizing::default())
+            .with_context(GenContext::new().with_workers(w1));
+        let kb = ConvolutionGenerator::new(&s, KernelSizing::default())
+            .with_context(GenContext::new().with_workers(w2));
         let noise = NoiseField::new(9);
         assert_eq!(
             ka.generate(&noise, Window::new(-7, 3, 60, 40)),

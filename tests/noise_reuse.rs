@@ -18,14 +18,8 @@ const NY: usize = 24;
 const WIDTH: usize = 16;
 
 fn fnv1a(g: &Grid2<f64>) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in g.as_slice() {
-        for b in v.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = g.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    rrs::num::fnv1a(&bytes)
 }
 
 /// A truncated Gaussian kernel wide enough that `Auto` would pick the
@@ -34,8 +28,7 @@ fn generator(backend: ConvBackend) -> ConvolutionGenerator {
     let s = Gaussian::new(SurfaceParams::new(1.0, 5.0, 3.0));
     let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
     ConvolutionGenerator::from_kernel(kernel)
-        .with_workers(2)
-        .with_backend(backend)
+        .with_context(GenContext::new().with_workers(2).with_backend(backend))
 }
 
 fn stream(backend: ConvBackend, seed: u64) -> StripGenerator {
@@ -51,7 +44,9 @@ fn fresh_strip(backend: ConvBackend, seed: u64, x0: i64) -> Grid2<f64> {
 fn streamed_strips_reuse_shared_noise_and_equal_fresh_strips_bit_for_bit() {
     for backend in [ConvBackend::Direct, ConvBackend::FftOverlapSave] {
         let rec = Recorder::enabled();
-        let mut sg = stream(backend, 7).with_recorder(rec.clone());
+        let sg = stream(backend, 7);
+        let ctx = sg.context().clone().with_recorder(rec.clone());
+        let mut sg = sg.with_context(ctx);
         let (kw, kh) = generator(backend).kernel().extent();
         sg.seek(-40);
         for i in 0..6 {
@@ -76,7 +71,9 @@ fn streamed_strips_reuse_shared_noise_and_equal_fresh_strips_bit_for_bit() {
 fn a_changed_seed_or_rows_never_returns_stale_noise() {
     for backend in [ConvBackend::Direct, ConvBackend::FftOverlapSave] {
         let rec = Recorder::enabled();
-        let gen = generator(backend).with_recorder(rec.clone());
+        let gen = generator(backend);
+        let ctx = gen.context().clone().with_recorder(rec.clone());
+        let gen = gen.with_context(ctx);
         let (a, b) = (NoiseField::new(1), NoiseField::new(2));
         let steps = [
             (a, Window::new(0, 0, 20, 12)),
@@ -107,7 +104,9 @@ fn failed_strips_between_good_ones_change_nothing() {
         let budget = Budget::unlimited()
             .with_max_bytes(1 << 20)
             .with_cancel_token(token.clone());
-        let mut sg = stream(backend, 11).with_budget(budget);
+        let sg = stream(backend, 11);
+        let ctx = sg.context().clone().with_budget(budget);
+        let mut sg = sg.with_context(ctx);
         let expect_next = |sg: &mut StripGenerator| {
             let x0 = sg.cursor();
             assert_eq!(
@@ -127,7 +126,8 @@ fn failed_strips_between_good_ones_change_nothing() {
             sg.try_next_strip(WIDTH).unwrap_err().kind(),
             ErrorKind::Cancelled
         );
-        let mut sg = sg.with_budget(Budget::unlimited());
+        let ctx = sg.context().clone().with_budget(Budget::unlimited());
+        let mut sg = sg.with_context(ctx);
         expect_next(&mut sg);
         assert_eq!(sg.cursor(), 3 * WIDTH as i64);
     }
@@ -142,9 +142,9 @@ fn failed_strips_between_good_ones_change_nothing() {
         second_strip,
     ));
     let rec = Recorder::enabled();
-    let mut sg = stream(ConvBackend::FftOverlapSave, 13)
-        .with_chaos(chaos)
-        .with_recorder(rec.clone());
+    let sg = stream(ConvBackend::FftOverlapSave, 13);
+    let ctx = sg.context().clone().with_chaos(chaos).with_recorder(rec.clone());
+    let mut sg = sg.with_context(ctx);
     assert_eq!(
         sg.next_strip(WIDTH),
         fresh_strip(ConvBackend::FftOverlapSave, 13, 0)
@@ -248,8 +248,11 @@ fn direct_windows_wider_than_a_noise_batch_keep_their_hash() {
     let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).crop(16, 2);
     assert_eq!(kernel.extent(), (33, 5));
     let g = ConvolutionGenerator::from_kernel(kernel)
-        .with_workers(2)
-        .with_backend(ConvBackend::Direct)
+        .with_context(
+            GenContext::new()
+                .with_workers(2)
+                .with_backend(ConvBackend::Direct),
+        )
         .generate(&NoiseField::new(23), Window::new(-700, 9, 1500, 3));
     assert_eq!(fnv1a(&g), WIDE_DIRECT_HASH);
 }
@@ -265,11 +268,14 @@ const WIDE_STRIP_HASHES: [u64; 3] =
 fn wide_fft_strips_keep_their_hashes() {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 2.0));
     let kernel = ConvolutionKernel::build(&s, KernelSizing::default()).crop(8, 8);
-    let gen = ConvolutionGenerator::from_kernel(kernel)
-        .with_workers(2)
-        .with_backend(ConvBackend::FftOverlapSave);
     let rec = Recorder::enabled();
-    let mut sg = StripGenerator::from_generator(gen, 8, 29).with_recorder(rec.clone());
+    let gen = ConvolutionGenerator::from_kernel(kernel).with_context(
+        GenContext::new()
+            .with_workers(2)
+            .with_backend(ConvBackend::FftOverlapSave)
+            .with_recorder(rec.clone()),
+    );
+    let mut sg = StripGenerator::from_generator(gen, 8, 29);
     sg.seek(-1500);
     let got: Vec<u64> = (0..3).map(|_| fnv1a(&sg.next_strip(1200))).collect();
     assert_eq!(got, WIDE_STRIP_HASHES);

@@ -28,7 +28,9 @@ fn convolution_observation_is_inert_and_complete() {
 
     let silent = ConvolutionGenerator::new(&s, sizing()).generate(&noise, win);
     let rec = Recorder::enabled();
-    let observed = ConvolutionGenerator::new_observed(&s, sizing(), rec.clone())
+    let kernel = ConvolutionKernel::build_observed(&s, sizing(), &rec);
+    let observed = ConvolutionGenerator::from_kernel(kernel)
+        .with_context(GenContext::new().with_recorder(rec.clone()))
         .generate(&noise, win);
     assert_eq!(silent, observed, "enabled recorder changed the surface");
 
@@ -72,7 +74,7 @@ fn inhomogeneous_observation_is_inert_and_complete() {
     let silent = InhomogeneousGenerator::new(layout(), sizing()).generate(&noise, win);
     let rec = Recorder::enabled();
     let observed = InhomogeneousGenerator::new(layout(), sizing())
-        .with_recorder(rec.clone())
+        .with_context(GenContext::new().with_recorder(rec.clone()))
         .generate(&noise, win);
     assert_eq!(silent, observed, "enabled recorder changed the surface");
 
@@ -83,32 +85,33 @@ fn inhomogeneous_observation_is_inert_and_complete() {
     assert!(blended > 0, "a transition band this wide must blend somewhere");
 }
 
-/// Streaming: the recorder follows `with_recorder` into the inner
-/// generator and counts tiles without perturbing the stream.
+/// Streaming: the context's recorder follows `with_context` into the
+/// inner generator and counts tiles without perturbing the stream.
 #[test]
 fn strip_generator_observation_counts_tiles() {
     let s = spectrum();
     let mut silent = StripGenerator::new(&s, sizing(), 32, 7);
     let rec = Recorder::enabled();
-    let mut observed = StripGenerator::new(&s, sizing(), 32, 7).with_recorder(rec.clone());
+    let mut observed = StripGenerator::new(&s, sizing(), 32, 7)
+        .with_context(GenContext::new().with_recorder(rec.clone()));
     for _ in 0..3 {
         assert_eq!(silent.next_strip(16), observed.next_strip(16));
     }
     assert_eq!(rec.report().counters.get(stage::STRIP_TILES).copied(), Some(3));
 }
 
-/// A shared `GenContext` applied through `with_context` observes exactly
-/// like the chained `with_recorder` sugar — one recorder, same bits.
+/// A `GenContext` with an enabled recorder, applied through
+/// `with_context`, gives the default context's bits and records stages.
 #[test]
 fn gen_context_threads_the_recorder_like_the_sugar_builder() {
     let s = spectrum();
     let noise = NoiseField::new(5);
     let win = Window::new(-3, 4, 20, 18);
     let rec = Recorder::enabled();
-    let ctx = rrs::surface::GenContext::new().with_recorder(rec.clone());
-    let via_ctx = ConvolutionGenerator::new(&s, sizing()).with_context(ctx);
-    let sugar = ConvolutionGenerator::new(&s, sizing()).with_recorder(Recorder::enabled());
-    assert_eq!(via_ctx.generate(&noise, win), sugar.generate(&noise, win));
+    let observed = ConvolutionGenerator::new(&s, sizing())
+        .with_context(GenContext::new().with_recorder(rec.clone()));
+    let default = ConvolutionGenerator::new(&s, sizing());
+    assert_eq!(observed.generate(&noise, win), default.generate(&noise, win));
     assert!(rec.report().durations.contains_key(stage::WINDOW_MATERIALISE));
 }
 
@@ -118,7 +121,9 @@ fn gen_context_threads_the_recorder_like_the_sugar_builder() {
 fn disabled_recorder_reports_nothing() {
     let rec = Recorder::disabled();
     let s = spectrum();
-    let _ = ConvolutionGenerator::new_observed(&s, sizing(), rec.clone())
+    let kernel = ConvolutionKernel::build_observed(&s, sizing(), &rec);
+    let _ = ConvolutionGenerator::from_kernel(kernel)
+        .with_context(GenContext::new().with_recorder(rec.clone()))
         .generate(&NoiseField::new(1), Window::sized(16, 16));
     rec.add_counter(stage::STRIP_TILES, 1); // no-op when disabled
     let report = rec.report();
@@ -133,7 +138,9 @@ fn disabled_recorder_reports_nothing() {
 fn enabled_report_json_has_histogram_fields() {
     let rec = Recorder::enabled();
     let s = spectrum();
-    let _ = ConvolutionGenerator::new_observed(&s, sizing(), rec.clone())
+    let kernel = ConvolutionKernel::build_observed(&s, sizing(), &rec);
+    let _ = ConvolutionGenerator::from_kernel(kernel)
+        .with_context(GenContext::new().with_recorder(rec.clone()))
         .generate(&NoiseField::new(1), Window::sized(16, 16));
     let json = rec.report().to_json("");
     for needle in ["\"counters\"", "\"durations\"", "\"count\":", "\"total_ns\":", "\"buckets\":"] {

@@ -9,7 +9,7 @@ use rrs::propagation::{deygout_loss_db, epstein_peterson_loss_db, link_budget_sw
 fn terrain(h: f64, cl: f64, seed: u64, n: usize) -> rrs::grid::Grid2<f64> {
     let s = Gaussian::new(SurfaceParams::isotropic(h, cl));
     ConvolutionGenerator::new(&s, KernelSizing::default())
-        .with_workers(2)
+        .with_context(GenContext::new().with_workers(2))
         .generate(&NoiseField::new(seed), Window::new(0, 0, n, n))
 }
 

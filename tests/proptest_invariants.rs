@@ -91,8 +91,11 @@ rrs_check::props! {
             &s,
             KernelSizing::Auto { factor: 6.0, min: 16, max: 64 },
         )
-        .with_workers(1)
-        .with_backend(ConvBackend::Direct);
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_backend(ConvBackend::Direct),
+        );
         let noise = NoiseField::new(seed);
         let sx = sx.min(w - 1);
         let sy = sy.min(h - 1);
@@ -125,7 +128,7 @@ rrs_check::props! {
             &s,
             KernelSizing::Auto { factor: 6.0, min: 16, max: 64 },
         )
-        .with_workers(1);
+        .with_context(GenContext::new().with_workers(1));
         let noise = NoiseField::new(seed);
         let sx = sx.min(w - 1);
         let sy = sy.min(h - 1);
@@ -207,8 +210,8 @@ rrs_check::props! {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let g = rrs::grid::Grid2::from_fn(nx, ny, |_, _| rng.next_f64() * 2e3 - 1e3);
         let mut buf = Vec::new();
-        rrs::io::write_snapshot(&mut buf, &g).unwrap();
-        let back = rrs::io::read_snapshot(buf.as_slice()).unwrap();
+        rrs::io::try_write_snapshot(&mut buf, &g).unwrap();
+        let back = rrs::io::try_read_snapshot(buf.as_slice()).unwrap();
         assert_eq!(back, g);
     }
 

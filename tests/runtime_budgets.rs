@@ -15,13 +15,15 @@ const STRIP_W: usize = 8;
 const N_STRIPS: usize = 6;
 const SEED: u64 = 0xBADCAFE;
 
-fn generator() -> ConvolutionGenerator {
+/// The test kernel on two workers, under `ctx`'s other options.
+fn generator(ctx: GenContext) -> ConvolutionGenerator {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
-    ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16))).with_workers(2)
+    ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16)))
+        .with_context(ctx.with_workers(2))
 }
 
 fn stream(budget: Budget) -> StripGenerator {
-    StripGenerator::from_generator(generator().with_budget(budget), NY, SEED)
+    StripGenerator::from_generator(generator(GenContext::new().with_budget(budget)), NY, SEED)
 }
 
 /// Runs a budgeted stream to completion or until the budget trips,
@@ -82,8 +84,9 @@ fn cancel_at_every_tile_index_leaves_resumable_bit_identical_prefixes() {
             cursor: sg.cursor(),
         };
         assert_eq!(cp.cursor, (cancel_at * STRIP_W) as i64, "cursor never advances past a trip");
+        let gen = generator(GenContext::new());
         let mut resumed =
-            StripGenerator::try_from_generator(generator(), cp.height as usize, cp.seed).unwrap();
+            StripGenerator::try_from_generator(gen, cp.height as usize, cp.seed).unwrap();
         resumed.seek(cp.cursor);
         let (rest, _) = run_stream(resumed);
         let mut all = strips;
@@ -103,7 +106,8 @@ fn cancel_at_every_tile_index_leaves_resumable_bit_identical_prefixes() {
 fn pre_cancelled_token_returns_cancelled_without_allocating() {
     let token = CancelToken::new();
     token.cancel();
-    let gen = generator().with_budget(Budget::unlimited().with_cancel_token(token));
+    let budget = Budget::unlimited().with_cancel_token(token);
+    let gen = generator(GenContext::new().with_budget(budget));
     // This window's output alone is ~8 EiB of f64s: any allocation
     // attempt would abort the process, so returning Cancelled proves the
     // pre-flight check fires before allocation.
@@ -121,9 +125,8 @@ fn deadline_and_cancel_are_deterministic_under_serial_fallback() {
     let noise = NoiseField::new(SEED);
     let win = Window::sized(32, 32);
 
-    let expired = base
-        .with_workers(1)
-        .with_budget(Budget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1)));
+    let budget = Budget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1));
+    let expired = base.with_context(GenContext::new().with_workers(1).with_budget(budget));
     for _ in 0..3 {
         let err = expired.try_generate(&noise, win).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeadlineExceeded, "deterministic across calls");
@@ -132,8 +135,11 @@ fn deadline_and_cancel_are_deterministic_under_serial_fallback() {
     let token = CancelToken::new();
     token.cancel();
     let cancelled = ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16)))
-        .with_workers(1)
-        .with_budget(Budget::unlimited().with_cancel_token(token));
+        .with_context(
+            GenContext::new()
+                .with_workers(1)
+                .with_budget(Budget::unlimited().with_cancel_token(token)),
+        );
     for _ in 0..3 {
         let err = cancelled.try_generate(&noise, win).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Cancelled, "deterministic across calls");
@@ -152,8 +158,10 @@ fn all_generators_are_bit_identical_with_no_budget_and_armed_idle_budget() {
     let win = Window::new(-5, 3, 40, 24);
 
     // Convolution generator.
-    let plain = generator().generate(&noise, win);
-    let budgeted = generator().with_budget(armed()).try_generate(&noise, win).unwrap();
+    let plain = generator(GenContext::new()).generate(&noise, win);
+    let budgeted = generator(GenContext::new().with_budget(armed()))
+        .try_generate(&noise, win)
+        .unwrap();
     assert_eq!(plain, budgeted, "convolution");
 
     // Strip generator.
@@ -174,11 +182,10 @@ fn all_generators_are_bit_identical_with_no_budget_and_armed_idle_budget() {
     );
     let sizing = KernelSizing::Explicit(GridSpec::unit(16, 16));
     let plain = InhomogeneousGenerator::new(plates.clone(), sizing)
-        .with_workers(2)
+        .with_context(GenContext::new().with_workers(2))
         .generate(&noise, win);
     let budgeted = InhomogeneousGenerator::new(plates, sizing)
-        .with_workers(2)
-        .with_budget(armed())
+        .with_context(GenContext::new().with_workers(2).with_budget(armed()))
         .try_generate(&noise, win)
         .unwrap();
     assert_eq!(plain, budgeted, "inhomogeneous");
@@ -210,7 +217,7 @@ fn retrying_checkpoints_compose_with_budgeted_streams() {
     let mut emitted = Vec::new();
     for _ in 0..3 {
         emitted.push(sg.try_next_strip(STRIP_W).unwrap());
-        write_checkpoint_file_retrying(
+        write_checkpoint_file_resilient(
             &ckpt,
             &StreamCheckpoint {
                 seed: sg.seed(),
@@ -219,6 +226,8 @@ fn retrying_checkpoints_compose_with_budgeted_streams() {
             },
             RetryPolicy::default(),
             &Recorder::disabled(),
+            &Budget::unlimited(),
+            &ChaosInjector::disabled(),
         )
         .unwrap();
     }
@@ -226,8 +235,9 @@ fn retrying_checkpoints_compose_with_budgeted_streams() {
     let cp = rrs::io::read_checkpoint_file(&ckpt).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(cp.cursor, 3 * STRIP_W as i64);
+    let gen = generator(GenContext::new());
     let mut resumed =
-        StripGenerator::try_from_generator(generator(), cp.height as usize, cp.seed).unwrap();
+        StripGenerator::try_from_generator(gen, cp.height as usize, cp.seed).unwrap();
     resumed.seek(cp.cursor);
     let (reference, _) = run_stream(stream(Budget::unlimited()));
     emitted.extend(run_stream(resumed).0);
@@ -239,11 +249,12 @@ fn retrying_checkpoints_compose_with_budgeted_streams() {
 
 // --- The FFT overlap-save backend honours the same budget contract. ---
 
-fn fft_generator() -> ConvolutionGenerator {
+/// The test kernel on the FFT engine and two workers, under `ctx`'s
+/// other options.
+fn fft_generator(ctx: GenContext) -> ConvolutionGenerator {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
     ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16)))
-        .with_workers(2)
-        .with_backend(ConvBackend::FftOverlapSave)
+        .with_context(ctx.with_workers(2).with_backend(ConvBackend::FftOverlapSave))
 }
 
 #[test]
@@ -254,14 +265,13 @@ fn fft_backend_polls_budget_at_tile_granularity() {
     // effect — and must not change a single output bit.
     let noise = NoiseField::new(SEED);
     let win = Window::sized(96, 96);
-    let plain = fft_generator().generate(&noise, win);
+    let plain = fft_generator(GenContext::new()).generate(&noise, win);
 
     let rec = Recorder::enabled();
-    let armed = fft_generator().with_recorder(rec.clone()).with_budget(
-        Budget::unlimited()
-            .with_cancel_token(CancelToken::new())
-            .with_timeout(Duration::from_secs(3600)),
-    );
+    let budget = Budget::unlimited()
+        .with_cancel_token(CancelToken::new())
+        .with_timeout(Duration::from_secs(3600));
+    let armed = fft_generator(GenContext::new().with_recorder(rec.clone()).with_budget(budget));
     assert_eq!(armed.try_generate(&noise, win).unwrap(), plain);
     let report = rec.report();
     let tiles = report.counter(stage::CONV_FFT_TILES);
@@ -278,14 +288,15 @@ fn fft_backend_rejections_match_the_direct_contract() {
     // (or any FFT scratch) is allocated.
     let token = CancelToken::new();
     token.cancel();
-    let gen = fft_generator().with_budget(Budget::unlimited().with_cancel_token(token));
+    let budget = Budget::unlimited().with_cancel_token(token);
+    let gen = fft_generator(GenContext::new().with_budget(budget));
     let huge = Window::new(0, 0, 1 << 30, 1 << 30);
     let err = gen.try_generate(&noise, huge).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::Cancelled);
 
     // Expired deadline: deterministic across calls, like the direct path.
-    let expired = fft_generator()
-        .with_budget(Budget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1)));
+    let budget = Budget::unlimited().with_deadline(Instant::now() - Duration::from_secs(1));
+    let expired = fft_generator(GenContext::new().with_budget(budget));
     for _ in 0..3 {
         let err = expired.try_generate(&noise, Window::sized(32, 32)).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::DeadlineExceeded, "deterministic across calls");
@@ -294,7 +305,8 @@ fn fft_backend_rejections_match_the_direct_contract() {
     // Admission control counts the tile workspace the FFT engine needs
     // on top of the window and output, and still fires before any of it
     // is allocated.
-    let gen = fft_generator().with_budget(Budget::unlimited().with_max_bytes(1 << 20));
+    let budget = Budget::unlimited().with_max_bytes(1 << 20);
+    let gen = fft_generator(GenContext::new().with_budget(budget));
     let err = gen.try_generate(&noise, huge).unwrap_err();
     assert_eq!(err.kind(), ErrorKind::BudgetExceeded);
 }
@@ -302,11 +314,9 @@ fn fft_backend_rejections_match_the_direct_contract() {
 #[test]
 fn fft_stream_cursor_does_not_advance_on_cancel() {
     let token = CancelToken::new();
-    let mut sg = StripGenerator::from_generator(
-        fft_generator().with_budget(Budget::unlimited().with_cancel_token(token.clone())),
-        NY,
-        SEED,
-    );
+    let budget = Budget::unlimited().with_cancel_token(token.clone());
+    let gen = fft_generator(GenContext::new().with_budget(budget));
+    let mut sg = StripGenerator::from_generator(gen, NY, SEED);
     let first = sg.next_strip(STRIP_W);
     assert_eq!(sg.cursor(), STRIP_W as i64);
     token.cancel();
@@ -314,6 +324,6 @@ fn fft_stream_cursor_does_not_advance_on_cancel() {
     assert_eq!(err.kind(), ErrorKind::Cancelled);
     assert_eq!(sg.cursor(), STRIP_W as i64, "failed FFT strip must not advance the cursor");
     // The emitted prefix still matches an unbudgeted FFT stream.
-    let mut fresh = StripGenerator::from_generator(fft_generator(), NY, SEED);
+    let mut fresh = StripGenerator::from_generator(fft_generator(GenContext::new()), NY, SEED);
     assert_eq!(fresh.next_strip(STRIP_W), first);
 }

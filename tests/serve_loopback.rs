@@ -28,7 +28,7 @@ fn direct(
 ) -> Grid2<f64> {
     let mut kernel = ConvolutionKernel::build(model, sizing);
     if let Some(eps) = truncation {
-        kernel = kernel.try_truncated(eps).expect("valid epsilon");
+        kernel = kernel.try_truncated(eps, &Recorder::disabled()).expect("valid epsilon");
     }
     ConvolutionGenerator::from_kernel(kernel)
         .with_backend(backend)
@@ -60,6 +60,31 @@ fn served_windows_are_bit_identical_to_direct_generation_across_backends() {
         );
         assert_eq!(served, reference, "served != direct for {backend:?}");
     }
+    server.shutdown();
+}
+
+#[test]
+fn client_worker_counts_are_capped_at_the_machine_parallelism() {
+    // Uncapped, u16::MAX workers would fan this 48-row Direct window out
+    // to one thread per row; the server runs it on at most
+    // `default_workers()` bands, with the same bits.
+    let server = serve(ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let model = spectrum();
+    let win = Window::new(-3, 7, 40, 48);
+    let req = GenerateRequest::new(1, 0, 0x5EED, model, win)
+        .with_truncation(1e-3)
+        .with_sizing(6.0, 8, 64)
+        .with_backend(ConvBackend::Direct)
+        .with_workers(u16::MAX);
+    let before = server.report().counter(stage::PAR_BANDS);
+    let served = client.try_generate(&req).expect("served window");
+    let bands = server.report().counter(stage::PAR_BANDS) - before;
+    let sizing = KernelSizing::Auto { factor: 6.0, min: 8, max: 64 };
+    let reference = direct(&model, Some(1e-3), sizing, ConvBackend::Direct, 0x5EED, win);
+    assert_eq!(served, reference, "a capped request must keep its bits");
+    let cap = rrs::par::default_workers() as u64;
+    assert!((1..=cap).contains(&bands), "{bands} bands for a cap of {cap}");
     server.shutdown();
 }
 

@@ -27,7 +27,7 @@ fn direct(truncation: f64, seed: u64, win: Window) -> Grid2<f64> {
         &spectrum(),
         KernelSizing::Auto { factor: 6.0, min: 8, max: 64 },
     )
-    .try_truncated(truncation)
+    .try_truncated(truncation, &Recorder::disabled())
     .expect("valid epsilon");
     ConvolutionGenerator::from_kernel(kernel)
         .with_backend(ConvBackend::Direct)

@@ -7,7 +7,7 @@
 
 use rrs::io::{read_checkpoint, write_checkpoint, StreamCheckpoint};
 use rrs::spectrum::{Gaussian, GridSpec, SurfaceParams};
-use rrs::surface::{ConvolutionGenerator, KernelSizing, StripGenerator};
+use rrs::surface::{ConvolutionGenerator, GenContext, KernelSizing, StripGenerator};
 use rrs_grid::Grid2;
 
 const NY: usize = 24;
@@ -17,7 +17,8 @@ const SEED: u64 = 0xC0FFEE;
 
 fn generator() -> ConvolutionGenerator {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
-    ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16))).with_workers(2)
+    ConvolutionGenerator::new(&s, KernelSizing::Explicit(GridSpec::unit(16, 16)))
+        .with_context(GenContext::new().with_workers(2))
 }
 
 /// One "process": resumes from `cp` (or a fresh stream when `None`),
