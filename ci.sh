@@ -121,12 +121,14 @@ echo "== figures gate: the default backend must beat Direct on the paper's figur
 # an enabled recorder, so it cannot flake) — see bench_figures.
 cargo run --release --locked --offline -p rrs-bench --bin bench_figures
 
-echo "== serving gate: pipelined load must hit the plan cache and reject overload typed =="
+echo "== serving gate: pipelined load must hit the plan cache, reject overload typed and checksum fast =="
 # Exits 1 if p99 latency under N pipelined connections exceeds the
 # floor, if fft/plan_hit does not exceed fft/plan_miss across coalesced
 # batches, if a served window is not bit-identical to direct generation,
-# or if an overloaded server fails to reject typed before allocating —
-# see bench_serve.
+# if an overloaded server fails to reject typed before allocating, or if
+# the four-lane word checksum of frames and snapshots is not >= 4x
+# byte-wise FNV-1a on 1 MiB (median of 15 paired reps; over 12 runs on
+# the 2-vCPU bench host the median read 14.1-19.0) — see bench_serve.
 cargo run --release --locked --offline -p rrs-bench --bin bench_serve
 
 echo "== serving resilience gate: failover tail, chaos-off overhead, bit-identity =="

@@ -17,18 +17,25 @@
 //!    library call with the same spectrum, sizing, seed and window.
 //! 4. **Backpressure** — a saturated server rejects with a typed
 //!    `Overloaded` frame *before* queueing or generating anything.
+//! 5. **Checksum speed** — the four-lane word checksum that frames and
+//!    snapshots carry must be at least [`MIN_CHECKSUM_SPEEDUP`]× as fast
+//!    as byte-wise FNV-1a on 1 MiB (median of [`CHECKSUM_PAIRS`] paired
+//!    ratios, rows `checksum/fnv1a/1MiB` and `checksum/words/1MiB`).
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_serve`;
 //! writes `BENCH_serve.json` with a `serve` section embedding the
-//! latency distribution and the server's own counter report.
+//! latency distribution and the server's own counter report, and a
+//! `checksum` section holding the paired ratios.
 
+use rrs_bench::harness::median_of_sorted;
 use rrs_bench::Harness;
-use rrs_grid::Window;
+use rrs_grid::{fnv1a, word_checksum, Window};
 use rrs_obs::stage;
 use rrs_serve::{serve, Client, GenerateRequest, ServeConfig, ServeError};
 use rrs_spectrum::{SpectrumModel, SurfaceParams};
 use rrs_surface::{ConvBackend, ConvolutionGenerator, ConvolutionKernel, KernelSizing, NoiseField};
 use std::collections::HashMap;
+use std::hint::black_box;
 use std::time::Instant;
 
 const CONNECTIONS: usize = 4;
@@ -36,6 +43,15 @@ const REQUESTS_PER_CONNECTION: usize = 40;
 const PIPELINE_DEPTH: usize = 4;
 const WINDOW: usize = 64;
 const P99_FLOOR_MS: f64 = 250.0;
+/// Bytes checksummed per timed call: about a 362² window's payload.
+const CHECKSUM_BYTES: usize = 1 << 20;
+/// Paired reps of the checksum gate.
+const CHECKSUM_PAIRS: usize = 15;
+/// Gate on the median paired `fnv1a / words` ratio. Over 12 runs of this
+/// suite on the 2-vCPU bench host the median read 14.1–19.0 (per-pair
+/// ratios 5.2–20.3); a byte-serial checksum (1.0) fails it, and host
+/// noise does not.
+const MIN_CHECKSUM_SPEEDUP: f64 = 4.0;
 
 fn model() -> SpectrumModel {
     SpectrumModel::gaussian(SurfaceParams::isotropic(1.0, 4.0))
@@ -73,6 +89,35 @@ fn drive_connection(addr: std::net::SocketAddr, tenant: u64) -> Vec<f64> {
     latencies
 }
 
+/// Times byte-wise FNV-1a and the word checksum on the same
+/// [`CHECKSUM_BYTES`] in [`CHECKSUM_PAIRS`] paired reps, order
+/// alternating. Returns the per-call times of each and the sorted
+/// per-pair `fnv1a / words` ratios.
+fn checksum_gate() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    let bytes: Vec<u8> =
+        (0..CHECKSUM_BYTES as u64).map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 56) as u8).collect();
+    let time = |f: fn(&[u8]) -> u64| {
+        let t0 = Instant::now();
+        black_box(f(black_box(&bytes)));
+        t0.elapsed().as_nanos() as f64
+    };
+    let (mut fnv, mut words, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..CHECKSUM_PAIRS {
+        let (tf, tw) = if rep % 2 == 0 {
+            let tf = time(fnv1a);
+            (tf, time(word_checksum))
+        } else {
+            let tw = time(word_checksum);
+            (time(fnv1a), tw)
+        };
+        fnv.push(tf);
+        words.push(tw);
+        ratios.push(tf / tw);
+    }
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    (fnv, words, ratios)
+}
+
 fn percentile(sorted: &[f64], p: f64) -> f64 {
     let i = ((sorted.len() as f64 - 1.0) * p).round() as usize;
     sorted[i]
@@ -80,6 +125,25 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 
 fn main() {
     let mut h = Harness::new("serve").with_reps(10);
+
+    // -- the frame checksum against the byte-wise one it replaced -------
+    let (fnv, words, ratios) = checksum_gate();
+    h.record("checksum/fnv1a/1MiB", Some(CHECKSUM_BYTES as u64), fnv);
+    h.record("checksum/words/1MiB", Some(CHECKSUM_BYTES as u64), words);
+    let checksum_speedup = median_of_sorted(&ratios);
+    let (lo, hi) = (ratios[0], ratios[ratios.len() - 1]);
+    println!(
+        "checksum/1MiB: fnv1a/words median of {CHECKSUM_PAIRS} paired ratios = \
+         {checksum_speedup:.2}x [{lo:.2}, {hi:.2}]  (gate: >= {MIN_CHECKSUM_SPEEDUP}x)"
+    );
+    h.attach_section(
+        "checksum",
+        format!(
+            "{{\"bytes\": {CHECKSUM_BYTES}, \"pairs\": {CHECKSUM_PAIRS}, \
+             \"median_fnv1a_over_words\": {checksum_speedup:.3}, \"min_ratio\": {lo:.3}, \
+             \"max_ratio\": {hi:.3}, \"gate_min_speedup\": {MIN_CHECKSUM_SPEEDUP}}}"
+        ),
+    );
 
     // -- single-request round-trip microbench ---------------------------
     let server = serve(ServeConfig { workers: 2, max_batch: 16, ..ServeConfig::default() })
@@ -170,6 +234,13 @@ fn main() {
     h.finish().expect("write BENCH_serve.json");
 
     let mut failed = false;
+    if checksum_speedup < MIN_CHECKSUM_SPEEDUP {
+        eprintln!(
+            "FAIL: the word checksum is only {checksum_speedup:.2}x byte-wise FNV-1a on 1 MiB \
+             (gate: >= {MIN_CHECKSUM_SPEEDUP}x)"
+        );
+        failed = true;
+    }
     if p99_ms >= P99_FLOOR_MS {
         eprintln!("FAIL: p99 latency {p99_ms:.2}ms >= {P99_FLOOR_MS}ms under pinned load");
         failed = true;
@@ -195,5 +266,8 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    println!("serve gates passed: p99 {p99_ms:.2}ms, plans {plan_hits}H/{plan_misses}M, bit-identical, typed overload");
+    println!(
+        "serve gates passed: p99 {p99_ms:.2}ms, plans {plan_hits}H/{plan_misses}M, bit-identical, \
+         typed overload, checksum {checksum_speedup:.2}x"
+    );
 }

@@ -1,14 +1,20 @@
 //! Exact binary snapshots of height fields.
 //!
-//! Format (all little-endian):
+//! Format v2 (all little-endian):
 //!
 //! ```text
-//! magic  "RRSSNAP1"  (8 bytes)
+//! magic  "RRSSNAP2"  (8 bytes)
 //! nx     u64
 //! ny     u64
 //! data   nx·ny × f64, row-major
-//! crc    u64  — FNV-1a over the data bytes
+//! crc    u64  — rrs_num::word_checksum over nx, ny and the data bytes
 //! ```
+//!
+//! Format v1 (`"RRSSNAP1"`) has the same layout, but its checksum is
+//! byte-wise FNV-1a over the data bytes alone. It is still read, so files
+//! written before v2 stay loadable, and never written: FNV-1a takes one
+//! dependent multiply per byte, the four-lane word checksum an eighth of
+//! one.
 //!
 //! Round-trips bit-exactly; the checksum catches truncation and
 //! corruption. Hand-rolled on `std` only: fields are encoded with
@@ -16,12 +22,16 @@
 //! rather than behind a third-party serialisation layer.
 
 use rrs_error::RrsError;
-use rrs_grid::{fnv1a, Grid2};
+use rrs_grid::{fnv1a, word_checksum, Grid2};
 use rrs_obs::{stage, Recorder};
 use std::io::{Read, Write};
 
-/// The 8-byte magic prefix identifying a snapshot stream (format v1).
-pub const MAGIC: &[u8; 8] = b"RRSSNAP1";
+/// The 8-byte magic prefix of the snapshots this crate writes (format v2).
+pub const MAGIC: &[u8; 8] = b"RRSSNAP2";
+
+/// The magic of format v1, checksummed with FNV-1a over the data bytes
+/// alone: read, never written.
+const MAGIC_V1: &[u8; 8] = b"RRSSNAP1";
 
 /// Byte length of the fixed header: magic + `nx` + `ny`.
 pub const HEADER_LEN: usize = 24;
@@ -33,11 +43,10 @@ pub fn try_write_snapshot<W: Write>(mut w: W, grid: &Grid2<f64>) -> Result<(), R
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&(grid.nx() as u64).to_le_bytes());
     buf.extend_from_slice(&(grid.ny() as u64).to_le_bytes());
-    let data_start = buf.len();
     for &v in grid.as_slice() {
         buf.extend_from_slice(&v.to_le_bytes());
     }
-    let crc = fnv1a(&buf[data_start..]);
+    let crc = word_checksum(&buf[MAGIC.len()..]);
     buf.extend_from_slice(&crc.to_le_bytes());
     w.write_all(&buf)?;
     Ok(())
@@ -71,9 +80,9 @@ pub(crate) fn read_u64_le(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte slice"))
 }
 
-/// Deserialises a snapshot, verifying magic, shape and checksum:
-/// corruption surfaces as [`RrsError::CorruptSnapshot`], read failures as
-/// [`RrsError::Io`].
+/// Deserialises a snapshot of either format, verifying magic, shape and
+/// checksum: corruption surfaces as [`RrsError::CorruptSnapshot`], read
+/// failures as [`RrsError::Io`].
 ///
 /// The declared shape is validated against the remaining payload with
 /// overflow-checked arithmetic *before* any data allocation, so a hostile
@@ -85,12 +94,13 @@ pub fn try_read_snapshot<R: Read>(mut r: R) -> Result<Grid2<f64>, RrsError> {
     if raw.len() < HEADER_LEN {
         return Err(bad("snapshot too short"));
     }
-    if &raw[..8] != MAGIC {
-        return Err(bad("bad magic"));
-    }
+    let v1 = match &raw[..8] {
+        m if m == MAGIC => false,
+        m if m == MAGIC_V1 => true,
+        _ => return Err(bad("bad magic")),
+    };
     let nx = read_u64_le(&raw, 8) as usize;
     let ny = read_u64_le(&raw, 16) as usize;
-    let payload = &raw[HEADER_LEN..];
     // Both the element count and the byte length are overflow-checked, and
     // checked against what was actually read before the data Vec exists.
     let n = nx.checked_mul(ny).ok_or_else(|| bad("shape overflow"))?;
@@ -98,13 +108,13 @@ pub fn try_read_snapshot<R: Read>(mut r: R) -> Result<Grid2<f64>, RrsError> {
         .checked_mul(8)
         .and_then(|b| b.checked_add(8))
         .ok_or_else(|| bad("shape overflow"))?;
-    if payload.len() != expect_len {
+    if raw.len() - HEADER_LEN != expect_len {
         return Err(bad("snapshot length does not match shape"));
     }
-    let data_bytes = &payload[..n * 8];
-    let crc_expect = fnv1a(data_bytes);
-    let crc = read_u64_le(payload, n * 8);
-    if crc != crc_expect {
+    let data_end = HEADER_LEN + n * 8;
+    let data_bytes = &raw[HEADER_LEN..data_end];
+    let crc_expect = if v1 { fnv1a(data_bytes) } else { word_checksum(&raw[MAGIC.len()..data_end]) };
+    if read_u64_le(&raw, data_end) != crc_expect {
         return Err(bad("checksum mismatch"));
     }
     let data: Vec<f64> = data_bytes
@@ -177,6 +187,57 @@ mod tests {
         buf[0] = b'X';
         let err = try_read_snapshot(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("magic"));
+    }
+
+    /// `grid` in the v1 layout, built byte by byte: FNV-1a over the data
+    /// bytes alone.
+    fn v1_bytes(grid: &Grid2<f64>) -> Vec<u8> {
+        let mut data = Vec::new();
+        for &v in grid.as_slice() {
+            data.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        let mut buf = b"RRSSNAP1".to_vec();
+        buf.extend_from_slice(&(grid.nx() as u64).to_le_bytes());
+        buf.extend_from_slice(&(grid.ny() as u64).to_le_bytes());
+        buf.extend_from_slice(&data);
+        buf.extend_from_slice(&fnv1a(&data).to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn v1_snapshots_still_read_bit_exactly_and_fail_closed() {
+        let g = Grid2::from_fn(5, 3, |x, y| (x as f64 * 0.7).cos() - y as f64 / 9.0);
+        let v1 = v1_bytes(&g);
+        let back = try_read_snapshot(v1.as_slice()).unwrap();
+        assert!(back.as_slice().iter().zip(g.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits()));
+        assert_eq!(back.shape(), (5, 3));
+
+        let mut flipped = v1.clone();
+        flipped[HEADER_LEN + 8 * 7 + 2] ^= 0x10;
+        let err = try_read_snapshot(flipped.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), rrs_error::ErrorKind::CorruptSnapshot, "{err}");
+        assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn v2_writes_its_own_magic_and_its_checksum_covers_the_shape() {
+        let g = Grid2::from_fn(4, 2, |x, y| (x * 10 + y) as f64);
+        let mut buf = Vec::new();
+        try_write_snapshot(&mut buf, &g).unwrap();
+        assert_eq!(&buf[..8], MAGIC);
+        assert_eq!(buf.len(), v1_bytes(&g).len(), "v1 and v2 share one layout");
+        // Relabel the grid 2×4: same length, same data bytes. v1's
+        // checksum sees no change; v2's covers nx and ny.
+        let transpose = |b: &mut Vec<u8>| {
+            b[8..16].copy_from_slice(&2u64.to_le_bytes());
+            b[16..24].copy_from_slice(&4u64.to_le_bytes());
+        };
+        let mut v1 = v1_bytes(&g);
+        transpose(&mut v1);
+        assert_eq!(try_read_snapshot(v1.as_slice()).unwrap().shape(), (2, 4));
+        transpose(&mut buf);
+        let err = try_read_snapshot(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("checksum"), "{err}");
     }
 
     #[test]

@@ -5,11 +5,11 @@
 //! the library's [`GenContext`](rrs_surface::GenContext)-configured
 //! generators into a multi-tenant service:
 //!
-//! * **Wire codec** ([`wire`]) — `RRSF`-framed messages with an FNV-1a
-//!   checksum (the checkpoint codec's framing discipline); malformed,
-//!   truncated or bit-flipped frames fail closed with typed errors, and
-//!   requests validate through the library's own `try_new` constructors
-//!   at decode time.
+//! * **Wire codec** ([`wire`]) — `RRS2`-framed messages under the
+//!   four-lane word checksum that snapshots also carry (the checkpoint
+//!   codec's framing discipline); malformed, truncated or bit-flipped
+//!   frames fail closed with typed errors, and requests validate through
+//!   the library's own `try_new` constructors at decode time.
 //! * **Scheduler** ([`server`]) — a shared work queue with per-tenant
 //!   quotas enforced by [`rrs_error::Budget::admit`] *before* any
 //!   allocation, and admission-control backpressure: an overloaded

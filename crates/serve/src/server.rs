@@ -45,7 +45,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -88,9 +88,10 @@ pub struct ServeConfig {
     /// Per-connection read deadline (slow-loris defense): a peer that
     /// goes quiet for this long — mid-frame, or idle with nothing in
     /// flight — has its reader thread reclaimed and the connection
-    /// closed. A quiet peer whose requests are still queued or
-    /// generating is spared: it is waiting on responses, not stalling
-    /// the server. `None` disables.
+    /// closed once the replies to what it had admitted are written. A
+    /// quiet peer whose requests are still queued or generating is
+    /// spared: it is waiting on responses, not stalling the server.
+    /// `None` disables.
     pub read_timeout: Option<Duration>,
     /// Per-connection write deadline: a peer that stops draining its
     /// receive buffer cannot pin a worker in `write` forever.
@@ -198,10 +199,29 @@ impl GenKey {
 struct Job {
     key: GenKey,
     req: GenerateRequest,
-    conn: Arc<Mutex<TcpStream>>,
-    /// This connection's in-flight count, released after the response
+    conn: Arc<Conn>,
+}
+
+/// One client connection, shared by its reader and its admitted jobs.
+struct Conn {
+    stream: Mutex<TcpStream>,
+    /// Requests queued or generating, each released after its response
     /// is written (enforces [`ServeConfig::max_conn_in_flight`]).
-    conn_slots: Arc<AtomicUsize>,
+    slots: AtomicUsize,
+}
+
+impl Drop for Conn {
+    /// The reader and every admitted job hold the connection, so it
+    /// closes once the reader has stopped and the last reply is written:
+    /// a peer that sent a bad frame, or went quiet mid-frame, still gets
+    /// the replies to the requests it pipelined before. Shut down
+    /// explicitly: a clone lives in the shutdown registry, so dropping
+    /// ours would leave the connection half-open and the peer waiting on
+    /// a reply that never comes.
+    fn drop(&mut self) {
+        let stream = self.stream.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let _ = stream.shutdown(std::net::Shutdown::Both);
+    }
 }
 
 #[derive(Default)]
@@ -320,8 +340,8 @@ fn sizing(req: &GenerateRequest) -> KernelSizing {
 
 /// Writes a frame to a connection through the chaos seam, ignoring a
 /// dead peer (the job still completes server-side either way).
-fn respond(shared: &Shared, conn: &Mutex<TcpStream>, kind: FrameKind, payload: &[u8]) {
-    let mut stream = conn.lock().expect("connection poisoned");
+fn respond(shared: &Shared, conn: &Conn, kind: FrameKind, payload: &[u8]) {
+    let mut stream = conn.stream.lock().expect("connection poisoned");
     let _ = wire::write_frame_chaos(
         &mut *stream,
         kind,
@@ -345,12 +365,9 @@ fn is_read_timeout(e: &RrsError) -> bool {
 
 fn reader_loop(shared: &Shared, stream: TcpStream) {
     let conn = match stream.try_clone() {
-        Ok(w) => Arc::new(Mutex::new(w)),
+        Ok(w) => Arc::new(Conn { stream: Mutex::new(w), slots: AtomicUsize::new(0) }),
         Err(_) => return,
     };
-    // This connection's in-flight count; workers release slots as they
-    // write responses.
-    let conn_slots = Arc::new(AtomicUsize::new(0));
     let mut r = BufReader::new(stream);
     loop {
         match wire::read_frame_chaos(&mut r, &shared.config.chaos, shared.config.chaos_stall) {
@@ -361,11 +378,12 @@ fn reader_loop(shared: &Shared, stream: TcpStream) {
                 respond(shared, &conn, FrameKind::MetricsReport, json.as_bytes());
             }
             Ok(Some((FrameKind::Generate, payload))) => {
-                handle_generate(shared, &conn, &conn_slots, &payload)
+                handle_generate(shared, &conn, &payload)
             }
             Ok(Some((kind, _))) => {
                 // A response kind arriving at the server is a protocol
-                // violation; answer typed and hang up.
+                // violation; answer typed and stop reading (the
+                // connection closes after its last reply, see `Conn`).
                 let e = RrsError::corrupt_snapshot(format!("unexpected frame kind {kind:?}"));
                 respond(shared, &conn, FrameKind::GenerateErr, &GenerateErr::from_error(0, &e).encode());
                 return;
@@ -380,7 +398,7 @@ fn reader_loop(shared: &Shared, stream: TcpStream) {
                 // the reader alive; severing now would discard every
                 // pending response.
                 if wire::timed_out_at_boundary(&e)
-                    && conn_slots.load(Ordering::Acquire) > 0
+                    && conn.slots.load(Ordering::Acquire) > 0
                 {
                     if shared.cancel.is_cancelled() {
                         return;
@@ -389,21 +407,16 @@ fn reader_loop(shared: &Shared, stream: TcpStream) {
                 }
                 // Slow-loris defense: the peer sat quiet past the read
                 // deadline (idle or mid-frame). The stream position is
-                // unknowable, so close without a reply and reclaim the
-                // thread. Shut the socket down explicitly — a clone
-                // lives in the shutdown registry, so dropping ours
-                // would leave the connection half-open.
+                // unknowable, so stop reading without a reply and reclaim
+                // the thread; the connection closes after its last reply.
                 shared.obs.add_counter(stage::SERVE_CONN_TIMEOUT, 1);
-                let _ = conn
-                    .lock()
-                    .expect("connection poisoned")
-                    .shutdown(std::net::Shutdown::Both);
                 return;
             }
             Err(e) => {
                 // Fail closed: a malformed frame gets a typed reply and
-                // the connection closes (the stream may be mid-frame, so
-                // no further decode is safe).
+                // reading stops (the stream may be mid-frame, so no
+                // further decode is safe); the connection closes after
+                // its last reply.
                 respond(shared, &conn, FrameKind::GenerateErr, &GenerateErr::from_error(0, &e).encode());
                 return;
             }
@@ -414,12 +427,7 @@ fn reader_loop(shared: &Shared, stream: TcpStream) {
     }
 }
 
-fn handle_generate(
-    shared: &Shared,
-    conn: &Arc<Mutex<TcpStream>>,
-    conn_slots: &Arc<AtomicUsize>,
-    payload: &[u8],
-) {
+fn handle_generate(shared: &Shared, conn: &Arc<Conn>, payload: &[u8]) {
     shared.obs.add_counter(stage::SERVE_REQUESTS, 1);
     if shared.draining.load(Ordering::SeqCst) {
         // Draining: typed, retryable rejection before any decode work —
@@ -467,7 +475,7 @@ fn handle_generate(
     // Per-connection pipelining cap. The reader is this connection's
     // only admitter, so check-then-increment cannot overshoot: workers
     // only ever decrement concurrently.
-    if conn_slots.load(Ordering::Acquire) >= shared.config.max_conn_in_flight.max(1) {
+    if conn.slots.load(Ordering::Acquire) >= shared.config.max_conn_in_flight.max(1) {
         shared.obs.add_counter(stage::SERVE_CONN_BUSY, 1);
         shared.obs.add_counter(stage::SERVE_OVERLOADED, 1);
         let depth = shared.queue.lock().expect("queue poisoned").jobs.len() as u32;
@@ -479,12 +487,7 @@ fn handle_generate(
         respond(shared, conn, FrameKind::Overloaded, &over.encode());
         return;
     }
-    let job = Job {
-        key: GenKey::of(&req),
-        req,
-        conn: Arc::clone(conn),
-        conn_slots: Arc::clone(conn_slots),
-    };
+    let job = Job { key: GenKey::of(&req), req, conn: Arc::clone(conn) };
     enum Rejection {
         Draining,
         Overloaded(OverloadReason),
@@ -504,7 +507,7 @@ fn handle_generate(
             Some(Rejection::Overloaded(OverloadReason::TenantQuota))
         } else {
             *q.in_flight.entry(job.req.tenant).or_insert(0) += 1;
-            conn_slots.fetch_add(1, Ordering::AcqRel);
+            conn.slots.fetch_add(1, Ordering::AcqRel);
             q.jobs.push_back(job);
             shared.ready.notify_one();
             None
@@ -609,7 +612,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
                 respond(shared, &job.conn, FrameKind::GenerateErr, &err.encode());
             }
         }
-        job.conn_slots.fetch_sub(1, Ordering::AcqRel);
+        job.conn.slots.fetch_sub(1, Ordering::AcqRel);
         shared.finish_job(job.req.tenant);
     }
 }

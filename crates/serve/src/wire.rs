@@ -4,21 +4,29 @@
 //! Every message on a serving connection is one frame:
 //!
 //! ```text
-//! magic  b"RRSF"                      4 bytes
+//! magic  b"RRS2"                      4 bytes
 //! kind   FrameKind                    1 byte
 //! len    payload length, u32 LE       4 bytes
 //! payload                             len bytes
-//! crc    FNV-1a(kind ‖ len ‖ payload) 8 bytes LE
+//! crc    word checksum, u64 LE        8 bytes
+//!        = word_checksum_extend(word_checksum(kind ‖ len), payload)
 //! ```
 //!
-//! The framing discipline mirrors the checkpoint codec (PR 4): a magic
-//! prefix so a stray connection fails immediately, an explicit length so
-//! the reader can refuse oversized frames *before* allocating, and a
-//! trailing FNV-1a checksum over everything after the magic so a flipped
-//! bit anywhere in the frame fails closed with a typed
-//! [`RrsError::CorruptSnapshot`] instead of decoding garbage. Payload
-//! integers are little-endian; floats travel as IEEE-754 bit patterns so
-//! a request is reproduced bit-exactly on the far side.
+//! The framing discipline mirrors the checkpoint codec: a magic prefix so
+//! a stray connection fails immediately, an explicit length so the reader
+//! can refuse oversized frames *before* allocating, and a trailing
+//! checksum over everything after the magic so a flipped bit anywhere in
+//! the frame fails closed with a typed [`RrsError::CorruptSnapshot`]
+//! instead of decoding garbage. The checksum is `rrs_num`'s four-lane
+//! word checksum (`rrs_grid::word_checksum`), taken over the 5-byte
+//! header and then carried on over the payload: it reads eight bytes a
+//! step where byte-wise FNV-1a reads one, and still catches every change
+//! confined to one byte, or to one aligned word of the payload's whole
+//! 32-byte blocks. The first framing, magic `b"RRSF"` with an FNV-1a
+//! checksum, is retired: its frames fail the magic check like any other
+//! bad magic. Payload integers are little-endian; floats travel as
+//! IEEE-754 bit patterns so a request is reproduced bit-exactly on the
+//! far side.
 //!
 //! Decoding is validating: a [`GenerateRequest`] only constructs through
 //! the same `try_new` constructors the library itself uses
@@ -28,21 +36,22 @@
 
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{ErrorKind, RrsError};
-use rrs_grid::{fnv1a_extend, Grid2, Window};
+use rrs_grid::{word_checksum, word_checksum_extend, Grid2, Window};
 use rrs_spectrum::{PowerLaw, SpectrumModel, SurfaceParams};
 use rrs_surface::ConvBackend;
 use std::io::{Read, Write};
 use std::time::Duration;
 
-/// Frame prefix — "RRS Frame".
-pub const MAGIC: [u8; 4] = *b"RRSF";
+/// Frame prefix — "RRS framing, version 2".
+pub const MAGIC: [u8; 4] = *b"RRS2";
 
 /// Hard ceiling on a frame payload (256 MiB), checked against the
 /// declared length *before* any allocation.
 pub const MAX_FRAME_PAYLOAD: usize = 256 << 20;
 
-/// FNV-1a 64-bit — the framing checksum, the same function as the
-/// snapshot and checkpoint codecs'.
+/// Byte-wise 64-bit FNV-1a. Not the framing checksum: it hashes the
+/// shard key and, in [`crate::ShardedClient`], the endpoint addresses, so
+/// it stays fixed to keep every key on its endpoint.
 pub use rrs_grid::fnv1a;
 
 /// The message kinds of the serving protocol.
@@ -86,6 +95,11 @@ impl FrameKind {
     }
 }
 
+/// The frame checksum: the header, then on over the payload.
+fn frame_checksum(head: &[u8; 5], payload: &[u8]) -> u64 {
+    word_checksum_extend(word_checksum(head), payload)
+}
+
 /// Assembles one complete frame (magic, header, payload, checksum) as a
 /// contiguous byte buffer, ready for a single `write_all`.
 fn encode_frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
@@ -94,8 +108,7 @@ fn encode_frame_bytes(kind: FrameKind, payload: &[u8]) -> Vec<u8> {
     let mut head = [0u8; 5];
     head[0] = kind as u8;
     head[1..5].copy_from_slice(&len.to_le_bytes());
-    // The checksum runs over the header, then on over the payload.
-    let crc = fnv1a_extend(fnv1a(&head), payload);
+    let crc = frame_checksum(&head, payload);
     let mut frame = Vec::with_capacity(17 + payload.len());
     frame.extend_from_slice(&MAGIC);
     frame.extend_from_slice(&head);
@@ -193,7 +206,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, Rrs
     read_fully(r, &mut payload)?;
     let mut crc_bytes = [0u8; 8];
     read_fully(r, &mut crc_bytes)?;
-    if fnv1a_extend(fnv1a(&head), &payload) != u64::from_le_bytes(crc_bytes) {
+    if frame_checksum(&head, &payload) != u64::from_le_bytes(crc_bytes) {
         return Err(RrsError::corrupt_snapshot("frame checksum mismatch"));
     }
     let kind = FrameKind::from_u8(head[0])?;
@@ -766,19 +779,20 @@ impl GenerateOk {
     }
 
     /// Decodes, validating the declared shape against the actual byte
-    /// count.
+    /// count before the grid is allocated.
     pub fn decode(payload: &[u8]) -> Result<Self, RrsError> {
         let mut c = Cursor::new(payload);
         let request_id = c.u64()?;
         let nx = c.u32()? as usize;
         let ny = c.u32()? as usize;
-        let elems = nx.checked_mul(ny).ok_or_else(|| {
+        let bytes = nx.checked_mul(ny).and_then(|n| n.checked_mul(8)).ok_or_else(|| {
             RrsError::corrupt_snapshot(format!("grid shape {nx}x{ny} overflows"))
         })?;
-        let mut data = Vec::with_capacity(elems);
-        for _ in 0..elems {
-            data.push(c.f64()?);
-        }
+        let data = c
+            .take(bytes)?
+            .chunks_exact(8)
+            .map(|w| f64::from_bits(u64::from_le_bytes(w.try_into().expect("8-byte word"))))
+            .collect();
         c.finish()?;
         Ok(Self { request_id, grid: Grid2::try_from_vec(nx, ny, data)? })
     }
@@ -970,6 +984,39 @@ mod tests {
             read_frame(&mut flipped.as_slice()).unwrap_err().kind(),
             ErrorKind::CorruptSnapshot
         );
+    }
+
+    #[test]
+    fn a_retired_rrsf_frame_is_rejected_typed() {
+        // The first framing, byte by byte: magic "RRSF", then kind, length
+        // and payload under a byte-wise FNV-1a checksum.
+        let payload = sample_request().encode();
+        let mut head = [FrameKind::Generate as u8, 0, 0, 0, 0];
+        head[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        let crc = rrs_grid::fnv1a_extend(fnv1a(&head), &payload);
+        let mut frame = b"RRSF".to_vec();
+        frame.extend_from_slice(&head);
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc.to_le_bytes());
+        let e = read_frame(&mut frame.as_slice()).unwrap_err();
+        assert_eq!(e.kind(), ErrorKind::CorruptSnapshot, "{e}");
+        // The same bytes under the current magic and checksum decode.
+        frame[..4].copy_from_slice(&MAGIC);
+        let n = frame.len();
+        frame[n - 8..].copy_from_slice(&frame_checksum(&head, &payload).to_le_bytes());
+        assert!(read_frame(&mut frame.as_slice()).unwrap().is_some());
+    }
+
+    #[test]
+    fn a_response_declaring_more_samples_than_it_carries_fails_before_allocating() {
+        for (nx, ny) in [(u32::MAX, u32::MAX), (1 << 16, 1 << 16), (3, 2)] {
+            let mut payload = 5u64.to_le_bytes().to_vec();
+            payload.extend_from_slice(&nx.to_le_bytes());
+            payload.extend_from_slice(&ny.to_le_bytes());
+            payload.extend_from_slice(&[0u8; 40]);
+            let e = GenerateOk::decode(&payload).unwrap_err();
+            assert_eq!(e.kind(), ErrorKind::CorruptSnapshot, "{nx}x{ny}: {e}");
+        }
     }
 
     #[test]

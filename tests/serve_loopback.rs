@@ -345,6 +345,68 @@ fn malformed_and_bit_flipped_frames_get_typed_errors_over_tcp() {
 }
 
 #[test]
+fn bad_frames_get_a_typed_error_and_eof_after_the_replies_pipelined_before_them() {
+    use rrs::serve::wire::{read_frame, write_frame, FrameKind};
+    use std::io::Write;
+
+    let server = serve(ServeConfig::default()).expect("bind");
+    let win = Window::new(-5, 3, 40, 32);
+    let req = GenerateRequest::new(5, 0, 11, spectrum(), win).with_backend(ConvBackend::Direct);
+    let mut valid = Vec::new();
+    write_frame(&mut valid, FrameKind::Generate, &req.encode()).expect("encode");
+    // Three ways to end a connection. A valid request in the retired
+    // first framing, byte by byte: magic "RRSF", kind, length and payload
+    // under a byte-wise FNV-1a checksum.
+    let payload = req.encode();
+    let mut head = vec![FrameKind::Generate as u8];
+    head.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    let crc = rrs::num::fnv1a_extend(rrs::num::fnv1a(&head), &payload);
+    let rrsf = [b"RRSF".as_slice(), &head, &payload, &crc.to_le_bytes()].concat();
+    // A current frame whose checksum fails.
+    let mut flipped = valid.clone();
+    flipped[20] ^= 0x04;
+    // A well-formed response kind, which the server never accepts.
+    let mut pong = Vec::new();
+    write_frame(&mut pong, FrameKind::Pong, &[]).expect("encode");
+    for bad in [rrsf, flipped, pong] {
+        let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+        // A server that never hangs up fails this test instead of hanging it.
+        raw.set_read_timeout(Some(std::time::Duration::from_secs(30))).expect("read timeout");
+        // One write: the bad frame reaches the server while the valid
+        // request ahead of it is still queued or generating.
+        raw.write_all(&[valid.as_slice(), bad.as_slice()].concat()).expect("write");
+        raw.flush().expect("flush");
+        let mut reader = raw.try_clone().expect("clone");
+        let (mut served, mut rejected) = (None, None);
+        while let Some((kind, reply)) = read_frame(&mut reader).expect("typed frames, then EOF") {
+            match kind {
+                FrameKind::GenerateOk => {
+                    served = Some(rrs::serve::wire::GenerateOk::decode(&reply).expect("decodable"))
+                }
+                FrameKind::GenerateErr => {
+                    rejected = Some(rrs::serve::GenerateErr::decode(&reply).expect("decodable"))
+                }
+                other => panic!("unexpected reply kind {other:?}"),
+            }
+        }
+        let err = rejected.expect("the bad frame gets a typed reply");
+        assert_eq!(err.kind, ErrorKind::CorruptSnapshot, "{}", err.message);
+        let ok = served.expect("the request pipelined before the bad frame is answered");
+        assert_eq!(ok.request_id, 5);
+        let reference = direct(
+            &spectrum(),
+            None,
+            KernelSizing::default(),
+            ConvBackend::Direct,
+            11,
+            win,
+        );
+        assert_eq!(ok.grid, reference, "the pipelined reply must be bit-exact");
+    }
+    server.shutdown();
+}
+
+#[test]
 fn retired_backend_byte_gets_a_typed_invalid_param_over_tcp() {
     use rrs::serve::wire::{read_frame, write_frame, FrameKind};
     use std::io::Write;
