@@ -85,7 +85,9 @@ RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets --locked --of
 
 echo "== obs overhead gate: disabled recorder must be free =="
 # Exits 1 if a disabled Recorder is measurably slower than the
-# no-recorder baseline (min-of-reps ratio >= 1.5x) — see bench_obs.
+# no-recorder baseline: the median of 15 paired disabled/baseline ratios
+# is >= 1.15 (over 12 runs on the 2-vCPU bench host the median read
+# 0.92-1.02) — see bench_obs.
 cargo run --release --locked --offline -p rrs-bench --bin bench_obs
 
 echo "== row-band overhead gate: the unarmed fan-out must stay free =="
@@ -118,7 +120,12 @@ echo "== figures gate: the default backend must beat Direct on the paper's figur
 # over Figures 1-4 at scale 1/4 (median of paired, alternating reps), if
 # any figure differs from Direct by more than 1e-9 relative, or if a
 # blended figure materialises more than one noise window (a count from
-# an enabled recorder, so it cannot flake) — see bench_figures.
+# an enabled recorder, so it cannot flake). Also exits 1 if any sample of
+# the four figures gets weight bits other than rrs_bench::reference_weights
+# gives (the formulas the layouts replaced), or if the weights pass of
+# Figure 3 or Figure 4 is under 1.2x the reference maps' (median of 15
+# paired reps; over 12 runs on the 2-vCPU bench host the medians read
+# 1.81-2.06 and 1.35-1.43) — see bench_figures.
 cargo run --release --locked --offline -p rrs-bench --bin bench_figures
 
 echo "== serving gate: pipelined load must hit the plan cache, reject overload typed and checksum fast =="

@@ -19,13 +19,23 @@
 //! about 3–4x (its 10-kernel blend is dominated by per-kernel fixed
 //! costs), which is why the gate runs at 1/4.
 //!
+//! It also gates the weight lookups ([`weights_gate`]): every sample's
+//! `weights_at` over Figures 3 and 4, on the figures' own maps and on the
+//! [`rrs_bench::reference_weights`] maps that keep the formulas they
+//! replaced, in [`WEIGHT_PAIRS`] paired reps. **Fails** if any sample of
+//! the four figures gets different weight bits from its reference, or if
+//! either figure's median paired `reference / current` ratio is below
+//! [`MIN_WEIGHTS_SPEEDUP`].
+//!
 //! Run with `cargo run --release -p rrs-bench --bin bench_figures`;
-//! writes `BENCH_figures.json` (`RRS_BENCH_REPS` sets the pair count).
+//! writes `BENCH_figures.json` (`RRS_BENCH_REPS` sets the pair count of
+//! the backend gate).
 
 use rrs_bench::figures::{all_figures, Figure};
 use rrs_bench::harness::median_of_sorted;
 use rrs_bench::Harness;
 use rrs_grid::{Grid2, Window};
+use rrs_inhomo::WeightMap;
 use rrs_obs::{stage, Recorder};
 use rrs_surface::{ConvBackend, GenContext, NoiseField};
 use std::hint::black_box;
@@ -38,6 +48,17 @@ const TRUNC_EPS: f64 = 0.01;
 const PAIRS: u64 = 5;
 /// Minimum median paired speed-up of the default context over `Direct`.
 const MIN_SPEEDUP: f64 = 5.0;
+/// The figures whose weights pass the weights gate times.
+const WEIGHT_FIGURES: [&str; 2] = ["fig3", "fig4"];
+/// Paired reps of the weights gate.
+const WEIGHT_PAIRS: usize = 15;
+/// Gate on each timed figure's median paired `reference / current`
+/// ratio of a whole weights pass. Over 12 runs of this suite on the
+/// 2-vCPU bench host the medians read 1.81–2.06 for Figure 3 and
+/// 1.35–1.43 for Figure 4 (per-pair ratios 0.96–2.58); 1.2 sits 0.15
+/// below the lowest, so the reference formulas (1.0) fail it and host
+/// noise does not.
+const MIN_WEIGHTS_SPEEDUP: f64 = 1.2;
 
 fn window(fig: &Figure) -> Window {
     Window::new(fig.origin.0, fig.origin.1, fig.nx, fig.ny)
@@ -78,6 +99,86 @@ fn noise_windows() -> Vec<(&'static str, bool, u64)> {
             let report = rec.report();
             let count = report.durations.get(stage::WINDOW_MATERIALISE).map_or(0, |d| d.count);
             (fig.id, blended, count)
+        })
+        .collect()
+}
+
+/// Every sample of `fig`'s window, in the coordinates the generator
+/// looks its weights up at.
+fn samples(fig: &Figure) -> impl Iterator<Item = (f64, f64)> + '_ {
+    let (x0, y0) = fig.origin;
+    (0..fig.ny as i64)
+        .flat_map(move |iy| (0..fig.nx as i64).map(move |ix| ((x0 + ix) as f64, (y0 + iy) as f64)))
+}
+
+/// One weights pass: every sample's lookup on `map`, row by row as the
+/// generator's scan makes them; returns the time in ns.
+fn weights_pass(map: &dyn WeightMap, fig: &Figure) -> f64 {
+    let (x0, y0) = fig.origin;
+    let mut weights = Vec::with_capacity(map.kernel_count());
+    let t0 = Instant::now();
+    for iy in 0..fig.ny as i64 {
+        for ix in 0..fig.nx as i64 {
+            map.weights_at((x0 + ix) as f64, (y0 + iy) as f64, &mut weights);
+            black_box(&weights);
+        }
+    }
+    t0.elapsed().as_nanos() as f64
+}
+
+/// Per figure: how many samples get weights whose indices, order or bits
+/// differ from the reference map's.
+fn weight_mismatches(figs: &[Figure]) -> Vec<(&'static str, usize)> {
+    let (mut got, mut want) = (Vec::new(), Vec::new());
+    figs.iter()
+        .map(|fig| {
+            let reference = fig.layout.reference();
+            let differ = samples(fig)
+                .filter(|&(x, y)| {
+                    fig.generator.map().weights_at(x, y, &mut got);
+                    reference.weights_at(x, y, &mut want);
+                    let bits = |w: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                        w.iter().map(|&(k, g)| (k, g.to_bits())).collect()
+                    };
+                    bits(&got) != bits(&want)
+                })
+                .count();
+            (fig.id, differ)
+        })
+        .collect()
+}
+
+/// A timed figure's id, its current and reference pass times, and the
+/// sorted per-pair `reference / current` ratios.
+type PassTimes = (&'static str, Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// [`PassTimes`] per timed figure, from [`WEIGHT_PAIRS`] paired reps,
+/// order alternating.
+fn weights_gate(figs: &[Figure]) -> Vec<PassTimes> {
+    figs.iter()
+        .filter(|fig| WEIGHT_FIGURES.contains(&fig.id))
+        .map(|fig| {
+            // The layout itself, not the box around it: one dynamic call
+            // per lookup on both sides, as in the generator.
+            let current: &dyn WeightMap = &**fig.generator.map();
+            let reference = fig.layout.reference();
+            weights_pass(current, fig);
+            weights_pass(&*reference, fig);
+            let (mut c, mut r, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+            for rep in 0..WEIGHT_PAIRS {
+                let (tc, tr) = if rep % 2 == 0 {
+                    let tc = weights_pass(current, fig);
+                    (tc, weights_pass(&*reference, fig))
+                } else {
+                    let tr = weights_pass(&*reference, fig);
+                    (weights_pass(current, fig), tr)
+                };
+                c.push(tc);
+                r.push(tr);
+                ratios.push(tr / tc);
+            }
+            ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            (fig.id, c, r, ratios)
         })
         .collect()
 }
@@ -162,6 +263,40 @@ fn main() {
     );
     let counts: Vec<String> = windows.iter().map(|(id, _, n)| format!("\"{id}\": {n}")).collect();
     h.attach_section("noise_windows", format!("{{{}}}", counts.join(", ")));
+
+    let mismatches = weight_mismatches(&default);
+    let differing: usize = mismatches.iter().map(|&(_, n)| n).sum();
+    let mut slow_weights = Vec::new();
+    let mut entries = Vec::new();
+    for (id, current, reference, ratios) in weights_gate(&default) {
+        let fig = default.iter().find(|f| f.id == id).expect("timed figure exists");
+        let elems = Some((fig.nx * fig.ny) as u64);
+        h.record(&format!("weights/{id}/current"), elems, current);
+        h.record(&format!("weights/{id}/reference"), elems, reference);
+        let median = median_of_sorted(&ratios);
+        let (lo, hi) = (ratios[0], ratios[ratios.len() - 1]);
+        println!(
+            "{id} weights pass: reference/current median of {WEIGHT_PAIRS} paired ratios = \
+             {median:.2}x [{lo:.2}, {hi:.2}]  (gate: >= {MIN_WEIGHTS_SPEEDUP}x)"
+        );
+        if median < MIN_WEIGHTS_SPEEDUP {
+            slow_weights.push(id);
+        }
+        entries.push(format!(
+            "\"{id}\": {{\"median\": {median:.3}, \"min\": {lo:.3}, \"max\": {hi:.3}}}"
+        ));
+    }
+    let mismatch_json: Vec<String> =
+        mismatches.iter().map(|(id, n)| format!("\"{id}\": {n}")).collect();
+    h.attach_section(
+        "weights",
+        format!(
+            "{{\"scale\": {SCALE}, \"pairs\": {WEIGHT_PAIRS}, {}, \
+             \"gate_min_speedup\": {MIN_WEIGHTS_SPEEDUP}, \"mismatched_samples\": {{{}}}}}",
+            entries.join(", "),
+            mismatch_json.join(", ")
+        ),
+    );
     h.finish().expect("write BENCH_figures.json");
 
     let mut failed = false;
@@ -177,11 +312,25 @@ fn main() {
         eprintln!("FAIL: blended figures {extra_windows:?} materialise more than one noise window");
         failed = true;
     }
+    if differing != 0 {
+        eprintln!(
+            "FAIL: {differing} samples' weights differ from the reference maps: {mismatches:?}"
+        );
+        failed = true;
+    }
+    if !slow_weights.is_empty() {
+        eprintln!(
+            "FAIL: the weights pass of {slow_weights:?} is under {MIN_WEIGHTS_SPEEDUP}x \
+             the reference maps'"
+        );
+        failed = true;
+    }
     if failed {
         std::process::exit(1);
     }
     println!(
         "figures gate passed: {speedup:.2}x >= {MIN_SPEEDUP}x, every figure within 1e-9, \
-         one noise window per blended figure"
+         one noise window per blended figure, weights bit-identical to the reference maps \
+         and >= {MIN_WEIGHTS_SPEEDUP}x faster on {WEIGHT_FIGURES:?}"
     );
 }

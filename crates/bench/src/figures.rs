@@ -27,6 +27,29 @@ pub struct FigureRegion {
     pub spectrum: SpectrumModel,
 }
 
+/// A figure's weight map, kept concrete so tests and benches can build
+/// its [`reference_weights`](crate::reference_weights) twin.
+#[derive(Clone, Debug)]
+pub enum FigureLayout {
+    /// A plate-oriented layout (Figures 1–3, linear profile).
+    Plates(PlateLayout),
+    /// A point-oriented layout (Figure 4).
+    Points(PointLayout),
+}
+
+impl FigureLayout {
+    /// The same map computed by the reference formulas.
+    pub fn reference(&self) -> Box<dyn WeightMap> {
+        use crate::reference_weights::{SdfPlates, TwoPassPoints};
+        match self {
+            FigureLayout::Plates(l) => {
+                Box::new(SdfPlates::new(l.clone(), rrs_inhomo::TransitionProfile::Linear))
+            }
+            FigureLayout::Points(l) => Box::new(TwoPassPoints::new(l)),
+        }
+    }
+}
+
 /// One reproducible paper figure.
 pub struct Figure {
     /// Identifier (`fig1` ... `fig4`).
@@ -44,6 +67,8 @@ pub struct Figure {
     pub seed: u64,
     /// The configured generator.
     pub generator: InhomogeneousGenerator<Box<dyn WeightMap>>,
+    /// The layout the generator's map was built from.
+    pub layout: FigureLayout,
     /// Homogeneous sub-regions to validate.
     pub regions: Vec<FigureRegion>,
 }
@@ -151,7 +176,7 @@ fn quadrant_figure(
 ) -> Figure {
     use rrs_spectrum::Spectrum;
     let layout = rrs_inhomo::plate::quadrant_layout(n as f64, n as f64, spectra, t);
-    let boxed: Box<dyn WeightMap> = Box::new(layout);
+    let boxed: Box<dyn WeightMap> = Box::new(layout.clone());
     let generator = InhomogeneousGenerator::new_truncated(boxed, sizing(), trunc_eps);
     let h = n / 2;
     // Window builders per quadrant, inset by the region's own margin.
@@ -173,6 +198,7 @@ fn quadrant_figure(
         origin: (0, 0),
         seed,
         generator,
+        layout: FigureLayout::Plates(layout),
         regions,
     }
 }
@@ -196,7 +222,7 @@ pub fn fig3(scale: f64, trunc_eps: f64, seed: u64) -> Figure {
         Some(field_spectrum),
         t,
     );
-    let boxed: Box<dyn WeightMap> = Box::new(layout);
+    let boxed: Box<dyn WeightMap> = Box::new(layout.clone());
     let generator = InhomogeneousGenerator::new_truncated(boxed, sizing(), trunc_eps);
     // Pond window: centred square fully inside the circle minus margins.
     let m = margin(t, cl) as f64;
@@ -215,6 +241,7 @@ pub fn fig3(scale: f64, trunc_eps: f64, seed: u64) -> Figure {
         origin: (0, 0),
         seed,
         generator,
+        layout: FigureLayout::Plates(layout),
         regions: vec![
             FigureRegion { name: "pond (inside circle)", window: pond_window, spectrum: pond_spectrum },
             FigureRegion { name: "field (outside circle)", window: field_window, spectrum: field_spectrum },
@@ -246,8 +273,8 @@ pub fn fig4(scale: f64, trunc_eps: f64, seed: u64) -> Figure {
     }
     let centre_spectrum = SpectrumModel::exponential(SurfaceParams::isotropic(0.5, cl(100.0)));
     points.push(RepresentativePoint { x: 0.0, y: 0.0, spectrum: centre_spectrum });
-    let layout = PointLayout::new(points.clone(), t);
-    let boxed: Box<dyn WeightMap> = Box::new(layout);
+    let layout = PointLayout::new(points, t);
+    let boxed: Box<dyn WeightMap> = Box::new(layout.clone());
     let generator = InhomogeneousGenerator::new_truncated(boxed, sizing(), trunc_eps);
 
     let half = (n / 2) as i64;
@@ -283,6 +310,7 @@ pub fn fig4(scale: f64, trunc_eps: f64, seed: u64) -> Figure {
         origin,
         seed,
         generator,
+        layout: FigureLayout::Points(layout),
         regions,
     }
 }

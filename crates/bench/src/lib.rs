@@ -11,12 +11,14 @@
 //! machine-readable `BENCH_*.json` output.
 //!
 //! [`ScalarFft2d`] is the scalar 2-D transform the FFT gates time the
-//! batched transforms against.
+//! batched transforms against; [`reference_weights`] holds the weight maps
+//! the figures gate times the current ones against.
 
 pub mod figures;
 pub mod harness;
+pub mod reference_weights;
 pub mod scalar_fft;
 
-pub use figures::{Figure, FigureRegion};
+pub use figures::{Figure, FigureLayout, FigureRegion};
 pub use harness::{BenchRecord, Harness};
 pub use scalar_fft::ScalarFft2d;

@@ -22,6 +22,6 @@ pub use profile::{extract_column, extract_profile, extract_row, Profile};
 /// Re-exported for the codecs that checksum grid bytes (`rrs-io`'s
 /// snapshots and checkpoints, `rrs-serve`'s frames), which reach `rrs-num`
 /// only through this crate.
-pub use rrs_num::{fnv1a, fnv1a_extend, word_checksum, word_checksum_extend};
+pub use rrs_num::{fnv1a, fnv1a_extend, word_checksum, word_checksum_extend, WordChecksum};
 pub use rrs_error::RrsError;
 pub use window::Window;

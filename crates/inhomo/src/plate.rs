@@ -6,6 +6,16 @@
 //! distance to the plate boundary crosses the transition strip
 //! `[-T/2, +T/2]` — at a straight boundary between two adjoining plates
 //! this reproduces exactly the linear transition functions of eqns 38–39.
+//!
+//! A layout computes once what [`Region::signed_distance`] recomputes for
+//! every sample (a rectangle's centre and half-extents, a half-plane's
+//! `‖(a, b)‖`, a sector's two edge normals). Rectangles, circles and
+//! half-planes also settle a sample that lies clearly beyond either edge
+//! of the strip without the signed distance: they return the exact 0 or 1
+//! the clamp would give, by a test on quantities cheaper than the
+//! distance (the axis distances, the squared radius, the unnormalised
+//! residual). Each test keeps a margin that covers every rounding between
+//! it and the signed distance, so memberships keep their bits.
 
 use crate::generator::WeightMap;
 use crate::region::Region;
@@ -41,9 +51,153 @@ pub struct Plate {
 #[derive(Clone, Debug)]
 pub struct PlateLayout {
     plates: Vec<Plate>,
+    /// One per plate: its region prepared for the per-sample membership.
+    shapes: Vec<Shape>,
     background: Option<SpectrumModel>,
     transition: f64,
     profile: TransitionProfile,
+}
+
+/// Relative slack of the early-out margins: `2⁻⁴⁰`, over a hundred times
+/// the relative error each margin has to cover (at most `5u + 2⁻⁴⁸`).
+const EDGE_SLACK: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Smallest strip half-width `T/2` whose early-outs are armed. From
+/// there on `T/2` is exact and the squares the tests compare are normal,
+/// so an underflowing square loses at most `2⁻¹⁰⁷⁵`, far below the slack.
+const MIN_ARMED_HALF: f64 = 1e-150;
+
+/// A plate's [`Region`] with the constants of its signed distance computed
+/// once, and the thresholds of its early-outs (NaN where one is not armed:
+/// every comparison with NaN is false).
+///
+/// The clamp `clamp(0.5 − fl(sd/T), 0, 1)` gives exactly 0 whenever the
+/// computed signed distance `sd ≥ h = T/2` (then `fl(sd/T) ≥ 0.5`), and
+/// exactly 1 whenever `sd ≤ −h`. Each early-out proves one of the two
+/// from cheaper quantities; `u = 2⁻⁵³` is the unit roundoff and
+/// `δ` = [`EDGE_SLACK`].
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// The signed distance forms the axis distances `dx = |x − cx| − hx`
+    /// and `dy` first. If `dx ≤ near = −h` and `dy ≤ −h`, the outside term
+    /// is `√0 = 0` and `sd = max(dx, dy) ≤ −h` exactly. If `dx ≥ far =
+    /// fl(h·(1 + δ))` (or `dy`), the inside term is 0 and the outside term
+    /// is at least `fl(√fl(dx²)) ≥ dx·(1 − u)² ≥ h·(1 + δ)·(1 − u)³ > h`.
+    Rect { cx: f64, cy: f64, hx: f64, hy: f64, near: f64, far: f64 },
+    /// `sd = fl(hypot(dx, dy) − r)`. Take `s = fl(dx² + dy²)`, within a
+    /// factor `(1 ± u)²` of the exact `ρ²`, and `hypot` within `2⁻⁴⁸·ρ` of
+    /// `ρ` (sixteen times the one-ulp bound of common libms). Then
+    /// `s > outer2 = fl(fl(fl(r + h)·(1 + δ))²)` gives
+    /// `hypot ≥ (r + h)·(1 + δ)·(1 − 5u − 2⁻⁴⁸) > r + h`, so `sd ≥ h`. An
+    /// overflowing square only makes `s` and `ρ` larger still.
+    /// `s < inner2 = fl(fl(fl(r − h)·(1 − δ))²)` gives `hypot < r − h`
+    /// the same way, so `sd ≤ −h`. Armed for a finite `r ≥ 0`; the inner
+    /// test only when `inner2` is normal and finite (never for `r ≤ h`,
+    /// where no sample has membership 1).
+    Circle { cx: f64, cy: f64, r: f64, inner2: f64, outer2: f64 },
+    /// `sd = fl(e / norm)` with the residual `e = fl(a·x + b·y − c)`. If
+    /// `e ≥ far = fl(fl(h·norm)·(1 + δ)) ≥ h·norm`, then `e / norm ≥ h`
+    /// and so `sd ≥ h`; `e ≤ −far` gives `sd ≤ −h` likewise. Armed when
+    /// `norm` and `fl(h·norm)` are normal and finite.
+    HalfPlane { a: f64, b: f64, c: f64, norm: f64, far: f64 },
+    /// The two edge normals `(−sin θ, cos θ)`; no early-out.
+    Sector { cx: f64, cy: f64, r: f64, edge0: (f64, f64), edge1: (f64, f64) },
+}
+
+impl Shape {
+    /// Prepares `region` for a strip of half-width `h = T/2`.
+    fn new(region: &Region, h: f64) -> Self {
+        let armed = h >= MIN_ARMED_HALF;
+        let keep = |v: f64, ok: bool| if armed && ok { v } else { f64::NAN };
+        match *region {
+            Region::Rect { x0, y0, x1, y1 } => Shape::Rect {
+                cx: 0.5 * (x0 + x1),
+                cy: 0.5 * (y0 + y1),
+                hx: 0.5 * (x1 - x0),
+                hy: 0.5 * (y1 - y0),
+                near: keep(-h, true),
+                far: keep(h * (1.0 + EDGE_SLACK), true),
+            },
+            Region::Circle { cx, cy, r } => {
+                let ok = r.is_finite() && r >= 0.0;
+                let outer = (r + h) * (1.0 + EDGE_SLACK);
+                let inner = (r - h) * (1.0 - EDGE_SLACK);
+                let inner2 = inner * inner;
+                let inner_ok = inner > 0.0 && inner2 >= f64::MIN_POSITIVE && inner2.is_finite();
+                Shape::Circle {
+                    cx,
+                    cy,
+                    r,
+                    inner2: keep(inner2, ok && inner_ok),
+                    outer2: keep(outer * outer, ok),
+                }
+            }
+            Region::HalfPlane { a, b, c } => {
+                let norm = a.hypot(b);
+                let hn = h * norm;
+                let ok = norm.is_normal() && hn.is_normal();
+                Shape::HalfPlane { a, b, c, norm, far: keep(hn * (1.0 + EDGE_SLACK), ok) }
+            }
+            Region::Sector { cx, cy, r, theta0, theta1 } => {
+                let normal = |theta: f64| {
+                    let (s, c) = theta.sin_cos();
+                    (-s, c)
+                };
+                Shape::Sector { cx, cy, r, edge0: normal(theta0), edge1: normal(theta1) }
+            }
+        }
+    }
+
+    /// The clamped linear ramp `clamp(0.5 − sd/T, 0, 1)` at `(x, y)`, with
+    /// [`Region::signed_distance`]'s arithmetic on the prepared constants,
+    /// or the 0 or 1 it gives where an early-out settles it.
+    fn ramp(&self, x: f64, y: f64, transition: f64) -> f64 {
+        let sd = match *self {
+            Shape::Rect { cx, cy, hx, hy, near, far } => {
+                let dx = (x - cx).abs() - hx;
+                let dy = (y - cy).abs() - hy;
+                if dx >= far || dy >= far {
+                    return 0.0;
+                }
+                if dx <= near && dy <= near {
+                    return 1.0;
+                }
+                let outside = (dx.max(0.0).powi(2) + dy.max(0.0).powi(2)).sqrt();
+                let inside = dx.max(dy).min(0.0);
+                outside + inside
+            }
+            Shape::Circle { cx, cy, r, inner2, outer2 } => {
+                let (dx, dy) = (x - cx, y - cy);
+                let s = dx * dx + dy * dy;
+                if s > outer2 {
+                    return 0.0;
+                }
+                if s < inner2 {
+                    return 1.0;
+                }
+                dx.hypot(dy) - r
+            }
+            Shape::HalfPlane { a, b, c, norm, far } => {
+                let e = a * x + b * y - c;
+                if e >= far {
+                    return 0.0;
+                }
+                if e <= -far {
+                    return 1.0;
+                }
+                e / norm
+            }
+            Shape::Sector { cx, cy, r, edge0, edge1 } => {
+                let px = x - cx;
+                let py = y - cy;
+                let d_arc = px.hypot(py) - r;
+                let d0 = -(px * edge0.0 + py * edge0.1);
+                let d1 = px * edge1.0 + py * edge1.1;
+                d_arc.max(d0.max(d1))
+            }
+        };
+        rrs_num::interp::clamp(0.5 - sd / transition, 0.0, 1.0)
+    }
 }
 
 impl PlateLayout {
@@ -77,7 +231,8 @@ impl PlateLayout {
                 format!("transition width must be positive, got {transition}"),
             ));
         }
-        Ok(Self { plates, background, transition, profile: TransitionProfile::Linear })
+        let shapes = plates.iter().map(|p| Shape::new(&p.region, 0.5 * transition)).collect();
+        Ok(Self { plates, shapes, background, transition, profile: TransitionProfile::Linear })
     }
 
     /// Selects the transition ramp shape (the paper uses linear).
@@ -105,8 +260,7 @@ impl PlateLayout {
     /// Raw (unnormalised) membership of plate `i` at `(x, y)`:
     /// 1 deep inside, 0 beyond the strip, linear across it.
     fn membership(&self, i: usize, x: f64, y: f64) -> f64 {
-        let sd = self.plates[i].region.signed_distance(x, y);
-        let t = rrs_num::interp::clamp(0.5 - sd / self.transition, 0.0, 1.0);
+        let t = self.shapes[i].ramp(x, y, self.transition);
         match self.profile {
             TransitionProfile::Linear => t,
             TransitionProfile::Smooth => t * t * (3.0 - 2.0 * t),

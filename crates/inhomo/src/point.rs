@@ -17,6 +17,14 @@
 //! the neighbour's influence vanishes, matching the plate-oriented linear
 //! strip. With several simultaneous neighbours the remainder rule keeps
 //! `Σ g = 1` with the nearest point always weighted at least `1/2`.
+//!
+//! A lookup computes each point's squared distance once, and each
+//! neighbour's `τ` at most once, into a stack array the two passes of
+//! eqns 43–45 share. A neighbour whose squared-distance gap exceeds a
+//! precomputed bound (`reach`, see [`PointLayout`]) is skipped without
+//! dividing: the division could only have given `τ > T`. So most samples
+//! of a Voronoi cell take no division at all, and every weight keeps the
+//! bits the plain two-pass formula gives.
 
 use crate::generator::WeightMap;
 use rrs_error::RrsError;
@@ -42,11 +50,30 @@ pub struct PointLayout {
     /// `sep[s·M + m]`: the separation `|n_m − n_s|` eqn (42) divides by,
     /// precomputed for every ordered pair (`M²` entries).
     sep: Vec<f64>,
+    /// `reach[s·M + m]`: a squared-distance gap past which `m` cannot
+    /// take part when `s` is nearest, or `∞` where no such bound is
+    /// proven.
+    ///
+    /// With `S = 2·sep[s·M + m]` and `d = fl(d_m − d_s)`, eqn (42)
+    /// computes `τ = fl(d / S)`. `reach` is `fl(fl(T·S)·c)` with
+    /// `c = 1 + 2⁻⁵⁰`, kept only when `T` and `fl(T·S)` are normal. Then
+    /// each rounding loses at most a factor `1 − 2⁻⁵³` (or `fl(T·S)`
+    /// rounded up), so `reach ≥ T·S·c·(1 − 2⁻⁵³)² > T·S·(1 + 2⁻⁵¹)`, or
+    /// `reach` overflowed to `∞`. So `d > reach` gives, in exact
+    /// arithmetic, `d / S > T·(1 + 2⁻⁵¹) ≥ T + 2·ulp(T)`, which rounding to
+    /// nearest cannot bring down to `T`: `τ > T`, the result the skipped
+    /// division would have given. Elsewhere `reach` is `∞`, which
+    /// `d > reach` never passes (nor does a NaN `d`), so those neighbours
+    /// always divide.
+    reach: Vec<f64>,
 }
 
-/// Layouts with at most this many points keep the per-sample squared
-/// distances on the stack.
+/// Layouts with at most this many points keep the per-sample working
+/// array (squared distances, then `τ`) on the stack.
 const STACK_POINTS: usize = 32;
+
+/// `c − 1` of [`PointLayout`]'s `reach` bound.
+const REACH_SLACK: f64 = 1.0 / (1u64 << 50) as f64;
 
 impl PointLayout {
     /// Builds a layout.
@@ -87,11 +114,22 @@ impl PointLayout {
                 }
             }
         }
-        let sep = points
+        let sep: Vec<f64> = points
             .iter()
             .flat_map(|ps| points.iter().map(move |pm| (pm.x - ps.x).hypot(pm.y - ps.y)))
             .collect();
-        Ok(Self { points, half_width, sep })
+        let reach = sep
+            .iter()
+            .map(|&sep| {
+                let ts = half_width * (2.0 * sep);
+                if half_width.is_normal() && ts.is_normal() {
+                    ts * (1.0 + REACH_SLACK)
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        Ok(Self { points, half_width, sep, reach })
     }
 
     /// The representative points, in kernel-index order.
@@ -116,15 +154,53 @@ impl PointLayout {
     pub fn tau(&self, x: f64, y: f64, m: usize, m_star: usize) -> f64 {
         let d_m = sq_dist(&self.points[m], x, y);
         let d_s = sq_dist(&self.points[m_star], x, y);
-        self.tau_from(d_m, d_s, m, m_star)
-    }
-
-    /// [`PointLayout::tau`] from the two squared distances.
-    #[inline]
-    fn tau_from(&self, d_m: f64, d_s: f64, m: usize, m_star: usize) -> f64 {
         let sep = self.sep[m_star * self.points.len() + m];
         debug_assert!(sep > 0.0);
         (d_m - d_s) / (2.0 * sep)
+    }
+
+    /// [`WeightMap::weights_at`] on a caller-provided working array, one
+    /// entry per point: it holds each point's squared distance, then each
+    /// neighbour's `τ` (`∞` for the nearest point and for neighbours
+    /// `reach` rules out). `τ` and the weights are the two-pass formula's
+    /// own expressions, so they keep its bits. Inlined into both paths of
+    /// [`WeightMap::weights_at`], so the stack path runs without a call or
+    /// a heap check.
+    #[inline(always)]
+    fn weights_into(&self, x: f64, y: f64, tau: &mut [f64], out: &mut Vec<(usize, f64)>) {
+        out.clear();
+        for (d, p) in tau.iter_mut().zip(&self.points) {
+            *d = sq_dist(p, x, y);
+        }
+        let m_star = nearest_of(tau.iter().copied());
+        let d_s = tau[m_star];
+        let t = self.half_width;
+        let row = m_star * self.points.len()..(m_star + 1) * self.points.len();
+        let pairs = self.sep[row.clone()].iter().zip(&self.reach[row]);
+        // Eqn 43: the participating neighbours, each τ divided out once.
+        let mut others = 0usize;
+        for (m, (tau, (&sep, &reach))) in tau.iter_mut().zip(pairs).enumerate() {
+            let d = *tau - d_s;
+            *tau = if m == m_star || d > reach { f64::INFINITY } else { d / (2.0 * sep) };
+            others += usize::from(*tau <= t);
+        }
+        if others == 0 {
+            out.push((m_star, 1.0));
+            return;
+        }
+        // Eqn 44 (reconstructed): g̃(m) = (1 − τ/T) / (2·M̃);
+        // eqn 45: the nearest point absorbs the remainder.
+        let mut remainder = 1.0;
+        for (m, &tau) in tau.iter().enumerate() {
+            if tau <= t {
+                let g = (1.0 - tau / t).max(0.0) / (2.0 * others as f64);
+                if g > 0.0 {
+                    out.push((m, g));
+                    remainder -= g;
+                }
+            }
+        }
+        out.push((m_star, remainder));
     }
 }
 
@@ -159,56 +235,12 @@ impl WeightMap for PointLayout {
     }
 
     fn weights_at(&self, x: f64, y: f64, out: &mut Vec<(usize, f64)>) {
-        out.clear();
-        // Each point's squared distance, once per sample: the nearest
-        // search and every τ read them (and the separations come from the
-        // table), so the weights match the per-pair formula bit for bit.
-        let mut stack = [0.0f64; STACK_POINTS];
-        let mut heap = Vec::new();
-        let d2: &mut [f64] = if self.points.len() <= STACK_POINTS {
-            &mut stack[..self.points.len()]
+        let n = self.points.len();
+        if n <= STACK_POINTS {
+            self.weights_into(x, y, &mut [0.0; STACK_POINTS][..n], out);
         } else {
-            heap.resize(self.points.len(), 0.0);
-            &mut heap
-        };
-        for (d, p) in d2.iter_mut().zip(&self.points) {
-            *d = sq_dist(p, x, y);
+            self.weights_into(x, y, &mut vec![0.0; n], out);
         }
-        let d2: &[f64] = d2;
-        let m_star = nearest_of(d2.iter().copied());
-        let t = self.half_width;
-        let tau = |m: usize| self.tau_from(d2[m], d2[m_star], m, m_star);
-        // Collect participating neighbours (eqn 43).
-        let mut others = 0usize;
-        for m in 0..self.points.len() {
-            if m == m_star {
-                continue;
-            }
-            if tau(m) <= t {
-                others += 1;
-            }
-        }
-        if others == 0 {
-            out.push((m_star, 1.0));
-            return;
-        }
-        // Eqn 44 (reconstructed): g̃(m) = (1 − τ/T) / (2·M̃);
-        // eqn 45: the nearest point absorbs the remainder.
-        let mut remainder = 1.0;
-        for m in 0..self.points.len() {
-            if m == m_star {
-                continue;
-            }
-            let tau = tau(m);
-            if tau <= t {
-                let g = (1.0 - tau / t).max(0.0) / (2.0 * others as f64);
-                if g > 0.0 {
-                    out.push((m, g));
-                    remainder -= g;
-                }
-            }
-        }
-        out.push((m_star, remainder));
     }
 }
 

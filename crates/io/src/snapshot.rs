@@ -22,7 +22,7 @@
 //! rather than behind a third-party serialisation layer.
 
 use rrs_error::RrsError;
-use rrs_grid::{fnv1a, word_checksum, Grid2};
+use rrs_grid::{fnv1a, word_checksum, Grid2, WordChecksum};
 use rrs_obs::{stage, Recorder};
 use std::io::{Read, Write};
 
@@ -36,19 +36,32 @@ const MAGIC_V1: &[u8; 8] = b"RRSSNAP1";
 /// Byte length of the fixed header: magic + `nx` + `ny`.
 pub const HEADER_LEN: usize = 24;
 
+/// Bytes of samples encoded at a time by [`try_write_snapshot`].
+const CHUNK: usize = 8192;
+
 /// Serialises a grid to the snapshot format. Write failures surface as
 /// [`RrsError::Io`].
+///
+/// Samples are encoded through a fixed 8 KiB buffer, checksummed and
+/// written chunk by chunk, so no copy of the whole snapshot is made.
 pub fn try_write_snapshot<W: Write>(mut w: W, grid: &Grid2<f64>) -> Result<(), RrsError> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + grid.len() * 8 + 8);
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&(grid.nx() as u64).to_le_bytes());
-    buf.extend_from_slice(&(grid.ny() as u64).to_le_bytes());
-    for &v in grid.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(MAGIC);
+    header[8..16].copy_from_slice(&(grid.nx() as u64).to_le_bytes());
+    header[16..].copy_from_slice(&(grid.ny() as u64).to_le_bytes());
+    let mut crc = WordChecksum::new();
+    crc.update(&header[MAGIC.len()..]);
+    w.write_all(&header)?;
+    let mut chunk = [0u8; CHUNK];
+    for samples in grid.as_slice().chunks(CHUNK / 8) {
+        let bytes = &mut chunk[..samples.len() * 8];
+        for (b, v) in bytes.chunks_exact_mut(8).zip(samples) {
+            b.copy_from_slice(&v.to_le_bytes());
+        }
+        crc.update(bytes);
+        w.write_all(bytes)?;
     }
-    let crc = word_checksum(&buf[MAGIC.len()..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    w.write_all(&buf)?;
+    w.write_all(&crc.finish().to_le_bytes())?;
     Ok(())
 }
 

@@ -16,7 +16,7 @@
 //!   lengths to measured autocorrelation curves.
 //! * [`fnv1a`] and [`word_checksum`] — the byte checksum of golden hashes
 //!   and checkpoints, and the four-lane word checksum of snapshots and
-//!   wire frames.
+//!   wire frames ([`WordChecksum`] feeds it in parts).
 //!
 //! Everything is `no_std`-friendly in spirit (no allocation in the hot
 //! paths) but the crate links `std` for `f64` math intrinsics.
@@ -30,7 +30,7 @@ pub mod kahan;
 pub mod roots;
 pub mod special;
 
-pub use checksum::{fnv1a, fnv1a_extend, word_checksum, word_checksum_extend};
+pub use checksum::{fnv1a, fnv1a_extend, word_checksum, word_checksum_extend, WordChecksum};
 pub use complex::Complex64;
 pub use kahan::KahanSum;
 

@@ -45,7 +45,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -203,8 +203,13 @@ struct Job {
 }
 
 /// One client connection, shared by its reader and its admitted jobs.
+/// The shutdown registry holds it weakly, so it never outlives them.
 struct Conn {
-    stream: Mutex<TcpStream>,
+    /// The replies' half of the socket (the reader reads its own clone).
+    /// Shutting it down closes the reader's clone too.
+    stream: TcpStream,
+    /// Held while a reply is written, so replies never interleave.
+    write: Mutex<()>,
     /// Requests queued or generating, each released after its response
     /// is written (enforces [`ServeConfig::max_conn_in_flight`]).
     slots: AtomicUsize,
@@ -215,12 +220,10 @@ impl Drop for Conn {
     /// closes once the reader has stopped and the last reply is written:
     /// a peer that sent a bad frame, or went quiet mid-frame, still gets
     /// the replies to the requests it pipelined before. Shut down
-    /// explicitly: a clone lives in the shutdown registry, so dropping
-    /// ours would leave the connection half-open and the peer waiting on
-    /// a reply that never comes.
+    /// explicitly, so the peer sees EOF however the socket's descriptors
+    /// close.
     fn drop(&mut self) {
-        let stream = self.stream.get_mut().unwrap_or_else(PoisonError::into_inner);
-        let _ = stream.shutdown(std::net::Shutdown::Both);
+        let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }
 
@@ -253,9 +256,12 @@ struct Shared {
     ready: Condvar,
     cancel: CancelToken,
     cache: Mutex<KernelCache>,
-    /// Socket clones for shutdown (closing one closes the reader's
-    /// blocked `read` too — clones share the underlying socket).
-    conns: Mutex<Vec<TcpStream>>,
+    /// The open connections, for shutdown (shutting one down returns its
+    /// reader's blocked `read` too). Weak, so a closed connection's socket
+    /// is released at once; dead entries are pruned on each accept.
+    conns: Mutex<Vec<Weak<Conn>>>,
+    /// Reader threads not yet joined; finished ones are joined on each
+    /// accept.
     readers: Mutex<Vec<JoinHandle<()>>>,
     /// Graceful-shutdown mode: stop accepting, reject new requests
     /// with a typed `Draining` error, finish the queue, then exit.
@@ -318,6 +324,39 @@ impl Shared {
         Ok(ConvolutionGenerator::from_kernel(kernel).with_context(ctx))
     }
 
+    /// Registers a new connection and its reader, pruning the
+    /// connections that have closed and joining the readers that have
+    /// finished, so neither list grows with the connections served.
+    fn track(&self, conn: &Arc<Conn>, reader: JoinHandle<()>) {
+        let mut conns = self.conns.lock().expect("conns poisoned");
+        conns.retain(|c| c.strong_count() > 0);
+        conns.push(Arc::downgrade(conn));
+        drop(conns);
+        let mut readers = self.readers.lock().expect("readers poisoned");
+        let (done, running): (Vec<_>, Vec<_>) =
+            readers.drain(..).partition(JoinHandle::is_finished);
+        *readers = running;
+        readers.push(reader);
+        drop(readers);
+        for t in done {
+            let _ = t.join();
+        }
+    }
+
+    /// Shuts every open connection down, so blocked readers return, then
+    /// joins every reader. Called once the accept loop has stopped.
+    fn close_connections(&self) {
+        for conn in self.conns.lock().expect("conns poisoned").drain(..) {
+            if let Some(conn) = conn.upgrade() {
+                let _ = conn.stream.shutdown(std::net::Shutdown::Both);
+            }
+        }
+        let readers: Vec<_> = self.readers.lock().expect("readers poisoned").drain(..).collect();
+        for t in readers {
+            let _ = t.join();
+        }
+    }
+
     fn finish_job(&self, tenant: u64) {
         let mut q = self.queue.lock().expect("queue poisoned");
         if let Some(n) = q.in_flight.get_mut(&tenant) {
@@ -341,9 +380,9 @@ fn sizing(req: &GenerateRequest) -> KernelSizing {
 /// Writes a frame to a connection through the chaos seam, ignoring a
 /// dead peer (the job still completes server-side either way).
 fn respond(shared: &Shared, conn: &Conn, kind: FrameKind, payload: &[u8]) {
-    let mut stream = conn.stream.lock().expect("connection poisoned");
+    let _writing = conn.write.lock().expect("connection poisoned");
     let _ = wire::write_frame_chaos(
-        &mut *stream,
+        &mut &conn.stream,
         kind,
         payload,
         &shared.config.chaos,
@@ -363,11 +402,7 @@ fn is_read_timeout(e: &RrsError) -> bool {
     )
 }
 
-fn reader_loop(shared: &Shared, stream: TcpStream) {
-    let conn = match stream.try_clone() {
-        Ok(w) => Arc::new(Conn { stream: Mutex::new(w), slots: AtomicUsize::new(0) }),
-        Err(_) => return,
-    };
+fn reader_loop(shared: &Shared, stream: TcpStream, conn: Arc<Conn>) {
     let mut r = BufReader::new(stream);
     loop {
         match wire::read_frame_chaos(&mut r, &shared.config.chaos, shared.config.chaos_stall) {
@@ -676,14 +711,7 @@ impl ServerHandle {
         // Responses are flushed; now close the connections and join the
         // readers (`stop` is a no-op once `threads` is empty).
         self.shared.cancel.cancel();
-        for conn in self.shared.conns.lock().expect("conns poisoned").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        let readers: Vec<_> =
-            self.shared.readers.lock().expect("readers poisoned").drain(..).collect();
-        for t in readers {
-            let _ = t.join();
-        }
+        self.shared.close_connections();
         self.shared.obs.report()
     }
 
@@ -701,14 +729,7 @@ impl ServerHandle {
         }
         // Accept loop is down; no new readers can appear. Close every
         // socket so blocked readers return, then join them.
-        for conn in self.shared.conns.lock().expect("conns poisoned").drain(..) {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        let readers: Vec<_> =
-            self.shared.readers.lock().expect("readers poisoned").drain(..).collect();
-        for t in readers {
-            let _ = t.join();
-        }
+        self.shared.close_connections();
     }
 }
 
@@ -766,12 +787,15 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, RrsError> {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(shared.config.read_timeout);
                 let _ = stream.set_write_timeout(shared.config.write_timeout);
-                if let Ok(clone) = stream.try_clone() {
-                    shared.conns.lock().expect("conns poisoned").push(clone);
-                }
-                let inner = Arc::clone(&shared);
-                let handle = std::thread::spawn(move || reader_loop(&inner, stream));
-                shared.readers.lock().expect("readers poisoned").push(handle);
+                let Ok(replies) = stream.try_clone() else { continue };
+                let conn = Arc::new(Conn {
+                    stream: replies,
+                    write: Mutex::new(()),
+                    slots: AtomicUsize::new(0),
+                });
+                let (inner, reader_conn) = (Arc::clone(&shared), Arc::clone(&conn));
+                let handle = std::thread::spawn(move || reader_loop(&inner, stream, reader_conn));
+                shared.track(&conn, handle);
             }
         }));
     }
