@@ -9,10 +9,11 @@
 //!   beats per-sample convolution and vice versa;
 //! * `parallel_scaling` (ablation): row-band workers;
 //! * `streaming` (claim C4): successive-computation throughput;
-//! * `noise` (cost side of eqn 36's lattice): a window filled in batches
-//!   with its cosines evaluated in angle order against pointwise
+//! * `noise` (cost side of eqn 36's lattice): `NoiseField`'s window fill
+//!   against the fill it replaced ([`ParentNoise`]: the old key, libm
+//!   `ln` and `cos`, cosines in angle order) and against pointwise
 //!   `NoiseField::at` over the same window, in paired reps whose order
-//!   alternates. The paired ratios are printed and written under
+//!   rotates. The paired ratios are printed and written under
 //!   `noise_paired`, not gated: they spread too widely for a threshold.
 //!
 //! Every convolution row runs on [`ConvBackend::Direct`] — the paper's
@@ -27,7 +28,7 @@
 //! the JSON report.
 
 use rrs_bench::harness::median_of_sorted;
-use rrs_bench::Harness;
+use rrs_bench::{Harness, ParentNoise};
 use rrs_grid::Window;
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
@@ -40,16 +41,30 @@ use std::time::Instant;
 
 const OUT: usize = 128;
 
-/// Nanoseconds to fill `buf` with the `w × h` noise window at the origin,
-/// batched through [`NoiseField::window_into`] or one [`NoiseField::at`]
-/// per sample.
-fn time_noise(noise: &NoiseField, w: usize, h: usize, pointwise: bool, buf: &mut Vec<f64>) -> f64 {
+/// The ways `bench_generation` fills a noise window.
+#[derive(Clone, Copy)]
+enum NoiseFill {
+    /// [`NoiseField::window_into`].
+    Window,
+    /// [`ParentNoise::window_into`], the fill it replaced.
+    Parent,
+    /// One [`NoiseField::at`] per sample.
+    Pointwise,
+}
+
+/// Nanoseconds to fill `buf` with the `w × h` noise window at the origin.
+fn time_noise(seed: u64, w: usize, h: usize, fill: NoiseFill, buf: &mut Vec<f64>) -> f64 {
+    let noise = NoiseField::new(seed);
     let t0 = Instant::now();
-    if pointwise {
-        buf.clear();
-        buf.extend((0..h as i64).flat_map(|iy| (0..w as i64).map(move |ix| noise.at(ix, iy))));
-    } else {
-        noise.window_into(0, 0, w, h, buf);
+    match fill {
+        NoiseFill::Window => noise.window_into(0, 0, w, h, buf),
+        NoiseFill::Parent => ParentNoise::new(seed).window_into(0, 0, w, h, buf),
+        NoiseFill::Pointwise => {
+            buf.clear();
+            buf.extend(
+                (0..h as i64).flat_map(|iy| (0..w as i64).map(move |ix| noise.at(ix, iy))),
+            );
+        }
     }
     black_box(&buf);
     t0.elapsed().as_nanos() as f64
@@ -189,38 +204,48 @@ fn main() {
 
     // The `strip` benchmark's fresh noise per strip is 512 × 511; 96 × 96
     // is a small served window's.
-    let noise = NoiseField::new(6);
     let mut buf = Vec::new();
     let mut paired = Vec::new();
+    let fills = [NoiseFill::Window, NoiseFill::Parent, NoiseFill::Pointwise];
     for (w, ht) in [(512usize, 511usize), (96, 96)] {
-        time_noise(&noise, w, ht, false, &mut buf);
-        time_noise(&noise, w, ht, true, &mut buf);
+        for fill in fills {
+            time_noise(6, w, ht, fill, &mut buf);
+        }
         let pairs = h.reps() as usize;
-        let (mut batched, mut pointwise, mut ratios) = (vec![], vec![], vec![]);
+        let mut times = [vec![], vec![], vec![]];
+        let (mut parent_ratio, mut pointwise_ratio) = (vec![], vec![]);
         for rep in 0..pairs {
-            // Alternate which fill goes first, so a first-half advantage
-            // averages out across pairs.
-            let first_pointwise = rep % 2 == 1;
-            let a = time_noise(&noise, w, ht, first_pointwise, &mut buf);
-            let b = time_noise(&noise, w, ht, !first_pointwise, &mut buf);
-            let (tw, tp) = if first_pointwise { (b, a) } else { (a, b) };
-            batched.push(tw);
-            pointwise.push(tp);
-            ratios.push(tp / tw);
+            // Rotate which fill goes first, so a first-place advantage
+            // averages out across reps.
+            let mut t = [0.0; 3];
+            for i in (0..3).map(|k| (k + rep) % 3) {
+                t[i] = time_noise(6, w, ht, fills[i], &mut buf);
+            }
+            for (series, &ns) in times.iter_mut().zip(&t) {
+                series.push(ns);
+            }
+            parent_ratio.push(t[1] / t[0]);
+            pointwise_ratio.push(t[2] / t[0]);
         }
         let elems = Some((w * ht) as u64);
-        h.record(&format!("noise/window/{w}x{ht}"), elems, batched);
+        let [window, parent, pointwise] = times;
+        h.record(&format!("noise/window/{w}x{ht}"), elems, window);
+        h.record(&format!("noise/parent/{w}x{ht}"), elems, parent);
         h.record(&format!("noise/pointwise/{w}x{ht}"), elems, pointwise);
-        ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-        let (median, lo, hi) = (median_of_sorted(&ratios), ratios[0], ratios[pairs - 1]);
-        println!(
-            "noise {w}x{ht}: pointwise / window median paired ratio {median:.2}x \
-             (ratios {lo:.2}..{hi:.2}, {pairs} pairs)"
-        );
-        paired.push(format!(
-            "{{\"window\": \"{w}x{ht}\", \"pairs\": {pairs}, \"median_ratio\": {median:.3}, \
-             \"min_ratio\": {lo:.3}, \"max_ratio\": {hi:.3}}}"
-        ));
+        let summary = |name: &str, ratios: &mut Vec<f64>| {
+            ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+            let (median, lo, hi) = (median_of_sorted(ratios), ratios[0], ratios[pairs - 1]);
+            println!(
+                "noise {w}x{ht}: {name} / window median paired ratio {median:.2}x \
+                 (ratios {lo:.2}..{hi:.2}, {pairs} reps)"
+            );
+            format!(
+                "\"{name}\": {{\"median_ratio\": {median:.3}, \"min_ratio\": {lo:.3}, \
+                 \"max_ratio\": {hi:.3}}}"
+            )
+        };
+        let (p, q) = (summary("parent", &mut parent_ratio), summary("pointwise", &mut pointwise_ratio));
+        paired.push(format!("{{\"window\": \"{w}x{ht}\", \"pairs\": {pairs}, {p}, {q}}}"));
     }
     h.attach_section("noise_paired", format!("[{}]", paired.join(", ")));
 

@@ -2,12 +2,14 @@
 //! tile cost?
 //!
 //! The resumable state of a sequential strip stream is 40 bytes —
-//! (seed, height, cursor) plus magic and checksum — so the expectation
-//! is that per-tile checkpointing is noise next to tile generation.
-//! This suite measures a strip-generation tile alone, the same tile plus
-//! an in-memory checkpoint encode, and the same tile plus a durable
-//! file-backed checkpoint (create + write + fsync), and reports the
-//! relative overhead. Target: < 2% per tile for the durable variant.
+//! (seed, height, cursor) plus magic and checksum. This suite measures a
+//! strip-generation tile alone, the same tile plus an in-memory
+//! checkpoint encode, and the same tile plus a durable file-backed
+//! checkpoint (create + write + fsync), and reports the relative
+//! overhead. It is not small: the fsync costs about a third of a
+//! millisecond, against about a millisecond for a 256×64 tile on the
+//! 2-vCPU bench host, so a durable checkpoint after every tile adds
+//! tens of percent (`BENCH_resume.json`).
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_resume`;
 //! writes `BENCH_resume.json`. Pass `--obs` to time strip generation and
@@ -122,5 +124,5 @@ fn main() {
     // The diff of two ~50 ms medians is dominated by run-to-run noise;
     // the directly timed checkpoint write is the robust overhead figure.
     let direct = median("file_checkpoint_only") / base * 100.0;
-    println!("checkpoint overhead [direct measure]: {direct:.3}% per tile (target < 2%)");
+    println!("checkpoint overhead [direct measure]: {direct:.3}% per tile");
 }

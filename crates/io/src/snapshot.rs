@@ -22,7 +22,7 @@
 //! rather than behind a third-party serialisation layer.
 
 use rrs_error::RrsError;
-use rrs_grid::{fnv1a, word_checksum, Grid2, WordChecksum};
+use rrs_grid::{fnv1a, fnv1a_extend, Grid2, WordChecksum};
 use rrs_obs::{stage, Recorder};
 use std::io::{Read, Write};
 
@@ -36,7 +36,8 @@ const MAGIC_V1: &[u8; 8] = b"RRSSNAP1";
 /// Byte length of the fixed header: magic + `nx` + `ny`.
 pub const HEADER_LEN: usize = 24;
 
-/// Bytes of samples encoded at a time by [`try_write_snapshot`].
+/// Bytes of samples encoded at a time by [`try_write_snapshot`] and
+/// decoded at a time by [`try_read_snapshot`].
 const CHUNK: usize = 8192;
 
 /// Serialises a grid to the snapshot format. Write failures surface as
@@ -97,44 +98,74 @@ pub(crate) fn read_u64_le(buf: &[u8], at: usize) -> u64 {
 /// checksum: corruption surfaces as [`RrsError::CorruptSnapshot`], read
 /// failures as [`RrsError::Io`].
 ///
-/// The declared shape is validated against the remaining payload with
-/// overflow-checked arithmetic *before* any data allocation, so a hostile
-/// header can neither trigger a huge allocation nor a slice panic.
+/// The declared shape is validated with overflow-checked arithmetic, and
+/// the samples are read, checksummed and decoded through a fixed 8 KiB
+/// chunk, so the grid is the only copy held and grows only with bytes
+/// actually read: a hostile header can neither trigger a huge allocation
+/// nor a slice panic.
 pub fn try_read_snapshot<R: Read>(mut r: R) -> Result<Grid2<f64>, RrsError> {
-    let mut raw = Vec::new();
-    r.read_to_end(&mut raw)?;
     let bad = |msg: &str| RrsError::corrupt_snapshot(msg);
-    if raw.len() < HEADER_LEN {
+    let mut header = [0u8; HEADER_LEN];
+    if read_up_to(&mut r, &mut header)? < HEADER_LEN {
         return Err(bad("snapshot too short"));
     }
-    let v1 = match &raw[..8] {
+    let v1 = match &header[..8] {
         m if m == MAGIC => false,
         m if m == MAGIC_V1 => true,
         _ => return Err(bad("bad magic")),
     };
-    let nx = read_u64_le(&raw, 8) as usize;
-    let ny = read_u64_le(&raw, 16) as usize;
-    // Both the element count and the byte length are overflow-checked, and
-    // checked against what was actually read before the data Vec exists.
+    let nx = read_u64_le(&header, 8) as usize;
+    let ny = read_u64_le(&header, 16) as usize;
     let n = nx.checked_mul(ny).ok_or_else(|| bad("shape overflow"))?;
-    let expect_len = n
-        .checked_mul(8)
-        .and_then(|b| b.checked_add(8))
-        .ok_or_else(|| bad("shape overflow"))?;
-    if raw.len() - HEADER_LEN != expect_len {
-        return Err(bad("snapshot length does not match shape"));
+    let data_len = n.checked_mul(8).ok_or_else(|| bad("shape overflow"))?;
+    let short = || bad("snapshot length does not match shape");
+    // v1 checksums the data bytes with FNV-1a; v2 the shape and the data
+    // bytes with the word checksum.
+    let mut fnv = fnv1a(&[]);
+    let mut crc = WordChecksum::new();
+    crc.update(&header[MAGIC.len()..]);
+    let mut data = Vec::new();
+    let mut chunk = [0u8; CHUNK];
+    let mut read = 0;
+    while read < data_len {
+        let bytes = &mut chunk[..(data_len - read).min(CHUNK)];
+        if read_up_to(&mut r, bytes)? < bytes.len() {
+            return Err(short());
+        }
+        read += bytes.len();
+        if v1 {
+            fnv = fnv1a_extend(fnv, bytes);
+        } else {
+            crc.update(bytes);
+        }
+        data.extend(
+            bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk"))),
+        );
     }
-    let data_end = HEADER_LEN + n * 8;
-    let data_bytes = &raw[HEADER_LEN..data_end];
-    let crc_expect = if v1 { fnv1a(data_bytes) } else { word_checksum(&raw[MAGIC.len()..data_end]) };
-    if read_u64_le(&raw, data_end) != crc_expect {
+    // The checksum, and nothing after it.
+    let mut trailer = [0u8; 9];
+    if read_up_to(&mut r, &mut trailer)? != 8 {
+        return Err(short());
+    }
+    if read_u64_le(&trailer, 0) != if v1 { fnv } else { crc.finish() } {
         return Err(bad("checksum mismatch"));
     }
-    let data: Vec<f64> = data_bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-        .collect();
     Grid2::try_from_vec(nx, ny, data)
+}
+
+/// Reads into `buf` until it is full or the reader ends, and returns how
+/// many bytes were read.
+fn read_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<usize, RrsError> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(k) => got += k,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(got)
 }
 
 #[cfg(test)]
@@ -251,6 +282,20 @@ mod tests {
         transpose(&mut buf);
         let err = try_read_snapshot(buf.as_slice()).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    #[test]
+    fn snapshots_over_many_chunks_read_back_and_reject_trailing_bytes() {
+        // 3000 samples: two whole 8 KiB chunks and a partial one.
+        let g = Grid2::from_fn(60, 50, |x, y| (x as f64 * 0.37).cos() - y as f64 / 7.0);
+        let mut v2 = Vec::new();
+        try_write_snapshot(&mut v2, &g).unwrap();
+        for mut buf in [v2, v1_bytes(&g)] {
+            assert_eq!(try_read_snapshot(buf.as_slice()).unwrap(), g);
+            buf.push(0);
+            let err = try_read_snapshot(buf.as_slice()).unwrap_err();
+            assert!(err.to_string().contains("length does not match"), "{err}");
+        }
     }
 
     #[test]

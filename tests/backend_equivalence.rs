@@ -81,11 +81,12 @@ fn seed_windows(backend: ConvBackend) -> [Grid2<f64>; 3] {
 
 #[test]
 fn direct_backend_is_bit_identical_to_seed() {
-    // Hashes captured from the pre-backend build (commit d2106fd).
+    // Hashes captured from the pre-backend build (commit d2106fd), and
+    // re-recorded once when the noise lattice's key and deviate changed.
     let [g1, g2, g3] = seed_windows(ConvBackend::Direct);
-    assert_eq!(hash_grid(&g1), 0xd4354263c73d2f76, "full kernel, serial");
-    assert_eq!(hash_grid(&g2), 0x05f15a8657760fab, "truncated aniso kernel, workers=3");
-    assert_eq!(hash_grid(&g3), 0x3128fd4cedb5fa8d, "exponential, offset window");
+    assert_eq!(hash_grid(&g1), 0xe6b5694f1839323c, "full kernel, serial");
+    assert_eq!(hash_grid(&g2), 0x43321e6a82336191, "truncated aniso kernel, workers=3");
+    assert_eq!(hash_grid(&g3), 0x31a26c6c7974fbe1, "exponential, offset window");
 }
 
 #[test]
@@ -105,8 +106,8 @@ fn strip_stream_is_bit_identical_to_seed() {
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 5.0));
     let mut sg = StripGenerator::new(&s, KernelSizing::default(), 24, 7)
         .with_context(GenContext::new().with_backend(ConvBackend::Direct));
-    assert_eq!(hash_grid(&sg.next_strip(16)), 0x0e02845b448152b8, "strip 0");
-    assert_eq!(hash_grid(&sg.next_strip(16)), 0x0eb0089b6b1be169, "strip 1");
+    assert_eq!(hash_grid(&sg.next_strip(16)), 0x1bd6fdcd774745b2, "strip 0");
+    assert_eq!(hash_grid(&sg.next_strip(16)), 0x008dc842e96d57f6, "strip 1");
 }
 
 #[test]
@@ -418,20 +419,21 @@ fn parallel_real_fft_strips_tile_seamlessly() {
 // The real-input engine's tiles run the batched split-complex transforms,
 // which must give every element exactly the arithmetic of the scalar
 // radix-2 `FftPlan::process` they replaced. These FNV-1a hashes were
-// recorded from the scalar engine; they are never regenerated.
+// recorded from the scalar engine and re-recorded once, on that engine's
+// arithmetic, when the noise lattice's key and deviate changed.
 
 /// The four paper figures at scale 1/8 on the default backend (`Auto`,
 /// the kernel-major blend on the real-input engine).
 const FIGURE_HASHES: [u64; 4] =
-    [0x695b84bb54215979, 0xb7eb56a4283b5494, 0x2bc99fd2345ffb50, 0xbec18796d41d1cc7];
+    [0x8a44605d55a5aa27, 0x49dcb605f535623f, 0x2cb93ac17e6e1081, 0xfbbb2eeef2d88b20];
 
 /// Three consecutive 512×256 strips of the `strip` benchmark's stream.
-const STRIP_HASHES: [u64; 3] = [0xfd80399d73fba23e, 0x9e9c8bfb0042c444, 0x02430c6a04ee45e4];
+const STRIP_HASHES: [u64; 3] = [0xeba7e31f853cd371, 0x8f14f41cddf8d228, 0x97b8ff447e78c1eb];
 
 /// `FftOverlapSave` windows at the serving benchmark's sizing: Gaussian,
 /// power-law and exponential keys, then a width-1 `crop(0, 3)` kernel.
 const SERVE_HASHES: [u64; 4] =
-    [0x5faabe09740fe925, 0xc1ceae6fdb022fb8, 0x28d19aeedbce07c1, 0xd4d910892938e6c5];
+    [0x95fc81a2cb44ad9a, 0xed432239c5e6fc89, 0x0cf25c3a895b6b1c, 0x9fd186157643b10f];
 
 #[test]
 fn paper_figures_keep_their_fft_path_hashes_at_every_worker_count() {
@@ -1216,21 +1218,22 @@ rrs_check::props! {
 // only where a sample is blended. Both change what the blend reads, not
 // what it computes. These FNV-1a hashes were recorded from the per-kernel
 // noise windows and per-sample lookups they replaced (the lattice-end
-// ones from a release build, which wrapped where a test build panicked);
-// they are never regenerated.
+// ones from a release build, which wrapped where a test build panicked),
+// and re-recorded once, on that code, when the noise lattice's key and
+// deviate changed.
 
 /// A sub-crossover kernel inside the blend (its field comes from direct
 /// dot products reading the pitched view) across a straddling window.
-const DIRECT_IN_BLEND_HASH: u64 = 0x7bec9b07076be0c9;
+const DIRECT_IN_BLEND_HASH: u64 = 0x7e66c8529df692c7;
 /// 272 representative points, two rows of which (indices 238..272) fall
 /// inside the window.
-const MANY_POINTS_HASH: u64 = 0x89f2b195a34c2e57;
+const MANY_POINTS_HASH: u64 = 0xa30a81b481bc1c7b;
 /// `pond_in_field` over `POND_WINDOW` with seed 4242, at 1 and 3 workers.
-const POND_HASH: u64 = 0x7395e0fc5f0889d7;
+const POND_HASH: u64 = 0xbfee69ab545b5251;
 /// `lattice_end_generator` at `(i64::MIN, 0)` then `(0, i64::MIN)`, each
 /// on `Direct` and then `Auto`.
 const LATTICE_END_HASHES: [u64; 4] =
-    [0x87f72bfaed6e2c14, 0xd066251fd7a48007, 0xf883a83e6bf9c482, 0xbbae00ede2205b58];
+    [0x3fae056ce5e4d83b, 0xb8b135ae8b78a480, 0xef84f2aa72108624, 0x3678a17a733c79f2];
 
 #[test]
 fn direct_kernels_inside_the_blend_keep_their_hash() {

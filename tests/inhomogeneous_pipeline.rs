@@ -158,11 +158,12 @@ fn inhomogeneous_regions_remain_gaussian() {
         .with_context(GenContext::new().with_workers(2));
     // Generate a wide surface and pool decorrelated samples: the JB and
     // KS tests assume i.i.d. input, so subsample at ≥ 2·cl stride and
-    // pool several seeds.
+    // pool 32 seeds: 7680 samples put the skewness's standard error near
+    // 0.03, so a skewed lattice (the old key's +0.15) fails JB.
     for (x0, w, target_h, cl) in [(0usize, 80usize, 0.5f64, 4.0f64), (112, 80, 2.0, 6.0)] {
         let stride = (2.0 * cl).ceil() as usize;
         let mut samples = Vec::new();
-        for seed in 0..8u64 {
+        for seed in 0..32u64 {
             let f = gen.generate(&NoiseField::new(seed), Window::sized(192, 192));
             let win = f.window(x0, 0, w, 192);
             for iy in (0..192).step_by(stride) {

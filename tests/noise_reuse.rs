@@ -201,13 +201,14 @@ fn two_threads_sharing_one_generator_stay_correct() {
     }
 }
 
-/// Hashes of the strips at the two ends of the lattice, recorded from a
-/// release build (which wraps coordinates) before the noise window
-/// wrapped in every build: `[Direct, FftOverlapSave] × [i64::MIN,
-/// i64::MAX − 8]`.
+/// Hashes of the strips at the two ends of the lattice, `[Direct,
+/// FftOverlapSave] × [i64::MIN, i64::MAX − 8]`: first recorded from a
+/// release build (which wrapped coordinates) before the noise window
+/// wrapped in every build, and re-recorded once when the lattice's key
+/// and deviate changed.
 const LATTICE_END_HASHES: [[u64; 2]; 2] = [
-    [0xf92152b3ab9b8cb8, 0x0b6734ed3f765e39],
-    [0x8d9c13fbf81c934c, 0x07c2e004a8799870],
+    [0xc575aa3437516bef, 0xa7b7f105fba40d83],
+    [0x4ad7c2c3200de4a8, 0x1d36e40080e6de5c],
 ];
 
 #[test]
@@ -238,9 +239,10 @@ fn strips_at_the_ends_of_the_lattice_wrap_like_release_builds() {
 }
 
 /// A `Direct` window 1500 samples wide under a 33-wide kernel: each of
-/// its 1532-sample noise rows spans more than one fill batch and ends
-/// mid-batch. Recorded before the batched fill; never regenerated.
-const WIDE_DIRECT_HASH: u64 = 0xa702_9b0b_2fa5_18bd;
+/// its 1532-sample noise rows spans many fill blocks and ends mid-block.
+/// Re-recorded once when the lattice's key and deviate changed; no
+/// change to the fill may move it.
+const WIDE_DIRECT_HASH: u64 = 0xe4f4_e5ff_7039_f686;
 
 #[test]
 fn direct_windows_wider_than_a_noise_batch_keep_their_hash() {
@@ -259,10 +261,11 @@ fn direct_windows_wider_than_a_noise_batch_keep_their_hash() {
 
 /// Three consecutive 1200-wide strips on `FftOverlapSave` under a 17×17
 /// kernel: after the first, each strip's 1200 fresh noise columns start
-/// mid-row, after the 16 it shares, and cross a fill batch boundary.
-/// Recorded before the batched fill; never regenerated.
+/// mid-row, after the 16 it shares, off the fill's 8-sample blocks.
+/// Re-recorded once when the lattice's key and deviate changed; no
+/// change to the fill may move them.
 const WIDE_STRIP_HASHES: [u64; 3] =
-    [0x23fc_908f_7ae4_66de, 0x6590_e73d_801c_5531, 0x4cab_e138_b440_79fb];
+    [0x0c95_17bb_278b_1ea7, 0x46b6_4627_6ad8_21e9, 0x8cfc_51d5_7ccf_c9bf];
 
 #[test]
 fn wide_fft_strips_keep_their_hashes() {
