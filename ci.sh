@@ -116,12 +116,18 @@ echo "== convolution backend gate: FFT must beat direct where Auto says so =="
 # the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
 
-echo "== FFT lanes gate: batched 2-D passes must beat the scalar ones they replaced =="
+echo "== FFT lanes and tile gates: batched passes and tiles must beat what they replaced =="
 # Exits 1 if Fft2d's lane passes and the scalar row/column composition of
 # Fft::process written in the bench differ in any bit on a 160^2
 # Bluestein lattice (a kernel build's DFT), or if the lane transform is
-# not >= 1.3x the scalar one (median of 15 paired reps). Over 14 runs on
-# the 2-vCPU bench host the median read 1.64-2.38 — see bench_fft.
+# not >= 1.3x the scalar one (median of 15 paired reps; over 14 runs on
+# the 2-vCPU bench host the median read 1.64-2.38). Also exits 1 if the
+# library's overlap-save tile differs in any bit from
+# rrs_bench::ReferenceTile (the tile before column-block spectra) at any
+# of the seven workload tile shapes 32^2..512^2, or if the 512^2 tile's
+# median of 31 paired reference/library ratios is under 1.25: over 12
+# calibration runs it read 1.336, 1.382, 1.314, 1.337, 1.516, 1.506,
+# 1.438, 1.314, 1.543, 1.266, 1.302, 1.276 — see bench_fft.
 cargo run --release --locked --offline -p rrs-bench --bin bench_fft
 
 echo "== figures gate: the default backend must beat Direct on the paper's figures =="

@@ -12,7 +12,7 @@
 //!
 //! It also times one 512² overlap-save tile — the `cl32` shape's single
 //! tile — two ways, in paired reps ([`tile_gate`]): `tile/512/real` is
-//! [`RealFft2d::convolve_in_place`], the engine's tile; `tile/512/complex`
+//! [`RealFft2d::convolve`], the engine's tile; `tile/512/complex`
 //! is the full-complex tile the engine replaced: a scalar complex forward
 //! transform ([`ScalarFft2d`], one row or column at a time through the
 //! public `Fft::process`), a pointwise multiply by the kernel spectrum,
@@ -43,9 +43,8 @@
 
 use rrs_bench::harness::median_of_sorted;
 use rrs_bench::{Harness, ScalarFft2d};
-use rrs_fft::{Direction, RealFft2d, LANES};
+use rrs_fft::{Direction, RealFft2d, RealTile};
 use rrs_grid::Window;
-use rrs_num::complex::{as_f64s, as_f64s_mut};
 use rrs_num::Complex64;
 use rrs_spectrum::{Gaussian, SurfaceParams};
 use rrs_surface::{
@@ -102,33 +101,26 @@ fn tile_gate(kernel: &ConvolutionKernel, noise: &NoiseField) -> (Vec<f64>, Vec<f
         black_box(tile[0]);
     };
 
-    // The real-input tile: packed spectra, rows `pitch` f64s apart, and
-    // only the valid output rows inverted.
+    // The real-input tile: read straight from the segment, a column-block
+    // kernel spectrum, and only the valid output rows inverted.
     let rfft = RealFft2d::new(TILE, TILE);
-    let pitch = 2 * rfft.packed_width();
-    let mut kspec_r = vec![Complex64::ZERO; rfft.packed_len()];
-    for b in 0..kh {
-        as_f64s_mut(&mut kspec_r)[b * pitch..b * pitch + kw].copy_from_slice(weights.row(b));
-    }
-    rfft.forward_in_place(&mut kspec_r, &mut Vec::new());
-    let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
-    let mut lanes = vec![[0.0; LANES]; rfft.scratch_len()];
+    let kspec_r = rfft.forward(RealTile { data: weights.as_slice(), pitch: kw, width: kw, height: kh });
+    let mut work = rfft.workspace();
     let valid = kh - 1..TILE;
-    let real_tile = |spec: &mut [Complex64], lanes: &mut Vec<_>| {
-        let rows = as_f64s_mut(spec);
-        for (r, src) in seg.chunks(TILE).enumerate() {
-            rows[r * pitch..r * pitch + TILE].copy_from_slice(src);
-        }
-        rfft.convolve_in_place(spec, &kspec_r, valid.clone(), lanes);
-        black_box(spec[0]);
+    let mut out = vec![0.0; TILE * TILE];
+    let real_tile = |work: &mut _, out: &mut [f64]| {
+        let input = RealTile { data: &seg, pitch: TILE, width: TILE, height: TILE };
+        let mut emit = |y: usize, row: &[f64]| out[y * TILE..][..TILE].copy_from_slice(row);
+        rfft.convolve(input, &kspec_r, valid.clone(), work, &mut emit);
+        black_box(out[0]);
     };
 
     complex_tile(&mut tile_c);
-    real_tile(&mut spec, &mut lanes);
+    real_tile(&mut work, &mut out);
     let scale = seg.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     for y in valid.clone() {
         for x in kw - 1..TILE {
-            let (c, r) = (tile_c[y * TILE + x].re, as_f64s(&spec)[y * pitch + x]);
+            let (c, r) = (tile_c[y * TILE + x].re, out[y * TILE + x]);
             assert!((c - r).abs() <= 1e-9 * scale, "tiles disagree at ({x}, {y}): {c} vs {r}");
         }
     }
@@ -141,7 +133,7 @@ fn tile_gate(kernel: &ConvolutionKernel, noise: &NoiseField) -> (Vec<f64>, Vec<f
     };
     for rep in 0..TILE_PAIRS {
         let mut complex_rep = || complex_tile(&mut tile_c);
-        let mut real_rep = || real_tile(&mut spec, &mut lanes);
+        let mut real_rep = || real_tile(&mut work, &mut out);
         let (c, r) = if rep % 2 == 0 {
             let c = time(&mut complex_rep);
             (c, time(&mut real_rep))

@@ -1,27 +1,39 @@
 //! FFT substrate benchmarks: radix-2 vs Bluestein, 1-D vs 2-D, serial vs
 //! parallel — the costs underneath the direct DFT method — whole
 //! overlap-save tiles on the batched real-input engine
-//! (`rfft_tile/{64,256,512}`: forward rows, fused column blocks with the
-//! kernel multiply, inverse rows for the valid half of the tile), and
-//! kernel builds (`kernel_build/{80,120,160,200}`: amplitudes, the 2-D DFT
-//! on the Auto-sized, Bluestein-length lattice, re-centring and the
-//! figures' 1% truncation search).
+//! (`rfft_tile/{64,256,512}`: a tile read from a noise window, forward
+//! rows, column blocks with the kernel multiply, inverse rows for the
+//! valid half of the tile), and kernel builds
+//! (`kernel_build/{80,120,160,200}`: amplitudes, the 2-D DFT on the
+//! Auto-sized, Bluestein-length lattice, re-centring and the figures' 1%
+//! truncation search).
 //!
 //! It also times a 160² forward transform two ways, in paired reps
 //! ([`lanes_gate`]): `fft_2d/lanes/160` is [`Fft2d`], whose passes run
 //! [`rrs_fft::LANES`] rows or columns at a time; `fft_2d/scalar/160` is
 //! [`ScalarFft2d`], the scalar row/column transform they replaced.
 //!
-//! **Fails** (exit code 1) if the two disagree in any bit, or if the
-//! median paired `scalar / lanes` ratio is below [`MIN_LANES_SPEEDUP`].
+//! And it times whole overlap-save tiles at every shape the workloads run
+//! two ways, in paired reps ([`tile_gate`]): `tile/{nx}x{ny}/library` is
+//! [`RealFft2d::convolve`] on column-block spectra, reading the tile
+//! straight from the window; `tile/{nx}x{ny}/reference` is
+//! [`ReferenceTile`], the tile it replaced (a copy into packed rows,
+//! row-at-a-time gathers, a packed row-major kernel spectrum, every lane
+//! transformed).
+//!
+//! **Fails** (exit code 1) if the lane and scalar transforms disagree in
+//! any bit, if the median paired `scalar / lanes` ratio is below
+//! [`MIN_LANES_SPEEDUP`], if a library tile differs from its reference in
+//! any bit, or if the 512² tile's median paired `reference / library`
+//! ratio is below [`MIN_TILE_SPEEDUP`].
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_fft`; writes
-//! `BENCH_fft.json` with a `lanes` section holding the paired ratios.
+//! `BENCH_fft.json` with a `lanes` section holding the paired ratios and
+//! a `tiles` section holding every shape's.
 
 use rrs_bench::harness::median_of_sorted;
-use rrs_bench::{Harness, ScalarFft2d};
-use rrs_fft::{Direction, Fft, Fft2d, RealFft2d};
-use rrs_num::complex::as_f64s_mut;
+use rrs_bench::{Harness, ReferenceTile, ScalarFft2d};
+use rrs_fft::{Direction, Fft, Fft2d, RealFft2d, RealTile};
 use rrs_num::Complex64;
 use rrs_rng::{RandomSource, Xoshiro256pp};
 use rrs_spectrum::{Gaussian, SurfaceParams};
@@ -42,23 +54,108 @@ const GATE_BLOCK: usize = 4;
 /// so falling back to scalar passes (1.0) fails it and host noise does
 /// not.
 const MIN_LANES_SPEEDUP: f64 = 1.3;
+/// The overlap-save tile shapes the workloads run: `serve`'s 32²–256²,
+/// `figures`' box tiles (64²–256², 128×256 and 256×128) and `strip`'s
+/// 512².
+const TILE_SHAPES: [(usize, usize); 7] =
+    [(32, 32), (64, 64), (128, 128), (256, 128), (128, 256), (256, 256), (512, 512)];
+/// Paired reps per tile shape.
+const TILE_PAIRS: usize = 31;
+/// Tile samples timed per rep: each rep runs `TILE_REP_SAMPLES / (nx·ny)`
+/// tiles (at least one), a few milliseconds at every shape.
+const TILE_REP_SAMPLES: usize = 1 << 19;
+/// Gate on the 512² tile's median paired `reference / library` ratio.
+/// Over 12 runs of this suite on the 2-vCPU bench host the median read
+/// 1.266–1.543 (1.336, 1.382, 1.314, 1.337, 1.516, 1.506, 1.438, 1.314,
+/// 1.543, 1.266, 1.302, 1.276; per-pair ratios 1.0–1.9). 1.25 sits just
+/// under the lowest: falling back to the reference tile (1.0) fails it.
+/// The ratio falls when co-tenants load the memory system, since the
+/// gain is bytes not moved, so a heavily loaded host can read below it.
+const MIN_TILE_SPEEDUP: f64 = 1.25;
 
 fn random_signal(n: usize, seed: u64) -> Vec<Complex64> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
     (0..n).map(|_| Complex64::new(rng.next_f64() - 0.5, rng.next_f64() - 0.5)).collect()
 }
 
-/// A random real `n × n` tile laid into `rfft`'s packed rows, the layout
-/// its in-place transforms read.
-fn random_tile(rfft: &RealFft2d, n: usize, seed: u64) -> Vec<Complex64> {
+fn random_real(n: usize, seed: u64) -> Vec<f64> {
     let mut rng = Xoshiro256pp::seed_from_u64(seed);
-    let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
-    for row in spec.chunks_exact_mut(rfft.packed_width()) {
-        for x in &mut as_f64s_mut(row)[..n] {
-            *x = rng.next_f64() - 0.5;
-        }
+    (0..n).map(|_| rng.next_f64() - 0.5).collect()
+}
+
+/// One shape's tile gate: the sorted per-pair `reference / library`
+/// ratios and the per-tile times of each.
+struct TileTimes {
+    ratios: Vec<f64>,
+    library: Vec<f64>,
+    reference: Vec<f64>,
+}
+
+/// Times the library tile against [`ReferenceTile`] on an `nx × ny` tile
+/// in [`TILE_PAIRS`] paired reps, order alternating, after checking both
+/// give the same bits. The kernel is `nx/2 × ny/2`, so the valid rows
+/// `ny/2 − 1 .. ny` end in a partial lane block, and the tile is read
+/// from a window wider than it. Returns `None` if the outputs differ.
+fn tile_gate(nx: usize, ny: usize) -> Option<TileTimes> {
+    let (kw, kh) = (nx / 2, ny / 2);
+    let weights = random_real(kw * kh, 21);
+    let pitch = nx + nx / 2;
+    let win = random_real(pitch * ny, 22);
+    let rows = kh - 1..ny;
+    let tiles = (TILE_REP_SAMPLES / (nx * ny)).max(1);
+    let mut out = vec![0.0; rows.len() * nx];
+    // One tile through `run`, its valid rows stored into `out`.
+    type Run<'a> = &'a mut dyn FnMut(&mut dyn FnMut(usize, &[f64]));
+    let tile_into = |out: &mut [f64], run: Run| {
+        run(&mut |y, row| out[(y - (kh - 1)) * nx..][..nx].copy_from_slice(row))
+    };
+
+    let library = RealFft2d::new(nx, ny);
+    let klib = library.forward(RealTile { data: &weights, pitch: kw, width: kw, height: kh });
+    let mut work = library.workspace();
+    let input = RealTile { data: &win, pitch, width: nx, height: ny };
+    let mut run_library = |emit: &mut dyn FnMut(usize, &[f64])| {
+        library.convolve(input, &klib, rows.clone(), &mut work, emit)
+    };
+
+    let reference = ReferenceTile::new(nx, ny);
+    let kref = reference.kernel_spectrum(&weights, kw, kh);
+    let mut arena = reference.arena();
+    let mut run_reference = |emit: &mut dyn FnMut(usize, &[f64])| {
+        reference.convolve(&win, pitch, nx, ny, &kref, rows.clone(), &mut arena, emit)
+    };
+
+    tile_into(&mut out, &mut run_reference);
+    let want: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
+    out.fill(f64::NAN);
+    tile_into(&mut out, &mut run_library);
+    if out.iter().map(|v| v.to_bits()).ne(want.iter().copied()) {
+        return None;
     }
-    spec
+
+    let mut time = |run: Run| {
+        let t0 = Instant::now();
+        for _ in 0..tiles {
+            tile_into(&mut out, &mut *run);
+        }
+        black_box(out[0]);
+        t0.elapsed().as_nanos() as f64 / tiles as f64
+    };
+    let (mut ratios, mut lib, mut refr) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..TILE_PAIRS {
+        let (l, r) = if rep % 2 == 0 {
+            let l = time(&mut run_library);
+            (l, time(&mut run_reference))
+        } else {
+            let r = time(&mut run_reference);
+            (time(&mut run_library), r)
+        };
+        lib.push(l);
+        refr.push(r);
+        ratios.push(r / l);
+    }
+    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    Some(TileTimes { ratios, library: lib, reference: refr })
 }
 
 /// Times [`GATE_BLOCK`] forward transforms of a real `GATE_SIDE²` field
@@ -142,16 +239,17 @@ fn main() {
     }
     for &n in &[64usize, 256, 512] {
         let rfft = RealFft2d::new(n, n);
-        let tile = random_tile(&rfft, n, 11);
-        let mut kspec = random_tile(&rfft, n, 12);
-        let mut scratch = Vec::new();
-        rfft.forward_in_place(&mut kspec, &mut scratch);
-        let mut spec = tile.clone();
+        let tile = random_real(n * n, 11);
+        let kernel = random_real(n * n, 12);
+        let kspec = rfft.forward(RealTile { data: &kernel, pitch: n, width: n, height: n });
+        let mut work = rfft.workspace();
+        let input = RealTile { data: &tile, pitch: n, width: n, height: n };
+        let mut sum = 0.0;
         // A kernel of side n/2 + 1 leaves the upper n/2 rows valid.
         h.bench_elems(&format!("rfft_tile/{n}"), (n * n) as u64, || {
-            spec.copy_from_slice(&tile);
-            rfft.convolve_in_place(black_box(&mut spec), &kspec, n / 2..n, &mut scratch);
-            spec[n / 2 * rfft.packed_width()]
+            let mut emit = |_: usize, row: &[f64]| sum += row[0];
+            rfft.convolve(black_box(input), &kspec, n / 2..n, &mut work, &mut emit);
+            sum
         });
     }
     for &n in &[80usize, 120, 160, 200] {
@@ -180,13 +278,53 @@ fn main() {
              \"gate_min_speedup\": {MIN_LANES_SPEEDUP}}}"
         ),
     );
-    h.finish().expect("write BENCH_fft.json");
-    if speedup < MIN_LANES_SPEEDUP {
+    let mut failed = speedup < MIN_LANES_SPEEDUP;
+    if failed {
         eprintln!(
             "FAIL: the lane 2-D FFT is only {speedup:.2}x the scalar one on {GATE_SIDE}² \
              (gate: >= {MIN_LANES_SPEEDUP}x)"
         );
+    }
+
+    let mut entries = Vec::new();
+    for (nx, ny) in TILE_SHAPES {
+        let Some(t) = tile_gate(nx, ny) else {
+            eprintln!("FAIL: the {nx}x{ny} library tile differs from the reference tile in bits");
+            failed = true;
+            continue;
+        };
+        let elems = Some((nx * ny) as u64);
+        h.record(&format!("tile/{nx}x{ny}/library"), elems, t.library);
+        h.record(&format!("tile/{nx}x{ny}/reference"), elems, t.reference);
+        let median = median_of_sorted(&t.ratios);
+        let (lo, hi) = (t.ratios[0], t.ratios[t.ratios.len() - 1]);
+        println!(
+            "tile/{nx}x{ny}: reference/library median of {TILE_PAIRS} paired ratios = \
+             {median:.3}x [{lo:.2}, {hi:.2}]"
+        );
+        entries.push(format!(
+            "{{\"shape\": [{nx}, {ny}], \"median_reference_over_library\": {median:.3}, \
+             \"min_ratio\": {lo:.3}, \"max_ratio\": {hi:.3}}}"
+        ));
+        if (nx, ny) == (512, 512) && median < MIN_TILE_SPEEDUP {
+            eprintln!(
+                "FAIL: the 512² library tile is only {median:.2}x the reference tile \
+                 (gate: >= {MIN_TILE_SPEEDUP}x)"
+            );
+            failed = true;
+        }
+    }
+    h.attach_section(
+        "tiles",
+        format!(
+            "{{\"pairs\": {TILE_PAIRS}, \"gate_min_speedup_512\": {MIN_TILE_SPEEDUP}, \
+             \"shapes\": [{}]}}",
+            entries.join(", ")
+        ),
+    );
+    h.finish().expect("write BENCH_fft.json");
+    if failed {
         std::process::exit(1);
     }
-    println!("fft lanes gate passed");
+    println!("fft lanes and tile gates passed");
 }

@@ -2,9 +2,12 @@
 //!
 //! The 2-D DFT separates into 1-D transforms along each axis. Both passes
 //! run [`LANES`] rows (or columns) at a time through the 1-D engine's lane
-//! entry (`Fft::process_lanes`): each block is gathered into
-//! split-complex lane planes, transformed together and stored back. A pass splits its sequences into bands of whole lane blocks, one
-//! per worker; a single band runs on the calling thread. Rows are
+//! entry (`Fft::process_lanes`): each block is gathered position-major
+//! into split-complex lane planes (element `i` of every sequence fills one
+//! lane row), transformed together and stored back the same way, through
+//! the gather and store the real-input tiles use. A pass splits its
+//! sequences into bands of whole lane blocks, one per worker; a single
+//! band runs on the calling thread. Rows are
 //! contiguous, so a band of rows is one slice; a band of columns owns
 //! its columns' piece of every row.
 //!
@@ -13,6 +16,7 @@
 //! `·n` to undo its `1/n`, and one `1/(nx·ny)` at the end — so the result
 //! is bit-identical to them, in both directions, at every worker count.
 
+use crate::plan::{gather_lanes, store_lanes};
 use crate::{Direction, Fft, Lane, LANES};
 use rrs_num::Complex64;
 use std::sync::Arc;
@@ -87,17 +91,10 @@ impl Fft2d {
         fan_out(bands, |band: &mut [Complex64]| {
             let mut planes = LanePlanes::new(fft, dir, lanes);
             for block in band.chunks_mut(LANES * nx) {
-                for (c, row) in block.chunks_exact(nx).enumerate() {
-                    for (i, &z) in row.iter().enumerate() {
-                        planes.load(i, c, z);
-                    }
-                }
+                let count = block.len() / nx;
+                planes.gather(count, |c, i| block[c * nx + i]);
                 planes.transform();
-                for (c, row) in block.chunks_exact_mut(nx).enumerate() {
-                    for (i, z) in row.iter_mut().enumerate() {
-                        *z = planes.store(i, c);
-                    }
-                }
+                planes.store(count, |c, i, z| block[c * nx + i] = z);
             }
         });
     }
@@ -117,18 +114,10 @@ impl Fft2d {
             let mut planes = LanePlanes::new(fft, dir, lanes);
             let width = rows[0].len();
             for c0 in (0..width).step_by(LANES) {
-                let c1 = (c0 + LANES).min(width);
-                for (iy, row) in rows.iter().enumerate() {
-                    for (c, &z) in row[c0..c1].iter().enumerate() {
-                        planes.load(iy, c, z);
-                    }
-                }
+                let count = (width - c0).min(LANES);
+                planes.gather(count, |c, iy| rows[iy][c0 + c]);
                 planes.transform();
-                for (iy, row) in rows.iter_mut().enumerate() {
-                    for (c, z) in row[c0..c1].iter_mut().enumerate() {
-                        *z = planes.store(iy, c);
-                    }
-                }
+                planes.store(count, |c, iy, z| rows[iy][c0 + c] = z);
             }
         });
     }
@@ -167,12 +156,13 @@ impl<'a> LanePlanes<'a> {
         Self { fft, dir, lanes, planes, scratch: Vec::new() }
     }
 
-    /// Element `i` of lane `c`, placed where the engine reads it.
+    /// Loads element `i` of `count` sequences, `get(c, i)` for lane `c`,
+    /// where the engine reads it.
     #[inline(always)]
-    fn load(&mut self, i: usize, c: usize, z: Complex64) {
-        let (n, s) = (self.fft.len(), self.fft.lane_slot(i));
-        self.planes[s][c] = z.re;
-        self.planes[n + 1 + s][c] = z.im;
+    fn gather(&mut self, count: usize, get: impl Fn(usize, usize) -> Complex64) {
+        let (n, fft) = (self.fft.len(), self.fft);
+        let (re, im) = self.planes.split_at_mut(n + 1);
+        gather_lanes(count, n, |i| fft.lane_slot(i), get, &mut re[..n], &mut im[..n]);
     }
 
     fn transform(&mut self) {
@@ -181,17 +171,17 @@ impl<'a> LanePlanes<'a> {
         (self.lanes)(self.fft, &mut re[..n], &mut im[..n], self.dir, &mut self.scratch);
     }
 
-    /// Element `i` of lane `c`'s transform, un-normalised: the inverse's
-    /// `1/n` is undone with `·n`, as the scalar passes did.
+    /// Hands element `i` of the first `count` lanes' transforms to
+    /// `put(c, i, z)`, un-normalised: the inverse's `1/n` is undone with
+    /// `·n`, as the scalar passes did.
     #[inline(always)]
-    fn store(&self, i: usize, c: usize) -> Complex64 {
+    fn store(&self, count: usize, mut put: impl FnMut(usize, usize, Complex64)) {
         let n = self.fft.len();
-        let z = Complex64::new(self.planes[i][c], self.planes[n + 1 + i][c]);
-        if self.dir == Direction::Inverse {
-            z.scale(n as f64)
-        } else {
-            z
-        }
+        let (re, im) = self.planes.split_at(n + 1);
+        let undo = self.dir == Direction::Inverse;
+        store_lanes(count, n, &re[..n], &im[..n], |c, i, z| {
+            put(c, i, if undo { z.scale(n as f64) } else { z })
+        });
     }
 }
 

@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 pub use fft2d::Fft2d;
 pub use plan::{FftPlan, Lane, LANES};
-pub use rfft::RealFft2d;
+pub use rfft::{RealFft2d, RealTile, Spectrum, TileWorkspace};
 
 /// Transform direction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -655,14 +655,9 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(27);
         let x: Vec<f64> = (0..8 * 4).map(|_| rng.next_f64() - 0.5).collect();
         let spectrum = |rfft: &RealFft2d| {
-            let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
-            let pitch = 2 * rfft.packed_width();
-            let rows = rrs_num::complex::as_f64s_mut(&mut spec);
-            for (r, row) in x.chunks(8).enumerate() {
-                rows[r * pitch..r * pitch + 8].copy_from_slice(row);
-            }
-            rfft.forward_in_place(&mut spec, &mut Vec::new());
-            spec
+            let spec = rfft.forward(RealTile { data: &x, pitch: 8, width: 8, height: 4 });
+            let bins = (0..4).flat_map(|ky| (0..5).map(move |kx| (kx, ky)));
+            bins.map(|(kx, ky)| spec.bin(kx, ky)).collect::<Vec<_>>()
         };
         assert_eq!(spectrum(&a), spectrum(&RealFft2d::new(8, 4)));
     }

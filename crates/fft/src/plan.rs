@@ -22,18 +22,138 @@ pub const LANES: usize = 8;
 /// imaginary) parts.
 pub type Lane = [f64; LANES];
 
+/// Lanes that start on a cache line, so no lane load or store straddles
+/// two: a plain zeroed allocation of whole lanes, read from its first
+/// 64-byte boundary, which leaves one lane fewer to use. (An over-aligned
+/// allocation would do the same, but the allocator serves those from
+/// memory it cannot reuse for the next one: a stream of strips grew its
+/// resident set with every set-up.)
+#[derive(Debug)]
+pub(crate) struct LaneBuf {
+    buf: Vec<f64>,
+    start: usize,
+    len: usize,
+}
+
+impl LaneBuf {
+    /// `lanes` zeroed lanes allocated, `lanes − 1` of them aligned.
+    pub(crate) fn zeroed(lanes: usize) -> Self {
+        let buf = vec![0.0; lanes * LANES];
+        let start = buf.as_ptr().align_offset(64).min(LANES - 1);
+        Self { buf, start, len: lanes.saturating_sub(1) }
+    }
+
+    /// `f64`s allocated.
+    pub(crate) fn samples(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// The aligned lanes.
+    #[inline(always)]
+    pub(crate) fn lanes_mut(&mut self) -> &mut [Lane] {
+        let flat = &mut self.buf[self.start..self.start + self.len * LANES];
+        // SAFETY: a `Lane` is `LANES` `f64`s with `f64`'s alignment and no
+        // padding, `flat` holds exactly `self.len · LANES` of them, every
+        // bit pattern is a valid `f64`, and the view borrows the buffer
+        // mutably for its whole lifetime.
+        unsafe { core::slice::from_raw_parts_mut(flat.as_mut_ptr().cast::<Lane>(), self.len) }
+    }
+}
+
 /// Splits `scratch` (grown to `2·(n + 1)` lanes at most once) into a real
 /// and an imaginary plane of `n` lanes each. The planes start `n + 1`
 /// lanes apart, not `n`: for the power-of-two lengths the transforms run
 /// on, `n` lanes is a multiple of 4 KiB, which would put the same element
 /// of both planes in one L1 cache set.
 pub(crate) fn lane_planes(scratch: &mut Vec<Lane>, n: usize) -> (&mut [Lane], &mut [Lane]) {
-    let len = 2 * (n + 1);
-    if scratch.len() < len {
-        scratch.resize(len, [0.0; LANES]);
+    if scratch.len() < 2 * (n + 1) {
+        scratch.resize(2 * (n + 1), [0.0; LANES]);
     }
-    let (re, im) = scratch[..len].split_at_mut(n + 1);
-    (&mut re[..n], &mut im[..n])
+    split_planes(scratch, n)
+}
+
+/// [`lane_planes`] on a workspace already at least `2·n + 1` lanes long.
+#[inline(always)]
+pub(crate) fn split_planes<const W: usize>(
+    lanes: &mut [[f64; W]],
+    n: usize,
+) -> (&mut [[f64; W]], &mut [[f64; W]]) {
+    let (re, im) = lanes[..2 * n + 1].split_at_mut(n + 1);
+    (&mut re[..n], im)
+}
+
+/// Views `LANES`-wide lanes as `LANES` times as many one-wide ones, so a
+/// workspace sized for full blocks also holds the planes of a transform
+/// that runs one sequence alone.
+#[inline(always)]
+pub(crate) fn one_wide(lanes: &mut [Lane]) -> &mut [[f64; 1]] {
+    let len = lanes.len() * LANES;
+    // SAFETY: `[f64; 1]` has the size and alignment of `f64`, and a `Lane`
+    // is `LANES` `f64`s with no padding, so the `len` one-wide lanes span
+    // exactly the memory of `lanes`, every bit pattern of which is a valid
+    // `f64`; the view borrows `lanes` mutably for its whole lifetime.
+    unsafe { core::slice::from_raw_parts_mut(lanes.as_mut_ptr().cast::<[f64; 1]>(), len) }
+}
+
+/// Loads element `i` of `count ≤ LANES` sequences into slot `slot(i)` of
+/// the lane planes, position-major: `get(c, i)` of every sequence `c`
+/// fills one whole slot before the next element is read, so the planes
+/// are written one lane row at a time while the sequences are read in
+/// step. A full block (`count == LANES`) runs at the fixed width; lanes
+/// past `count` keep what they held.
+#[inline(always)]
+pub(crate) fn gather_lanes(
+    count: usize,
+    len: usize,
+    slot: impl Fn(usize) -> usize,
+    get: impl Fn(usize, usize) -> Complex64,
+    re: &mut [Lane],
+    im: &mut [Lane],
+) {
+    if count == LANES {
+        for i in 0..len {
+            let s = slot(i);
+            for c in 0..LANES {
+                let z = get(c, i);
+                (re[s][c], im[s][c]) = (z.re, z.im);
+            }
+        }
+    } else {
+        for i in 0..len {
+            let s = slot(i);
+            for c in 0..count {
+                let z = get(c, i);
+                (re[s][c], im[s][c]) = (z.re, z.im);
+            }
+        }
+    }
+}
+
+/// Hands element `i` of the first `count ≤ LANES` lanes to
+/// `put(c, i, z)`, position-major, [`gather_lanes`] backwards: the planes
+/// are read one lane row at a time while the sequences are written in
+/// step.
+#[inline(always)]
+pub(crate) fn store_lanes(
+    count: usize,
+    len: usize,
+    re: &[Lane],
+    im: &[Lane],
+    mut put: impl FnMut(usize, usize, Complex64),
+) {
+    if count == LANES {
+        for i in 0..len {
+            for c in 0..LANES {
+                put(c, i, Complex64::new(re[i][c], im[i][c]));
+            }
+        }
+    } else {
+        for i in 0..len {
+            for c in 0..count {
+                put(c, i, Complex64::new(re[i][c], im[i][c]));
+            }
+        }
+    }
 }
 
 /// A precomputed radix-2 FFT of length `n = 2^k`.
@@ -115,8 +235,10 @@ impl FftPlan {
         self.bitrev[i] as usize
     }
 
-    /// The butterflies of [`LANES`] length-`n` transforms at once, in place
-    /// on the split-complex planes `re` and `im` (`n` [`Lane`]s each).
+    /// The butterflies of `W` length-`n` transforms at once, in place on
+    /// the split-complex planes `re` and `im` (`n` lanes of `W` each):
+    /// [`LANES`] for full blocks, one for a sequence transformed alone, so
+    /// no lane is transformed empty.
     ///
     /// The inputs must already sit in bit-reversed order (element `i` at
     /// [`FftPlan::bit_reversed`]`(i)`), and the outputs come back in
@@ -132,7 +254,12 @@ impl FftPlan {
     /// # Panics
     /// Panics if either plane does not hold exactly `n` lanes.
     #[inline(always)]
-    pub fn butterflies_lanes(&self, re: &mut [Lane], im: &mut [Lane], dir: Direction) {
+    pub fn butterflies_lanes<const W: usize>(
+        &self,
+        re: &mut [[f64; W]],
+        im: &mut [[f64; W]],
+        dir: Direction,
+    ) {
         let n = self.n;
         assert!(re.len() == n && im.len() == n, "lane planes must hold {n} elements");
         let conj = dir == Direction::Inverse;
@@ -211,14 +338,14 @@ impl FftPlan {
 /// One radix-2 butterfly on every lane: `t = w·hi`, `lo ← lo + t`,
 /// `hi ← lo − t`, with the products and sums of `Complex64`'s operators.
 #[inline(always)]
-fn butterfly(
-    lo_re: &mut Lane,
-    lo_im: &mut Lane,
-    hi_re: &mut Lane,
-    hi_im: &mut Lane,
+fn butterfly<const W: usize>(
+    lo_re: &mut [f64; W],
+    lo_im: &mut [f64; W],
+    hi_re: &mut [f64; W],
+    hi_im: &mut [f64; W],
     (wr, wi): (f64, f64),
 ) {
-    for c in 0..LANES {
+    for c in 0..W {
         let tr = wr * hi_re[c] - wi * hi_im[c];
         let ti = wr * hi_im[c] + wi * hi_re[c];
         let (ur, ui) = (lo_re[c], lo_im[c]);
@@ -260,6 +387,18 @@ mod tests {
         plan.process(&mut buf, Direction::Inverse);
         for (a, b) in buf.iter().zip(&x) {
             assert!((*a - *b).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn lane_buffers_start_on_a_cache_line() {
+        for lanes in [2, 3, 17, 1025] {
+            let mut buf = LaneBuf::zeroed(lanes);
+            assert_eq!(buf.samples(), lanes * LANES);
+            let view = buf.lanes_mut();
+            assert_eq!(view.len(), lanes - 1);
+            assert_eq!(view.as_ptr() as usize % 64, 0, "{lanes} lanes");
+            assert!(view.iter().all(|l| *l == [0.0; LANES]));
         }
     }
 

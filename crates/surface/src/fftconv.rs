@@ -13,15 +13,17 @@
 //! The transforms are the **real-input** pipeline ([`RealFft2d`],
 //! half-size complex trick, packed Hermitian spectra, transforms batched
 //! [`LANES`] rows or columns at a time), with tiles dispatched across
-//! `rrs-par` workers. Each worker owns a private [`TileArena`] (packed
-//! spectrum holding the real tile, lane workspace), so steady-state tile
-//! processing allocates nothing and workers never contend. Each tile is
-//! one [`RealFft2d::convolve_in_place`], which inverts only the tile's
-//! valid output rows. Tiles write strictly disjoint output regions, so
-//! the result is bit-identical for every worker count.
+//! `rrs-par` workers. Each worker owns a private [`TileWorkspace`] (a
+//! packed spectrum and the lane planes), so steady-state tile processing
+//! allocates nothing and workers never contend. Each tile is one
+//! [`RealFft2d::convolve`], which reads the tile's rows straight from the
+//! noise window and hands back only the tile's valid output rows. Tiles
+//! write strictly disjoint output regions, so the result is
+//! bit-identical for every worker count.
 //!
-//! [`FftEngine`] caches each kernel's packed spectrum per tile shape,
-//! which suits one kernel serving many windows.
+//! [`FftEngine`] caches each kernel's spectrum for the last
+//! [`SPECTRA_PER_ENGINE`] tile shapes it planned, which suits one kernel
+//! serving many windows.
 //! [`convolve_tiles_into`] runs the same tile loop on tiles of at most
 //! [`BOX_MAX_TILE_SIDE`] a side with a spectrum that lives only for the
 //! call, reading a pitched view of a caller-owned noise window and
@@ -58,13 +60,16 @@ use crate::context::GenContext;
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
-use rrs_fft::{Lane, RealFft2d, LANES};
+use rrs_fft::{RealFft2d, RealTile, Spectrum, TileWorkspace, LANES};
 use rrs_grid::Grid2;
-use rrs_num::complex::{as_f64s, as_f64s_mut};
-use rrs_num::Complex64;
 use rrs_obs::{stage, ObsSink, Recorder, Shard};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Tile shapes whose kernel spectrum one [`FftEngine`] keeps: a served
+/// kernel plans a shape per window size its clients ask for, so the
+/// cache holds the most recently used few (a served key plans two) and
+/// re-transforms an evicted shape, which gives the same bits.
+pub(crate) const SPECTRA_PER_ENGINE: usize = 4;
 
 /// Largest overlap-save tile side [`convolve_tiles_into`] plans (per
 /// axis, unless the kernel itself is wider): its callers hold one
@@ -100,13 +105,12 @@ impl TileShape {
     }
 
     /// Workspace footprint of the engine at a given worker count, in
-    /// f64-equivalents: each worker arena holds a packed spectrum (which
-    /// also carries the real tile, transformed in place) and the batched
-    /// transforms' lane workspace — a real and an imaginary plane of
-    /// [`LANES`] lanes, `2·LANES·(max(fft_nx/2, fft_ny) + 1)` f64s
-    /// ([`RealFft2d::scratch_len`]) — and one packed kernel spectrum is
-    /// shared. Deterministic in its arguments, so admission control and
-    /// the convolve loop agree on the footprint.
+    /// f64-equivalents: each worker's [`TileWorkspace`] holds a packed
+    /// spectrum and the batched transforms' lane planes — a real and an
+    /// imaginary plane of [`LANES`] lanes, `2·LANES·(max(fft_nx/2,
+    /// fft_ny) + 1)` f64s — and one kernel [`Spectrum`], as many samples
+    /// as a packed one, is shared. Deterministic in its arguments, so
+    /// admission control and the convolve loop agree on the footprint.
     pub fn scratch_samples_real(&self, workers: usize) -> u128 {
         let packed = 2 * self.packed_samples();
         let lanes = 2 * LANES as u128 * ((self.fft_nx / 2).max(self.fft_ny) + 1) as u128;
@@ -187,34 +191,9 @@ struct TileGeom {
     win_pitch: usize,
     kw: usize,
     kh: usize,
-    fx: usize,
-    fy: usize,
-    /// `f64`s per packed spectrum row: `2·(fx/2 + 1)`, which is `fx + 2`
-    /// except for `fx = 1`.
-    pitch: usize,
     vx: usize,
     vy: usize,
     tiles_x: usize,
-}
-
-/// One worker's private workspace: every buffer the per-tile pipeline
-/// touches, sized once at dispatch so the tile loop allocates nothing.
-/// The tile's real samples live in the spectrum buffer itself (row `r`
-/// in the first `fft_nx` `f64`s of packed row `r`, [`TileGeom::pitch`]
-/// `f64`s long), transformed in place; `lanes` is the batched
-/// transforms' workspace.
-struct TileArena {
-    spec: Vec<Complex64>,
-    lanes: Vec<Lane>,
-}
-
-impl TileArena {
-    fn new(rfft: &RealFft2d) -> Self {
-        Self {
-            spec: vec![Complex64::ZERO; rfft.packed_len()],
-            lanes: vec![[0.0; LANES]; rfft.scratch_len()],
-        }
-    }
 }
 
 #[derive(Clone, Copy)]
@@ -225,17 +204,18 @@ struct SendPtr(*mut f64);
 unsafe impl Send for SendPtr {}
 unsafe impl Sync for SendPtr {}
 
-/// The homogeneous generators' overlap-save engine: the packed kernel
-/// spectrum cached per tile shape, so repeated windows and strip tiles
-/// never re-transform the kernel. Plans come from the request's
-/// [`GenContext`].
+/// The homogeneous generators' overlap-save engine: the kernel spectrum
+/// cached for the last [`SPECTRA_PER_ENGINE`] tile shapes, so repeated
+/// windows and strip tiles never re-transform the kernel. Plans come
+/// from the request's [`GenContext`].
 #[derive(Default)]
 pub(crate) struct FftEngine {
     spectra: Mutex<Spectra>,
 }
 
-/// Packed kernel spectra keyed by tile shape `(fft_nx, fft_ny)`.
-type Spectra = HashMap<(usize, usize), Arc<Vec<Complex64>>>;
+/// Kernel spectra keyed by tile shape `(fft_nx, fft_ny)`, least recently
+/// used first.
+type Spectra = Vec<((usize, usize), Arc<Spectrum>)>;
 
 /// Locks the kernel-spectrum cache, recovering from poisoning by
 /// rebuilding from empty: cached spectra are pure functions of the tile
@@ -254,20 +234,42 @@ fn lock_spectra<'a>(cache: &'a Mutex<Spectra>, obs: &Recorder) -> MutexGuard<'a,
 }
 
 impl FftEngine {
-    /// The packed kernel spectrum on `rfft`'s tile lattice, transformed
-    /// once per tile shape.
+    /// The kernel spectrum on `rfft`'s tile lattice, transformed once per
+    /// tile shape while the shape stays among the last
+    /// [`SPECTRA_PER_ENGINE`] used.
     fn kernel_spectrum(
         &self,
         kernel: &ConvolutionKernel,
         rfft: &RealFft2d,
         obs: &Recorder,
-    ) -> Arc<Vec<Complex64>> {
+    ) -> Arc<Spectrum> {
         let key = rfft.shape();
-        if let Some(cached) = lock_spectra(&self.spectra, obs).get(&key) {
-            return cached.clone();
+        {
+            let mut spectra = lock_spectra(&self.spectra, obs);
+            if let Some(i) = spectra.iter().position(|(shape, _)| *shape == key) {
+                let entry = spectra.remove(i);
+                let arc = entry.1.clone();
+                spectra.push(entry);
+                return arc;
+            }
         }
-        let arc = Arc::new(packed_kernel_spectrum(kernel, rfft));
-        lock_spectra(&self.spectra, obs).entry(key).or_insert(arc).clone()
+        // Transformed outside the lock, so other shapes' requests do not
+        // wait on it.
+        let arc = Arc::new(kernel_spectrum(kernel, rfft));
+        let mut spectra = lock_spectra(&self.spectra, obs);
+        spectra.retain(|(shape, _)| *shape != key);
+        if spectra.len() == SPECTRA_PER_ENGINE {
+            spectra.remove(0);
+        }
+        spectra.push((key, arc.clone()));
+        arc
+    }
+
+    /// The tile shapes whose kernel spectrum is cached, least recently
+    /// used first.
+    #[cfg(test)]
+    pub(crate) fn cached_shapes(&self) -> Vec<(usize, usize)> {
+        lock_spectra(&self.spectra, &Recorder::disabled()).iter().map(|(shape, _)| *shape).collect()
     }
 
     /// Convolves the materialised `(nx+kw−1) × (ny+kh−1)` noise window
@@ -305,18 +307,10 @@ impl FftEngine {
 }
 
 /// The kernel weights zero-padded at the origin of `rfft`'s tile lattice
-/// and forward-transformed into a packed Hermitian spectrum.
-fn packed_kernel_spectrum(kernel: &ConvolutionKernel, rfft: &RealFft2d) -> Vec<Complex64> {
+/// and forward-transformed into a column-block spectrum.
+fn kernel_spectrum(kernel: &ConvolutionKernel, rfft: &RealFft2d) -> Spectrum {
     let (kw, kh) = kernel.extent();
-    let pitch = 2 * rfft.packed_width();
-    let weights = kernel.weights();
-    let mut spec = vec![Complex64::ZERO; rfft.packed_len()];
-    let rows = as_f64s_mut(&mut spec);
-    for b in 0..kh {
-        rows[b * pitch..b * pitch + kw].copy_from_slice(&weights.row(b)[..kw]);
-    }
-    rfft.forward_in_place(&mut spec, &mut Vec::new());
-    spec
+    rfft.forward(RealTile { data: kernel.weights().as_slice(), pitch: kw, width: kw, height: kh })
 }
 
 /// A caller-owned output region: `rows` holds the request's `ny` output
@@ -379,7 +373,7 @@ pub(crate) fn convolve_tiles_into(
     let tile_shape = box_tile_shape(kernel, nx, ny);
     ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
     let rfft = ctx.plans.plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
-    let kspec = packed_kernel_spectrum(kernel, &rfft);
+    let kspec = kernel_spectrum(kernel, &rfft);
     run_rfft(ctx, &rfft, &kspec, kernel, win, pitch, nx, ny, out, combine)
 }
 
@@ -392,12 +386,12 @@ pub(crate) fn store(_iy: usize, _ix: usize, dst: &mut [f64], src: &[f64]) {
 /// merging into `out` through `combine`: the tile loop shared by
 /// [`FftEngine::convolve`] and [`convolve_tiles_into`]. `win` holds the
 /// `(nx+kw−1) × (ny+kh−1)` noise window's rows `win_pitch` apart. Each
-/// worker allocates its own arena.
+/// worker allocates its own workspace.
 #[allow(clippy::too_many_arguments)]
 fn run_rfft(
     ctx: &GenContext,
     rfft: &RealFft2d,
-    kspec: &[Complex64],
+    kspec: &Spectrum,
     kernel: &ConvolutionKernel,
     win: &[f64],
     win_pitch: usize,
@@ -420,20 +414,18 @@ fn run_rfft(
     let workers = effective_workers(tile_shape, nx, ny, kw, kh, ctx.workers);
     let (vx, vy) = tile_shape.valid(kw, kh);
     let (stride, col0) = (out.stride, out.col0);
-    let pitch = 2 * rfft.packed_width();
-    let geom =
-        TileGeom { nx, ny, stride, col0, ww, wh, win_pitch, kw, kh, fx, fy, pitch, vx, vy, tiles_x };
+    let geom = TileGeom { nx, ny, stride, col0, ww, wh, win_pitch, kw, kh, vx, vy, tiles_x };
     let (obs, budget, chaos) = (&ctx.obs, &ctx.budget, &ctx.chaos);
     let polling = budget.needs_polling();
 
     let out_ptr = SendPtr(out.rows.as_mut_ptr());
-    // One band of tiles through its own arena; its counters are merged
-    // whether or not the band finishes.
+    // One band of tiles through its own workspace; its counters are
+    // merged whether or not the band finishes.
     let tile_band = |tiles: std::ops::Range<usize>| {
-        let mut arena = TileArena::new(rfft);
+        let mut work = rfft.workspace();
         let mut shard = obs.shard();
         let result = run_tile_range(
-            tiles, geom, win, rfft, kspec, out_ptr, combine, &mut arena, &mut shard, budget,
+            tiles, geom, win, rfft, kspec, out_ptr, combine, &mut work, &mut shard, budget,
             polling, chaos,
         );
         obs.absorb(shard);
@@ -454,20 +446,20 @@ fn run_rfft(
     Ok(())
 }
 
-/// Processes the flattened tile indices `tiles` through one arena:
-/// gather (zero-padded), then one [`RealFft2d::convolve_in_place`]
-/// (forward transform, packed multiply, inverse of the valid rows only),
-/// and `combine` of the non-wrapped outputs into `out`.
+/// Processes the flattened tile indices `tiles` through one workspace: one
+/// [`RealFft2d::convolve`] per tile (the window's segment, zero past its
+/// edges, forward-transformed, multiplied and inverted for the valid rows
+/// only), and `combine` of each row's non-wrapped outputs into `out`.
 #[allow(clippy::too_many_arguments)]
 fn run_tile_range(
     tiles: std::ops::Range<usize>,
     g: TileGeom,
     win: &[f64],
     rfft: &RealFft2d,
-    kspec: &[Complex64],
+    kspec: &Spectrum,
     out: SendPtr,
     combine: Combine<'_>,
-    arena: &mut TileArena,
+    work: &mut TileWorkspace,
     shard: &mut Shard,
     budget: &Budget,
     polling: bool,
@@ -481,37 +473,30 @@ fn run_tile_range(
         chaos.poll(FaultSite::FftTile)?;
         let ox = (t % g.tiles_x) * g.vx;
         let oy = (t / g.tiles_x) * g.vy;
-        // Gather the segment [ox, ox+fx) × [oy, oy+fy) of the window,
-        // zero-padded past its edges, into the real rows of the spectrum
-        // buffer.
-        let cols = (g.ww - ox).min(g.fx);
-        let tile = as_f64s_mut(&mut arena.spec);
-        for ty in 0..g.fy {
-            let trow = &mut tile[ty * g.pitch..ty * g.pitch + g.fx];
-            let wy = oy + ty;
-            if wy < g.wh {
-                trow[..cols].copy_from_slice(&win[wy * g.win_pitch + ox..][..cols]);
-                trow[cols..].fill(0.0);
-            } else {
-                trow.fill(0.0);
-            }
-        }
+        // The segment [ox, ox+fx) × [oy, oy+fy) of the window, zero past
+        // its edges.
+        let input = RealTile {
+            data: &win[oy * g.win_pitch + ox..],
+            pitch: g.win_pitch,
+            width: g.ww - ox,
+            height: g.wh - oy,
+        };
         let cx = (g.nx - ox).min(g.vx);
         let cy = (g.ny - oy).min(g.vy);
-        rfft.convolve_in_place(&mut arena.spec, kspec, g.kh - 1..g.kh - 1 + cy, &mut arena.lanes);
-        // Merge the non-wrapped outputs.
-        let tile = as_f64s(&arena.spec);
-        for dy in 0..cy {
-            let src = &tile[(g.kh - 1 + dy) * g.pitch + (g.kw - 1)..][..cx];
+        // Merge each valid row's non-wrapped outputs.
+        let mut emit = |ty: usize, row: &[f64]| {
+            let iy = oy + ty - (g.kh - 1);
             // SAFETY: rows [oy, oy+cy) × cols [ox, ox+cx) of the output
             // belong to tile t alone, and `run_rfft` checked they lie
             // inside `out`; the enclosing scope keeps the allocation alive
             // for every worker.
             let dst = unsafe {
-                std::slice::from_raw_parts_mut(out.0.add((oy + dy) * g.stride + g.col0 + ox), cx)
+                std::slice::from_raw_parts_mut(out.0.add(iy * g.stride + g.col0 + ox), cx)
             };
-            combine(oy + dy, ox, dst, src);
-        }
+            combine(iy, ox, dst, &row[g.kw - 1..][..cx]);
+        };
+        let rows = g.kh - 1..g.kh - 1 + cy;
+        rfft.convolve(input, kspec, rows, work, &mut emit);
     }
     Ok(())
 }
@@ -578,9 +563,8 @@ mod tests {
         for (fx, fy) in [(1usize, 1usize), (2, 8), (64, 16), (512, 512)] {
             let shape = TileShape { fft_nx: fx, fft_ny: fy };
             let rfft = RealFft2d::new(fx, fy);
-            let arena = TileArena::new(&rfft);
-            let per_arena = 2 * arena.spec.len() + LANES * arena.lanes.len();
-            let kernel = 2 * rfft.packed_len();
+            let per_arena = rfft.workspace().samples();
+            let kernel = rfft.forward(RealTile { data: &[], pitch: 0, width: 0, height: 0 }).samples();
             let want = (3 * per_arena + kernel) as u128;
             assert_eq!(shape.scratch_samples_real(3), want, "{fx}x{fy}");
         }
@@ -596,5 +580,52 @@ mod tests {
         // times.
         let packed = 2 * (64u128 / 2 + 1) * 32;
         assert_eq!(four - packed, 4 * (one - packed));
+    }
+
+    #[test]
+    fn the_kernel_spectrum_cache_keeps_the_last_few_shapes_and_their_bits() {
+        use crate::kernel::KernelSizing;
+        use crate::noise::NoiseField;
+        use rrs_spectrum::{Gaussian, SurfaceParams};
+        let kernel = ConvolutionKernel::build(
+            &Gaussian::new(SurfaceParams::isotropic(1.0, 2.0)),
+            KernelSizing::default(),
+        );
+        let (kw, kh) = kernel.extent();
+        let ctx = GenContext::new().with_workers(1);
+        let noise = NoiseField::new(5);
+        // Output sizes whose tile plans are pairwise distinct, run twice
+        // in turn: more shapes than the cache keeps.
+        let mut sizes: Vec<(usize, usize)> = Vec::new();
+        let mut shapes: Vec<TileShape> = Vec::new();
+        for n in [8usize, 40, 100, 200, 400] {
+            for m in [8usize, 40, 100] {
+                let shape = plan_tiles(n, m, kw, kh);
+                if !shapes.contains(&shape) {
+                    sizes.push((n, m));
+                    shapes.push(shape);
+                }
+            }
+        }
+        assert!(sizes.len() > SPECTRA_PER_ENGINE, "{shapes:?}");
+        let engine = FftEngine::default();
+        let convolve = |engine: &FftEngine, (n, m): (usize, usize)| {
+            let win = noise.window(0, 0, n + kw - 1, m + kh - 1);
+            engine.convolve(&ctx, &kernel, &win, n, m).expect("convolves")
+        };
+        let bits = |g: &Grid2<f64>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let first: Vec<_> = sizes.iter().map(|&size| bits(&convolve(&engine, size))).collect();
+        for (&size, want) in sizes.iter().zip(&first) {
+            let got = bits(&convolve(&engine, size));
+            assert!(engine.cached_shapes().len() <= SPECTRA_PER_ENGINE);
+            assert_eq!(&got, want, "{size:?} after eviction");
+            // Against an engine that never evicted.
+            assert_eq!(got, bits(&convolve(&FftEngine::default(), size)), "{size:?}");
+        }
+        let last: Vec<_> = shapes[shapes.len() - SPECTRA_PER_ENGINE..]
+            .iter()
+            .map(|s| (s.fft_nx, s.fft_ny))
+            .collect();
+        assert_eq!(engine.cached_shapes(), last, "the most recent shapes, oldest first");
     }
 }
