@@ -91,6 +91,15 @@ echo "== guard: no internal calls to deprecated APIs =="
 # deprecated API) anywhere in the workspace.
 RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets --locked --offline
 
+# The speed and overhead gates below share one paired design
+# (rrs_bench::harness::paired): each rep runs one block of every variant
+# back to back, starting at variant (rep mod n), and keeps each variant's
+# block time over variant 0's from that rep, so drift in the host's speed
+# that hits the whole rep cancels out. A gate reads the median of those
+# per-rep ratios against its bound (>= for a speed-up, < for an
+# overhead), and every ratio's pair count, median, quartiles, min, max
+# and bound land under "paired" in the suite's BENCH_*.json. Each gate's
+# pairs, block, block statistic, warm-up and bound are its own (below).
 echo "== obs overhead gate: disabled recorder must be free =="
 # Exits 1 if a disabled Recorder is measurably slower than the
 # no-recorder baseline: the median of 15 paired disabled/baseline ratios
@@ -157,9 +166,12 @@ cargo run --release --locked --offline -p rrs-bench --bin bench_serve
 echo "== serving resilience gate: failover tail, chaos-off overhead, bit-identity =="
 # Exits 1 if p99 latency through the sharded client with one dead
 # endpoint of three exceeds the floor, if the chaos-disabled sharded
-# client costs >= 1.05x the plain client (median of paired reps), if
-# any served window is not bit-identical to direct generation, or if
-# the dead endpoint never forced a failover — see bench_serve_resilience.
+# client costs >= 1.05x the plain client (median of 101 paired reps, a
+# block being the median of 20 round trips; over 12 runs on the 2-vCPU
+# bench host the median read 1.006, 1.001, 0.995, 1.006, 0.991, 0.991,
+# 1.000, 1.004, 0.998, 1.005, 1.004, 1.003), if any served window is not
+# bit-identical to direct generation, or if the dead endpoint never
+# forced a failover — see bench_serve_resilience.
 cargo run --release --locked --offline -p rrs-bench --bin bench_serve_resilience
 
 echo "== bench smoke: reduced-scale reproduction run =="

@@ -38,10 +38,10 @@
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_convolution`;
 //! writes `BENCH_convolution.json` with a `dispatch` section recording
-//! per-shape minima and the resolved backend, and a `tile` section with
-//! the paired tile ratios.
+//! per-shape minima and the resolved backend, and the paired tile ratios
+//! under `paired`.
 
-use rrs_bench::harness::median_of_sorted;
+use rrs_bench::harness::{paired, per_call_ns, Bound, Paired};
 use rrs_bench::{Harness, ScalarFft2d};
 use rrs_fft::{Direction, RealFft2d, RealTile};
 use rrs_grid::Window;
@@ -51,7 +51,6 @@ use rrs_surface::{
     ConvBackend, ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField,
 };
 use std::hint::black_box;
-use std::time::Instant;
 
 const OUT: usize = 128;
 /// Pinned worker count for the `rfft_par` rows: fixed (not
@@ -68,12 +67,10 @@ const TILE_PAIRS: usize = 15;
 /// batched transforms gained fails it and host noise does not.
 const MIN_TILE_SPEEDUP: f64 = 3.5;
 
-/// Times the real-input tile against the complex one in
-/// [`TILE_PAIRS`] paired reps (order alternating between reps), after
-/// checking that both produce the same valid outputs. Returns the
-/// per-rep times of each and the sorted per-pair `complex / real`
-/// ratios.
-fn tile_gate(kernel: &ConvolutionKernel, noise: &NoiseField) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+/// Times the real-input tile (variant 0) against the complex one
+/// (variant 1) in [`TILE_PAIRS`] [`paired`] reps, after checking that
+/// both produce the same valid outputs.
+fn tile_gate(kernel: &ConvolutionKernel, noise: &NoiseField) -> Paired {
     let (kw, kh) = kernel.extent();
     let weights = kernel.weights();
     let seg = noise.window(0, 0, TILE, TILE);
@@ -125,28 +122,10 @@ fn tile_gate(kernel: &ConvolutionKernel, noise: &NoiseField) -> (Vec<f64>, Vec<f
         }
     }
 
-    let (mut complex, mut real, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    let time = |f: &mut dyn FnMut()| {
-        let t0 = Instant::now();
-        f();
-        t0.elapsed().as_nanos() as f64
-    };
-    for rep in 0..TILE_PAIRS {
-        let mut complex_rep = || complex_tile(&mut tile_c);
-        let mut real_rep = || real_tile(&mut work, &mut out);
-        let (c, r) = if rep % 2 == 0 {
-            let c = time(&mut complex_rep);
-            (c, time(&mut real_rep))
-        } else {
-            let r = time(&mut real_rep);
-            (time(&mut complex_rep), r)
-        };
-        complex.push(c);
-        real.push(r);
-        ratios.push(c / r);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (complex, real, ratios)
+    paired(TILE_PAIRS, 2, |i| match i {
+        0 => per_call_ns(1, || real_tile(&mut work, &mut out)),
+        _ => per_call_ns(1, || complex_tile(&mut tile_c)),
+    })
 }
 
 struct Shape {
@@ -286,31 +265,12 @@ fn main() {
     h.attach_section("dispatch", format!("[{}]", dispatch_entries.join(", ")));
 
     let cl32 = shapes.iter().find(|s| s.gated).expect("cl32 is gated");
-    let (complex, real, ratios) = tile_gate(&cl32.kernel, &noise);
+    let tile = tile_gate(&cl32.kernel, &noise);
     let elems = Some((TILE * TILE) as u64);
-    h.record(&format!("tile/{TILE}/complex"), elems, complex);
-    h.record(&format!("tile/{TILE}/real"), elems, real);
-    let speedup = median_of_sorted(&ratios);
-    let (lo, hi) = (ratios[0], ratios[ratios.len() - 1]);
-    println!(
-        "tile/{TILE}: complex/real median of {TILE_PAIRS} paired ratios = {speedup:.2}x \
-         [{lo:.2}, {hi:.2}]  (gate: >= {MIN_TILE_SPEEDUP}x)"
-    );
-    h.attach_section(
-        "tile",
-        format!(
-            "{{\"side\": {TILE}, \"pairs\": {TILE_PAIRS}, \"median_complex_over_real\": \
-             {speedup:.3}, \"min_ratio\": {lo:.3}, \"max_ratio\": {hi:.3}, \
-             \"gate_min_speedup\": {MIN_TILE_SPEEDUP}}}"
-        ),
-    );
-    if speedup < MIN_TILE_SPEEDUP {
-        eprintln!(
-            "FAIL: the real-input tile is only {speedup:.2}x the complex tile \
-             (gate: >= {MIN_TILE_SPEEDUP}x)"
-        );
-        failed = true;
-    }
+    h.record(&format!("tile/{TILE}/complex"), elems, tile.times[1].clone());
+    h.record(&format!("tile/{TILE}/real"), elems, tile.times[0].clone());
+    let label = format!("tile/{TILE}/complex_over_real");
+    failed |= !h.gate(&label, &tile.ratios[1], Bound::AtLeast(MIN_TILE_SPEEDUP));
     h.finish().expect("write BENCH_convolution.json");
 
     if failed {

@@ -28,10 +28,10 @@
 //! ratio is below [`MIN_TILE_SPEEDUP`].
 //!
 //! Run with `cargo run --release -p rrs-bench --bin bench_fft`; writes
-//! `BENCH_fft.json` with a `lanes` section holding the paired ratios and
-//! a `tiles` section holding every shape's.
+//! `BENCH_fft.json`, with the lane and every tile shape's paired ratios
+//! under `paired`.
 
-use rrs_bench::harness::median_of_sorted;
+use rrs_bench::harness::{paired, per_call_ns, Bound, Paired};
 use rrs_bench::{Harness, ReferenceTile, ScalarFft2d};
 use rrs_fft::{Direction, Fft, Fft2d, RealFft2d, RealTile};
 use rrs_num::Complex64;
@@ -39,7 +39,6 @@ use rrs_rng::{RandomSource, Xoshiro256pp};
 use rrs_spectrum::{Gaussian, SurfaceParams};
 use rrs_surface::{ConvolutionKernel, KernelSizing};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Side of the gated transform: Auto sizing's lattice for `cl = 20`, a
 /// Bluestein length (inner length 512).
@@ -83,20 +82,14 @@ fn random_real(n: usize, seed: u64) -> Vec<f64> {
     (0..n).map(|_| rng.next_f64() - 0.5).collect()
 }
 
-/// One shape's tile gate: the sorted per-pair `reference / library`
-/// ratios and the per-tile times of each.
-struct TileTimes {
-    ratios: Vec<f64>,
-    library: Vec<f64>,
-    reference: Vec<f64>,
-}
-
-/// Times the library tile against [`ReferenceTile`] on an `nx × ny` tile
-/// in [`TILE_PAIRS`] paired reps, order alternating, after checking both
-/// give the same bits. The kernel is `nx/2 × ny/2`, so the valid rows
-/// `ny/2 − 1 .. ny` end in a partial lane block, and the tile is read
-/// from a window wider than it. Returns `None` if the outputs differ.
-fn tile_gate(nx: usize, ny: usize) -> Option<TileTimes> {
+/// Times the library tile (variant 0) against [`ReferenceTile`]
+/// (variant 1) on an `nx × ny` tile in [`TILE_PAIRS`] [`paired`] reps,
+/// after checking both give the same bits; a block is
+/// `TILE_REP_SAMPLES / (nx·ny)` tiles, timed per tile. The kernel is
+/// `nx/2 × ny/2`, so the valid rows `ny/2 − 1 .. ny` end in a partial
+/// lane block, and the tile is read from a window wider than it. Returns
+/// `None` if the outputs differ.
+fn tile_gate(nx: usize, ny: usize) -> Option<Paired> {
     let (kw, kh) = (nx / 2, ny / 2);
     let weights = random_real(kw * kh, 21);
     let pitch = nx + nx / 2;
@@ -133,52 +126,25 @@ fn tile_gate(nx: usize, ny: usize) -> Option<TileTimes> {
         return None;
     }
 
-    let mut time = |run: Run| {
-        let t0 = Instant::now();
-        for _ in 0..tiles {
-            tile_into(&mut out, &mut *run);
-        }
+    Some(paired(TILE_PAIRS, 2, |i| {
+        let run: Run = if i == 0 { &mut run_library } else { &mut run_reference };
+        let t = per_call_ns(tiles, || tile_into(&mut out, &mut *run));
         black_box(out[0]);
-        t0.elapsed().as_nanos() as f64 / tiles as f64
-    };
-    let (mut ratios, mut lib, mut refr) = (Vec::new(), Vec::new(), Vec::new());
-    for rep in 0..TILE_PAIRS {
-        let (l, r) = if rep % 2 == 0 {
-            let l = time(&mut run_library);
-            (l, time(&mut run_reference))
-        } else {
-            let r = time(&mut run_reference);
-            (time(&mut run_library), r)
-        };
-        lib.push(l);
-        refr.push(r);
-        ratios.push(r / l);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    Some(TileTimes { ratios, library: lib, reference: refr })
+        t
+    }))
 }
 
 /// Times [`GATE_BLOCK`] forward transforms of a real `GATE_SIDE²` field
-/// (a kernel build's input: zero imaginary parts) on the lane passes and
-/// on the scalar ones in [`GATE_PAIRS`] paired reps, order alternating,
-/// after checking both give the same bits. Returns the per-transform
-/// times of each and the sorted per-pair `scalar / lanes` ratios.
-fn lanes_gate() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+/// (a kernel build's input: zero imaginary parts) on the lane passes
+/// (variant 0) and on the scalar ones (variant 1) in [`GATE_PAIRS`]
+/// [`paired`] reps, per transform, after checking both give the same
+/// bits.
+fn lanes_gate() -> Paired {
     let n = GATE_SIDE;
     let field: Vec<Complex64> =
         random_signal(n * n, 3).into_iter().map(|z| Complex64::from_re(z.re)).collect();
     let lanes = Fft2d::with_workers(n, n, 1);
     let scalar = ScalarFft2d::new(n, n);
-    let mut buf = field.clone();
-    let mut run = |fft: &dyn Fn(&mut [Complex64])| {
-        let t0 = Instant::now();
-        for _ in 0..GATE_BLOCK {
-            buf.copy_from_slice(&field);
-            fft(black_box(&mut buf));
-        }
-        black_box(buf[0]);
-        t0.elapsed().as_nanos() as f64 / GATE_BLOCK as f64
-    };
     let on_lanes = |b: &mut [Complex64]| lanes.process(b, Direction::Forward);
     let on_scalar = |b: &mut [Complex64]| scalar.process(b, Direction::Forward);
 
@@ -189,21 +155,16 @@ fn lanes_gate() -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     };
     assert!(bits(&on_lanes) == bits(&on_scalar), "lane and scalar transforms differ in bits");
 
-    let (mut l, mut s, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-    for rep in 0..GATE_PAIRS {
-        let (tl, ts) = if rep % 2 == 0 {
-            let tl = run(&on_lanes);
-            (tl, run(&on_scalar))
-        } else {
-            let ts = run(&on_scalar);
-            (run(&on_lanes), ts)
-        };
-        l.push(tl);
-        s.push(ts);
-        ratios.push(ts / tl);
-    }
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    (l, s, ratios)
+    let mut buf = field.clone();
+    paired(GATE_PAIRS, 2, |i| {
+        let fft: &dyn Fn(&mut [Complex64]) = if i == 0 { &on_lanes } else { &on_scalar };
+        let t = per_call_ns(GATE_BLOCK, || {
+            buf.copy_from_slice(&field);
+            fft(black_box(&mut buf));
+        });
+        black_box(buf[0]);
+        t
+    })
 }
 
 fn main() {
@@ -260,68 +221,27 @@ fn main() {
         });
     }
 
-    let (lanes, scalar, ratios) = lanes_gate();
+    let lanes = lanes_gate();
     let elems = Some((GATE_SIDE * GATE_SIDE) as u64);
-    h.record(&format!("fft_2d/lanes/{GATE_SIDE}"), elems, lanes);
-    h.record(&format!("fft_2d/scalar/{GATE_SIDE}"), elems, scalar);
-    let speedup = median_of_sorted(&ratios);
-    let (lo, hi) = (ratios[0], ratios[ratios.len() - 1]);
-    println!(
-        "fft_2d/{GATE_SIDE}: scalar/lanes median of {GATE_PAIRS} paired ratios = {speedup:.2}x \
-         [{lo:.2}, {hi:.2}]  (gate: >= {MIN_LANES_SPEEDUP}x)"
-    );
-    h.attach_section(
-        "lanes",
-        format!(
-            "{{\"side\": {GATE_SIDE}, \"pairs\": {GATE_PAIRS}, \"median_scalar_over_lanes\": \
-             {speedup:.3}, \"min_ratio\": {lo:.3}, \"max_ratio\": {hi:.3}, \
-             \"gate_min_speedup\": {MIN_LANES_SPEEDUP}}}"
-        ),
-    );
-    let mut failed = speedup < MIN_LANES_SPEEDUP;
-    if failed {
-        eprintln!(
-            "FAIL: the lane 2-D FFT is only {speedup:.2}x the scalar one on {GATE_SIDE}² \
-             (gate: >= {MIN_LANES_SPEEDUP}x)"
-        );
-    }
+    h.record(&format!("fft_2d/lanes/{GATE_SIDE}"), elems, lanes.times[0].clone());
+    h.record(&format!("fft_2d/scalar/{GATE_SIDE}"), elems, lanes.times[1].clone());
+    let label = format!("fft_2d/{GATE_SIDE}/scalar_over_lanes");
+    let mut failed = !h.gate(&label, &lanes.ratios[1], Bound::AtLeast(MIN_LANES_SPEEDUP));
 
-    let mut entries = Vec::new();
     for (nx, ny) in TILE_SHAPES {
-        let Some(t) = tile_gate(nx, ny) else {
+        let Some(tile) = tile_gate(nx, ny) else {
             eprintln!("FAIL: the {nx}x{ny} library tile differs from the reference tile in bits");
             failed = true;
             continue;
         };
         let elems = Some((nx * ny) as u64);
-        h.record(&format!("tile/{nx}x{ny}/library"), elems, t.library);
-        h.record(&format!("tile/{nx}x{ny}/reference"), elems, t.reference);
-        let median = median_of_sorted(&t.ratios);
-        let (lo, hi) = (t.ratios[0], t.ratios[t.ratios.len() - 1]);
-        println!(
-            "tile/{nx}x{ny}: reference/library median of {TILE_PAIRS} paired ratios = \
-             {median:.3}x [{lo:.2}, {hi:.2}]"
-        );
-        entries.push(format!(
-            "{{\"shape\": [{nx}, {ny}], \"median_reference_over_library\": {median:.3}, \
-             \"min_ratio\": {lo:.3}, \"max_ratio\": {hi:.3}}}"
-        ));
-        if (nx, ny) == (512, 512) && median < MIN_TILE_SPEEDUP {
-            eprintln!(
-                "FAIL: the 512² library tile is only {median:.2}x the reference tile \
-                 (gate: >= {MIN_TILE_SPEEDUP}x)"
-            );
-            failed = true;
-        }
+        h.record(&format!("tile/{nx}x{ny}/library"), elems, tile.times[0].clone());
+        h.record(&format!("tile/{nx}x{ny}/reference"), elems, tile.times[1].clone());
+        let gated = (nx, ny) == (512, 512);
+        let bound = if gated { Bound::AtLeast(MIN_TILE_SPEEDUP) } else { Bound::Reported };
+        let label = format!("tile/{nx}x{ny}/reference_over_library");
+        failed |= !h.gate(&label, &tile.ratios[1], bound);
     }
-    h.attach_section(
-        "tiles",
-        format!(
-            "{{\"pairs\": {TILE_PAIRS}, \"gate_min_speedup_512\": {MIN_TILE_SPEEDUP}, \
-             \"shapes\": [{}]}}",
-            entries.join(", ")
-        ),
-    );
     h.finish().expect("write BENCH_fft.json");
     if failed {
         std::process::exit(1);

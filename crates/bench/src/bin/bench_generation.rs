@@ -12,9 +12,9 @@
 //! * `noise` (cost side of eqn 36's lattice): `NoiseField`'s window fill
 //!   against the fill it replaced ([`ParentNoise`]: the old key, libm
 //!   `ln` and `cos`, cosines in angle order) and against pointwise
-//!   `NoiseField::at` over the same window, in paired reps whose order
-//!   rotates. The paired ratios are printed and written under
-//!   `noise_paired`, not gated: they spread too widely for a threshold.
+//!   `NoiseField::at` over the same window, in [`paired`] reps. The
+//!   paired ratios are printed and written under `paired`, not gated:
+//!   they spread too widely for a threshold.
 //!
 //! Every convolution row runs on [`ConvBackend::Direct`] — the paper's
 //! per-sample convolution, whose cost these claims are about (the FFT
@@ -27,7 +27,7 @@
 //! materialise / correlate / per-band counters) as an `"obs"` section of
 //! the JSON report.
 
-use rrs_bench::harness::median_of_sorted;
+use rrs_bench::harness::{paired, Bound};
 use rrs_bench::{Harness, ParentNoise};
 use rrs_grid::Window;
 use rrs_obs::Recorder;
@@ -205,49 +205,20 @@ fn main() {
     // The `strip` benchmark's fresh noise per strip is 512 × 511; 96 × 96
     // is a small served window's.
     let mut buf = Vec::new();
-    let mut paired = Vec::new();
     let fills = [NoiseFill::Window, NoiseFill::Parent, NoiseFill::Pointwise];
     for (w, ht) in [(512usize, 511usize), (96, 96)] {
         for fill in fills {
             time_noise(6, w, ht, fill, &mut buf);
         }
         let pairs = h.reps() as usize;
-        let mut times = [vec![], vec![], vec![]];
-        let (mut parent_ratio, mut pointwise_ratio) = (vec![], vec![]);
-        for rep in 0..pairs {
-            // Rotate which fill goes first, so a first-place advantage
-            // averages out across reps.
-            let mut t = [0.0; 3];
-            for i in (0..3).map(|k| (k + rep) % 3) {
-                t[i] = time_noise(6, w, ht, fills[i], &mut buf);
-            }
-            for (series, &ns) in times.iter_mut().zip(&t) {
-                series.push(ns);
-            }
-            parent_ratio.push(t[1] / t[0]);
-            pointwise_ratio.push(t[2] / t[0]);
+        let p = paired(pairs, fills.len(), |i| time_noise(6, w, ht, fills[i], &mut buf));
+        for (name, times) in ["window", "parent", "pointwise"].into_iter().zip(p.times) {
+            h.record(&format!("noise/{name}/{w}x{ht}"), Some((w * ht) as u64), times);
         }
-        let elems = Some((w * ht) as u64);
-        let [window, parent, pointwise] = times;
-        h.record(&format!("noise/window/{w}x{ht}"), elems, window);
-        h.record(&format!("noise/parent/{w}x{ht}"), elems, parent);
-        h.record(&format!("noise/pointwise/{w}x{ht}"), elems, pointwise);
-        let summary = |name: &str, ratios: &mut Vec<f64>| {
-            ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-            let (median, lo, hi) = (median_of_sorted(ratios), ratios[0], ratios[pairs - 1]);
-            println!(
-                "noise {w}x{ht}: {name} / window median paired ratio {median:.2}x \
-                 (ratios {lo:.2}..{hi:.2}, {pairs} reps)"
-            );
-            format!(
-                "\"{name}\": {{\"median_ratio\": {median:.3}, \"min_ratio\": {lo:.3}, \
-                 \"max_ratio\": {hi:.3}}}"
-            )
-        };
-        let (p, q) = (summary("parent", &mut parent_ratio), summary("pointwise", &mut pointwise_ratio));
-        paired.push(format!("{{\"window\": \"{w}x{ht}\", \"pairs\": {pairs}, {p}, {q}}}"));
+        for (name, ratios) in [("parent", &p.ratios[1]), ("pointwise", &p.ratios[2])] {
+            h.gate(&format!("noise/{w}x{ht}/{name}_over_window"), ratios, Bound::Reported);
+        }
     }
-    h.attach_section("noise_paired", format!("[{}]", paired.join(", ")));
 
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
     let mut sg = StripGenerator::new(&s, KernelSizing::default(), 64, 5)

@@ -5,11 +5,10 @@
 //! (seed, height, cursor) plus magic and checksum. This suite measures a
 //! strip-generation tile alone, the same tile plus an in-memory
 //! checkpoint encode, and the same tile plus a durable file-backed
-//! checkpoint (create + write + fsync), in paired reps: each rep times a
-//! block of [`TILES_PER_BLOCK`] tiles of every variant back to back, in
-//! an order that rotates between reps, and keeps each variant's ratio to
-//! the tile alone, so a slow rep of the shared host cancels out of its
-//! ratios. It reports the median paired ratio and its spread. The
+//! checkpoint (create + write + fsync), in [`paired`] reps of one block
+//! of [`TILES_PER_BLOCK`] tiles each, the tile alone first in the
+//! rotation. It reports each checkpoint's median ratio to the tile alone
+//! and its spread. The
 //! overhead is not small: the fsync costs about a third of a
 //! millisecond, against under a millisecond for a 256×64 tile on the
 //! 2-vCPU bench host, so a durable checkpoint after every tile adds
@@ -21,6 +20,7 @@
 //! as an `"obs"` section — the write-vs-fsync split is the interesting
 //! figure on most filesystems.
 
+use rrs_bench::harness::{paired, per_call_ns, Bound};
 use rrs_bench::Harness;
 use rrs_chaos::ChaosInjector;
 use rrs_error::Budget;
@@ -31,9 +31,7 @@ use rrs_io::{
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, SurfaceParams};
 use rrs_surface::{GenContext, KernelSizing, StripGenerator};
-use rrs_bench::harness::median_of_sorted;
 use std::hint::black_box;
-use std::time::Instant;
 
 const NY: usize = 256;
 const STRIP_W: usize = 64;
@@ -83,44 +81,16 @@ fn main() {
     for (_, tile, sg) in &mut variants {
         tile(sg); // warm-up: plans, kernel spectrum, noise window
     }
-    let mut per_tile: Vec<Vec<f64>> = vec![Vec::with_capacity(pairs); variants.len()];
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(pairs); variants.len()];
-    for rep in 0..pairs {
-        let mut block = [0.0f64; 3];
-        let n = variants.len();
-        for i in (0..n).map(|k| (k + rep) % n) {
-            let (_, tile, sg) = &mut variants[i];
-            let t0 = Instant::now();
-            for _ in 0..TILES_PER_BLOCK {
-                tile(sg);
-            }
-            block[i] = t0.elapsed().as_nanos() as f64;
-        }
-        for (i, &t) in block.iter().enumerate() {
-            per_tile[i].push(t / TILES_PER_BLOCK as f64);
-            ratios[i].push(t / block[0]);
-        }
-    }
-    for ((name, _, _), samples) in variants.iter().zip(per_tile) {
+    let p = paired(pairs, variants.len(), |i| {
+        let (_, tile, sg) = &mut variants[i];
+        per_call_ns(TILES_PER_BLOCK, || tile(sg))
+    });
+    for ((name, _, _), samples) in variants.iter().zip(p.times) {
         h.record(&format!("resume/{name}"), Some((NY * STRIP_W) as u64), samples);
     }
-    let mut entries = Vec::new();
-    let mut overheads = Vec::new();
-    for ((name, _, _), r) in variants.iter().zip(&mut ratios).skip(1) {
-        r.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-        let (median, lo, hi) = (median_of_sorted(r), r[0], r[r.len() - 1]);
-        entries.push(format!(
-            "\"{name}\": {{\"median\": {median:.3}, \"min\": {lo:.3}, \"max\": {hi:.3}}}"
-        ));
-        overheads.push((*name, median, lo, hi));
+    for ((name, _, _), ratios) in variants.iter().zip(&p.ratios).skip(1) {
+        h.gate(&format!("resume/{name}_over_strip_only"), ratios, Bound::Reported);
     }
-    h.attach_section(
-        "paired_over_strip_only",
-        format!(
-            "{{\"pairs\": {pairs}, \"tiles_per_block\": {TILES_PER_BLOCK}, {}}}",
-            entries.join(", ")
-        ),
-    );
 
     let sg = StripGenerator::new(&s, KernelSizing::default(), NY, 11);
     h.bench("resume/file_checkpoint_only", || {
@@ -170,16 +140,6 @@ fn main() {
             .map(|r| r.median_ns)
             .expect("record present")
     };
-    for (variant, ratio, lo, hi) in overheads {
-        let pct = |r: f64| (r - 1.0) * 100.0;
-        println!(
-            "checkpoint overhead [{variant}]: {:+.1}% per tile (median of {pairs} paired \
-             ratios; {:+.1}% to {:+.1}%)",
-            pct(ratio),
-            pct(lo),
-            pct(hi)
-        );
-    }
     let direct = median("file_checkpoint_only") / median("strip_only") * 100.0;
     println!("checkpoint overhead [direct measure]: {direct:.1}% per tile");
 }

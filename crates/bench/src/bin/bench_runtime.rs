@@ -13,13 +13,10 @@
 //! * `par_rows_chaos_armed` — with an armed but empty chaos schedule,
 //!   so every band polls its fault site 8 times.
 //!
-//! The four run in paired reps: each rep times a block of
-//! [`CALLS_PER_BLOCK`] calls of every variant back to back, in an order
-//! that rotates between reps (so every variant runs in every position
-//! equally often), and keeps each variant's ratio to `bare_scope` from
-//! that rep. A block's time is the median of its calls, so one call that
-//! waits for a descheduled vCPU does not move the block; drift in the
-//! host's speed that hits a whole rep cancels out of its ratios.
+//! The four run in [`paired`] reps of one block of [`CALLS_PER_BLOCK`]
+//! calls each, `bare_scope` first in the rotation. A block's time is the
+//! median of its calls, so one call that waits for a descheduled vCPU
+//! does not move the block.
 //!
 //! **Fails** (exit code 1) if the median paired ratio of `par_rows` to
 //! `bare_scope` is [`MAX_UNARMED_RATIO`] or more: the unarmed entry
@@ -32,7 +29,7 @@
 //! Run with `cargo run --release -p rrs-bench --bin bench_runtime`;
 //! writes `BENCH_runtime.json` (`RRS_BENCH_REPS` sets the pair count).
 
-use rrs_bench::harness::median_of_sorted;
+use rrs_bench::harness::{median_call_ns, paired, Bound};
 use rrs_bench::Harness;
 use rrs_chaos::{ChaosInjector, FaultSchedule};
 use rrs_error::{Budget, CancelToken};
@@ -41,7 +38,7 @@ use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, SurfaceParams};
 use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const N: usize = 192;
 const ROW: usize = 256;
@@ -107,39 +104,23 @@ fn main() {
         ("par_rows_budget_armed", &|b| rows(b, &armed, &off)),
         ("par_rows_chaos_armed", &|b| rows(b, &unlimited, &empty_schedule)),
     ];
-    let mut per_call: Vec<Vec<f64>> = vec![Vec::with_capacity(pairs); variants.len()];
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(pairs); variants.len()];
     for (_, run) in &variants {
         run(&mut buf); // warm-up
     }
-    for rep in 0..pairs {
-        let mut block = [0.0f64; 4];
-        let mut calls = [0.0f64; CALLS_PER_BLOCK];
-        for i in (0..variants.len()).map(|k| (k + rep) % variants.len()) {
-            for call in &mut calls {
-                let t0 = Instant::now();
-                variants[i].1(&mut buf);
-                black_box(buf[0]);
-                *call = t0.elapsed().as_nanos() as f64;
-            }
-            calls.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            block[i] = median_of_sorted(&calls);
-        }
-        for (i, &t) in block.iter().enumerate() {
-            per_call[i].push(t);
-            ratios[i].push(t / block[0]);
-        }
-    }
-    for ((name, _), samples) in variants.iter().zip(per_call) {
+    let p = paired(pairs, variants.len(), |i| {
+        median_call_ns(CALLS_PER_BLOCK, || {
+            variants[i].1(&mut buf);
+            black_box(buf[0]);
+        })
+    });
+    for ((name, _), samples) in variants.iter().zip(p.times) {
         h.record(&format!("runtime/{name}"), Some((ROW * ROWS) as u64), samples);
     }
-    let medians: Vec<(f64, f64, f64)> = ratios
-        .iter_mut()
-        .map(|r| {
-            r.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            (median_of_sorted(r), r[0], r[r.len() - 1])
-        })
-        .collect();
+    let mut free = true;
+    for (i, (name, _)) in variants.iter().enumerate().skip(1) {
+        let bound = if i == 1 { Bound::Below(MAX_UNARMED_RATIO) } else { Bound::Reported };
+        free &= h.gate(&format!("runtime/{name}_over_bare_scope"), &p.ratios[i], bound);
+    }
 
     // --- Full generator, informational. ---
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));
@@ -170,22 +151,6 @@ fn main() {
         "armed budget changed the surface"
     );
 
-    let entries: Vec<String> = variants
-        .iter()
-        .zip(&medians)
-        .skip(1)
-        .map(|((name, _), (median, lo, hi))| {
-            format!("\"{name}\": {{\"median\": {median:.3}, \"min\": {lo:.3}, \"max\": {hi:.3}}}")
-        })
-        .collect();
-    h.attach_section(
-        "paired_over_bare_scope",
-        format!(
-            "{{\"pairs\": {pairs}, \"calls_per_block\": {CALLS_PER_BLOCK}, \
-             \"gate_max_unarmed\": {MAX_UNARMED_RATIO}, {}}}",
-            entries.join(", ")
-        ),
-    );
     let records = h.finish().expect("write BENCH_runtime.json");
     let min_of = |name: &str| {
         records
@@ -194,26 +159,9 @@ fn main() {
             .map(|r| r.min_ns)
             .expect("record present")
     };
-    for ((name, _), (median, lo, hi)) in variants.iter().zip(&medians).skip(1) {
-        let role = if *name == "par_rows" {
-            format!("gate: < {MAX_UNARMED_RATIO}x")
-        } else {
-            "informational".to_string()
-        };
-        println!(
-            "{name}/bare_scope (median of {pairs} paired ratios): {median:.3}x \
-             [{lo:.3}, {hi:.3}]  ({role})"
-        );
-    }
     let conv_ratio = min_of("conv_armed_budget") / min_of("conv_no_budget");
     println!("conv armed/no-budget (min-of-reps): {conv_ratio:.3}x  (informational)");
-
-    let unarmed = medians[1].0;
-    if unarmed >= MAX_UNARMED_RATIO {
-        eprintln!(
-            "FAIL: the unarmed row-band entry costs {unarmed:.3}x a bare scoped band loop \
-             (gate: < {MAX_UNARMED_RATIO}x) — the no-hooks path is no longer free"
-        );
+    if !free {
         std::process::exit(1);
     }
     println!("row-band overhead gate passed");

@@ -12,6 +12,15 @@
 //! 10 reps) are tuned for the paper-scale workloads; override globally
 //! with `RRS_BENCH_WARMUP` / `RRS_BENCH_REPS` or per-suite via
 //! [`Harness::with_reps`].
+//!
+//! Gates that compare two or more variants of one operation (the code
+//! and the code it replaced, or a path with and without a hook) measure
+//! them with [`paired`]: every rep runs one block of each variant back to
+//! back, in an order that rotates between reps, and keeps each variant's
+//! ratio to variant 0 from that rep, so drift in the host's speed that
+//! hits a whole rep cancels out of its ratios. [`Harness::gate`] then
+//! prints and writes the ratios' summary (pair count, median, quartiles,
+//! min, max) and checks the median against a [`Bound`].
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -50,6 +59,7 @@ pub struct Harness {
     reps: u64,
     records: Vec<BenchRecord>,
     sections: Vec<(String, String)>,
+    paired: Vec<String>,
 }
 
 fn env_u64(key: &str) -> Option<u64> {
@@ -65,6 +75,7 @@ impl Harness {
             reps: env_u64("RRS_BENCH_REPS").unwrap_or(10).max(1),
             records: Vec::new(),
             sections: Vec::new(),
+            paired: Vec::new(),
         }
     }
 
@@ -101,7 +112,7 @@ impl Harness {
     }
 
     /// The configured timed-rep count (for suites that time their own
-    /// loops, e.g. paired designs, and report through
+    /// loops, e.g. [`paired`] designs, and report through
     /// [`record`](Harness::record)).
     pub fn reps(&self) -> u64 {
         self.reps
@@ -117,7 +128,7 @@ impl Harness {
         assert!(!samples.is_empty(), "{name}: no samples");
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let n = samples.len();
-        let median = median_of_sorted(&samples);
+        let median = quantile_of_sorted(&samples, 0.5);
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = if n > 1 {
             samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / (n - 1) as f64
@@ -162,10 +173,41 @@ impl Harness {
         self.sections.push((key.to_string(), value));
     }
 
+    /// Summarises the paired `ratios` of `label` (one per rep, e.g. a
+    /// [`Paired::ratios`] entry), prints one line, adds the summary under
+    /// `label` to the report's `paired` section and returns whether
+    /// `bound` holds for the median, printing a `FAIL:` line to stderr
+    /// when it does not.
+    ///
+    /// # Panics
+    /// Panics if `ratios` is empty.
+    pub fn gate(&mut self, label: &str, ratios: &[f64], bound: Bound) -> bool {
+        let s = RatioSummary::of(ratios);
+        let holds = bound.holds(s.median);
+        let role = match bound {
+            Bound::Reported => "reported".to_string(),
+            _ => format!("gate: {}x", bound.describe()),
+        };
+        println!(
+            "{label}: median of {} paired ratios {:.3}x, quartiles [{:.3}, {:.3}], \
+             range [{:.3}, {:.3}]  ({role})",
+            s.pairs, s.median, s.q1, s.q3, s.min, s.max,
+        );
+        if !holds {
+            eprintln!("FAIL: {label}: median paired ratio {:.3}x ({role})", s.median);
+        }
+        self.paired.push(format!("\"{}\": {}", json_escape(label), s.to_json(bound)));
+        holds
+    }
+
     /// Writes `BENCH_<suite>.json` into the current directory (or
     /// `RRS_BENCH_DIR` when set), stamped with [`host_facts`], and returns
     /// the records.
     pub fn finish(mut self) -> std::io::Result<Vec<BenchRecord>> {
+        if !self.paired.is_empty() {
+            let paired = format!("{{{}}}", self.paired.join(", "));
+            self.attach_section("paired", paired);
+        }
         self.attach_section("host", host_facts());
         let dir = std::env::var("RRS_BENCH_DIR").unwrap_or_else(|_| ".".into());
         let path = format!("{dir}/BENCH_{}.json", self.suite);
@@ -178,17 +220,157 @@ impl Harness {
     }
 }
 
-/// The median of an ascending slice (midpoint of the two central values
-/// for even lengths).
+/// The `p` quantile of an ascending slice, interpolated linearly between
+/// the two closest ranks (rank `p·(n − 1)`, counted from 0): `p = 0.5`
+/// is the median, the midpoint of the two central values for even
+/// lengths.
 ///
 /// # Panics
 /// Panics if `sorted` is empty.
-pub fn median_of_sorted(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        0.5 * (sorted[n / 2 - 1] + sorted[n / 2])
+fn quantile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    let rank = p * (sorted.len() - 1) as f64;
+    let (lo, frac) = (rank.floor() as usize, rank.fract());
+    match sorted.get(lo + 1) {
+        Some(&hi) if frac > 0.0 => sorted[lo] + frac * (hi - sorted[lo]),
+        _ => sorted[lo],
+    }
+}
+
+/// Runs `f` `calls` times back to back and returns the nanoseconds per
+/// call.
+pub fn per_call_ns(calls: usize, mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..calls {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / calls as f64
+}
+
+/// Runs `f` `calls` times, timing each call, and returns the median
+/// call's nanoseconds: a few calls that wait for a descheduled vCPU do
+/// not move it.
+///
+/// # Panics
+/// Panics if `calls` is 0.
+pub fn median_call_ns(calls: usize, mut f: impl FnMut()) -> f64 {
+    let mut times: Vec<f64> = (0..calls).map(|_| per_call_ns(1, &mut f)).collect();
+    times.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    quantile_of_sorted(&times, 0.5)
+}
+
+/// What [`paired`] measured, per variant and in rep order.
+#[derive(Debug)]
+pub struct Paired {
+    /// `times[i][r]`: variant `i`'s block time in rep `r`, as its block
+    /// returned it.
+    pub times: Vec<Vec<f64>>,
+    /// `ratios[i][r]`: `times[i][r] / times[0][r]`, so `ratios[0]` is all
+    /// ones.
+    pub ratios: Vec<Vec<f64>>,
+}
+
+/// Measures `variants` variants of one operation in `pairs` paired reps.
+///
+/// `block(i)` runs one block of variant `i` and returns its time (a
+/// block's calls, warm-up and statistic are the caller's: nanoseconds
+/// per call, the median of its calls, a set's total). Rep `r` runs every
+/// variant once, starting at variant `r mod variants` and going round in
+/// index order, so with two variants the order alternates and with more
+/// every variant runs in every position equally often. Each variant's
+/// ratio to variant 0 is taken within the rep, so drift in the host's
+/// speed that hits the whole rep cancels out of it.
+///
+/// # Panics
+/// Panics if `variants` is 0.
+pub fn paired(pairs: usize, variants: usize, mut block: impl FnMut(usize) -> f64) -> Paired {
+    assert!(variants > 0, "a paired measurement needs a variant");
+    let mut times = vec![Vec::with_capacity(pairs); variants];
+    let mut ratios = vec![Vec::with_capacity(pairs); variants];
+    let mut rep = vec![0.0; variants];
+    for r in 0..pairs {
+        for k in 0..variants {
+            let i = (r + k) % variants;
+            rep[i] = block(i);
+        }
+        for (i, &t) in rep.iter().enumerate() {
+            times[i].push(t);
+            ratios[i].push(t / rep[0]);
+        }
+    }
+    Paired { times, ratios }
+}
+
+/// The summary every paired ratio is printed and written as.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct RatioSummary {
+    pairs: usize,
+    median: f64,
+    q1: f64,
+    q3: f64,
+    min: f64,
+    max: f64,
+}
+
+impl RatioSummary {
+    /// Summarises `ratios` (any order); quartiles interpolate between
+    /// ranks as the median of an even count does.
+    ///
+    /// # Panics
+    /// Panics if `ratios` is empty or holds a NaN.
+    fn of(ratios: &[f64]) -> Self {
+        assert!(!ratios.is_empty(), "no paired ratios");
+        let mut s = ratios.to_vec();
+        s.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios"));
+        Self {
+            pairs: s.len(),
+            median: quantile_of_sorted(&s, 0.5),
+            q1: quantile_of_sorted(&s, 0.25),
+            q3: quantile_of_sorted(&s, 0.75),
+            min: s[0],
+            max: s[s.len() - 1],
+        }
+    }
+
+    fn to_json(self, bound: Bound) -> String {
+        let bound = match bound {
+            Bound::Reported => "null".to_string(),
+            _ => format!("\"{}\"", bound.describe()),
+        };
+        format!(
+            "{{\"pairs\": {}, \"median\": {:.3}, \"q1\": {:.3}, \"q3\": {:.3}, \"min\": {:.3}, \
+             \"max\": {:.3}, \"bound\": {bound}}}",
+            self.pairs, self.median, self.q1, self.q3, self.min, self.max,
+        )
+    }
+}
+
+/// What a paired ratio's median is checked against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    /// A speed-up: the median must be at least this.
+    AtLeast(f64),
+    /// An overhead: the median must be below this.
+    Below(f64),
+    /// Reported, never failed.
+    Reported,
+}
+
+impl Bound {
+    /// Whether `median` passes.
+    fn holds(self, median: f64) -> bool {
+        match self {
+            Bound::AtLeast(b) => median >= b,
+            Bound::Below(b) => median < b,
+            Bound::Reported => true,
+        }
+    }
+
+    fn describe(self) -> String {
+        match self {
+            Bound::AtLeast(b) => format!(">= {b}"),
+            Bound::Below(b) => format!("< {b}"),
+            Bound::Reported => "reported".to_string(),
+        }
     }
 }
 
@@ -319,6 +501,81 @@ mod tests {
         let j = to_json("unit", 2, &records, &sections);
         assert!(j.contains("\"obs\": {\"counters\": {}}"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
+    }
+
+    #[test]
+    fn paired_starts_rep_r_at_variant_r_mod_n() {
+        for (variants, want) in [
+            (2, vec![0, 1, 1, 0, 0, 1, 1, 0, 0, 1]),
+            (3, vec![0, 1, 2, 1, 2, 0, 2, 0, 1, 0, 1, 2]),
+            (4, vec![0, 1, 2, 3, 1, 2, 3, 0, 2, 3, 0, 1, 3, 0, 1, 2, 0, 1, 2, 3]),
+        ] {
+            let mut order = Vec::new();
+            let pairs = want.len() / variants;
+            let p = paired(pairs, variants, |i| {
+                order.push(i);
+                1.0
+            });
+            assert_eq!(order, want, "{variants} variants");
+            assert!(p.times.iter().all(|t| t.len() == pairs));
+        }
+    }
+
+    #[test]
+    fn paired_keeps_block_times_and_divides_by_variant_0_within_the_rep() {
+        // Variant 0 takes 2, 4, 8 in reps 0..3; variant 1 takes 3 in every
+        // rep and variant 2 always twice variant 0.
+        let base = [2.0, 4.0, 8.0];
+        let mut calls = [0usize; 3];
+        let p = paired(3, 3, |i| {
+            let r = calls[i];
+            calls[i] += 1;
+            [base[r], 3.0, 2.0 * base[r]][i]
+        });
+        assert_eq!(p.times, vec![base.to_vec(), vec![3.0; 3], vec![4.0, 8.0, 16.0]]);
+        assert_eq!(p.ratios[0], vec![1.0; 3]);
+        assert_eq!(p.ratios[1], vec![1.5, 0.75, 0.375], "variant 1 over variant 0");
+        assert_eq!(p.ratios[2], vec![2.0; 3]);
+    }
+
+    #[test]
+    fn ratio_summary_on_odd_and_even_counts() {
+        let odd = RatioSummary::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        let want = RatioSummary { pairs: 5, median: 3.0, q1: 2.0, q3: 4.0, min: 1.0, max: 5.0 };
+        assert_eq!(odd, want);
+        // Ranks 0.75, 1.5 and 2.25 of four.
+        let even = RatioSummary::of(&[4.0, 1.0, 3.0, 2.0]);
+        let want = RatioSummary { pairs: 4, median: 2.5, q1: 1.75, q3: 3.25, min: 1.0, max: 4.0 };
+        assert_eq!(even, want);
+        let one = RatioSummary::of(&[1.25]);
+        assert_eq!((one.median, one.q1, one.q3, one.min, one.max), (1.25, 1.25, 1.25, 1.25, 1.25));
+    }
+
+    #[test]
+    fn the_gate_passes_at_a_speed_up_bound_and_fails_at_an_overhead_bound() {
+        let cases = [
+            (Bound::AtLeast(2.0), [false, true, true]),
+            (Bound::Below(2.0), [true, false, false]),
+            (Bound::Reported, [true, true, true]),
+        ];
+        let mut h = Harness::new("selftest");
+        for (bound, want) in cases {
+            for (median, want) in [1.999, 2.0, 2.001].into_iter().zip(want) {
+                assert_eq!(bound.holds(median), want, "{bound:?} at {median}");
+                // The same verdict through the gate, on ratios whose median
+                // is `median`.
+                let ratios = [median - 1.0, median, median + 1.0];
+                assert_eq!(h.gate("g", &ratios, bound), want, "{bound:?} at {median}");
+            }
+        }
+        assert_eq!(h.paired.len(), 9);
+        assert_eq!(
+            h.paired[1],
+            "\"g\": {\"pairs\": 3, \"median\": 2.000, \"q1\": 1.500, \"q3\": 2.500, \
+             \"min\": 1.000, \"max\": 3.000, \"bound\": \">= 2\"}"
+        );
+        assert!(h.paired[4].ends_with("\"bound\": \"< 2\"}"));
+        assert!(h.paired[7].ends_with("\"bound\": null}"));
     }
 
     #[test]

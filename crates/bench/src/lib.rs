@@ -7,8 +7,8 @@
 //! timing binaries, and the fast integration tests.
 //!
 //! [`harness`] is the in-repo timing substrate those binaries share:
-//! warmup + repeated timed runs, median/min/stddev summaries, and
-//! machine-readable `BENCH_*.json` output.
+//! warmup + repeated timed runs, paired A/B gates, median/min/stddev
+//! summaries, and machine-readable `BENCH_*.json` output.
 //!
 //! [`ScalarFft2d`] is the scalar 2-D transform the FFT gates time the
 //! batched transforms against; [`reference_weights`] holds the weight maps

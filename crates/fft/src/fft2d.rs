@@ -123,19 +123,18 @@ impl Fft2d {
     }
 }
 
-/// Runs `run` on every band: on the calling thread when there is one,
-/// otherwise each on its own scoped thread.
+/// Runs `run` on every band through `rrs-par`'s band loop (on the
+/// calling thread when there is one band, otherwise each on its own
+/// scoped thread), re-raising a band's contained panic here so a pass
+/// stays infallible.
 fn fan_out<B: Send>(bands: Vec<B>, run: impl Fn(B) + Sync) {
-    if bands.len() <= 1 {
-        bands.into_iter().for_each(run);
-        return;
-    }
-    let run = &run;
-    rrs_par::scope(|s| {
-        for band in bands {
-            s.spawn(move || run(band));
-        }
+    let done = rrs_par::try_par_bands(bands, &rrs_obs::Recorder::disabled(), |_, band| {
+        run(band);
+        Ok(())
     });
+    if let Err(e) = done {
+        panic!("Fft2d pass: {e}");
+    }
 }
 
 /// One band's lane planes for sequences of `fft.len()` elements, and the

@@ -42,7 +42,7 @@ pub mod rfft;
 pub mod spectral;
 
 use rrs_num::Complex64;
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -35,7 +35,7 @@
 use rrs_chaos::ChaosInjector;
 use rrs_error::{Budget, RrsError};
 use rrs_grid::{Grid2, Window};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use rrs_spectrum::SpectrumModel;
 use rrs_surface::{
     convolve_into, convolve_into_workspace, BackendHealth, ConvBackend, ConvolutionKernel,

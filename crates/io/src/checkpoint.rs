@@ -24,7 +24,7 @@ use crate::snapshot::read_u64_le;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
 use rrs_grid::fnv1a;
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use std::io::{Read, Write};
 use std::path::Path;
 

@@ -17,7 +17,7 @@
 
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, ErrorKind, RrsError};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use std::time::{Duration, Instant};
 
 /// How to wait between attempts. Injectable so tests run instantly.

@@ -8,8 +8,8 @@
 //!   start/stop ([`Recorder::start`] / [`Recorder::finish`]); no global
 //!   clock reads hide inside hot loops;
 //! * named **counters** and power-of-two **duration histograms**
-//!   ([`hist::DurationHist`]) behind the [`ObsSink`] trait;
-//! * [`Recorder`] — the thread-safe standard sink: workers accumulate into
+//!   ([`hist::DurationHist`]);
+//! * [`Recorder`] — the thread-safe sink for both: workers accumulate into
 //!   private [`Shard`]s (no locks, no atomics in the loop) and merge them
 //!   with one [`Recorder::absorb`] per band;
 //! * [`report::ObsReport`] — a snapshot exportable as `BENCH_*.json`-style
@@ -164,20 +164,6 @@ pub mod stage {
     pub const SERVE_CLIENT_CONNECT: &str = "serve/client_connect";
 }
 
-/// Destination for named counters and duration observations.
-///
-/// [`Recorder`] is the standard implementation; alternative sinks (a
-/// process-wide exporter, a test probe) implement the same two hooks.
-/// Names must be `'static` workspace identifiers (`group/label`) so hot
-/// paths never format strings.
-pub trait ObsSink: Send + Sync {
-    /// Adds `delta` to the counter `name`.
-    fn add_counter(&self, name: &'static str, delta: u64);
-
-    /// Records one duration of `ns` nanoseconds under `name`.
-    fn record_duration_ns(&self, name: &'static str, ns: u64);
-}
-
 /// An in-flight stage timer. Obtain with [`Recorder::start`], close with
 /// [`Recorder::finish`] — dropping a span without finishing records
 /// nothing (deliberate: abandoning a stage after an error must not litter
@@ -300,6 +286,24 @@ impl Recorder {
         }
     }
 
+    /// Adds `delta` to the counter `name`. Names are `'static` workspace
+    /// identifiers (`group/label`, see [`stage`]) so hot paths never
+    /// format strings.
+    #[inline]
+    pub fn add_counter(&self, name: &'static str, delta: u64) {
+        if let Some(inner) = self.inner.as_deref() {
+            *lock(inner).counters.entry(name).or_insert(0) += delta;
+        }
+    }
+
+    /// Records one duration of `ns` nanoseconds under `name`.
+    #[inline]
+    pub fn record_duration_ns(&self, name: &'static str, ns: u64) {
+        if let Some(inner) = self.inner.as_deref() {
+            lock(inner).durations.entry(name).or_default().record(ns);
+        }
+    }
+
     /// Times the closure `f` as one observation of stage `name`.
     #[inline]
     pub fn time<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
@@ -337,22 +341,6 @@ impl Recorder {
         ObsReport {
             counters: agg.counters.iter().map(|(&k, &v)| (k, v)).collect(),
             durations: agg.durations.iter().map(|(&k, v)| (k, v.clone())).collect(),
-        }
-    }
-}
-
-impl ObsSink for Recorder {
-    #[inline]
-    fn add_counter(&self, name: &'static str, delta: u64) {
-        if let Some(inner) = self.inner.as_deref() {
-            *lock(inner).counters.entry(name).or_insert(0) += delta;
-        }
-    }
-
-    #[inline]
-    fn record_duration_ns(&self, name: &'static str, ns: u64) {
-        if let Some(inner) = self.inner.as_deref() {
-            lock(inner).durations.entry(name).or_default().record(ns);
         }
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * [`try_par_rows`] — row bands of a mutable row-major buffer, with
 //!   cooperative [`Budget`] polling and [`ChaosInjector`] fault sites;
-//! * [`try_par_ranges`] — bands of an index range, for loops whose
-//!   items are not rows of one buffer (the FFT tile loop).
+//! * [`try_par_bands`] — the loop itself, over bands the caller has cut
+//!   (the FFT tile loop's index ranges, a 2-D FFT pass's rows or
+//!   columns).
 //!
 //! Determinism note: every band partition is *static*; outputs never
 //! depend on scheduling, only on the partition, which itself depends only
@@ -35,23 +36,10 @@
 
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, ErrorKind, RrsError};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use std::num::NonZeroUsize;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-pub use std::thread::Scope;
-
-/// Runs `f` inside a `std::thread::scope`, propagating panics from worker
-/// threads as a panic on the caller (the scope joins every spawned thread
-/// before returning and re-raises the first panic it observed).
-pub fn scope<'env, F, R>(f: F) -> R
-where
-    F: for<'scope> FnOnce(&'scope Scope<'scope, 'env>) -> R,
-{
-    std::thread::scope(f)
-}
 
 /// Returns the number of worker threads to use: the `RRS_THREADS`
 /// environment variable if set and positive, otherwise the machine's
@@ -86,14 +74,15 @@ pub fn split_range(n: usize, parts: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// The fan-out loop under both entry points: runs `run(i, band)` for
-/// every band — on the calling thread when there is only one, otherwise
-/// each on its own scoped thread — under `catch_unwind`, so a panic
-/// becomes [`RrsError::WorkerPanicked`] naming band `i`. Bands join in
-/// order and the lowest-indexed failure wins. Ticks [`stage::PAR_BANDS`]
-/// once per band and [`stage::PAR_WORKER_PANICS`] once per panicked
-/// band.
-fn run_bands<W, F>(bands: Vec<W>, obs: &Recorder, run: F) -> Result<(), RrsError>
+/// The fan-out loop: runs `run(i, band)` for every band — on the calling
+/// thread when there is only one, otherwise each on its own scoped
+/// thread — under `catch_unwind`, so a panic becomes
+/// [`RrsError::WorkerPanicked`] naming band `i`. Every band runs to
+/// completion (or its own failure) before the call returns; bands join
+/// in order and the lowest-indexed failure wins. Ticks
+/// [`stage::PAR_BANDS`] once per band and [`stage::PAR_WORKER_PANICS`]
+/// once per panicked band. `run` does its own budget and chaos polling.
+pub fn try_par_bands<W, F>(bands: Vec<W>, obs: &Recorder, run: F) -> Result<(), RrsError>
 where
     W: Send,
     F: Fn(usize, W) -> Result<(), RrsError> + Sync,
@@ -105,7 +94,7 @@ where
     let results: Vec<Result<(), RrsError>> = if bands.len() <= 1 {
         bands.into_iter().map(|band| caught(0, band)).collect()
     } else {
-        scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = bands
                 .into_iter()
                 .enumerate()
@@ -213,7 +202,7 @@ where
         })
         .collect();
     let polls = AtomicU64::new(0);
-    let result = run_bands(bands, obs, |_, (r0, band)| {
+    let result = try_par_bands(bands, obs, |_, (r0, band)| {
         for (i, slice) in band.chunks_mut(slice_rows * row_len).enumerate() {
             if polling {
                 polls.fetch_add(1, Ordering::Relaxed);
@@ -229,19 +218,6 @@ where
         obs.add_counter(stage::BUDGET_POLLS, polls);
     }
     result
-}
-
-/// Splits the index range `[0, n)` into `min(workers, n)` balanced bands
-/// ([`split_range`]) and runs `f(band)` over each, in parallel, with the
-/// same containment, error precedence and `par/*` counters as
-/// [`try_par_rows`]. `f` does its own budget and chaos polling.
-pub fn try_par_ranges<F>(n: usize, workers: usize, obs: &Recorder, f: F) -> Result<(), RrsError>
-where
-    F: Fn(Range<usize>) -> Result<(), RrsError> + Sync,
-{
-    let bands: Vec<Range<usize>> =
-        split_range(n, workers.max(1).min(n)).into_iter().map(|(a, b)| a..b).collect();
-    run_bands(bands, obs, |_, band| f(band))
 }
 
 #[cfg(test)]
@@ -288,16 +264,6 @@ mod tests {
     #[test]
     fn default_workers_is_positive() {
         assert!(default_workers() >= 1);
-    }
-
-    #[test]
-    fn scope_propagates_results() {
-        let data = [1, 2, 3];
-        let sum = scope(|s| {
-            let h = s.spawn(|| data.iter().sum::<i32>());
-            h.join().unwrap()
-        });
-        assert_eq!(sum, 6);
     }
 
     #[test]
@@ -616,8 +582,8 @@ mod tests {
         for workers in [1usize, 2, 5] {
             let seen: Vec<AtomicUsize> = (0..23).map(|_| AtomicUsize::new(0)).collect();
             let rec = Recorder::enabled();
-            try_par_ranges(23, workers, &rec, |r| {
-                r.for_each(|i| {
+            try_par_bands(split_range(23, workers), &rec, |_, (a, b)| {
+                (a..b).for_each(|i| {
                     seen[i].fetch_add(1, Ordering::SeqCst);
                 });
                 Ok(())
@@ -627,11 +593,11 @@ mod tests {
             assert_eq!(rec.report().counter(stage::PAR_BANDS), workers as u64);
         }
         let rec = Recorder::enabled();
-        let err = try_par_ranges(8, 4, &rec, |r| {
-            if r.start >= 4 {
-                panic!("range {r:?} down");
+        let err = try_par_bands(split_range(8, 4), &rec, |_, (a, b)| {
+            if a >= 4 {
+                panic!("range {a}..{b} down");
             }
-            if r.start >= 2 {
+            if a >= 2 {
                 return Err(RrsError::invalid_param("r", "typed failure"));
             }
             Ok(())

@@ -7,31 +7,9 @@
 //! ```
 //!
 //! including the companion `sin` deviate the transform produces for free.
-//! [`Polar`] (Marsaglia) avoids the trig calls and is the faster default
-//! for bulk fills; both produce exact `N(0, 1)` marginals so the choice
-//! does not affect surface statistics — a fact the test suite checks.
 
 use crate::RandomSource;
 use core::f64::consts::TAU;
-
-/// A strategy producing standard normal deviates from a uniform source.
-pub trait GaussianSource {
-    /// Draws one `N(0, 1)` sample.
-    fn sample<R: RandomSource + ?Sized>(&mut self, rng: &mut R) -> f64;
-
-    /// Fills `out` with independent `N(0, 1)` samples.
-    fn fill<R: RandomSource + ?Sized>(&mut self, rng: &mut R, out: &mut [f64]) {
-        for v in out {
-            *v = self.sample(rng);
-        }
-    }
-
-    /// Draws one `N(mean, sigma²)` sample.
-    #[inline]
-    fn sample_scaled<R: RandomSource + ?Sized>(&mut self, rng: &mut R, mean: f64, sigma: f64) -> f64 {
-        mean + sigma * self.sample(rng)
-    }
-}
 
 /// The Box–Muller transform of the paper's eqn (18), caching the second
 /// deviate of each pair.
@@ -55,10 +33,10 @@ impl BoxMuller {
         let (s, c) = u1.sin_cos();
         (r * c, r * s)
     }
-}
 
-impl GaussianSource for BoxMuller {
-    fn sample<R: RandomSource + ?Sized>(&mut self, rng: &mut R) -> f64 {
+    /// Draws one `N(0, 1)` sample: the first deviate of a fresh pair, or
+    /// the cached second one.
+    pub fn sample<R: RandomSource + ?Sized>(&mut self, rng: &mut R) -> f64 {
         if let Some(v) = self.cached.take() {
             return v;
         }
@@ -66,50 +44,6 @@ impl GaussianSource for BoxMuller {
         self.cached = Some(y);
         x
     }
-}
-
-/// Marsaglia's polar method: rejection-samples a point in the unit disc and
-/// maps it to a Gaussian pair without trigonometric calls.
-#[derive(Clone, Debug, Default)]
-pub struct Polar {
-    cached: Option<f64>,
-}
-
-impl Polar {
-    /// Creates a transform with an empty pair cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Draws a full independent pair.
-    pub fn sample_pair<R: RandomSource + ?Sized>(&mut self, rng: &mut R) -> (f64, f64) {
-        loop {
-            let x = 2.0 * rng.next_f64() - 1.0;
-            let y = 2.0 * rng.next_f64() - 1.0;
-            let s = x * x + y * y;
-            if s < 1.0 && s > 0.0 {
-                let k = (-2.0 * s.ln() / s).sqrt();
-                return (x * k, y * k);
-            }
-        }
-    }
-}
-
-impl GaussianSource for Polar {
-    fn sample<R: RandomSource + ?Sized>(&mut self, rng: &mut R) -> f64 {
-        if let Some(v) = self.cached.take() {
-            return v;
-        }
-        let (x, y) = self.sample_pair(rng);
-        self.cached = Some(y);
-        x
-    }
-}
-
-/// Convenience: fills `out` with `N(0, 1)` deviates using Box–Muller, the
-/// paper's stated generator.
-pub fn fill_standard_normal<R: RandomSource + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    BoxMuller::new().fill(rng, out);
 }
 
 #[cfg(test)]
@@ -146,14 +80,6 @@ mod tests {
     }
 
     #[test]
-    fn polar_moments() {
-        let mut rng = Xoshiro256pp::seed_from_u64(2);
-        let mut g = Polar::new();
-        let samples: Vec<f64> = (0..400_000).map(|_| g.sample(&mut rng)).collect();
-        check_standard_normal(&samples);
-    }
-
-    #[test]
     fn pair_components_are_uncorrelated() {
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut g = BoxMuller::new();
@@ -179,18 +105,6 @@ mod tests {
         let y2 = b.sample(&mut rng2);
         assert_eq!(x, x2);
         assert_eq!(y, y2);
-    }
-
-    #[test]
-    fn scaled_sampling() {
-        let mut rng = Xoshiro256pp::seed_from_u64(5);
-        let mut g = Polar::new();
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| g.sample_scaled(&mut rng, 10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|&x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean={mean}");
-        assert!((var - 4.0).abs() < 0.15, "var={var}");
     }
 
     #[test]
@@ -222,15 +136,5 @@ mod tests {
                 + t * (-0.284496736 + t * (1.421413741 + t * (-1.453152027 + t * 1.061405429))));
         let v = 1.0 - poly * (-x * x).exp();
         if x >= 0.0 { v } else { -v }
-    }
-
-    #[test]
-    fn fill_standard_normal_convenience() {
-        let mut rng = Xoshiro256pp::seed_from_u64(7);
-        let mut buf = vec![0.0; 4096];
-        fill_standard_normal(&mut rng, &mut buf);
-        let mean = buf.iter().sum::<f64>() / buf.len() as f64;
-        assert!(mean.abs() < 0.1);
-        assert!(buf.iter().any(|&v| v != 0.0));
     }
 }

@@ -10,8 +10,7 @@
 //!   for provably non-overlapping parallel streams;
 //! * [`Pcg32`] — an independent second family used to cross-check that
 //!   surface statistics do not depend on the generator;
-//! * [`gaussian`] — Box–Muller exactly as the paper's eqn (18), plus the
-//!   rejection-free polar variant, both as iterators and bulk fillers.
+//! * [`gaussian`] — [`BoxMuller`], exactly as the paper's eqn (18).
 //!
 //! All generators implement the minimal [`RandomSource`] trait consumed by
 //! the surface crates, so any of them can drive generation.
@@ -23,7 +22,7 @@ pub mod pcg;
 pub mod splitmix;
 pub mod xoshiro;
 
-pub use gaussian::{BoxMuller, GaussianSource, Polar};
+pub use gaussian::BoxMuller;
 pub use pcg::Pcg32;
 pub use splitmix::SplitMix64;
 pub use xoshiro::Xoshiro256pp;
@@ -91,23 +90,6 @@ impl<T: RandomSource + ?Sized> RandomSource for Box<T> {
     }
 }
 
-/// Derives `n` independent generators from one master seed.
-///
-/// Stream `i` is seeded from `SplitMix64(seed)` advanced `i` times, then the
-/// Xoshiro state receives `i` applications of `jump()`, guaranteeing
-/// 2^128-separated subsequences — the scheme used to parallelise row-band
-/// generation deterministically (same surface regardless of thread count).
-pub fn spawn_streams(seed: u64, n: usize) -> Vec<Xoshiro256pp> {
-    let mut root = Xoshiro256pp::seed_from_u64(seed);
-    (0..n)
-        .map(|_| {
-            let s = root.clone();
-            root.jump();
-            s
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,25 +133,6 @@ mod tests {
     #[should_panic(expected = "positive bound")]
     fn next_below_zero_panics() {
         Xoshiro256pp::seed_from_u64(1).next_below(0);
-    }
-
-    #[test]
-    fn spawned_streams_are_distinct_and_deterministic() {
-        let a = spawn_streams(99, 4);
-        let b = spawn_streams(99, 4);
-        for (x, y) in a.iter().zip(&b) {
-            let mut x = x.clone();
-            let mut y = y.clone();
-            for _ in 0..64 {
-                assert_eq!(x.next_u64(), y.next_u64());
-            }
-        }
-        // Different streams must not collide over a modest window.
-        let mut s0 = a[0].clone();
-        let mut s1 = a[1].clone();
-        let w0: Vec<u64> = (0..256).map(|_| s0.next_u64()).collect();
-        let w1: Vec<u64> = (0..256).map(|_| s1.next_u64()).collect();
-        assert_ne!(w0, w1);
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Xoshiro256++ — Blackman & Vigna's all-purpose 256-bit generator.
 //!
 //! Period 2^256 − 1, passes BigCrush, and provides polynomial `jump`
-//! functions that advance the state by 2^128 (resp. 2^192) steps — the
-//! mechanism behind deterministic parallel surface generation: each row
-//! band gets its own jumped stream.
+//! functions that advance the state by 2^128 (resp. 2^192) steps, so
+//! jumped copies of one generator give non-overlapping streams.
 
 use crate::{RandomSource, SplitMix64};
 

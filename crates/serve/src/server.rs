@@ -38,7 +38,7 @@ use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, CancelToken, ErrorKind, RrsError};
 use rrs_fft::FftPlanCache;
 use rrs_obs::report::ObsReport;
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use rrs_spectrum::Spectrum;
 use rrs_surface::{ConvolutionGenerator, ConvolutionKernel, GenContext, KernelSizing, NoiseField};
 use std::collections::{HashMap, VecDeque};

@@ -41,7 +41,7 @@ use rrs_error::RrsError;
 use rrs_grid::Grid2;
 use rrs_io::retry::{Sleeper, ThreadSleeper};
 use rrs_obs::report::ObsReport;
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 

@@ -112,7 +112,7 @@ pub fn jarque_bera_test(samples: &[f64]) -> TestResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrs_rng::{BoxMuller, GaussianSource, RandomSource, Xoshiro256pp};
+    use rrs_rng::{BoxMuller, RandomSource, Xoshiro256pp};
 
     fn gaussian_samples(n: usize, seed: u64) -> Vec<f64> {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);

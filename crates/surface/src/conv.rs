@@ -25,7 +25,7 @@ use crate::kernel::{ConvolutionKernel, KernelSizing};
 use crate::noise::{NoiseField, NoiseWindow};
 use rrs_error::{ErrorKind, RrsError};
 use rrs_grid::{Grid2, Window};
-use rrs_obs::{stage, ObsSink, Recorder};
+use rrs_obs::{stage, Recorder};
 use rrs_spectrum::Spectrum;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};

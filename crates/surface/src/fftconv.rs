@@ -62,7 +62,7 @@ use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
 use rrs_fft::{RealFft2d, RealTile, Spectrum, TileWorkspace, LANES};
 use rrs_grid::Grid2;
-use rrs_obs::{stage, ObsSink, Recorder, Shard};
+use rrs_obs::{stage, Recorder, Shard};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Tile shapes whose kernel spectrum one [`FftEngine`] keeps: a served
@@ -421,11 +421,11 @@ fn run_rfft(
     let out_ptr = SendPtr(out.rows.as_mut_ptr());
     // One band of tiles through its own workspace; its counters are
     // merged whether or not the band finishes.
-    let tile_band = |tiles: std::ops::Range<usize>| {
+    let tile_band = |(t0, t1): (usize, usize)| {
         let mut work = rfft.workspace();
         let mut shard = obs.shard();
         let result = run_tile_range(
-            tiles, geom, win, rfft, kspec, out_ptr, combine, &mut work, &mut shard, budget,
+            t0..t1, geom, win, rfft, kspec, out_ptr, combine, &mut work, &mut shard, budget,
             polling, chaos,
         );
         obs.absorb(shard);
@@ -433,11 +433,11 @@ fn run_rfft(
     };
     let span = obs.start(stage::CORRELATE);
     if workers == 1 {
-        tile_band(0..total)?;
+        tile_band((0, total))?;
     } else {
         // A failed band drops the span unfinished: a failed correlate
         // records no timing, like every other error path.
-        rrs_par::try_par_ranges(total, workers, obs, tile_band)?;
+        rrs_par::try_par_bands(rrs_par::split_range(total, workers), obs, |_, b| tile_band(b))?;
         obs.add_counter(stage::CONV_TILES_PARALLEL, total as u64);
     }
     obs.finish(span);

@@ -18,7 +18,7 @@
 //! tests verify.
 
 use rrs_num::Complex64;
-use rrs_rng::{BoxMuller, GaussianSource, RandomSource};
+use rrs_rng::{BoxMuller, RandomSource};
 
 /// Fills the `nx × ny` row-major bin lattice with a Hermitian-symmetric
 /// unit-variance complex Gaussian array.

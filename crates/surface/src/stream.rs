@@ -13,7 +13,7 @@ use crate::kernel::KernelSizing;
 use crate::noise::NoiseField;
 use rrs_error::RrsError;
 use rrs_grid::{Grid2, Window};
-use rrs_obs::{stage, ObsSink};
+use rrs_obs::stage;
 use rrs_spectrum::Spectrum;
 
 /// Generates an unbounded-in-`x` surface strip by strip.

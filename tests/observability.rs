@@ -7,7 +7,7 @@
 //! kernel selection, streaming tiles. These tests pin both through the
 //! public `rrs` facade, the way a downstream caller would wire it.
 
-use rrs::obs::{stage, ObsSink};
+use rrs::obs::stage;
 use rrs::prelude::*;
 
 fn spectrum() -> Gaussian {
