@@ -35,6 +35,34 @@ echo "== benchmark harness tests (perfbench, its own workspace) =="
 # parsing, statistics, report assembly) run here in its own profile.
 cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark smoke: every perfbench workload runs, traced and untraced =="
+# Runs each BENCHMARK.json workload for 2 s with the recorders off and
+# on, each under a 300 s timeout: a run fails the gate if it exits
+# non-zero, times out (a traced serve pass waits for every response, so
+# a lost response or a dead server worker hangs it), or does not end
+# with a JSON line reporting "correct": true.
+cargo build --release --offline --locked --quiet --manifest-path perfbench/Cargo.toml
+for workload in figures serve strip; do
+    for trace in 0 1; do
+        run="perfbench --workload $workload --seed 1 --seconds 2 --trace $trace"
+        status=0
+        out="$(timeout 300 cargo run --release --offline --locked --quiet \
+            --manifest-path perfbench/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 2 --trace "$trace")" || status=$?
+        if [ "$status" -ne 0 ]; then
+            [ "$status" -eq 124 ] && why="timed out after 300 s" || why="exited $status"
+            echo "FAIL: $run $why" >&2
+            exit 1
+        fi
+        if ! printf '%s\n' "$out" | tail -n 1 | grep -qE '"correct": ?true'; then
+            echo "FAIL: $run did not end with \"correct\": true:" >&2
+            printf '%s\n' "$out" | tail -n 1 >&2
+            exit 1
+        fi
+        echo "ok: $run"
+    done
+done
+
 echo "== fault injection: rrs-io decoders must fail closed, retries must recover =="
 # Includes the retry-under-injected-faults and torn-file atomicity
 # properties: transient FailingWriter faults recover within the attempt
@@ -120,7 +148,8 @@ cargo run --release --locked --offline -p rrs-bench --bin bench_runtime
 echo "== convolution backend gate: FFT must beat direct where Auto says so =="
 # Exits 1 if the overlap-save FFT engine is not >= 6x the direct loop on
 # the cl32/128x128 shape, if its 512^2 real-input tile is not >= 3.5x a
-# full-complex tile (forward, multiply, inverse; median of paired reps),
+# full-complex tile (forward, multiply, inverse; median of 15 paired
+# reps; over 12 runs on the 2-vCPU bench host the median read 6.50-7.77),
 # or if ConvBackend::Auto resolves to a backend measurably slower than
 # the alternative — see bench_convolution.
 cargo run --release --locked --offline -p rrs-bench --bin bench_convolution
@@ -129,8 +158,8 @@ echo "== FFT lanes and tile gates: batched passes and tiles must beat what they 
 # Exits 1 if Fft2d's lane passes and the scalar row/column composition of
 # Fft::process written in the bench differ in any bit on a 160^2
 # Bluestein lattice (a kernel build's DFT), or if the lane transform is
-# not >= 1.3x the scalar one (median of 15 paired reps; over 14 runs on
-# the 2-vCPU bench host the median read 1.64-2.38). Also exits 1 if the
+# not >= 1.3x the scalar one (median of 15 paired reps; over 12 runs on
+# the 2-vCPU bench host the median read 2.15-3.16). Also exits 1 if the
 # library's overlap-save tile differs in any bit from
 # rrs_bench::ReferenceTile (the tile before column-block spectra) at any
 # of the seven workload tile shapes 32^2..512^2, or if the 512^2 tile's

@@ -61,10 +61,10 @@ const TILE: usize = 512;
 /// Paired tile reps.
 const TILE_PAIRS: usize = 15;
 /// Gate on the median paired `complex / real` tile ratio. Over 12 runs
-/// of this suite on the 2-vCPU bench host the median read 4.65–5.75
-/// (per-pair ratios 3.59–7.15); 3.5 sits a quarter below the lowest
-/// median, one whole spread of the medians, so losing most of what the
-/// batched transforms gained fails it and host noise does not.
+/// of this suite on the 2-vCPU bench host the median read 6.50–7.77
+/// (per-pair ratios 4.69–10.70); 3.5 sits near half the lowest median,
+/// so losing most of what the batched transforms gained fails it and
+/// host noise does not.
 const MIN_TILE_SPEEDUP: f64 = 3.5;
 
 /// Times the real-input tile (variant 0) against the complex one

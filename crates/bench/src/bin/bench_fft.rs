@@ -47,11 +47,11 @@ const GATE_SIDE: usize = 160;
 const GATE_PAIRS: usize = 15;
 /// Transforms timed per rep, so one rep is several milliseconds.
 const GATE_BLOCK: usize = 4;
-/// Gate on the median paired `scalar / lanes` ratio. Over 14 runs of
-/// this suite on the 2-vCPU bench host the median read 1.64–2.38
-/// (per-pair ratios 1.16–2.52); 1.3 sits a fifth below the lowest median,
-/// so falling back to scalar passes (1.0) fails it and host noise does
-/// not.
+/// Gate on the median paired `scalar / lanes` ratio. Over 12 runs of
+/// this suite on the 2-vCPU bench host the median read 2.15–3.16
+/// (per-pair ratios 1.75–4.09); 1.3 sits two fifths below the lowest
+/// median, so falling back to scalar passes (1.0) fails it and host noise
+/// does not.
 const MIN_LANES_SPEEDUP: f64 = 1.3;
 /// The overlap-save tile shapes the workloads run: `serve`'s 32²–256²,
 /// `figures`' box tiles (64²–256², 128×256 and 256×128) and `strip`'s

@@ -42,9 +42,7 @@ impl FigureLayout {
     pub fn reference(&self) -> Box<dyn WeightMap> {
         use crate::reference_weights::{SdfPlates, TwoPassPoints};
         match self {
-            FigureLayout::Plates(l) => {
-                Box::new(SdfPlates::new(l.clone(), rrs_inhomo::TransitionProfile::Linear))
-            }
+            FigureLayout::Plates(l) => Box::new(SdfPlates::new(l.clone())),
             FigureLayout::Points(l) => Box::new(TwoPassPoints::new(l)),
         }
     }

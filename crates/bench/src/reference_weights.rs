@@ -6,7 +6,7 @@
 //! against, and tests assert that both give the same `(index, weight)`
 //! lists, bit for bit and in the same order.
 
-use rrs_inhomo::{PlateLayout, PointLayout, RepresentativePoint, TransitionProfile, WeightMap};
+use rrs_inhomo::{PlateLayout, PointLayout, RepresentativePoint, WeightMap};
 use rrs_spectrum::SpectrumModel;
 
 /// Layouts with at most this many points keep the per-sample squared
@@ -93,23 +93,17 @@ impl WeightMap for TwoPassPoints {
 /// signed distance, recomputed per sample.
 pub struct SdfPlates {
     layout: PlateLayout,
-    profile: TransitionProfile,
 }
 
 impl SdfPlates {
-    /// The reference map of `layout`, which must have been built with
-    /// `profile` (a layout does not report its profile).
-    pub fn new(layout: PlateLayout, profile: TransitionProfile) -> Self {
-        Self { layout, profile }
+    /// The reference map of `layout`.
+    pub fn new(layout: PlateLayout) -> Self {
+        Self { layout }
     }
 
     fn membership(&self, i: usize, x: f64, y: f64) -> f64 {
         let sd = self.layout.plates()[i].region.signed_distance(x, y);
-        let t = rrs_num::interp::clamp(0.5 - sd / self.layout.transition(), 0.0, 1.0);
-        match self.profile {
-            TransitionProfile::Smooth => t * t * (3.0 - 2.0 * t),
-            _ => t,
-        }
+        rrs_num::interp::clamp(0.5 - sd / self.layout.transition(), 0.0, 1.0)
     }
 }
 

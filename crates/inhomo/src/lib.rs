@@ -34,7 +34,7 @@ pub mod point;
 pub mod region;
 
 pub use generator::{InhomogeneousGenerator, WeightMap};
-pub use plate::{Plate, PlateLayout, TransitionProfile};
+pub use plate::{Plate, PlateLayout};
 pub use point::{PointLayout, RepresentativePoint};
 pub use region::Region;
 pub use rrs_error::RrsError;

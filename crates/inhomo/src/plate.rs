@@ -22,21 +22,6 @@ use crate::region::Region;
 use rrs_error::RrsError;
 use rrs_spectrum::SpectrumModel;
 
-/// Shape of the membership ramp across the transition strip.
-///
-/// `#[non_exhaustive]`: future profiles (e.g. cosine) may be added
-/// without a major break, so match with a wildcard arm.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TransitionProfile {
-    /// The paper's linear interpolation (eqns 38–39).
-    #[default]
-    Linear,
-    /// A C¹ smoothstep ramp — an extension knob; statistically very
-    /// close to linear but without the kinks at the strip edges.
-    Smooth,
-}
-
 /// One region with its surface statistics.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Plate {
@@ -55,7 +40,6 @@ pub struct PlateLayout {
     shapes: Vec<Shape>,
     background: Option<SpectrumModel>,
     transition: f64,
-    profile: TransitionProfile,
 }
 
 /// Relative slack of the early-out margins: `2⁻⁴⁰`, over a hundred times
@@ -232,13 +216,7 @@ impl PlateLayout {
             ));
         }
         let shapes = plates.iter().map(|p| Shape::new(&p.region, 0.5 * transition)).collect();
-        Ok(Self { plates, shapes, background, transition, profile: TransitionProfile::Linear })
-    }
-
-    /// Selects the transition ramp shape (the paper uses linear).
-    pub fn with_profile(mut self, profile: TransitionProfile) -> Self {
-        self.profile = profile;
-        self
+        Ok(Self { plates, shapes, background, transition })
     }
 
     /// The plates, in kernel-index order.
@@ -260,11 +238,7 @@ impl PlateLayout {
     /// Raw (unnormalised) membership of plate `i` at `(x, y)`:
     /// 1 deep inside, 0 beyond the strip, linear across it.
     fn membership(&self, i: usize, x: f64, y: f64) -> f64 {
-        let t = self.shapes[i].ramp(x, y, self.transition);
-        match self.profile {
-            TransitionProfile::Linear => t,
-            TransitionProfile::Smooth => t * t * (3.0 - 2.0 * t),
-        }
+        self.shapes[i].ramp(x, y, self.transition)
     }
 }
 
@@ -479,44 +453,5 @@ mod tests {
     #[should_panic(expected = "at least one plate or a background")]
     fn empty_layout_rejected() {
         PlateLayout::new(vec![], None, 1.0);
-    }
-
-    #[test]
-    fn smooth_profile_matches_linear_at_anchors() {
-        let layout = |p: TransitionProfile| {
-            PlateLayout::new(
-                vec![Plate {
-                    region: Region::HalfPlane { a: 1.0, b: 0.0, c: 50.0 },
-                    spectrum: sm(1.0, 4.0),
-                }],
-                Some(sm(2.0, 4.0)),
-                20.0,
-            )
-            .with_profile(p)
-        };
-        let lin = layout(TransitionProfile::Linear);
-        let smo = layout(TransitionProfile::Smooth);
-        let w_of = |l: &PlateLayout, x: f64| {
-            let mut w = Vec::new();
-            l.weights_at(x, 0.0, &mut w);
-            w.iter().find(|&&(k, _)| k == 0).map_or(0.0, |&(_, v)| v)
-        };
-        // Agreement at the strip edges and the midpoint.
-        for x in [30.0, 50.0, 70.0] {
-            assert!((w_of(&lin, x) - w_of(&smo, x)).abs() < 1e-12, "x={x}");
-        }
-        // Divergence at the quarter point: smoothstep lags the line.
-        let x = 45.0; // t = 0.75 towards the plate
-        assert!(w_of(&smo, x) > w_of(&lin, x));
-        // Both monotone across the strip.
-        let mut prev_l = 2.0;
-        let mut prev_s = 2.0;
-        for i in 0..=40 {
-            let x = 30.0 + i as f64;
-            let (l, s) = (w_of(&lin, x), w_of(&smo, x));
-            assert!(l <= prev_l + 1e-12 && s <= prev_s + 1e-12);
-            prev_l = l;
-            prev_s = s;
-        }
     }
 }

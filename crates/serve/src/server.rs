@@ -138,53 +138,25 @@ impl ServeConfig {
     }
 }
 
-/// The coalescing key: everything that determines the kernel and the
-/// generator configuration, as exact bit patterns. Seed and window stay
-/// out — those vary per request on one shared generator.
+/// The coalescing key: the request's kernel key (`kernel_key` in
+/// [`wire`]: everything that determines the kernel and the generator
+/// configuration, as exact bit patterns, and the bytes the client's
+/// shard key hashes). Seed and window stay out — those vary per request
+/// on one shared generator.
 ///
 /// `solo` is 0 for cacheable jobs; budgeted jobs (deadline or byte
 /// ceiling) carry their request id there so they never coalesce — each
 /// needs its own one-off [`Budget`]-carrying generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 struct GenKey {
-    family: u8,
-    h: u64,
-    clx: u64,
-    cly: u64,
-    n: u64,
-    trunc: u64,
-    factor: u64,
-    min: u32,
-    max: u32,
-    backend: u8,
-    workers: u16,
+    kernel: [u8; wire::KERNEL_KEY_LEN],
     solo: u64,
 }
 
 impl GenKey {
     fn of(req: &GenerateRequest) -> Self {
-        use rrs_spectrum::SpectrumModel;
-        let (family, n) = match req.spectrum {
-            SpectrumModel::Gaussian(_) => (1u8, 0.0),
-            SpectrumModel::PowerLaw(m) => (2u8, m.n),
-            SpectrumModel::Exponential(_) => (3u8, 0.0),
-        };
-        let p = req.spectrum.params();
         let budgeted = req.options.deadline_ms != 0 || req.options.max_bytes != 0;
-        Self {
-            family,
-            h: p.h.to_bits(),
-            clx: p.clx.to_bits(),
-            cly: p.cly.to_bits(),
-            n: n.to_bits(),
-            trunc: req.truncation.unwrap_or(0.0).to_bits(),
-            factor: req.sizing_factor.to_bits(),
-            min: req.sizing_min,
-            max: req.sizing_max,
-            backend: crate::wire::backend_to_wire(req.options.backend),
-            workers: req.options.workers,
-            solo: if budgeted { req.request_id } else { 0 },
-        }
+        Self { kernel: req.kernel_key(), solo: if budgeted { req.request_id } else { 0 } }
     }
 
     /// The cache key ignoring `solo` — budgeted jobs still share the

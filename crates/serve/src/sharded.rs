@@ -29,11 +29,11 @@
 //! fast with `DeadlineExceeded` rather than sleeping or connecting
 //! through it, with fresh connects clamped to the remaining budget).
 //! Per-endpoint
-//! circuit breakers (the PR 7 `BackendHealth` pattern: open after 3
-//! consecutive failures, probe every 16th skip) keep a dead endpoint
-//! from eating a connect timeout per request — but if every breaker is
-//! open, the HRW-first endpoint is attempted anyway, so the client
-//! degrades to "slow" rather than "wedged open".
+//! circuit breakers (one [`BackendHealth`] each, the generators'
+//! breaker: open after 3 consecutive failures, probe every 16th skip)
+//! keep a dead endpoint from eating a connect timeout per request — but
+//! if every breaker is open, the HRW-first endpoint is attempted anyway,
+//! so the client degrades to "slow" rather than "wedged open".
 
 use crate::client::{Client, ClientConfig, ServeError};
 use crate::wire::{self, GenerateRequest};
@@ -42,13 +42,9 @@ use rrs_grid::Grid2;
 use rrs_io::retry::{Sleeper, ThreadSleeper};
 use rrs_obs::report::ObsReport;
 use rrs_obs::{stage, Recorder};
+use rrs_surface::BackendHealth;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
-
-/// Consecutive failures that open an endpoint's breaker.
-const BREAKER_THRESHOLD: u32 = 3;
-/// While open, every Nth skipped attempt goes through as a probe.
-const BREAKER_PROBE_EVERY: u32 = 16;
 
 /// Configuration for a [`ShardedClient`].
 #[derive(Clone, Debug)]
@@ -94,40 +90,6 @@ impl ShardedConfig {
     }
 }
 
-/// Per-endpoint circuit breaker, mirroring the backend-degradation
-/// breaker in `rrs-surface`: open after [`BREAKER_THRESHOLD`]
-/// consecutive failures, let every [`BREAKER_PROBE_EVERY`]th attempt
-/// through as a probe, close again on any success.
-#[derive(Debug, Default)]
-struct EndpointHealth {
-    consecutive_failures: u32,
-    skips: u32,
-}
-
-impl EndpointHealth {
-    fn is_open(&self) -> bool {
-        self.consecutive_failures >= BREAKER_THRESHOLD
-    }
-
-    /// Claims an attempt: true to try the endpoint, false to skip it.
-    fn should_try(&mut self) -> bool {
-        if !self.is_open() {
-            return true;
-        }
-        self.skips += 1;
-        self.skips % BREAKER_PROBE_EVERY == 0
-    }
-
-    fn record_success(&mut self) {
-        self.consecutive_failures = 0;
-        self.skips = 0;
-    }
-
-    fn record_failure(&mut self) {
-        self.consecutive_failures = self.consecutive_failures.saturating_add(1);
-    }
-}
-
 /// SplitMix64 — the jitter stream generator (same finalizer as
 /// `rrs-rng` and `rrs-chaos`).
 fn splitmix64(state: &mut u64) -> u64 {
@@ -156,12 +118,11 @@ pub struct ShardedClient {
     /// `config.endpoints`. A transport failure drops the slot back to
     /// `None` (the stream position is unknowable mid-frame).
     conns: Vec<Option<Client>>,
-    health: Vec<EndpointHealth>,
+    health: Vec<BackendHealth>,
     /// FNV-1a of each endpoint address, hashed once at construction.
     endpoint_hash: Vec<u64>,
     /// The deterministic jitter stream, advanced once per backoff.
     jitter: u64,
-    sleeper: Box<dyn Sleeper + Send>,
 }
 
 impl ShardedClient {
@@ -181,18 +142,10 @@ impl ShardedClient {
             config,
             obs: Recorder::enabled(),
             conns: (0..n).map(|_| None).collect(),
-            health: (0..n).map(|_| EndpointHealth::default()).collect(),
+            health: (0..n).map(|_| BackendHealth::new()).collect(),
             endpoint_hash,
             jitter,
-            sleeper: Box::new(ThreadSleeper),
         })
-    }
-
-    /// Replaces the sleeper (tests inject a recording no-op sleeper so
-    /// backoff schedules are asserted, not waited for).
-    pub fn with_sleeper(mut self, sleeper: Box<dyn Sleeper + Send>) -> Self {
-        self.sleeper = sleeper;
-        self
     }
 
     /// The client-side resilience counters (`serve/client_*`).
@@ -226,16 +179,14 @@ impl ShardedClient {
         capped + Duration::from_nanos(jitter)
     }
 
-    /// One attempt against endpoint `i`: connect if needed, round-trip
-    /// the request. A transport failure poisons the cached connection.
-    /// A fresh connect never waits longer than the remaining `deadline`
+    /// The connection to endpoint `i`, connecting if none is cached. A
+    /// fresh connect never waits longer than the remaining `deadline`
     /// budget, so one unreachable endpoint cannot eat the whole window.
-    fn call(
+    fn connection(
         &mut self,
         i: usize,
-        req: &GenerateRequest,
         deadline: Option<Instant>,
-    ) -> Result<Grid2<f64>, ServeError> {
+    ) -> Result<&mut Client, ServeError> {
         if self.conns[i].is_none() {
             self.obs.add_counter(stage::SERVE_CLIENT_CONNECT, 1);
             let mut client_config = self.config.client.clone();
@@ -251,7 +202,18 @@ impl ShardedClient {
             let client = Client::connect_with(&*self.config.endpoints[i], client_config)?;
             self.conns[i] = Some(client);
         }
-        let out = self.conns[i].as_mut().expect("just connected").try_generate(req);
+        Ok(self.conns[i].as_mut().expect("just connected"))
+    }
+
+    /// One round trip of `req` to endpoint `i`. A transport failure
+    /// poisons the cached connection.
+    fn call(
+        &mut self,
+        i: usize,
+        req: &GenerateRequest,
+        deadline: Option<Instant>,
+    ) -> Result<Grid2<f64>, ServeError> {
+        let out = self.connection(i, deadline)?.try_generate(req);
         if matches!(out, Err(ServeError::Transport(_))) {
             self.conns[i] = None;
         }
@@ -279,10 +241,19 @@ impl ShardedClient {
                     }
                 }
                 self.obs.add_counter(stage::SERVE_CLIENT_RETRY, 1);
-                self.sleeper.sleep(delay);
+                ThreadSleeper.sleep(delay);
             }
+            // The HRW order behind the breakers; then, if every breaker
+            // was open and no probe was due, the HRW-first endpoint
+            // anyway — the last rung is always tried, so an all-dead
+            // fleet reports errors instead of silently skipping forever.
+            let ranked = order.iter().enumerate().map(|(pos, &i)| (pos, i, true));
+            let last_rung = std::iter::once((0, order[0], false));
             let mut attempted = false;
-            for (pos, &i) in order.iter().enumerate() {
+            for (pos, i, gated) in ranked.chain(last_rung) {
+                if !gated && attempted {
+                    break;
+                }
                 // Deadline check per attempt, not per sweep: each try
                 // can block for a connect timeout plus a round trip, so
                 // checking only at the backoff would let one sweep
@@ -294,38 +265,13 @@ impl ShardedClient {
                         )));
                     }
                 }
-                if !self.health[i].should_try() {
+                if gated && !self.health[i].should_try() {
                     self.obs.add_counter(stage::SERVE_CLIENT_BREAKER_SKIP, 1);
                     continue;
                 }
                 attempted = true;
                 if pos > 0 {
                     self.obs.add_counter(stage::SERVE_CLIENT_FAILOVER, 1);
-                }
-                match self.call(i, req, deadline) {
-                    Ok(grid) => {
-                        self.health[i].record_success();
-                        return Ok(grid);
-                    }
-                    Err(e) if e.is_retryable() => {
-                        self.health[i].record_failure();
-                        last = Some(e);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            if !attempted {
-                // Every breaker open and no probe due: attempt the
-                // HRW-first endpoint anyway — the last rung is always
-                // tried, so an all-dead fleet reports errors instead of
-                // silently skipping forever.
-                let i = order[0];
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return Err(last.unwrap_or(ServeError::Transport(
-                            RrsError::DeadlineExceeded,
-                        )));
-                    }
                 }
                 match self.call(i, req, deadline) {
                     Ok(grid) => {
@@ -397,17 +343,13 @@ impl ShardedClient {
         results: &mut Vec<Option<Result<Grid2<f64>, ServeError>>>,
     ) {
         // Connect (lazily) once for the whole group.
-        if self.conns[i].is_none() {
-            self.obs.add_counter(stage::SERVE_CLIENT_CONNECT, 1);
-            match Client::connect_with(&*self.config.endpoints[i], self.config.client.clone()) {
-                Ok(c) => self.conns[i] = Some(c),
-                Err(_) => {
-                    self.health[i].record_failure();
-                    return; // whole group re-issues via generate()
-                }
+        let client = match self.connection(i, None) {
+            Ok(client) => client,
+            Err(_) => {
+                self.health[i].record_failure();
+                return; // whole group re-issues via generate()
             }
-        }
-        let client = self.conns[i].as_mut().expect("just connected");
+        };
         let mut by_id: HashMap<u64, usize> = HashMap::new();
         let mut pending = 0usize;
         let mut send_failed = false;
@@ -480,21 +422,6 @@ mod tests {
             seen[order[0]] = true;
         }
         assert!(seen.iter().all(|&s| s), "64 keys should hit every endpoint as primary");
-    }
-
-    #[test]
-    fn breaker_opens_probes_and_closes() {
-        let mut h = EndpointHealth::default();
-        assert!(h.should_try());
-        for _ in 0..BREAKER_THRESHOLD {
-            h.record_failure();
-        }
-        assert!(h.is_open());
-        let probes = (0..BREAKER_PROBE_EVERY * 2).filter(|_| h.should_try()).count();
-        assert_eq!(probes, 2, "one probe per {BREAKER_PROBE_EVERY} skips");
-        h.record_success();
-        assert!(!h.is_open());
-        assert!(h.should_try());
     }
 
     #[test]

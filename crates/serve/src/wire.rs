@@ -444,9 +444,9 @@ pub fn error_kind_from_wire(v: u8) -> Result<ErrorKind, RrsError> {
 /// carrying it is rejected with a typed error.
 const RETIRED_FFT_COMPLEX_SERIAL: u8 = 2;
 
-/// The backend's wire number — the one mapping the codec, the shard key
-/// and the server's coalescing key share.
-pub(crate) fn backend_to_wire(b: ConvBackend) -> u8 {
+/// The backend's wire number — the one mapping the codec and the
+/// kernel key share.
+fn backend_to_wire(b: ConvBackend) -> u8 {
     match b {
         ConvBackend::Direct => 0,
         ConvBackend::FftOverlapSave => 1,
@@ -611,11 +611,7 @@ impl GenerateRequest {
         out.extend_from_slice(&self.request_id.to_le_bytes());
         out.extend_from_slice(&self.tenant.to_le_bytes());
         out.extend_from_slice(&self.seed.to_le_bytes());
-        let (family, params, n) = match self.spectrum {
-            SpectrumModel::Gaussian(m) => (1u8, m.params, 0.0),
-            SpectrumModel::PowerLaw(m) => (2u8, m.params, m.n),
-            SpectrumModel::Exponential(m) => (3u8, m.params, 0.0),
-        };
+        let (family, params, n) = spectrum_to_wire(&self.spectrum);
         out.push(family);
         for v in [params.h, params.clx, params.cly, n] {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
@@ -721,10 +717,35 @@ impl GenerateRequest {
             .unwrap_or(0)
     }
 
-    /// The request's shard key: an FNV-1a hash over exactly the fields
-    /// of the server's coalescing `GenKey` (spectrum family and
-    /// parameters, truncation, sizing, backend, worker override) — and
-    /// deliberately *not* the seed, window, ids or budgets.
+    /// The kernel key: the bytes of exactly the fields that decide the
+    /// kernel and the generator configuration (spectrum family and
+    /// parameters, truncation, sizing, backend, worker override), in
+    /// wire order — and deliberately *not* the seed, window, ids or
+    /// budgets. The server coalesces and caches on it, and
+    /// [`GenerateRequest::shard_key`] routes on its hash, so the two can
+    /// never disagree on which requests share a kernel.
+    pub(crate) fn kernel_key(&self) -> [u8; KERNEL_KEY_LEN] {
+        let (family, params, n) = spectrum_to_wire(&self.spectrum);
+        let mut key = [0u8; KERNEL_KEY_LEN];
+        let mut at = 0;
+        let mut put = |bytes: &[u8]| {
+            key[at..at + bytes.len()].copy_from_slice(bytes);
+            at += bytes.len();
+        };
+        put(&[family]);
+        let truncation = self.truncation.unwrap_or(0.0);
+        for v in [params.h, params.clx, params.cly, n, truncation, self.sizing_factor] {
+            put(&v.to_bits().to_le_bytes());
+        }
+        put(&self.sizing_min.to_le_bytes());
+        put(&self.sizing_max.to_le_bytes());
+        put(&[backend_to_wire(self.options.backend)]);
+        put(&self.options.workers.to_le_bytes());
+        debug_assert_eq!(at, KERNEL_KEY_LEN, "every key byte is written");
+        key
+    }
+
+    /// The request's shard key: an FNV-1a hash of its kernel key.
     ///
     /// Two requests that would share a cached kernel on one server hash
     /// to the same shard key, so rendezvous routing on this key sends a
@@ -732,21 +753,22 @@ impl GenerateRequest {
     /// disjoint. The hash is a pure function of the request bits —
     /// shard choice is replayable, never dependent on connection state.
     pub fn shard_key(&self) -> u64 {
-        let (family, params, n) = match self.spectrum {
-            SpectrumModel::Gaussian(m) => (1u8, m.params, 0.0),
-            SpectrumModel::PowerLaw(m) => (2u8, m.params, m.n),
-            SpectrumModel::Exponential(m) => (3u8, m.params, 0.0),
-        };
-        let mut bytes = Vec::with_capacity(64);
-        bytes.push(family);
-        for v in [params.h, params.clx, params.cly, n, self.truncation.unwrap_or(0.0), self.sizing_factor] {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-        bytes.extend_from_slice(&self.sizing_min.to_le_bytes());
-        bytes.extend_from_slice(&self.sizing_max.to_le_bytes());
-        bytes.push(backend_to_wire(self.options.backend));
-        bytes.extend_from_slice(&self.options.workers.to_le_bytes());
-        fnv1a(&bytes)
+        fnv1a(&self.kernel_key())
+    }
+}
+
+/// Bytes in a request's kernel key: the family byte, six `f64`s, the two
+/// sizing bounds, the backend byte and the worker override.
+pub(crate) const KERNEL_KEY_LEN: usize = 1 + 6 * 8 + 2 * 4 + 1 + 2;
+
+/// A spectrum's wire family number, parameters and power-law exponent (0
+/// for the other families) — the one mapping the codec and the kernel
+/// key share.
+fn spectrum_to_wire(spectrum: &SpectrumModel) -> (u8, SurfaceParams, f64) {
+    match *spectrum {
+        SpectrumModel::Gaussian(m) => (1, m.params, 0.0),
+        SpectrumModel::PowerLaw(m) => (2, m.params, m.n),
+        SpectrumModel::Exponential(m) => (3, m.params, 0.0),
     }
 }
 
@@ -1129,6 +1151,30 @@ mod tests {
         assert_ne!(base.shard_key(), other_kernel.shard_key(), "a different kernel reroutes");
         let other_backend = base.with_backend(ConvBackend::Direct);
         assert_ne!(base.shard_key(), other_backend.shard_key());
+    }
+
+    #[test]
+    fn shard_keys_keep_their_values() {
+        // Recorded before the key had one definition: a change to the key
+        // bytes moves keys between endpoints and fails here.
+        let win = Window::new(-5, 9, 32, 24);
+        let p = SurfaceParams::new(1.25, 6.0, 9.5);
+        let keys = [
+            GenerateRequest::new(1, 2, 3, SpectrumModel::gaussian(p), win),
+            GenerateRequest::new(1, 2, 3, SpectrumModel::power_law(p, 2.5), win).with_workers(3),
+            GenerateRequest::new(1, 2, 3, SpectrumModel::exponential(p), win)
+                .with_backend(ConvBackend::Direct)
+                .with_sizing(6.0, 8, 512),
+            GenerateRequest::new(1, 2, 3, SpectrumModel::gaussian(p), win).with_truncation(1e-3),
+        ]
+        .map(|r| r.shard_key());
+        let recorded: [u64; 4] = [
+            0x67f2_7668_5872_527a,
+            0x5cc1_ce1c_c724_71aa,
+            0xdf15_c11b_d1e0_745e,
+            0xe523_afe0_07bd_d808,
+        ];
+        assert_eq!(keys, recorded);
     }
 
     /// Serves its bytes one at a time, then times out like a socket

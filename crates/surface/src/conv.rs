@@ -98,19 +98,21 @@ const BREAKER_THRESHOLD: u64 = 3;
 /// as a probe so a recovered fast rung closes the breaker again.
 const BREAKER_PROBE_EVERY: u64 = 16;
 
-/// Per-generator degradation ladder with a circuit breaker: a fast
-/// evaluator (the FFT engine, or the inhomogeneous generator's
-/// kernel-major blend) over the bit-exact reference loop it falls back
-/// to.
+/// A circuit breaker over a fast path with a fallback: the generators'
+/// degradation ladder (a fast evaluator — the FFT engine, or the
+/// inhomogeneous generator's kernel-major blend — over the bit-exact
+/// reference loop it falls back to), and each endpoint of `rrs-serve`'s
+/// sharded client.
 ///
 /// [`BackendHealth::run`] reports every fast attempt here; after
 /// [`BREAKER_THRESHOLD`] *consecutive* failures the breaker opens and
 /// requests go straight to the reference rung (ticking
 /// [`stage::CONV_BREAKER_SKIPS`]) instead of re-running an engine that
 /// keeps failing. Every [`BREAKER_PROBE_EVERY`]th skipped request probes
-/// the fast rung; one success closes the breaker. The reference rung
-/// always runs, so a request never fails purely because the breaker is
-/// open.
+/// the fast rung; one success closes the breaker and restarts the probe
+/// count, so every open spell probes first at its 16th skip. The
+/// reference rung always runs, so a request never fails purely because
+/// the breaker is open.
 ///
 /// All state is atomic, so the breaker works under `&self` from
 /// concurrent requests; it is heuristic routing state only and never
@@ -128,9 +130,9 @@ impl BackendHealth {
         Self::default()
     }
 
-    /// Whether the fast rung should be attempted, advancing the probe
-    /// counter when the breaker is open.
-    fn should_try(&self) -> bool {
+    /// Claims an attempt: whether the fast path should be tried,
+    /// advancing the probe counter when the breaker is open.
+    pub fn should_try(&self) -> bool {
         if !self.is_open() {
             return true;
         }
@@ -138,13 +140,19 @@ impl BackendHealth {
         (k + 1) % BREAKER_PROBE_EVERY == 0
     }
 
-    /// Records a successful fast run: closes the breaker.
-    fn record_success(&self) {
-        self.consec_failures.store(0, Ordering::Relaxed);
+    /// Records a successful fast run: closes the breaker and restarts
+    /// the probe count. A success with no failures recorded only reads,
+    /// so concurrent requests on a healthy generator never write the
+    /// shared breaker.
+    pub fn record_success(&self) {
+        if self.consecutive_failures() != 0 {
+            self.consec_failures.store(0, Ordering::Relaxed);
+            self.skipped.store(0, Ordering::Relaxed);
+        }
     }
 
     /// Records a failed fast run.
-    fn record_failure(&self) {
+    pub fn record_failure(&self) {
         self.consec_failures.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -1036,11 +1044,26 @@ mod tests {
             h.record_failure();
         }
         assert!(h.is_open());
-        let allowed = (0..BREAKER_PROBE_EVERY).filter(|_| h.should_try()).count();
-        assert_eq!(allowed, 1, "exactly one probe per {BREAKER_PROBE_EVERY} skips");
+        let allowed = (0..2 * BREAKER_PROBE_EVERY).filter(|_| h.should_try()).count();
+        assert_eq!(allowed, 2, "exactly one probe per {BREAKER_PROBE_EVERY} skips");
         h.record_success();
         assert!(!h.is_open());
         assert!(h.should_try());
+    }
+
+    #[test]
+    fn a_success_restarts_the_probe_count() {
+        // The sharded client attempts an endpoint without asking when
+        // every breaker is open; that success must not leave the next
+        // open spell's first probe early.
+        let h = BackendHealth::new();
+        let open = |h: &BackendHealth| (0..BREAKER_THRESHOLD).for_each(|_| h.record_failure());
+        open(&h);
+        assert!(!(0..5).any(|_| h.should_try()), "no probe within the first five skips");
+        h.record_success();
+        open(&h);
+        let first_probe = (1..=BREAKER_PROBE_EVERY).find(|_| h.should_try());
+        assert_eq!(first_probe, Some(BREAKER_PROBE_EVERY));
     }
 
     #[test]

@@ -23,6 +23,7 @@ use rrs_fft::{Direction, FftPlanCache};
 use rrs_grid::Grid2;
 use rrs_num::Complex64;
 use rrs_obs::{stage, Recorder};
+use rrs_spectrum::line::{amplitude_array_1d, Spectrum1d};
 use rrs_spectrum::{amplitude_array, GridSpec, Spectrum, SurfaceParams};
 
 /// How to choose the kernel lattice for a spectrum.
@@ -59,17 +60,20 @@ impl KernelSizing {
         match *self {
             Self::Explicit(spec) => spec,
             Self::Auto { factor, min, max } => {
-                let pick = |cl: f64| -> usize {
-                    // `as` saturates a huge product at `usize::MAX` (odd),
-                    // so rounding up to even must saturate too.
-                    let raw = (factor * cl).ceil() as usize;
-                    let even = raw.saturating_add(raw % 2);
-                    even.min(max).max(min).max(2)
-                };
+                let pick = |cl: f64| auto_length(factor, min, max, cl);
                 GridSpec::unit(pick(params.clx), pick(params.cly))
             }
         }
     }
+}
+
+/// [`KernelSizing::Auto`]'s rule for one axis of correlation length `cl`.
+pub(crate) fn auto_length(factor: f64, min: usize, max: usize, cl: f64) -> usize {
+    // `as` saturates a huge product at `usize::MAX` (odd), so rounding up
+    // to even must saturate too.
+    let raw = (factor * cl).ceil() as usize;
+    let even = raw.saturating_add(raw % 2);
+    even.min(max).max(min).max(2)
 }
 
 /// A centred real convolution kernel: `weights[(jy−y0)·w + (jx−x0)]` is
@@ -98,10 +102,23 @@ impl ConvolutionKernel {
     ) -> Self {
         let spec = sizing.resolve(spectrum.params());
         let v = obs.time(stage::KERNEL_AMPLITUDE, || amplitude_array(spectrum, spec));
-        let (nx, ny) = (spec.nx, spec.ny);
+        Self::from_amplitudes(v.as_slice(), spec.nx, spec.ny, obs)
+    }
+
+    /// Builds the one-row kernel of the 1-D `spectrum` on an `n`-sample
+    /// lattice at unit spacing: eqns 34–35 on one row, with origin
+    /// `(−n/2, 0)`. `n` must be even; 8–10 correlation lengths suffice for
+    /// the Gaussian family, more for the heavy-tailed Exponential.
+    pub fn build_profile<S: Spectrum1d + ?Sized>(spectrum: &S, n: usize) -> Self {
+        let v = amplitude_array_1d(spectrum, n, 1.0);
+        Self::from_amplitudes(&v, n, 1, &Recorder::disabled())
+    }
+
+    /// Eqns 34–35 on the row-major `nx × ny` amplitude array `v`:
+    /// transform it, normalise by `√(Nx·Ny)` and re-centre.
+    fn from_amplitudes(v: &[f64], nx: usize, ny: usize, obs: &Recorder) -> Self {
         let span = obs.start(stage::KERNEL_DFT);
-        let mut buf: Vec<Complex64> =
-            v.as_slice().iter().map(|&x| Complex64::from_re(x)).collect();
+        let mut buf: Vec<Complex64> = v.iter().map(|&x| Complex64::from_re(x)).collect();
         // Inhomogeneous layouts build several kernels on one lattice; the
         // process-wide plan cache transforms them with shared tables.
         FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward);

@@ -40,7 +40,7 @@ pub use fftconv::{
 };
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};
-pub use line::{LineGenerator, LineKernel};
+pub use line::LineGenerator;
 pub use noise::NoiseField;
 pub use rrs_error::RrsError;
 pub use stream::StripGenerator;

@@ -2,105 +2,24 @@
 //!
 //! The exact 1-D reduction of §2.4: a centred real kernel
 //! `w̃ = DFT(v)/√N` convolved with an i.i.d. `N(0,1)` lattice gives a
-//! profile with the prescribed 1-D spectrum. Profiles of unbounded
-//! length stream seamlessly, just like the 2-D surface windows, and plug
-//! straight into `rrs-propagation` as terrain.
+//! profile with the prescribed 1-D spectrum. The kernel is a
+//! [`ConvolutionKernel`] one row tall and the sum is the 2-D engine's, so
+//! profiles of unbounded length stream seamlessly, just like the surface
+//! windows, and plug straight into `rrs-propagation` as terrain.
 
+use crate::context::GenContext;
+use crate::conv::{ConvBackend, ConvolutionGenerator};
+use crate::kernel::{auto_length, ConvolutionKernel};
 use crate::noise::NoiseField;
-use rrs_fft::spectral::fftshift;
-use rrs_fft::{Direction, Fft};
 use rrs_grid::Profile;
-use rrs_num::Complex64;
-use rrs_spectrum::line::{amplitude_array_1d, Spectrum1d};
+use rrs_spectrum::line::Spectrum1d;
 
-/// A centred 1-D convolution kernel.
-#[derive(Clone, Debug, PartialEq)]
-pub struct LineKernel {
-    weights: Vec<f64>,
-    origin: i64,
-}
-
-impl LineKernel {
-    /// Builds the kernel of `spectrum` on an `n`-sample lattice at unit
-    /// spacing. `n` is typically `factor × cl` rounded up to even; 8–10
-    /// correlation lengths suffice for the Gaussian family, more for the
-    /// heavy-tailed Exponential.
-    pub fn build<S: Spectrum1d + ?Sized>(spectrum: &S, n: usize) -> Self {
-        let v = amplitude_array_1d(spectrum, n, 1.0);
-        let mut buf: Vec<Complex64> = v.iter().map(|&x| Complex64::from_re(x)).collect();
-        Fft::new(n).process(&mut buf, Direction::Forward);
-        let norm = 1.0 / (n as f64).sqrt();
-        let mut weights: Vec<f64> = buf.iter().map(|z| z.re * norm).collect();
-        debug_assert!(
-            buf.iter().map(|z| z.im.abs()).fold(0.0, f64::max) < 1e-9,
-            "1-D kernel transform must be real"
-        );
-        fftshift(&mut weights);
-        Self { weights, origin: -((n / 2) as i64) }
-    }
-
-    /// Builds with the default sizing `8·cl` (clamped to `[16, 4096]`).
-    pub fn build_auto<S: Spectrum1d + ?Sized>(spectrum: &S) -> Self {
-        let cl = spectrum.params().cl;
-        let raw = (8.0 * cl).ceil() as usize;
-        let n = (raw + raw % 2).clamp(16, 4096);
-        Self::build(spectrum, n)
-    }
-
-    /// The kernel coefficients (centred layout).
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Offset of the first coefficient.
-    pub fn origin(&self) -> i64 {
-        self.origin
-    }
-
-    /// Kernel energy `Σw̃²` — the profile variance `h²`.
-    pub fn energy(&self) -> f64 {
-        self.weights.iter().map(|v| v * v).sum()
-    }
-
-    /// Kernel self-correlation at lag `d` — reproduces `ρ(d)`.
-    pub fn self_correlation(&self, d: usize) -> f64 {
-        if d >= self.weights.len() {
-            return 0.0;
-        }
-        self.weights[d..]
-            .iter()
-            .zip(&self.weights)
-            .map(|(a, b)| a * b)
-            .sum()
-    }
-
-    /// Truncates to the smallest centred window losing at most `epsilon`
-    /// of the root energy.
-    pub fn truncated(&self, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0,1)");
-        let total = self.energy();
-        if total == 0.0 {
-            return self.clone();
-        }
-        let half = (self.weights.len() / 2) as i64;
-        let energy_within = |r: i64| -> f64 {
-            let lo = (half - r).max(0) as usize;
-            let hi = ((half + r + 1) as usize).min(self.weights.len());
-            self.weights[lo..hi].iter().map(|v| v * v).sum()
-        };
-        let mut r = 0i64;
-        while r < half && energy_within(r) < total * (1.0 - epsilon * epsilon) {
-            r += 1;
-        }
-        let lo = (half - r).max(0) as usize;
-        let hi = ((half + r + 1) as usize).min(self.weights.len());
-        Self { weights: self.weights[lo..hi].to_vec(), origin: -r }
-    }
-}
-
-/// Streaming 1-D profile generator.
+/// Streaming 1-D profile generator: the convolution method on a one-row
+/// kernel ([`ConvolutionKernel::build_profile`]) and one row of the
+/// noise lattice, evaluated by the `Direct` engine, whose sums keep
+/// their bits at every kernel width.
 pub struct LineGenerator {
-    kernel: LineKernel,
+    generator: ConvolutionGenerator,
     noise: NoiseField,
     /// The noise row used for this profile (different rows of the same
     /// seed are independent profiles).
@@ -108,14 +27,23 @@ pub struct LineGenerator {
 }
 
 impl LineGenerator {
-    /// Builds a generator for `spectrum` with auto kernel sizing.
+    /// Builds a generator for `spectrum` with auto kernel sizing: `8·cl`
+    /// samples, rounded up to even and clamped to `[16, 4096]`.
     pub fn new<S: Spectrum1d + ?Sized>(spectrum: &S, seed: u64) -> Self {
-        Self::from_kernel(LineKernel::build_auto(spectrum), seed)
+        let n = auto_length(8.0, 16, 4096, spectrum.params().cl);
+        Self::from_kernel(ConvolutionKernel::build_profile(spectrum, n), seed)
     }
 
-    /// Wraps a prebuilt kernel.
-    pub fn from_kernel(kernel: LineKernel, seed: u64) -> Self {
-        Self { kernel, noise: NoiseField::new(seed), row: 0 }
+    /// Wraps a prebuilt one-row kernel (a truncated one, say).
+    ///
+    /// # Panics
+    /// Panics if `kernel` is more than one row tall.
+    pub fn from_kernel(kernel: ConvolutionKernel, seed: u64) -> Self {
+        let (kw, kh) = kernel.extent();
+        assert!(kh == 1, "a profile kernel must be one row tall, got {kw}x{kh}");
+        let ctx = GenContext::new().with_backend(ConvBackend::Direct);
+        let generator = ConvolutionGenerator::from_kernel(kernel).with_context(ctx);
+        Self { generator, noise: NoiseField::new(seed), row: 0 }
     }
 
     /// Selects an independent noise row (profile index); each row is an
@@ -126,31 +54,24 @@ impl LineGenerator {
     }
 
     /// The kernel in use.
-    pub fn kernel(&self) -> &LineKernel {
-        &self.kernel
+    pub fn kernel(&self) -> &ConvolutionKernel {
+        self.generator.kernel()
     }
 
     /// Generates the window `[x0, x0+len)` of the unbounded profile.
     /// Windows tile exactly.
     pub fn generate(&self, x0: i64, len: usize) -> Profile {
         assert!(len > 0, "profile window must be non-empty");
-        let kw = self.kernel.weights.len();
-        let ox = self.kernel.origin;
+        let (kw, _) = self.kernel().extent();
+        let (ox, oy) = self.kernel().origin();
         // f(n) = Σ_j w̃(j)·X(n−j): noise span [x0−(ox+kw−1), x0+len−1−ox],
-        // wrapping at the ends of i64 like the noise lattice itself.
+        // wrapping at the ends of i64 like the noise lattice itself. The
+        // span is materialised here rather than through a `Window`, which
+        // rejects a profile that ends at `i64::MAX`.
         let wx0 = x0.wrapping_sub(ox + kw as i64 - 1);
-        let ww = len + kw - 1;
-        let win = self.noise.window(wx0, self.row, ww, 1);
-        let heights = (0..len)
-            .map(|i| {
-                let mut acc = 0.0;
-                for (a, &kv) in self.kernel.weights.iter().enumerate() {
-                    acc += kv * win[i + kw - 1 - a];
-                }
-                acc
-            })
-            .collect();
-        Profile { spacing: 1.0, heights }
+        let win = self.noise.window(wx0, self.row.wrapping_sub(oy), len + kw - 1, 1);
+        let heights = self.generator.try_correlate_window(&win, len, 1);
+        Profile { spacing: 1.0, heights: heights.unwrap_or_else(|e| panic!("{e}")).into_vec() }
     }
 }
 
@@ -162,7 +83,8 @@ mod tests {
     #[test]
     fn kernel_energy_is_variance() {
         for &(h, cl) in &[(1.0, 5.0), (2.0, 12.0)] {
-            let k = LineKernel::build_auto(&Gaussian1d::new(LineParams::new(h, cl)));
+            let gen = LineGenerator::new(&Gaussian1d::new(LineParams::new(h, cl)), 0);
+            let k = gen.kernel();
             assert!((k.energy() - h * h).abs() < 1e-6 * h * h, "E = {}", k.energy());
         }
     }
@@ -170,9 +92,9 @@ mod tests {
     #[test]
     fn kernel_self_correlation_matches_rho() {
         let s = Gaussian1d::new(LineParams::new(1.0, 8.0));
-        let k = LineKernel::build(&s, 128);
-        for d in [0usize, 4, 8, 16] {
-            let got = k.self_correlation(d);
+        let k = ConvolutionKernel::build_profile(&s, 128);
+        for d in [0i64, 4, 8, 16] {
+            let got = k.self_correlation(d, 0);
             let expect = s.autocorrelation(d as f64);
             assert!((got - expect).abs() < 2e-3, "lag {d}: {got} vs {expect}");
         }
@@ -181,9 +103,9 @@ mod tests {
     #[test]
     fn exponential_kernel_self_correlation() {
         let s = Exponential1d::new(LineParams::new(1.0, 10.0));
-        let k = LineKernel::build(&s, 512);
-        for d in [0usize, 5, 10, 20] {
-            let got = k.self_correlation(d);
+        let k = ConvolutionKernel::build_profile(&s, 512);
+        for d in [0i64, 5, 10, 20] {
+            let got = k.self_correlation(d, 0);
             let expect = s.autocorrelation(d as f64);
             assert!((got - expect).abs() < 0.05, "lag {d}: {got} vs {expect}");
         }
@@ -231,10 +153,21 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "a profile kernel must be one row tall, got 16x16")]
+    fn taller_kernels_are_rejected_when_the_generator_is_built() {
+        use crate::kernel::KernelSizing;
+        use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
+        let surface = Gaussian::new(SurfaceParams::isotropic(1.0, 2.0));
+        let kernel =
+            ConvolutionKernel::build(&surface, KernelSizing::Explicit(GridSpec::unit(16, 16)));
+        LineGenerator::from_kernel(kernel, 1);
+    }
+
+    #[test]
     fn truncation_respects_energy_budget() {
-        let k = LineKernel::build(&Gaussian1d::new(LineParams::new(1.0, 6.0)), 256);
+        let k = ConvolutionKernel::build_profile(&Gaussian1d::new(LineParams::new(1.0, 6.0)), 256);
         let t = k.truncated(0.01);
-        assert!(t.weights().len() < k.weights().len());
+        assert!(t.extent().0 < k.extent().0);
         let loss = ((k.energy() - t.energy()).max(0.0) / k.energy()).sqrt();
         assert!(loss <= 0.0101, "loss {loss}");
     }

@@ -2,27 +2,29 @@
 
 use rrs_check::any;
 use rrs_spectrum::line::{Exponential1d, Gaussian1d, LineParams};
-use rrs_surface::{LineGenerator, LineKernel};
+use rrs_surface::{ConvolutionKernel, LineGenerator};
 
 rrs_check::props! {
     #![cases = 48]
 
     fn kernel_energy_matches_variance(h in 0.1f64..3.0, cl in 3.0f64..20.0) {
-        let k = LineKernel::build_auto(&Gaussian1d::new(LineParams::new(h, cl)));
+        let gen = LineGenerator::new(&Gaussian1d::new(LineParams::new(h, cl)), 0);
+        let k = gen.kernel();
         let rel = (k.energy() - h * h).abs() / (h * h);
         assert!(rel < 1e-6, "energy {}, h² {}", k.energy(), h * h);
     }
 
     fn exponential_kernel_energy_within_tail(h in 0.1f64..3.0, cl in 3.0f64..20.0) {
-        let k = LineKernel::build_auto(&Exponential1d::new(LineParams::new(h, cl)));
+        let gen = LineGenerator::new(&Exponential1d::new(LineParams::new(h, cl)), 0);
+        let k = gen.kernel();
         // Lorentzian density loses ≈ 2/(π²·cl/dx·...) — bounded by ~1/cl.
         let rel = (k.energy() - h * h).abs() / (h * h);
         assert!(rel < 0.05 + 1.0 / cl, "energy {}, h² {}", k.energy(), h * h);
     }
 
     fn kernels_are_even(h in 0.1f64..2.0, cl in 3.0f64..15.0) {
-        let k = LineKernel::build(&Gaussian1d::new(LineParams::new(h, cl)), 128);
-        let w = k.weights();
+        let k = ConvolutionKernel::build_profile(&Gaussian1d::new(LineParams::new(h, cl)), 128);
+        let w = k.weights().as_slice();
         let n = w.len();
         for i in 1..n / 2 {
             // Centred layout: w[c+i] == w[c−i] around the centre c = n/2.
@@ -50,7 +52,7 @@ rrs_check::props! {
     }
 
     fn truncation_never_gains_energy(eps in 0.002f64..0.3, cl in 3.0f64..12.0) {
-        let k = LineKernel::build(&Gaussian1d::new(LineParams::new(1.0, cl)), 256);
+        let k = ConvolutionKernel::build_profile(&Gaussian1d::new(LineParams::new(1.0, cl)), 256);
         let t = k.truncated(eps);
         assert!(t.energy() <= k.energy() + 1e-12);
         let loss = ((k.energy() - t.energy()).max(0.0) / k.energy()).sqrt();

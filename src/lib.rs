@@ -122,7 +122,6 @@ pub mod prelude {
     pub use rrs_obs::Recorder;
     pub use rrs_inhomo::{
         InhomogeneousGenerator, Plate, PlateLayout, PointLayout, Region, RepresentativePoint,
-        TransitionProfile,
     };
     pub use rrs_spectrum::line::{Exponential1d, Gaussian1d, LineParams, Spectrum1d};
     pub use rrs_spectrum::{
@@ -137,6 +136,6 @@ pub mod prelude {
     };
     pub use rrs_surface::{
         BackendHealth, ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator,
-        GenContext, KernelSizing, LineGenerator, LineKernel, NoiseField, StripGenerator,
+        GenContext, KernelSizing, LineGenerator, NoiseField, StripGenerator,
     };
 }

@@ -9,9 +9,7 @@
 //! bits. Checked over every sample of the paper's four figures and over
 //! random layouts probed at the edges where a shortcut could differ.
 
-use rrs::inhomo::{
-    Plate, PlateLayout, PointLayout, Region, RepresentativePoint, TransitionProfile, WeightMap,
-};
+use rrs::inhomo::{Plate, PlateLayout, PointLayout, Region, RepresentativePoint, WeightMap};
 use rrs::prelude::*;
 use rrs_bench::figures::all_figures;
 use rrs_bench::reference_weights::{SdfPlates, TwoPassPoints};
@@ -122,7 +120,7 @@ fn point_layout(rng: &mut CaseRng) -> Option<(PointLayout, Vec<(f64, f64)>)> {
     Some((layout, samples))
 }
 
-fn plate_layout(rng: &mut CaseRng) -> (PlateLayout, TransitionProfile, Vec<(f64, f64)>) {
+fn plate_layout(rng: &mut CaseRng) -> (PlateLayout, Vec<(f64, f64)>) {
     let (t, span) = widths(rng);
     let h = 0.5 * t;
     let spectrum = SpectrumModel::gaussian(SurfaceParams::isotropic(1.0, 4.0));
@@ -192,9 +190,7 @@ fn plate_layout(rng: &mut CaseRng) -> (PlateLayout, TransitionProfile, Vec<(f64,
         samples.push((coord(rng), coord(rng)));
     }
     let background = (rng.next_below(2) == 0).then_some(spectrum);
-    let profile =
-        if rng.next_below(2) == 0 { TransitionProfile::Linear } else { TransitionProfile::Smooth };
-    (PlateLayout::new(plates, background, t).with_profile(profile), profile, samples)
+    (PlateLayout::new(plates, background, t), samples)
 }
 
 rrs_check::props! {
@@ -209,12 +205,12 @@ rrs_check::props! {
     }
 
     /// Random plate layouts (rectangles, circles of any radius against
-    /// `T/2`, half-planes, sectors; both profiles), probed a few ulps
-    /// either side of each strip edge.
+    /// `T/2`, half-planes, sectors), probed a few ulps either side of
+    /// each strip edge.
     fn plate_weights_keep_their_bits_at_the_edge_of_every_strip(seed in any::<u64>()) {
         let mut rng = CaseRng::new(seed);
-        let (layout, profile, samples) = plate_layout(&mut rng);
-        let reference = SdfPlates::new(layout.clone(), profile);
+        let (layout, samples) = plate_layout(&mut rng);
+        let reference = SdfPlates::new(layout.clone());
         assert_same_weights(&layout, &reference, samples.into_iter(), "plate layout");
     }
 }
