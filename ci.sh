@@ -27,6 +27,33 @@ done
 echo "ok: [profile.test] pins debug-assertions and overflow-checks"
 
 echo "== test (workspace, locked, offline) =="
+# Runs every test file once, these among them:
+# - tests/noise_conformance.rs: the lattice and its fields against the
+#   model. Lag checks of neighbouring deviates (corr(x², x′²), E[x²·x′]
+#   and a tail-conditioned probability at lags (±1,0), (0,±1), (1,1),
+#   (2,0)), KS, chi-square and Jarque-Bera on 10^7 samples, and the
+#   skewness and excess kurtosis of Gaussian fields at cl = 2, 4 and 8,
+#   each against i.i.d. N(0,1) with bounds from the sample size.
+# - tests/runtime_budgets.rs: cancellation, deadlines and admission
+#   control. Cancel at every tile index leaves resumable checkpoints
+#   bit-identical to the uncancelled prefix; oversized requests are
+#   rejected before allocation; no-budget runs are bit-identical to
+#   budgeted-idle runs.
+# - tests/chaos_torture.rs: every FaultSite x {panic,error,cancel,deadline}
+#   over the whole pipeline: zero escaped panics, every failure carries
+#   the matching ErrorKind, and killing the FFT rung degrades to the
+#   Direct backend with output FNV-1a-hash-identical to a clean Direct
+#   run (seeded schedules replay bit-for-bit).
+# - tests/serve_loopback.rs: served windows equal direct generation over
+#   real TCP for every backend, coalesced batches share one kernel and
+#   the plan cache, quota/queue overload is rejected typed before
+#   allocation, corrupt frames are answered with typed errors.
+# - tests/serve_partition.rs: 2–3 in-process servers with seeded
+#   kills/stalls mid-pipelined-batch: every window FNV-1a bit-identical
+#   to direct generation, failover / retry / breaker transitions visible
+#   as serve/client_* counters, draining rejects typed and still flushes
+#   the admitted queue, slow connections reaped, mid-frame disconnects
+#   never yield a partial window.
 cargo test -q --workspace --locked --offline
 
 echo "== benchmark harness tests (perfbench, its own workspace) =="
@@ -69,44 +96,6 @@ echo "== fault injection: rrs-io decoders must fail closed, retries must recover
 # budget, persistent ones fail closed with history, and a fault mid-export
 # never leaves a torn destination file.
 cargo test -q -p rrs-io --features failpoints --locked --offline
-
-echo "== noise conformance: the lattice and its fields against the model =="
-# Lag checks of neighbouring deviates (corr(x², x′²), E[x²·x′] and a
-# tail-conditioned probability at lags (±1,0), (0,±1), (1,1), (2,0)), KS,
-# chi-square and Jarque-Bera on 10^7 samples, and the skewness and excess
-# kurtosis of Gaussian fields at cl = 2, 4 and 8, each against i.i.d.
-# N(0,1) with bounds from the sample size — see tests/noise_conformance.rs.
-cargo test -q --test noise_conformance --locked --offline
-
-echo "== runtime budgets: cancellation, deadlines and admission control =="
-# Cancel at every tile index leaves resumable checkpoints bit-identical
-# to the uncancelled prefix; oversized requests are rejected before
-# allocation; no-budget runs are bit-identical to budgeted-idle runs.
-cargo test -q --test runtime_budgets --locked --offline
-
-echo "== chaos torture: injected faults must surface typed or degrade bit-identical =="
-# Every FaultSite x {panic,error,cancel,deadline} over the whole pipeline:
-# zero escaped panics, every failure carries the matching ErrorKind, and
-# killing the FFT rung degrades to the Direct backend with output
-# FNV-1a-hash-identical to a clean Direct run (seeded schedules replay
-# bit-for-bit) — see tests/chaos_torture.rs.
-cargo test -q --test chaos_torture --locked --offline
-
-echo "== serving loopback: served windows must equal direct generation =="
-# End-to-end over real TCP: bit-identical output for every backend,
-# coalesced batches share one kernel and the plan cache, quota/queue
-# overload rejected typed before allocation, corrupt frames answered
-# with typed errors — see tests/serve_loopback.rs.
-cargo test -q --test serve_loopback --locked --offline
-
-echo "== partition torture: failover, draining and wire-level chaos =="
-# 2–3 in-process servers with seeded kills/stalls mid-pipelined-batch:
-# every window FNV-1a bit-identical to direct generation, failover /
-# retry / breaker transitions visible as serve/client_* counters,
-# draining rejects typed and still flushes the admitted queue, slow
-# connections reaped, mid-frame disconnects never yield a partial
-# window — see tests/serve_partition.rs.
-cargo test -q --test serve_partition --locked --offline
 
 echo "== docs: every intra-doc link must resolve =="
 # Fails on a doc link to a deleted or renamed item (and on an unescaped

@@ -143,9 +143,9 @@ fn lanes_gate() -> Paired {
     let n = GATE_SIDE;
     let field: Vec<Complex64> =
         random_signal(n * n, 3).into_iter().map(|z| Complex64::from_re(z.re)).collect();
-    let lanes = Fft2d::with_workers(n, n, 1);
+    let lanes = Fft2d::new(n, n);
     let scalar = ScalarFft2d::new(n, n);
-    let on_lanes = |b: &mut [Complex64]| lanes.process(b, Direction::Forward);
+    let on_lanes = |b: &mut [Complex64]| lanes.process(b, Direction::Forward, 1);
     let on_scalar = |b: &mut [Complex64]| scalar.process(b, Direction::Forward);
 
     let bits = |f: &dyn Fn(&mut [Complex64])| -> Vec<(u64, u64)> {
@@ -189,11 +189,11 @@ fn main() {
     }
     for &n in &[128usize, 256, 512] {
         let field = random_signal(n * n, 7);
+        let fft = Fft2d::new(n, n);
         for workers in [1usize, 4] {
-            let fft = Fft2d::with_workers(n, n, workers);
             h.bench_elems(&format!("fft_2d/w{workers}/{n}"), (n * n) as u64, || {
                 let mut buf = field.clone();
-                fft.process(black_box(&mut buf), Direction::Forward);
+                fft.process(black_box(&mut buf), Direction::Forward, workers);
                 buf
             });
         }

@@ -10,11 +10,9 @@
 //! * `parallel_scaling` (ablation): row-band workers;
 //! * `streaming` (claim C4): successive-computation throughput;
 //! * `noise` (cost side of eqn 36's lattice): `NoiseField`'s window fill
-//!   against the fill it replaced ([`ParentNoise`]: the old key, libm
-//!   `ln` and `cos`, cosines in angle order) and against pointwise
-//!   `NoiseField::at` over the same window, in [`paired`] reps. The
-//!   paired ratios are printed and written under `paired`, not gated:
-//!   they spread too widely for a threshold.
+//!   against pointwise `NoiseField::at` over the same window, in
+//!   [`paired`] reps. The paired ratio is printed and written under
+//!   `paired`, not gated: it spreads too widely for a threshold.
 //!
 //! Every convolution row runs on [`ConvBackend::Direct`] — the paper's
 //! per-sample convolution, whose cost these claims are about (the FFT
@@ -28,7 +26,7 @@
 //! the JSON report.
 
 use rrs_bench::harness::{paired, Bound};
-use rrs_bench::{Harness, ParentNoise};
+use rrs_bench::Harness;
 use rrs_grid::Window;
 use rrs_obs::Recorder;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
@@ -46,8 +44,6 @@ const OUT: usize = 128;
 enum NoiseFill {
     /// [`NoiseField::window_into`].
     Window,
-    /// [`ParentNoise::window_into`], the fill it replaced.
-    Parent,
     /// One [`NoiseField::at`] per sample.
     Pointwise,
 }
@@ -58,7 +54,6 @@ fn time_noise(seed: u64, w: usize, h: usize, fill: NoiseFill, buf: &mut Vec<f64>
     let t0 = Instant::now();
     match fill {
         NoiseFill::Window => noise.window_into(0, 0, w, h, buf),
-        NoiseFill::Parent => ParentNoise::new(seed).window_into(0, 0, w, h, buf),
         NoiseFill::Pointwise => {
             buf.clear();
             buf.extend(
@@ -205,19 +200,17 @@ fn main() {
     // The `strip` benchmark's fresh noise per strip is 512 × 511; 96 × 96
     // is a small served window's.
     let mut buf = Vec::new();
-    let fills = [NoiseFill::Window, NoiseFill::Parent, NoiseFill::Pointwise];
+    let fills = [NoiseFill::Window, NoiseFill::Pointwise];
     for (w, ht) in [(512usize, 511usize), (96, 96)] {
         for fill in fills {
             time_noise(6, w, ht, fill, &mut buf);
         }
         let pairs = h.reps() as usize;
         let p = paired(pairs, fills.len(), |i| time_noise(6, w, ht, fills[i], &mut buf));
-        for (name, times) in ["window", "parent", "pointwise"].into_iter().zip(p.times) {
+        for (name, times) in ["window", "pointwise"].into_iter().zip(p.times) {
             h.record(&format!("noise/{name}/{w}x{ht}"), Some((w * ht) as u64), times);
         }
-        for (name, ratios) in [("parent", &p.ratios[1]), ("pointwise", &p.ratios[2])] {
-            h.gate(&format!("noise/{w}x{ht}/{name}_over_window"), ratios, Bound::Reported);
-        }
+        h.gate(&format!("noise/{w}x{ht}/pointwise_over_window"), &p.ratios[1], Bound::Reported);
     }
 
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 8.0));

@@ -10,9 +10,9 @@
 //!    stay below a generous floor (the workload is a 64×64 FFT-backend
 //!    window; anything near the floor means the scheduler is serialising
 //!    or thrashing, not that generation got slower).
-//! 2. **Coalescing reaches the plan cache** — across the run the shared
-//!    `FftPlanCache` must hit more than it misses: batched same-key
-//!    requests ride one cached generator and one set of plans.
+//! 2. **Coalescing reaches the plan cache** — across the run the
+//!    process-wide `FftPlanCache` must hit more than it misses: batched
+//!    same-key requests ride one cached generator and one set of plans.
 //! 3. **Transparency** — a served window is bit-identical to the direct
 //!    library call with the same spectrum, sizing, seed and window.
 //! 4. **Backpressure** — a saturated server rejects with a typed

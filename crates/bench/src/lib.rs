@@ -12,20 +12,16 @@
 //!
 //! [`ScalarFft2d`] is the scalar 2-D transform the FFT gates time the
 //! batched transforms against; [`reference_weights`] holds the weight maps
-//! the figures gate times the current ones against; [`ParentNoise`] is
-//! the libm noise fill `bench_generation` times the current one against;
-//! [`ReferenceTile`] is the overlap-save tile `bench_fft` times the
-//! library's against.
+//! the figures gate times the current ones against; [`ReferenceTile`] is
+//! the overlap-save tile `bench_fft` times the library's against.
 
 pub mod figures;
 pub mod harness;
-pub mod parent_noise;
 pub mod reference_tile;
 pub mod reference_weights;
 pub mod scalar_fft;
 
 pub use figures::{Figure, FigureLayout, FigureRegion};
 pub use harness::{BenchRecord, Harness};
-pub use parent_noise::ParentNoise;
 pub use reference_tile::ReferenceTile;
 pub use scalar_fft::ScalarFft2d;

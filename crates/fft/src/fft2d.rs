@@ -9,7 +9,9 @@
 //! sequences into bands of whole lane blocks, one per worker; a single
 //! band runs on the calling thread. Rows are
 //! contiguous, so a band of rows is one slice; a band of columns owns
-//! its columns' piece of every row.
+//! its columns' piece of every row. The worker count is an argument of
+//! the transform, not part of the plan, so one cached plan per shape
+//! serves every caller.
 //!
 //! Every element gets exactly the operations of the scalar row and column
 //! transforms — [`Fft::process`] per sequence, then, on the inverse,
@@ -31,23 +33,18 @@ pub struct Fft2d {
     ny: usize,
     row_fft: Arc<Fft>,
     col_fft: Arc<Fft>,
-    workers: usize,
 }
 
 impl Fft2d {
-    /// Builds a 2-D transform for an `nx × ny` row-major buffer using the
-    /// default worker count.
+    /// Builds a 2-D transform for an `nx × ny` row-major buffer. Library
+    /// paths fetch a shared one from
+    /// [`FftPlanCache::global`](crate::FftPlanCache::global) instead.
     pub fn new(nx: usize, ny: usize) -> Self {
-        Self::with_workers(nx, ny, rrs_par::default_workers())
-    }
-
-    /// Builds a 2-D transform with an explicit worker count (1 = serial).
-    pub fn with_workers(nx: usize, ny: usize, workers: usize) -> Self {
         assert!(nx > 0 && ny > 0, "Fft2d dimensions must be positive");
         let row_fft = Arc::new(Fft::new(nx));
         let col_fft =
             if ny == nx { row_fft.clone() } else { Arc::new(Fft::new(ny)) };
-        Self { nx, ny, row_fft, col_fft, workers: workers.max(1) }
+        Self { nx, ny, row_fft, col_fft }
     }
 
     /// Shape as `(nx, ny)`.
@@ -56,21 +53,24 @@ impl Fft2d {
         (self.nx, self.ny)
     }
 
-    /// Transforms a row-major `nx × ny` buffer in place.
+    /// Transforms a row-major `nx × ny` buffer in place, each pass split
+    /// over up to `workers` threads (1 = serial on the calling thread;
+    /// clamped to ≥ 1). The bits do not depend on `workers`.
     ///
     /// # Panics
     /// Panics if `buf.len() != nx * ny`.
-    pub fn process(&self, buf: &mut [Complex64], dir: Direction) {
-        self.process_with(buf, dir, Fft::process_lanes);
+    pub fn process(&self, buf: &mut [Complex64], dir: Direction, workers: usize) {
+        self.process_with(buf, dir, workers, Fft::process_lanes);
     }
 
-    fn process_with(&self, buf: &mut [Complex64], dir: Direction, lanes: LaneFn) {
+    fn process_with(&self, buf: &mut [Complex64], dir: Direction, workers: usize, lanes: LaneFn) {
         assert_eq!(buf.len(), self.nx * self.ny, "buffer shape mismatch");
+        let workers = workers.max(1);
         // Run both passes UN-normalised, then apply the 1/(Nx·Ny) once —
         // the per-axis inverse normalisation would otherwise be applied by
         // each 1-D call and double-count on the shared-plan path.
-        self.rows_pass(buf, dir, lanes);
-        self.cols_pass(buf, dir, lanes);
+        self.rows_pass(buf, dir, workers, lanes);
+        self.cols_pass(buf, dir, workers, lanes);
         if dir == Direction::Inverse {
             let k = 1.0 / (self.nx * self.ny) as f64;
             for z in buf.iter_mut() {
@@ -79,15 +79,9 @@ impl Fft2d {
         }
     }
 
-    /// Sequences per band when `count` of them split over the workers:
-    /// whole lane blocks, as evenly as they go.
-    fn band(&self, count: usize) -> usize {
-        count.div_ceil(LANES).div_ceil(self.workers) * LANES
-    }
-
-    fn rows_pass(&self, buf: &mut [Complex64], dir: Direction, lanes: LaneFn) {
+    fn rows_pass(&self, buf: &mut [Complex64], dir: Direction, workers: usize, lanes: LaneFn) {
         let (nx, fft) = (self.nx, &*self.row_fft);
-        let bands = buf.chunks_mut(self.band(self.ny) * nx).collect();
+        let bands = buf.chunks_mut(band(self.ny, workers) * nx).collect();
         fan_out(bands, |band: &mut [Complex64]| {
             let mut planes = LanePlanes::new(fft, dir, lanes);
             for block in band.chunks_mut(LANES * nx) {
@@ -99,9 +93,9 @@ impl Fft2d {
         });
     }
 
-    fn cols_pass(&self, buf: &mut [Complex64], dir: Direction, lanes: LaneFn) {
+    fn cols_pass(&self, buf: &mut [Complex64], dir: Direction, workers: usize, lanes: LaneFn) {
         let (nx, ny, fft) = (self.nx, self.ny, &*self.col_fft);
-        let width = self.band(nx);
+        let width = band(nx, workers);
         // Each band owns its `width` columns of every row.
         let mut bands: Vec<Vec<&mut [Complex64]>> =
             (0..nx.div_ceil(width)).map(|_| Vec::with_capacity(ny)).collect();
@@ -121,6 +115,12 @@ impl Fft2d {
             }
         });
     }
+}
+
+/// Sequences per band when `count` of them split over `workers`: whole
+/// lane blocks, as evenly as they go.
+fn band(count: usize, workers: usize) -> usize {
+    count.div_ceil(LANES).div_ceil(workers) * LANES
 }
 
 /// Runs `run` on every band through `rrs-par`'s band loop (on the
@@ -206,7 +206,7 @@ mod tests {
         for &(nx, ny) in &[(4usize, 4usize), (8, 4), (4, 8), (3, 5), (6, 6), (7, 8), (16, 3)] {
             let x = random_field(nx, ny, (nx * 100 + ny) as u64);
             let mut fast = x.clone();
-            Fft2d::with_workers(nx, ny, 1).process(&mut fast, Direction::Forward);
+            Fft2d::new(nx, ny).process(&mut fast, Direction::Forward, 1);
             let slow = dft2_reference(&x, nx, ny, Direction::Forward);
             assert!(max_err(&fast, &slow) < 1e-8, "shape ({nx},{ny})");
         }
@@ -267,16 +267,16 @@ mod tests {
                     _ => {}
                 }
             }
-            let fft2 = |workers| Fft2d::with_workers(nx, ny, workers);
+            let fft2 = Fft2d::new(nx, ny);
             for dir in [Direction::Forward, Direction::Inverse] {
                 let want = bits(&scalar(&x, nx, ny, dir));
                 for workers in [1, 2, 3, 4] {
                     let mut got = x.clone();
-                    fft2(workers).process(&mut got, dir);
+                    fft2.process(&mut got, dir, workers);
                     let what = format!("{nx}x{ny} {dir:?} at {workers} workers");
                     assert_eq!(bits(&got), want, "{what}, dispatched copy");
                     let mut got = x.clone();
-                    fft2(workers).process_with(&mut got, dir, Fft::lanes_portable);
+                    fft2.process_with(&mut got, dir, workers, Fft::lanes_portable);
                     assert_eq!(bits(&got), want, "{what}, portable copy");
                 }
             }
@@ -288,16 +288,16 @@ mod tests {
         for &(nx, ny) in &[(8usize, 8usize), (5, 12), (16, 16), (9, 7)] {
             let x = random_field(nx, ny, 77);
             let mut buf = x.clone();
-            let fft = Fft2d::with_workers(nx, ny, 2);
-            fft.process(&mut buf, Direction::Forward);
-            fft.process(&mut buf, Direction::Inverse);
+            let fft = Fft2d::new(nx, ny);
+            fft.process(&mut buf, Direction::Forward, 2);
+            fft.process(&mut buf, Direction::Inverse, 2);
             assert!(max_err(&buf, &x) < 1e-10, "shape ({nx},{ny})");
         }
     }
 
     #[test]
     fn square_shape_shares_plan() {
-        let fft = Fft2d::with_workers(16, 16, 1);
+        let fft = Fft2d::new(16, 16);
         assert!(Arc::ptr_eq(&fft.row_fft, &fft.col_fft));
     }
 
@@ -312,7 +312,7 @@ mod tests {
                     * (kx as f64 * ix as f64 / nx as f64 + ky as f64 * iy as f64 / ny as f64))
             })
             .collect();
-        Fft2d::with_workers(nx, ny, 1).process(&mut buf, Direction::Forward);
+        Fft2d::new(nx, ny).process(&mut buf, Direction::Forward, 1);
         for (i, z) in buf.iter().enumerate() {
             let (vx, vy) = (i % nx, i / nx);
             let expect = if vx == kx && vy == ky { (nx * ny) as f64 } else { 0.0 };
@@ -323,16 +323,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "shape mismatch")]
     fn shape_mismatch_panics() {
-        let fft = Fft2d::with_workers(4, 4, 1);
+        let fft = Fft2d::new(4, 4);
         let mut buf = vec![Complex64::ZERO; 8];
-        fft.process(&mut buf, Direction::Forward);
+        fft.process(&mut buf, Direction::Forward, 1);
     }
 
     #[test]
     fn degenerate_single_column() {
         let x = random_field(1, 9, 3);
         let mut fast = x.clone();
-        Fft2d::with_workers(1, 9, 4).process(&mut fast, Direction::Forward);
+        Fft2d::new(1, 9).process(&mut fast, Direction::Forward, 4);
         let slow = dft2_reference(&x, 1, 9, Direction::Forward);
         assert!(max_err(&fast, &slow) < 1e-9);
     }

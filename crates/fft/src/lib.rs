@@ -203,46 +203,36 @@ impl Fft {
     }
 }
 
-/// Discriminates the plan families one [`FftPlanCache`] holds behind a
-/// single keying scheme. Both are serial: callers that parallelise do so
-/// across tiles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-enum PlanKind {
-    Complex,
-    Real,
-}
-
-/// One cached plan; the kind in the key decides which variant a slot
-/// holds, so lookups never cross families.
-enum CachedPlan {
-    Complex(Arc<Fft2d>),
-    Real(Arc<RealFft2d>),
-}
-
-/// A shared, thread-safe cache of prepared serial 2-D transforms —
-/// complex ([`Fft2d`]) and real-input ([`RealFft2d`]) — keyed on
-/// `(kind, nx, ny)`.
+/// The process-wide cache of prepared 2-D transforms — complex
+/// ([`Fft2d`]) and real-input ([`RealFft2d`]) — one map per kind, each
+/// keyed on the shape `(nx, ny)` alone.
 ///
-/// [`Fft2d::new`] recomputes twiddles and bit-reversal tables on every
-/// construction; hot paths that transform the same shape repeatedly
-/// (overlap-save convolution tiles, autocorrelation / periodogram
-/// estimators, spectrum verification) fetch their plan here instead.
-/// Plans are immutable once built, so sharing one `Arc` across threads
-/// is free. [`FftPlanCache::plan_real`] ticks
-/// [`stage::FFT_PLAN_HIT`] / [`stage::FFT_PLAN_MISS`] so cache
-/// effectiveness is visible in reports.
-#[derive(Default)]
+/// Twiddle, bit-reversal and Bluestein tables depend on the shape only,
+/// so every transform in the process (kernel builds, the direct method,
+/// overlap-save tiles, the autocorrelation / periodogram estimators)
+/// fetches its plan from [`FftPlanCache::global`], and each shape is
+/// planned once per process. Plans hold no worker count and are
+/// immutable once built, so sharing one `Arc` across threads is free.
+/// [`FftPlanCache::plan_real`] ticks [`stage::FFT_PLAN_HIT`] /
+/// [`stage::FFT_PLAN_MISS`] so cache effectiveness is visible in reports.
 pub struct FftPlanCache {
-    cache: Mutex<HashMap<(PlanKind, usize, usize), CachedPlan>>,
+    plans: Mutex<Plans>,
     /// Poison recoveries not yet flushed into an observed lookup's
     /// recorder (the cache itself has no recorder handle).
     poisoned: AtomicU64,
 }
 
+/// The two plan maps behind one lock.
+#[derive(Default)]
+struct Plans {
+    complex: HashMap<(usize, usize), Arc<Fft2d>>,
+    real: HashMap<(usize, usize), Arc<RealFft2d>>,
+}
+
 impl FftPlanCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty cache: [`FftPlanCache::global`]'s, or a unit test's own.
+    fn new() -> Self {
+        Self { plans: Mutex::default(), poisoned: AtomicU64::new(0) }
     }
 
     /// Locks the cache, recovering from poisoning by rebuilding from
@@ -252,13 +242,13 @@ impl FftPlanCache {
     /// trades a re-plan for never propagating the poison. Each recovery
     /// is counted and flushed to [`stage::FFT_PLAN_POISONED`] by the
     /// next observed lookup.
-    fn lock_recovering(&self) -> MutexGuard<'_, HashMap<(PlanKind, usize, usize), CachedPlan>> {
-        self.cache.lock().unwrap_or_else(|poisoned| {
-            // Un-poison first: the rebuild makes the map coherent again,
-            // and without this every later lock would re-clear it.
-            self.cache.clear_poison();
+    fn lock_recovering(&self) -> MutexGuard<'_, Plans> {
+        self.plans.lock().unwrap_or_else(|poisoned| {
+            // Un-poison first: the rebuild makes the maps coherent again,
+            // and without this every later lock would re-clear them.
+            self.plans.clear_poison();
             let mut guard = poisoned.into_inner();
-            guard.clear();
+            *guard = Plans::default();
             self.poisoned.fetch_add(1, Ordering::Relaxed);
             guard
         })
@@ -277,17 +267,11 @@ impl FftPlanCache {
         }
     }
 
-    /// Fetches (or builds and caches) the serial complex `nx × ny`
-    /// transform.
+    /// Fetches (or builds and caches) the complex `nx × ny` transform;
+    /// the caller picks the worker count per [`Fft2d::process`] call.
     pub fn plan(&self, nx: usize, ny: usize) -> Arc<Fft2d> {
-        let mut cache = self.lock_recovering();
-        let slot = cache
-            .entry((PlanKind::Complex, nx, ny))
-            .or_insert_with(|| CachedPlan::Complex(Arc::new(Fft2d::with_workers(nx, ny, 1))));
-        match slot {
-            CachedPlan::Complex(p) => p.clone(),
-            CachedPlan::Real(_) => unreachable!("complex key holds a complex plan"),
-        }
+        let mut plans = self.lock_recovering();
+        plans.complex.entry((nx, ny)).or_insert_with(|| Arc::new(Fft2d::new(nx, ny))).clone()
     }
 
     /// Fetches (or builds and caches) the real-input `nx × ny` transform,
@@ -297,28 +281,24 @@ impl FftPlanCache {
     /// # Panics
     /// Panics unless both sides are powers of two.
     pub fn plan_real(&self, nx: usize, ny: usize, obs: &Recorder) -> Arc<RealFft2d> {
-        let mut cache = self.lock_recovering();
+        let mut plans = self.lock_recovering();
         self.flush_poisoned(obs);
-        match cache.entry((PlanKind::Real, nx, ny)) {
+        match plans.real.entry((nx, ny)) {
             Entry::Occupied(slot) => {
                 obs.add_counter(stage::FFT_PLAN_HIT, 1);
-                match slot.get() {
-                    CachedPlan::Real(p) => p.clone(),
-                    CachedPlan::Complex(_) => unreachable!("real key holds a real plan"),
-                }
+                slot.get().clone()
             }
             Entry::Vacant(slot) => {
                 obs.add_counter(stage::FFT_PLAN_MISS, 1);
-                let p = Arc::new(RealFft2d::new(nx, ny));
-                slot.insert(CachedPlan::Real(p.clone()));
-                p
+                slot.insert(Arc::new(RealFft2d::new(nx, ny))).clone()
             }
         }
     }
 
-    /// Number of distinct plans currently cached.
+    /// Number of distinct plans currently cached, both kinds.
     pub fn len(&self) -> usize {
-        self.lock_recovering().len()
+        let plans = self.lock_recovering();
+        plans.complex.len() + plans.real.len()
     }
 
     /// Poison recoveries taken so far and not yet flushed into an
@@ -333,10 +313,10 @@ impl FftPlanCache {
         self.len() == 0
     }
 
-    /// The process-wide shared cache. Estimator entry points
-    /// (`rrs-stats`, `rrs-spectrum`) use this so repeated calls on the
-    /// same grid shape reuse one plan without threading a cache handle
-    /// through their signatures.
+    /// The process-wide cache, the only instance outside this crate's
+    /// unit tests. Every library path fetches its plans here, so repeated
+    /// transforms of one shape reuse one plan without threading a cache
+    /// handle through their signatures.
     pub fn global() -> &'static FftPlanCache {
         static GLOBAL: OnceLock<FftPlanCache> = OnceLock::new();
         GLOBAL.get_or_init(FftPlanCache::new)
@@ -560,7 +540,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_shares_per_shape() {
+    fn one_plan_per_shape() {
         let cache = FftPlanCache::new();
         assert!(cache.is_empty());
         let a = cache.plan(16, 8);
@@ -572,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_keys_real_and_complex_separately() {
+    fn real_and_complex_plans_of_one_shape_coexist() {
         let cache = FftPlanCache::new();
         let c = cache.plan(16, 8);
         let r = cache.plan_real(16, 8, &Recorder::disabled());
@@ -607,9 +587,9 @@ mod tests {
         let x: Vec<Complex64> =
             (0..nx * ny).map(|_| Complex64::new(rng.next_f64(), rng.next_f64())).collect();
         let mut fresh = x.clone();
-        Fft2d::with_workers(nx, ny, 1).process(&mut fresh, Direction::Forward);
+        Fft2d::new(nx, ny).process(&mut fresh, Direction::Forward, 1);
         let mut cached = x;
-        FftPlanCache::global().plan(nx, ny).process(&mut cached, Direction::Forward);
+        FftPlanCache::global().plan(nx, ny).process(&mut cached, Direction::Forward, 2);
         assert_eq!(fresh, cached, "cached plan must be bit-identical to a fresh one");
     }
 
@@ -627,7 +607,7 @@ mod tests {
     fn poison(cache: &FftPlanCache) {
         let r = std::thread::scope(|s| {
             s.spawn(|| {
-                let _guard = cache.cache.lock().unwrap();
+                let _guard = cache.plans.lock().unwrap();
                 panic!("poisoning the plan cache on purpose");
             })
             .join()

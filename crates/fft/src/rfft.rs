@@ -683,7 +683,7 @@ mod tests {
     /// The packed bins of the full complex transform of `x`.
     fn packed_reference(x: &[f64], nx: usize, ny: usize) -> Vec<Complex64> {
         let mut wide: Vec<Complex64> = x.iter().map(|&v| Complex64::from_re(v)).collect();
-        Fft2d::with_workers(nx, ny, 1).process(&mut wide, Direction::Forward);
+        Fft2d::new(nx, ny).process(&mut wide, Direction::Forward, 1);
         let hw = nx / 2 + 1;
         let mut packed = Vec::with_capacity(hw * ny);
         for iy in 0..ny {

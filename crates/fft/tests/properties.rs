@@ -53,10 +53,10 @@ rrs_check::props! {
 
     fn two_dimensional_round_trip(nx in 1usize..20, ny in 1usize..20, seed in any::<u64>()) {
         let x = signal(nx * ny, seed);
-        let fft = Fft2d::with_workers(nx, ny, 2);
+        let fft = Fft2d::new(nx, ny);
         let mut buf = x.clone();
-        fft.process(&mut buf, Direction::Forward);
-        fft.process(&mut buf, Direction::Inverse);
+        fft.process(&mut buf, Direction::Forward, 2);
+        fft.process(&mut buf, Direction::Inverse, 2);
         for (a, b) in buf.iter().zip(&x) {
             assert!((*a - *b).abs() < 1e-9);
         }

@@ -285,8 +285,8 @@ impl<M: WeightMap> InhomogeneousGenerator<M> {
         self
     }
 
-    /// The generation context (workers, backend, plan cache, recorder,
-    /// budget, chaos).
+    /// The generation context (workers, backend, recorder, budget,
+    /// chaos).
     pub fn context(&self) -> &GenContext {
         &self.ctx
     }

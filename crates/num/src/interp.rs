@@ -28,14 +28,6 @@ pub fn unit_ramp(x: f64, x0: f64, x1: f64) -> f64 {
     clamp((x - x0) / (x1 - x0), 0.0, 1.0)
 }
 
-/// Smoothstep `3t² - 2t³` ramp variant — an optional C¹ alternative to the
-/// paper's linear transition, exposed for the ablation benches.
-#[inline]
-pub fn smooth_ramp(x: f64, x0: f64, x1: f64) -> f64 {
-    let t = unit_ramp(x, x0, x1);
-    t * t * (3.0 - 2.0 * t)
-}
-
 /// Bilinear interpolation of a quad with corner values
 /// `(f00, f10, f01, f11)` at local coordinates `(tx, ty) ∈ [0,1]²`.
 #[inline]
@@ -84,20 +76,6 @@ mod tests {
         assert_eq!(unit_ramp(-5.0, 0.0, 10.0), 0.0);
         assert_eq!(unit_ramp(15.0, 0.0, 10.0), 1.0);
         assert_close(unit_ramp(2.5, 0.0, 10.0), 0.25, 1e-15);
-    }
-
-    #[test]
-    fn smooth_ramp_matches_endpoints_and_midpoint() {
-        assert_eq!(smooth_ramp(0.0, 0.0, 1.0), 0.0);
-        assert_eq!(smooth_ramp(1.0, 0.0, 1.0), 1.0);
-        assert_close(smooth_ramp(0.5, 0.0, 1.0), 0.5, 1e-15);
-        // Monotone on [0, 1].
-        let mut prev = 0.0;
-        for i in 0..=100 {
-            let v = smooth_ramp(i as f64 / 100.0, 0.0, 1.0);
-            assert!(v >= prev);
-            prev = v;
-        }
     }
 
     #[test]

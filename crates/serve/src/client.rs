@@ -26,8 +26,6 @@ pub struct ClientConfig {
     /// Wire-level chaos injector ([`FaultSite::EndpointConnect`],
     /// `FrameRead`, `FrameWrite` fire client-side). Disabled by default.
     pub chaos: ChaosInjector,
-    /// How long an injected `Deadline` fault stalls the transport.
-    pub chaos_stall: Duration,
 }
 
 impl Default for ClientConfig {
@@ -35,7 +33,6 @@ impl Default for ClientConfig {
         Self {
             connect_timeout: Duration::from_secs(5),
             chaos: ChaosInjector::disabled(),
-            chaos_stall: wire::DEFAULT_CHAOS_STALL,
         }
     }
 }
@@ -190,28 +187,18 @@ impl Client {
 
     /// Writes one frame through the chaos seam.
     fn write(&mut self, kind: FrameKind, payload: &[u8]) -> Result<(), ServeError> {
-        wire::write_frame_chaos(
-            &mut self.writer,
-            kind,
-            payload,
-            &self.config.chaos,
-            self.config.chaos_stall,
-        )?;
+        wire::write_frame_chaos(&mut self.writer, kind, payload, &self.config.chaos)?;
         Ok(())
     }
 
     /// Reads and classifies the next frame.
     fn read_incoming(&mut self, waiting_for: &str) -> Result<Incoming, ServeError> {
-        let (kind, payload) = wire::read_frame_chaos(
-            &mut self.reader,
-            &self.config.chaos,
-            self.config.chaos_stall,
-        )?
-        .ok_or_else(|| {
-            ServeError::Transport(RrsError::corrupt_snapshot(format!(
-                "server closed the connection while {waiting_for} was pending"
-            )))
-        })?;
+        let (kind, payload) = wire::read_frame_chaos(&mut self.reader, &self.config.chaos)?
+            .ok_or_else(|| {
+                ServeError::Transport(RrsError::corrupt_snapshot(format!(
+                    "server closed the connection while {waiting_for} was pending"
+                )))
+            })?;
         Ok(match kind {
             FrameKind::GenerateOk => {
                 let ok = GenerateOk::decode(&payload)?;

@@ -17,9 +17,10 @@
 //!   queueing unboundedly.
 //! * **Coalescing** — concurrent requests sharing a spectrum /
 //!   truncation / sizing / backend key are batched onto one cached
-//!   generator, so kernel construction and FFT planning amortise across
-//!   the batch; a small LRU keeps hot kernels warm and one server-wide
-//!   [`rrs_fft::FftPlanCache`] backs every backend.
+//!   generator, so kernel construction amortises across the batch; a
+//!   small LRU keeps hot kernels warm, and every generator fetches its
+//!   FFT plans from the process-wide
+//!   [`rrs_fft::FftPlanCache::global`].
 //! * **Observability** — a `Metrics` frame returns the server's
 //!   [`rrs_obs::report::ObsReport`] as JSON (requests, batches, coalesced jobs,
 //!   cache hits/misses/evictions, overloads, plus all library stages).

@@ -28,15 +28,15 @@
 //! worker count share a [`GenKey`]. A worker that pops a job drains up
 //! to `max_batch` same-key jobs from anywhere in the queue and serves
 //! them on one cached generator, so the batch pays kernel construction
-//! and FFT planning once; the [`FftPlanCache`] is shared server-wide, so
-//! even distinct keys with matching tile shapes reuse plans.
+//! once. FFT plans come from the process-wide
+//! [`FftPlanCache::global`](rrs_fft::FftPlanCache::global), so even
+//! distinct keys with matching tile shapes reuse plans.
 
 use crate::wire::{
     self, FrameKind, GenerateErr, GenerateRequest, Overloaded, OverloadReason,
 };
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, CancelToken, ErrorKind, RrsError};
-use rrs_fft::FftPlanCache;
 use rrs_obs::report::ObsReport;
 use rrs_obs::{stage, Recorder};
 use rrs_spectrum::Spectrum;
@@ -105,8 +105,6 @@ pub struct ServeConfig {
     /// `FrameRead`, `FrameWrite` fire server-side). Disabled by
     /// default; the disabled form is one branch per poll.
     pub chaos: ChaosInjector,
-    /// How long an injected `Deadline` fault stalls the transport.
-    pub chaos_stall: Duration,
 }
 
 impl Default for ServeConfig {
@@ -123,7 +121,6 @@ impl Default for ServeConfig {
             write_timeout: Some(Duration::from_secs(10)),
             max_conn_in_flight: 64,
             chaos: ChaosInjector::disabled(),
-            chaos_stall: wire::DEFAULT_CHAOS_STALL,
         }
     }
 }
@@ -223,7 +220,6 @@ struct KernelCache {
 struct Shared {
     config: ServeConfig,
     obs: Recorder,
-    plans: Arc<FftPlanCache>,
     queue: Mutex<QueueState>,
     ready: Condvar,
     cancel: CancelToken,
@@ -291,7 +287,6 @@ impl Shared {
         let ctx = GenContext::new()
             .with_backend(req.options.backend)
             .with_workers(workers)
-            .with_plan_cache(Arc::clone(&self.plans))
             .with_recorder(self.obs.clone());
         Ok(ConvolutionGenerator::from_kernel(kernel).with_context(ctx))
     }
@@ -353,13 +348,7 @@ fn sizing(req: &GenerateRequest) -> KernelSizing {
 /// dead peer (the job still completes server-side either way).
 fn respond(shared: &Shared, conn: &Conn, kind: FrameKind, payload: &[u8]) {
     let _writing = conn.write.lock().expect("connection poisoned");
-    let _ = wire::write_frame_chaos(
-        &mut &conn.stream,
-        kind,
-        payload,
-        &shared.config.chaos,
-        shared.config.chaos_stall,
-    );
+    let _ = wire::write_frame_chaos(&mut &conn.stream, kind, payload, &shared.config.chaos);
 }
 
 /// True for the `read` errors a socket read deadline produces
@@ -377,7 +366,7 @@ fn is_read_timeout(e: &RrsError) -> bool {
 fn reader_loop(shared: &Shared, stream: TcpStream, conn: Arc<Conn>) {
     let mut r = BufReader::new(stream);
     loop {
-        match wire::read_frame_chaos(&mut r, &shared.config.chaos, shared.config.chaos_stall) {
+        match wire::read_frame_chaos(&mut r, &shared.config.chaos) {
             Ok(None) => return,
             Ok(Some((FrameKind::Ping, _))) => respond(shared, &conn, FrameKind::Pong, &[]),
             Ok(Some((FrameKind::Metrics, _))) => {
@@ -586,7 +575,7 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let budgeted = lead.options.deadline_ms != 0 || lead.options.max_bytes != 0;
     let generator: Result<Arc<ConvolutionGenerator>, RrsError> = if budgeted {
         // One-off generator wearing this request's Budget, sharing the
-        // cached kernel and the server plan cache underneath.
+        // cached kernel underneath.
         shared.generator_for(batch[0].key, lead).and_then(|cached| {
             let mut budget = Budget::unlimited();
             if lead.options.deadline_ms != 0 {
@@ -720,7 +709,6 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, RrsError> {
     let shared = Arc::new(Shared {
         config,
         obs: Recorder::enabled(),
-        plans: Arc::new(FftPlanCache::new()),
         queue: Mutex::new(QueueState::default()),
         ready: Condvar::new(),
         cancel: CancelToken::new(),
@@ -747,7 +735,7 @@ pub fn serve(config: ServeConfig) -> Result<ServerHandle, RrsError> {
                     Err(e) if e.kind() == ErrorKind::DeadlineExceeded => {
                         // Injected stall: the accept path hangs, then
                         // proceeds — late connections, not lost ones.
-                        std::thread::sleep(shared.config.chaos_stall);
+                        std::thread::sleep(wire::CHAOS_STALL);
                     }
                     Err(_) => {
                         // Injected accept failure: the connection dies

@@ -39,7 +39,6 @@ use crate::client::{Client, ClientConfig, ServeError};
 use crate::wire::{self, GenerateRequest};
 use rrs_error::RrsError;
 use rrs_grid::Grid2;
-use rrs_io::retry::{Sleeper, ThreadSleeper};
 use rrs_obs::report::ObsReport;
 use rrs_obs::{stage, Recorder};
 use rrs_surface::BackendHealth;
@@ -241,7 +240,7 @@ impl ShardedClient {
                     }
                 }
                 self.obs.add_counter(stage::SERVE_CLIENT_RETRY, 1);
-                ThreadSleeper.sleep(delay);
+                std::thread::sleep(delay);
             }
             // The HRW order behind the breakers; then, if every breaker
             // was open and no probe was due, the HRW-first endpoint

@@ -227,7 +227,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, Rrs
 // |------------|-----------------------------------|--------------------------------------|
 // | `Error`    | connection reset before the read  | **truncated prefix** written, reset  |
 // | `Cancel`   | clean peer hang-up (`Ok(None)`)   | broken pipe before any byte          |
-// | `Deadline` | stall `stall` then read normally  | stall `stall` then write normally    |
+// | `Deadline` | stall `CHAOS_STALL`, then read    | stall `CHAOS_STALL`, then write      |
 // | `Panic`    | contained → connection aborted    | contained → connection aborted       |
 //
 // The mid-frame truncation on `Error` writes is what makes the peer
@@ -235,8 +235,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<(FrameKind, Vec<u8>)>, Rrs
 // of a tidy error the codec never sees in production.
 
 /// How long a [`rrs_chaos::FaultKind::Deadline`] fault stalls the wire
-/// when the caller does not choose a stall.
-pub const DEFAULT_CHAOS_STALL: Duration = Duration::from_millis(200);
+/// (a frame read or write, or the server's accept).
+pub const CHAOS_STALL: Duration = Duration::from_millis(200);
 
 /// Maps a fired wire fault into the transport error the peerless side
 /// sees. `Cancel` is handled by the callers (it has per-direction
@@ -255,13 +255,12 @@ fn wire_fault_to_io(e: RrsError, what: &str) -> RrsError {
 pub fn read_frame_chaos(
     r: &mut impl Read,
     chaos: &ChaosInjector,
-    stall: Duration,
 ) -> Result<Option<(FrameKind, Vec<u8>)>, RrsError> {
     if chaos.is_enabled() {
         match chaos.poll_contained(FaultSite::FrameRead) {
             Ok(()) => {}
             Err(RrsError::Cancelled) => return Ok(None), // clean peer hang-up
-            Err(RrsError::DeadlineExceeded) => std::thread::sleep(stall),
+            Err(RrsError::DeadlineExceeded) => std::thread::sleep(CHAOS_STALL),
             Err(e) => return Err(wire_fault_to_io(e, "read")),
         }
     }
@@ -277,7 +276,6 @@ pub fn write_frame_chaos(
     kind: FrameKind,
     payload: &[u8],
     chaos: &ChaosInjector,
-    stall: Duration,
 ) -> Result<(), RrsError> {
     if chaos.is_enabled() {
         match chaos.poll_contained(FaultSite::FrameWrite) {
@@ -288,7 +286,7 @@ pub fn write_frame_chaos(
                     "chaos: connection closed before the frame",
                 )))
             }
-            Err(RrsError::DeadlineExceeded) => std::thread::sleep(stall),
+            Err(RrsError::DeadlineExceeded) => std::thread::sleep(CHAOS_STALL),
             Err(e @ RrsError::FaultInjected { .. }) => {
                 // Deterministic mid-frame kill: half the frame (always at
                 // least the magic, never the whole thing) then a reset.
@@ -483,8 +481,8 @@ fn backend_from_wire(v: u8) -> Result<ConvBackend, RrsError> {
 /// Zero means "unset": the server substitutes its own defaults. A
 /// request with a deadline or byte ceiling runs on a one-off generator
 /// carrying that [`rrs_error::Budget`] (still sharing the server's
-/// kernel and FFT-plan caches); all other requests run on the cached
-/// generator directly.
+/// kernel cache and the process-wide FFT plan cache); all other
+/// requests run on the cached generator directly.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RequestOptions {
     /// Convolution engine. `Direct` by default — unlike the library,
@@ -1223,16 +1221,15 @@ mod tests {
     fn chaos_seam_is_transparent_when_disabled_and_typed_when_armed() {
         use rrs_chaos::{ChaosInjector, FaultKind, FaultSchedule};
         let req = sample_request();
-        let stall = Duration::from_millis(1);
 
         // Disabled: byte-identical to the plain functions.
         let chaos = ChaosInjector::disabled();
         let mut plain = Vec::new();
         write_frame(&mut plain, FrameKind::Generate, &req.encode()).unwrap();
         let mut seamed = Vec::new();
-        write_frame_chaos(&mut seamed, FrameKind::Generate, &req.encode(), &chaos, stall).unwrap();
+        write_frame_chaos(&mut seamed, FrameKind::Generate, &req.encode(), &chaos).unwrap();
         assert_eq!(plain, seamed, "disabled seam must not change a byte");
-        let (kind, payload) = read_frame_chaos(&mut seamed.as_slice(), &chaos, stall).unwrap().unwrap();
+        let (kind, payload) = read_frame_chaos(&mut seamed.as_slice(), &chaos).unwrap().unwrap();
         assert_eq!(kind, FrameKind::Generate);
         assert_eq!(GenerateRequest::decode(&payload).unwrap(), req);
 
@@ -1242,7 +1239,7 @@ mod tests {
             FaultSchedule::new(1).with_fault(FaultSite::FrameWrite, FaultKind::Error, 0),
         );
         let mut torn = Vec::new();
-        let err = write_frame_chaos(&mut torn, FrameKind::Generate, &req.encode(), &chaos, stall)
+        let err = write_frame_chaos(&mut torn, FrameKind::Generate, &req.encode(), &chaos)
             .unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
         assert!(!torn.is_empty() && torn.len() < plain.len(), "prefix, not all or nothing");
@@ -1260,11 +1257,11 @@ mod tests {
                 .with_fault(FaultSite::FrameRead, FaultKind::Cancel, 0)
                 .with_fault(FaultSite::FrameRead, FaultKind::Error, 1),
         );
-        assert!(read_frame_chaos(&mut plain.as_slice(), &chaos, stall).unwrap().is_none());
-        let err = read_frame_chaos(&mut plain.as_slice(), &chaos, stall).unwrap_err();
+        assert!(read_frame_chaos(&mut plain.as_slice(), &chaos).unwrap().is_none());
+        let err = read_frame_chaos(&mut plain.as_slice(), &chaos).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::Io);
         // Visit 2: nothing armed, the stream reads through untouched.
-        let (kind, _) = read_frame_chaos(&mut plain.as_slice(), &chaos, stall).unwrap().unwrap();
+        let (kind, _) = read_frame_chaos(&mut plain.as_slice(), &chaos).unwrap().unwrap();
         assert_eq!(kind, FrameKind::Generate);
         assert_eq!(chaos.injected(), 2);
     }

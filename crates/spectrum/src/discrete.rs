@@ -152,7 +152,7 @@ pub fn verify_weight_dft<S: Spectrum + ?Sized>(spectrum: &S, spec: GridSpec) -> 
         w.as_slice().iter().map(|&x| Complex64::from_re(x)).collect();
     // Verification sweeps re-check the same lattice for many spectra;
     // the process-wide plan cache amortises the transform setup.
-    FftPlanCache::global().plan(spec.nx, spec.ny).process(&mut buf, Direction::Forward);
+    FftPlanCache::global().plan(spec.nx, spec.ny).process(&mut buf, Direction::Forward, 1);
     let h2 = spectrum.params().variance().max(f64::MIN_POSITIVE);
     // Signed lags: bin n carries the displacement n (n ≤ N/2) or n − N.
     let signed_lag = |m: usize, n: usize| -> f64 {

@@ -80,11 +80,11 @@ pub fn autocorrelation_fft(f: &Grid2<f64>) -> Grid2<f64> {
     // once per realisation on the same lattice, and recomputing twiddles
     // each time dominated the estimator's cost.
     let fft = FftPlanCache::global().plan(nx, ny);
-    fft.process(&mut buf, Direction::Forward);
+    fft.process(&mut buf, Direction::Forward, 1);
     for z in &mut buf {
         *z = Complex64::from_re(z.norm_sqr());
     }
-    fft.process(&mut buf, Direction::Inverse);
+    fft.process(&mut buf, Direction::Inverse, 1);
     let norm = 1.0 / (nx * ny) as f64;
     Grid2::from_vec(nx, ny, buf.into_iter().map(|z| z.re * norm).collect())
 }

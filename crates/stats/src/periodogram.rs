@@ -32,7 +32,7 @@ pub fn periodogram(f: &Grid2<f64>, spec: GridSpec) -> Grid2<f64> {
     // Ensemble averaging transforms the same lattice once per seed; the
     // process-wide plan cache keeps the twiddle/bit-reversal tables alive
     // across realisations.
-    FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward);
+    FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward, 1);
     let norm = (spec.dx * spec.dy).powi(2)
         / (4.0 * core::f64::consts::PI * core::f64::consts::PI * spec.lx() * spec.ly());
     Grid2::from_vec(nx, ny, buf.into_iter().map(|z| z.norm_sqr() * norm).collect())

@@ -1,14 +1,14 @@
 //! Shared generation context — the one bundle of cross-cutting options
 //! every generator accepts, and the only way to set them.
 //!
-//! A [`GenContext`] carries six knobs: workers, backend, FFT plan cache,
-//! recorder, budget and chaos injector. All three generators —
+//! A [`GenContext`] carries five knobs: workers, backend, recorder,
+//! budget and chaos injector. All three generators —
 //! [`ConvolutionGenerator`](crate::ConvolutionGenerator),
 //! [`StripGenerator`](crate::StripGenerator) and the inhomogeneous
 //! generator — take one through `with_context` and show it through
 //! `context()`, so option threading cannot diverge per generator. Build
 //! the whole context first and apply it once: `with_context` replaces
-//! every option, a shared plan cache or recorder included. Because the
+//! every option, a shared recorder included. Because the
 //! context is plain data (every field cheap to clone, shared state behind
 //! `Arc`s), it doubles as the decoded form of a serving request's
 //! per-request options: the server and the library configure generation
@@ -17,28 +17,26 @@
 use crate::conv::ConvBackend;
 use rrs_chaos::ChaosInjector;
 use rrs_error::Budget;
-use rrs_fft::FftPlanCache;
 use rrs_obs::Recorder;
-use std::sync::Arc;
 
 /// Cross-cutting generation options, shared by all generators.
 ///
 /// Defaults: [`rrs_par::default_workers`] workers, [`ConvBackend::Auto`],
-/// a fresh private [`FftPlanCache`], a disabled [`Recorder`], an
-/// unlimited [`Budget`] and a disabled [`ChaosInjector`]. `Auto` sends
+/// a disabled [`Recorder`], an unlimited [`Budget`] and a disabled
+/// [`ChaosInjector`]. `Auto` sends
 /// large kernels to the FFT engine, so default output equals earlier
 /// releases' within 1e-9 relative error rather than bit for bit; a
 /// context with [`ConvBackend::Direct`] is bit-identical to them.
 ///
-/// Clones share the stateful members (plan cache, recorder, chaos
-/// schedule, cancel token) by reference, so a context cloned into many
-/// generators still aggregates observations and twiddle tables in one
-/// place.
+/// Clones share the stateful members (recorder, chaos schedule, cancel
+/// token) by reference, so a context cloned into many generators still
+/// aggregates observations in one place. FFT plans are not an option:
+/// every generator fetches them from the process-wide
+/// [`FftPlanCache::global`](rrs_fft::FftPlanCache::global).
 #[derive(Clone)]
 pub struct GenContext {
     pub(crate) workers: usize,
     pub(crate) backend: ConvBackend,
-    pub(crate) plans: Arc<FftPlanCache>,
     pub(crate) obs: Recorder,
     pub(crate) budget: Budget,
     pub(crate) chaos: ChaosInjector,
@@ -56,7 +54,6 @@ impl GenContext {
         Self {
             workers: rrs_par::default_workers(),
             backend: ConvBackend::default(),
-            plans: Arc::new(FftPlanCache::new()),
             obs: Recorder::disabled(),
             budget: Budget::unlimited(),
             chaos: ChaosInjector::disabled(),
@@ -73,14 +70,6 @@ impl GenContext {
     /// Selects the convolution engine — see [`ConvBackend`].
     pub fn with_backend(mut self, backend: ConvBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Shares an [`FftPlanCache`]: every generator built from this
-    /// context reuses one set of twiddle tables and real-input plans for
-    /// matching tile shapes.
-    pub fn with_plan_cache(mut self, plans: Arc<FftPlanCache>) -> Self {
-        self.plans = plans;
         self
     }
 
@@ -113,11 +102,6 @@ impl GenContext {
     /// The configured backend policy (not resolved).
     pub fn backend(&self) -> ConvBackend {
         self.backend
-    }
-
-    /// The shared FFT plan cache.
-    pub fn plan_cache(&self) -> &Arc<FftPlanCache> {
-        &self.plans
     }
 
     /// The attached recorder (disabled by default).
@@ -153,14 +137,14 @@ mod tests {
 
     #[test]
     fn builders_set_and_clones_share() {
-        let plans = Arc::new(FftPlanCache::new());
+        let rec = Recorder::enabled();
         let ctx = GenContext::new()
             .with_workers(0)
             .with_backend(ConvBackend::Direct)
-            .with_plan_cache(Arc::clone(&plans));
+            .with_recorder(rec.clone());
         assert_eq!(ctx.workers(), 1, "workers clamp to >= 1");
         assert_eq!(ctx.backend(), ConvBackend::Direct);
-        let clone = ctx.clone();
-        assert!(Arc::ptr_eq(clone.plan_cache(), &plans), "clones share the plan cache");
+        ctx.clone().recorder().add_counter("test/clone", 1);
+        assert_eq!(rec.report().counter("test/clone"), 1, "clones share the recorder");
     }
 }

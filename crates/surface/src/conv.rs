@@ -229,8 +229,9 @@ fn is_degradable(e: &RrsError) -> bool {
 /// touches. With the defaults (an unlimited budget, a disabled chaos
 /// injector and recorder) every poll is a single branch. Output bits
 /// depend only on the kernel, the noise and the engine that ran: the
-/// worker count, the plan cache, a recorder and an idle budget change
-/// none.
+/// worker count, a recorder and an idle budget change none. FFT tile
+/// plans come from the process-wide
+/// [`FftPlanCache::global`](rrs_fft::FftPlanCache::global).
 pub struct ConvolutionGenerator {
     kernel: ConvolutionKernel,
     ctx: GenContext,
@@ -265,7 +266,7 @@ impl ConvolutionGenerator {
     }
 
     /// Replaces the whole [`GenContext`] at once — the one way to set
-    /// workers, plan cache, recorder, budget and chaos, and the one a
+    /// workers, backend, recorder, budget and chaos, and the one a
     /// serving front-end uses to apply wire-decoded per-request options.
     /// The generator's cached kernel spectra stay warm: they depend only
     /// on the kernel and the tile shape.
@@ -274,8 +275,8 @@ impl ConvolutionGenerator {
         self
     }
 
-    /// The generation context (workers, backend, plan cache, recorder,
-    /// budget, chaos).
+    /// The generation context (workers, backend, recorder, budget,
+    /// chaos).
     pub fn context(&self) -> &GenContext {
         &self.ctx
     }
@@ -668,10 +669,9 @@ mod tests {
     use super::*;
     use crate::direct::DirectDftGenerator;
     use crate::hermitian::hermitian_gaussian_array;
-    use rrs_fft::{Direction, Fft2d, FftPlanCache};
+    use rrs_fft::{Direction, Fft2d};
     use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
     use rrs_rng::Xoshiro256pp;
-    use std::sync::Arc;
 
     #[test]
     fn window_shape_and_determinism() {
@@ -792,7 +792,7 @@ mod tests {
         let f_direct = DirectDftGenerator::with_workers(s, spec, 1).generate_from_bins(&u);
 
         let mut x = u.clone();
-        Fft2d::with_workers(spec.nx, spec.ny, 1).process(&mut x, Direction::Forward);
+        Fft2d::new(spec.nx, spec.ny).process(&mut x, Direction::Forward, 1);
         let scale = 1.0 / ((spec.nx * spec.ny) as f64).sqrt();
         let noise = Grid2::from_vec(
             spec.nx,
@@ -835,21 +835,6 @@ mod tests {
         let gen = ConvolutionGenerator::new(&s, KernelSizing::default());
         let err = gen.try_correlate_window(&[], 0, 4).unwrap_err();
         assert!(err.to_string().contains("non-empty"), "{err}");
-    }
-
-    #[test]
-    fn reapplying_a_same_cache_context_keeps_the_fft_engine() {
-        use crate::context::GenContext;
-        let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
-        let gen = ConvolutionGenerator::new(&s, KernelSizing::default());
-        let same = gen.context().clone().with_workers(3);
-        let gen = gen.with_context(same);
-        assert_eq!(gen.context().workers(), 3);
-        // A context with a different cache swaps the engine's plans.
-        let other = Arc::new(FftPlanCache::new());
-        let ctx = GenContext::new().with_plan_cache(Arc::clone(&other));
-        let gen = gen.with_context(ctx);
-        assert!(Arc::ptr_eq(gen.context().plan_cache(), &other));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::hermitian::hermitian_gaussian_array;
 use rrs_error::RrsError;
-use rrs_fft::{Direction, Fft2d};
+use rrs_fft::{Direction, FftPlanCache};
 use rrs_grid::Grid2;
 use rrs_num::Complex64;
 use rrs_rng::{RandomSource, Xoshiro256pp};
@@ -73,7 +73,7 @@ impl<S: Spectrum> DirectDftGenerator<S> {
         let v = amplitude_array(&self.spectrum, self.spec);
         let mut z: Vec<Complex64> =
             v.as_slice().iter().zip(u).map(|(&a, &b)| b.scale(a)).collect();
-        Fft2d::with_workers(nx, ny, self.workers).process(&mut z, Direction::Forward);
+        FftPlanCache::global().plan(nx, ny).process(&mut z, Direction::Forward, self.workers);
         // The transform of a Hermitian array is real up to rounding.
         debug_assert!(
             z.iter().map(|c| c.im.abs()).fold(0.0, f64::max) < 1e-8,

@@ -60,7 +60,7 @@ use crate::context::GenContext;
 use crate::kernel::ConvolutionKernel;
 use rrs_chaos::{ChaosInjector, FaultSite};
 use rrs_error::{Budget, RrsError};
-use rrs_fft::{RealFft2d, RealTile, Spectrum, TileWorkspace, LANES};
+use rrs_fft::{FftPlanCache, RealFft2d, RealTile, Spectrum, TileWorkspace, LANES};
 use rrs_grid::Grid2;
 use rrs_obs::{stage, Recorder, Shard};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -296,7 +296,7 @@ impl FftEngine {
         // Parallelism lives at the tile level: one plan is shared by
         // every arena (plans are immutable).
         ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
-        let rfft = ctx.plans.plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
+        let rfft = FftPlanCache::global().plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
         let kspec = self.kernel_spectrum(kernel, &rfft, &ctx.obs);
         let mut out = Grid2::zeros(nx, ny);
         let ww = nx + kw - 1;
@@ -372,7 +372,7 @@ pub(crate) fn convolve_tiles_into(
 ) -> Result<(), RrsError> {
     let tile_shape = box_tile_shape(kernel, nx, ny);
     ctx.chaos.poll(FaultSite::PlanCacheLookup)?;
-    let rfft = ctx.plans.plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
+    let rfft = FftPlanCache::global().plan_real(tile_shape.fft_nx, tile_shape.fft_ny, &ctx.obs);
     let kspec = kernel_spectrum(kernel, &rfft);
     run_rfft(ctx, &rfft, &kspec, kernel, win, pitch, nx, ny, out, combine)
 }

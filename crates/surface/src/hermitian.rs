@@ -107,7 +107,7 @@ mod tests {
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let (nx, ny) = (16, 16);
         let mut u = hermitian_gaussian_array(nx, ny, &mut rng);
-        Fft2d::with_workers(nx, ny, 1).process(&mut u, Direction::Forward);
+        Fft2d::new(nx, ny).process(&mut u, Direction::Forward, 1);
         let max_im = u.iter().map(|z| z.im.abs()).fold(0.0, f64::max);
         let max_re = u.iter().map(|z| z.re.abs()).fold(0.0, f64::max);
         assert!(max_im < 1e-10 * max_re.max(1.0), "max imaginary part {max_im}");
@@ -141,7 +141,7 @@ mod tests {
         let (nx, ny) = (32, 32);
         let mut rng = Xoshiro256pp::seed_from_u64(5);
         let mut u = hermitian_gaussian_array(nx, ny, &mut rng);
-        Fft2d::with_workers(nx, ny, 1).process(&mut u, Direction::Forward);
+        Fft2d::new(nx, ny).process(&mut u, Direction::Forward, 1);
         let scale = 1.0 / ((nx * ny) as f64).sqrt();
         let xs: Vec<f64> = u.iter().map(|z| z.re * scale).collect();
         let n = xs.len() as f64;

@@ -121,7 +121,7 @@ impl ConvolutionKernel {
         let mut buf: Vec<Complex64> = v.iter().map(|&x| Complex64::from_re(x)).collect();
         // Inhomogeneous layouts build several kernels on one lattice; the
         // process-wide plan cache transforms them with shared tables.
-        FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward);
+        FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward, 1);
         obs.finish(span);
         let span = obs.start(stage::KERNEL_PERMUTE);
         let norm = 1.0 / ((nx * ny) as f64).sqrt();
@@ -264,6 +264,11 @@ impl ConvolutionKernel {
             // (it drops the outermost rows) — keep the full kernel.
             return Ok(self.clone());
         }
+        if ok(0.0) {
+            // The centre tap alone holds the energy. The bisection never
+            // evaluates t = 0, and ceil(t·half) ≥ 1 for every t > 0.
+            return Ok(self.crop(0, 0));
+        }
         let mut lo = 0.0;
         let mut hi = 1.0;
         for _ in 0..40 {
@@ -317,6 +322,7 @@ impl ConvolutionKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rrs_spectrum::line::{Gaussian1d, LineParams};
     use rrs_spectrum::{Exponential, Gaussian, PowerLaw};
 
     fn gaussian_kernel(h: f64, cl: f64, n: usize) -> ConvolutionKernel {
@@ -412,6 +418,24 @@ mod tests {
             let (w, h) = t.extent();
             assert!(w % 2 == 1 && h % 2 == 1, "odd extents");
         }
+    }
+
+    #[test]
+    fn a_centre_tap_that_holds_the_budget_truncates_to_one_tap() {
+        let one_tap = |k: &ConvolutionKernel, eps: f64| {
+            let t = k.truncated(eps);
+            assert_eq!(t.extent(), (1, 1), "eps {eps}: {:?}", k.extent());
+            assert_eq!(t.origin(), (0, 0));
+            assert!(t.energy() >= k.energy() * (1.0 - eps * eps), "eps {eps}");
+        };
+        for (cl, eps) in [(0.2, 0.3), (0.3, 0.3), (0.5, 0.3), (0.2, 0.05), (0.3, 0.05)] {
+            let s = Gaussian::new(SurfaceParams::isotropic(1.0, cl));
+            let k = ConvolutionKernel::build(&s, KernelSizing::default());
+            assert_eq!(k.extent(), (16, 16), "the default lattice's floor");
+            one_tap(&k, eps);
+        }
+        let line = Gaussian1d::new(LineParams::new(1.0, 0.3));
+        one_tap(&ConvolutionKernel::build_profile(&line, 16), 0.3);
     }
 
     #[test]

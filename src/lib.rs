@@ -47,11 +47,12 @@
 //!
 //! Every generator is configured through one [`surface::GenContext`],
 //! applied with `with_context`: the worker count, the convolution
-//! backend, a shared FFT plan cache, and the recorder, budget and chaos
-//! injector below. Build the whole context first and apply it once, since
-//! `with_context` replaces every option. Operations outside a generator
-//! (kernel truncation, plan lookups, file writes, retries) take the
-//! recorder, and where it applies the budget and injector, as arguments.
+//! backend, and the recorder, budget and chaos injector below. Build the
+//! whole context first and apply it once, since `with_context` replaces
+//! every option. FFT plans come from [`fft::FftPlanCache::global`], keyed
+//! by shape. Operations outside a generator (kernel truncation, plan
+//! lookups, file writes, retries) take the recorder, and where it applies
+//! the budget and injector, as arguments.
 //!
 //! ## Observability
 //!
@@ -129,7 +130,6 @@ pub mod prelude {
         SurfaceParams,
     };
     pub use rrs_stats::{validate_region, RegionReport};
-    pub use rrs_fft::FftPlanCache;
     pub use rrs_serve::{
         Client, ClientConfig, GenerateRequest, ServeConfig, ServeError, ShardedClient,
         ShardedConfig, TenantQuota,

@@ -541,11 +541,12 @@ fn plan_cache_and_parallel_tiles_are_observed() {
     let noise = NoiseField::new(55);
     let first = gen.generate(&noise, win);
     let after_first = rec.report();
-    // First request: every plan is a miss (tile transform + kernel
-    // spectrum share the same shape, so at least one miss; zero hits
-    // would need a pre-warmed cache).
+    // First request: it looks its tile plan up in the process-wide cache,
+    // where another test in this binary may already have built it, so
+    // the lookup is a hit or a miss.
     let misses = after_first.counter(stage::FFT_PLAN_MISS);
-    assert!(misses >= 1, "first request must build at least one plan");
+    let hits = after_first.counter(stage::FFT_PLAN_HIT);
+    assert!(misses + hits >= 1, "first request must look a plan up");
     assert_eq!(after_first.counter(stage::CONV_TILES_PARALLEL), total_tiles);
     assert_eq!(after_first.counter(stage::CONV_FFT_TILES), total_tiles);
 
@@ -558,39 +559,31 @@ fn plan_cache_and_parallel_tiles_are_observed() {
         misses,
         "a repeated shape must not rebuild plans"
     );
-    assert!(after_second.counter(stage::FFT_PLAN_HIT) >= 1);
+    assert!(after_second.counter(stage::FFT_PLAN_HIT) > hits);
     assert_eq!(first, second, "plan caching must not change output");
 }
 
 #[test]
 fn shared_plan_cache_is_warm_across_generators() {
     use rrs::obs::stage;
-    use rrs_fft::FftPlanCache;
-    use std::sync::Arc;
     let s = Gaussian::new(SurfaceParams::isotropic(1.0, 6.0));
     let k = ConvolutionKernel::build(&s, KernelSizing::default()).truncated(1e-3);
-    let plans = Arc::new(FftPlanCache::new());
     let noise = NoiseField::new(808);
     let win = Window::sized(64, 48);
 
-    // Warm the cache through a plain generator…
+    // Warm the process-wide cache through a plain generator…
     ConvolutionGenerator::from_kernel(k.clone())
-        .with_context(
-            GenContext::new()
-                .with_backend(ConvBackend::FftOverlapSave)
-                .with_plan_cache(plans.clone()),
-        )
+        .with_context(GenContext::new().with_backend(ConvBackend::FftOverlapSave))
         .generate(&noise, win);
 
-    // …then a strip generator sharing the cache and transforming the same
-    // tile shape must hit without a single new plan build.
+    // …then a strip generator on another default context, transforming
+    // the same tile shape, must hit without a single new plan build.
     let rec = Recorder::enabled();
     let mut sg = StripGenerator::from_generator(
         ConvolutionGenerator::from_kernel(k.clone())
             .with_context(
                 GenContext::new()
                     .with_backend(ConvBackend::FftOverlapSave)
-                    .with_plan_cache(plans)
                     .with_recorder(rec.clone()),
             ),
         win.ny,

@@ -29,7 +29,7 @@ fn direct_and_convolution_agree_exactly_per_spectrum() {
 
     // Shared noise grid X = DFT(u)/sqrt(N).
     let mut x = u.clone();
-    Fft2d::with_workers(spec.nx, spec.ny, 1).process(&mut x, Direction::Forward);
+    Fft2d::new(spec.nx, spec.ny).process(&mut x, Direction::Forward, 1);
     let scale = 1.0 / ((spec.nx * spec.ny) as f64).sqrt();
     let noise = Grid2::from_vec(spec.nx, spec.ny, x.iter().map(|z| z.re * scale).collect());
 
@@ -151,5 +151,39 @@ fn full_pipeline_is_worker_count_invariant() {
             kb.generate(&noise, Window::new(-7, 3, 60, 40)),
             "convolution differs between {w1} and {w2} workers"
         );
+    }
+}
+
+/// FNV-1a of a surface's bits.
+fn hash_grid(g: &Grid2<f64>) -> u64 {
+    let bytes: Vec<u8> = g.as_slice().iter().flat_map(|v| v.to_bits().to_le_bytes()).collect();
+    rrs::num::fnv1a(&bytes)
+}
+
+/// The direct method's output, pinned bit for bit: every family on a
+/// radix-2 (64²) and a Bluestein (96×80) lattice, at one and two workers.
+/// The direct method draws from `Xoshiro256pp`, not the noise lattice.
+#[test]
+fn direct_method_keeps_its_hashes_at_every_worker_count() {
+    const HASHES: [(&str, (usize, usize), u64); 6] = [
+        ("gaussian", (64, 64), 0x948b_b937_f882_4a73),
+        ("gaussian", (96, 80), 0xc3d7_ed8e_f396_8e9c),
+        ("power_law_2", (64, 64), 0xece8_f4de_18e6_dc56),
+        ("power_law_2", (96, 80), 0x456f_0ae9_da05_16e0),
+        ("exponential", (64, 64), 0x4cda_09fe_1f03_23c7),
+        ("exponential", (96, 80), 0x9642_c18d_4a6f_2de8),
+    ];
+    let p = SurfaceParams::isotropic(1.0, 6.0);
+    for (name, (nx, ny), want) in HASHES {
+        let s = match name {
+            "gaussian" => SpectrumModel::gaussian(p),
+            "power_law_2" => SpectrumModel::power_law(p, 2.0),
+            _ => SpectrumModel::exponential(p),
+        };
+        for workers in [1, 2] {
+            let f =
+                DirectDftGenerator::with_workers(s, GridSpec::unit(nx, ny), workers).generate(31);
+            assert_eq!(hash_grid(&f), want, "{name} {nx}x{ny} at {workers} workers");
+        }
     }
 }

@@ -137,7 +137,6 @@ fn seeded_chaos_mid_batch_loses_no_window_and_corrupts_none() {
     let mut config =
         ShardedConfig::new(vec![a.addr().to_string(), b.addr().to_string()]);
     config.client.chaos = client_chaos.clone();
-    config.client.chaos_stall = std::time::Duration::from_millis(25);
     let mut sharded = ShardedClient::new(config).expect("construct");
 
     let win = Window::sized(20, 16);
