@@ -97,16 +97,17 @@ echo "== fault injection: rrs-io decoders must fail closed, retries must recover
 # never leaves a torn destination file.
 cargo test -q -p rrs-io --features failpoints --locked --offline
 
-echo "== docs: every intra-doc link must resolve =="
-# Fails on a doc link to a deleted or renamed item (and on an unescaped
-# bracketed citation rustdoc would read as a link).
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --locked --offline
+echo "== docs: every intra-doc link must resolve, no rustdoc warnings =="
+# Fails on any rustdoc warning: a doc link to a deleted or renamed item,
+# an unescaped bracketed citation rustdoc would read as a link, or a
+# public doc linking to a private item (a link the rendered docs drop).
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked --offline
 
-echo "== guard: no internal calls to deprecated APIs =="
-# The deprecated positional generate_window wrappers have been deleted;
-# the flag now guards against reintroducing them (or calling any newly
-# deprecated API) anywhere in the workspace.
-RUSTFLAGS="-D deprecated" cargo check -q --workspace --all-targets --locked --offline
+echo "== guard: the workspace checks with no warnings =="
+# Denies every compiler warning on every target: unused imports and dead
+# code left behind by a deletion, and calls to deprecated APIs (the
+# deleted positional generate_window wrappers among them).
+RUSTFLAGS="-D warnings" cargo check -q --workspace --all-targets --locked --offline
 
 # The speed and overhead gates below share one paired design
 # (rrs_bench::harness::paired): each rep runs one block of every variant

@@ -124,11 +124,6 @@ impl Budget {
         self.deadline
     }
 
-    /// The attached cancel token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// The configured byte ceiling, if any.
     pub fn max_bytes(&self) -> Option<usize> {
         self.max_bytes

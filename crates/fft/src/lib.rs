@@ -296,21 +296,18 @@ impl FftPlanCache {
     }
 
     /// Number of distinct plans currently cached, both kinds.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         let plans = self.lock_recovering();
         plans.complex.len() + plans.real.len()
     }
 
     /// Poison recoveries taken so far and not yet flushed into an
-    /// observed lookup. Test/diagnostic hook; observed paths drain this
-    /// into [`stage::FFT_PLAN_POISONED`].
-    pub fn pending_poison_recoveries(&self) -> u64 {
+    /// observed lookup, which drains them into
+    /// [`stage::FFT_PLAN_POISONED`].
+    #[cfg(test)]
+    fn pending_poison_recoveries(&self) -> u64 {
         self.poisoned.load(Ordering::Relaxed)
-    }
-
-    /// Whether the cache holds no plans yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// The process-wide cache, the only instance outside this crate's
@@ -542,7 +539,7 @@ mod tests {
     #[test]
     fn one_plan_per_shape() {
         let cache = FftPlanCache::new();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let a = cache.plan(16, 8);
         let b = cache.plan(16, 8);
         assert!(Arc::ptr_eq(&a, &b), "same key must share one plan");

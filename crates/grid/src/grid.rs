@@ -129,22 +129,9 @@ impl<T> Grid2<T> {
         &self.data[iy * self.nx..(iy + 1) * self.nx]
     }
 
-    /// Row `iy` as a contiguous mutable slice.
-    #[inline]
-    pub fn row_mut(&mut self, iy: usize) -> &mut [T] {
-        assert!(iy < self.ny, "row {iy} out of bounds (ny={})", self.ny);
-        &mut self.data[iy * self.nx..(iy + 1) * self.nx]
-    }
-
     /// Iterates rows in order.
     pub fn rows(&self) -> impl Iterator<Item = &[T]> {
         self.data.chunks_exact(self.nx.max(1))
-    }
-
-    /// Iterates `((ix, iy), &value)` in row-major order.
-    pub fn indexed_iter(&self) -> impl Iterator<Item = ((usize, usize), &T)> {
-        let nx = self.nx;
-        self.data.iter().enumerate().map(move |(i, v)| ((i % nx, i / nx), v))
     }
 
     /// Applies `f` to every element, producing a new grid of the same shape.
@@ -345,15 +332,6 @@ mod tests {
         let g = Grid2::from_fn(2, 3, |x, y| y * 2 + x);
         let rows: Vec<&[usize]> = g.rows().collect();
         assert_eq!(rows, vec![&[0, 1][..], &[2, 3][..], &[4, 5][..]]);
-    }
-
-    #[test]
-    fn indexed_iter_matches_get() {
-        let g = Grid2::from_fn(3, 2, |x, y| x as f64 + 100.0 * y as f64);
-        for ((x, y), &v) in g.indexed_iter() {
-            assert_eq!(v, *g.get(x, y));
-        }
-        assert_eq!(g.indexed_iter().count(), 6);
     }
 
     #[test]

@@ -93,13 +93,6 @@ impl Window {
         self.nx * self.ny
     }
 
-    /// The `f64` storage this window materialises, in bytes, computed in
-    /// `u128` so admission control can compare it against a byte budget
-    /// without the estimate itself ever overflowing.
-    pub fn bytes_f64(&self) -> u128 {
-        self.nx as u128 * self.ny as u128 * 8
-    }
-
     /// Windows are never empty by construction; kept for API symmetry
     /// with collection types.
     pub fn is_empty(&self) -> bool {
@@ -189,14 +182,6 @@ mod tests {
         let w = Window::sized(10, 20);
         assert_eq!(w, Window::new(0, 0, 10, 20));
         assert!(!w.is_empty());
-    }
-
-    #[test]
-    fn bytes_estimate_never_overflows() {
-        assert_eq!(Window::sized(4, 8).bytes_f64(), 256);
-        // Larger than any addressable allocation, still exact in u128.
-        let w = Window::sized(1 << 30, 1 << 30);
-        assert_eq!(w.bytes_f64(), (1u128 << 60) * 8);
     }
 
     #[test]

@@ -202,7 +202,7 @@ pub struct InhomogeneousGenerator<M> {
 impl<M: WeightMap> InhomogeneousGenerator<M> {
     /// Builds the generator, constructing one kernel per map entry with
     /// the given sizing policy. Entries with equal spectra share one
-    /// build (see [`build_once`]).
+    /// build (see `build_once`).
     pub fn new(map: M, sizing: KernelSizing) -> Self {
         let Ok(kernels) = build_once(&map.spectra(), |s| {
             Ok::<_, Infallible>(ConvolutionKernel::build(s, sizing))

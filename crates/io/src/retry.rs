@@ -55,12 +55,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy with `max_attempts` total attempts and the default base
-    /// delay.
-    pub fn with_attempts(max_attempts: u32) -> Self {
-        Self { max_attempts, ..Self::default() }
-    }
-
     /// The deterministic backoff before attempt `attempt` (1-based; the
     /// first attempt has no backoff).
     pub fn backoff(&self, attempt: u32) -> Duration {

@@ -106,13 +106,6 @@ impl Complex64 {
         Self::new(self.re * k, self.im * k)
     }
 
-    /// Reciprocal `1/z`. Returns infinities for `z == 0`, mirroring `f64`.
-    #[inline]
-    pub fn recip(self) -> Self {
-        let d = self.norm_sqr();
-        Self::new(self.re / d, -self.im / d)
-    }
-
     /// Complex exponential `e^z`.
     #[inline]
     pub fn exp(self) -> Self {
@@ -131,15 +124,6 @@ impl Complex64 {
         let re = ((r + self.re) * 0.5).sqrt();
         let im = ((r - self.re) * 0.5).sqrt().copysign(self.im);
         Self::new(re, im)
-    }
-
-    /// Fused multiply-add `self * b + c`; the workhorse of FFT butterflies.
-    #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        Self::new(
-            self.re * b.re - self.im * b.im + c.re,
-            self.re * b.im + self.im * b.re + c.im,
-        )
     }
 
     /// `true` if either component is NaN.
@@ -361,15 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn recip_matches_div() {
-        let a = Complex64::new(0.3, -0.7);
-        let r = a.recip();
-        let d = Complex64::ONE / a;
-        assert_close(r.re, d.re, 1e-13);
-        assert_close(r.im, d.im, 1e-13);
-    }
-
-    #[test]
     fn exp_of_imaginary_is_cis() {
         let t = 1.234;
         let e = Complex64::new(0.0, t).exp();
@@ -388,17 +363,6 @@ mod tests {
             assert_close(sq.im, im, 1e-12);
             assert!(s.re >= 0.0, "principal branch: {s:?}");
         }
-    }
-
-    #[test]
-    fn mul_add_matches_separate_ops() {
-        let a = Complex64::new(1.1, 2.2);
-        let b = Complex64::new(-0.4, 0.9);
-        let c = Complex64::new(5.0, -6.0);
-        let fused = a.mul_add(b, c);
-        let plain = a * b + c;
-        assert_close(fused.re, plain.re, 1e-14);
-        assert_close(fused.im, plain.im, 1e-14);
     }
 
     #[test]

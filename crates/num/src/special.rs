@@ -16,9 +16,6 @@
 
 use core::f64::consts::PI;
 
-/// Euler–Mascheroni constant.
-pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
-
 const EPS: f64 = 1e-16;
 const FPMIN: f64 = 1e-300;
 const MAXIT: usize = 10_000;

@@ -10,7 +10,7 @@
 //!   codec's framing discipline); malformed, truncated or bit-flipped
 //!   frames fail closed with typed errors, and requests validate through
 //!   the library's own `try_new` constructors at decode time.
-//! * **Scheduler** ([`server`]) — a shared work queue with per-tenant
+//! * **Scheduler** ([`serve`]) — a shared work queue with per-tenant
 //!   quotas enforced by [`rrs_error::Budget::admit`] *before* any
 //!   allocation, and admission-control backpressure: an overloaded
 //!   server answers with a typed [`Overloaded`] frame instead of

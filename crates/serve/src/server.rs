@@ -79,7 +79,7 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Maximum same-key jobs served per batch.
     pub max_batch: usize,
-    /// Hot-kernel LRU capacity (distinct [`GenKey`]s).
+    /// Hot-kernel LRU capacity (distinct `GenKey`s).
     pub kernel_cache_capacity: usize,
     /// Quota for tenants without an explicit entry.
     pub default_quota: TenantQuota,

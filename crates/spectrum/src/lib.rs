@@ -25,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod discrete;
-pub mod line;
 pub mod mixture;
 pub mod model;
 pub mod params;

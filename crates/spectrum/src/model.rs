@@ -95,16 +95,6 @@ impl PowerLaw {
     pub fn new(params: SurfaceParams, n: f64) -> Self {
         Self::try_new(params, n).unwrap_or_else(|e| panic!("{e}"))
     }
-
-    /// The second-order model of the paper's Figure 2.
-    pub fn second_order(params: SurfaceParams) -> Self {
-        Self::new(params, 2.0)
-    }
-
-    /// The third-order model of the paper's Figure 2.
-    pub fn third_order(params: SurfaceParams) -> Self {
-        Self::new(params, 3.0)
-    }
 }
 
 impl Spectrum for PowerLaw {

@@ -1,16 +1,15 @@
 //! The convolution method (paper §2.4, eqn 36).
 //!
 //! `f[n] = Σ_k w̃[k] · X[n − k]` with `w̃` the centred kernel and `X` unit
-//! lattice noise. Two noise backings are provided:
-//!
-//! * **open** — [`NoiseField`], an unbounded deterministic lattice: any
-//!   output [`Window`] can be generated independently and windows tile
-//!   seamlessly (the paper's "arbitrarily long or wide RRS by successive
-//!   computations");
-//! * **periodic** — an explicit `Nx × Ny` noise grid with wrap-around
-//!   indexing, matching the direct DFT method *exactly* when the noise is
-//!   the transform of the same Hermitian array (this identity is what the
-//!   convolution theorem derivation promises, and the tests enforce it).
+//! lattice noise from [`NoiseField`], an unbounded deterministic lattice:
+//! any output [`Window`] can be generated independently and windows tile
+//! seamlessly (the paper's "arbitrarily long or wide RRS by successive
+//! computations"). A caller that owns its noise (a periodic grid, say)
+//! materialises the window a request reads and correlates it with
+//! [`ConvolutionGenerator::try_correlate_window`]. With the full-size
+//! kernel and `X = DFT(u)/√(NxNy)` wrapped into that window, the result is
+//! the direct DFT method's surface for the same Hermitian array `u`, as
+//! the convolution theorem derivation promises (the tests enforce it).
 //!
 //! Attach an enabled [`Recorder`] through the generator's [`GenContext`]
 //! to time window materialisation and the correlation loops
@@ -64,8 +63,7 @@ pub enum ConvBackend {
     /// faster than `Direct` for large kernels.
     FftOverlapSave,
     /// The default. Picks per kernel: `FftOverlapSave` when the kernel
-    /// area exceeds the measured crossover
-    /// ([`AUTO_CROSSOVER_KERNEL_AREA`](self::AUTO_CROSSOVER_KERNEL_AREA)
+    /// area exceeds the measured crossover (`AUTO_CROSSOVER_KERNEL_AREA`
     /// = 13×13), `Direct` below it. Output equals `Direct`'s within 1e-9
     /// relative error, not bit for bit, wherever it picks the FFT engine;
     /// the inhomogeneous generator resolves each of its kernels this way.
@@ -105,10 +103,10 @@ const BREAKER_PROBE_EVERY: u64 = 16;
 /// sharded client.
 ///
 /// [`BackendHealth::run`] reports every fast attempt here; after
-/// [`BREAKER_THRESHOLD`] *consecutive* failures the breaker opens and
+/// `BREAKER_THRESHOLD` (3) *consecutive* failures the breaker opens and
 /// requests go straight to the reference rung (ticking
 /// [`stage::CONV_BREAKER_SKIPS`]) instead of re-running an engine that
-/// keeps failing. Every [`BREAKER_PROBE_EVERY`]th skipped request probes
+/// keeps failing. Every `BREAKER_PROBE_EVERY`th skipped request probes
 /// the fast rung; one success closes the breaker and restarts the probe
 /// count, so every open spell probes first at its 16th skip. The
 /// reference rung always runs, so a request never fails purely because
@@ -409,8 +407,9 @@ impl ConvolutionGenerator {
     /// through the configured backend: `win` must be the row-major
     /// `(nx+kw−1) × (ny+kh−1)` window a `nx × ny` request materialises
     /// (see [`ConvolutionGenerator::try_generate`] for its origin).
-    /// Public so benchmarks and equivalence suites can time and compare
-    /// the correlate stage in isolation from window materialisation.
+    /// Public so a caller that owns its noise (a periodic grid, say) can
+    /// correlate it, and so benchmarks and equivalence suites can time
+    /// and compare the correlate stage apart from window materialisation.
     /// Admitted like [`ConvolutionGenerator::try_generate`], except that
     /// the caller already owns the noise window: a byte ceiling counts
     /// the output and the engine's workspace.
@@ -449,80 +448,6 @@ impl ConvolutionGenerator {
         let rows = OutputRows { rows: out.as_mut_slice(), stride: nx, col0: 0 };
         correlate_rows(&self.ctx, &self.kernel, win, ww, nx, rows, &fftconv::store)?;
         Ok(out)
-    }
-
-    /// Fallible [`ConvolutionGenerator::convolve_periodic`]: additionally
-    /// rejects an empty noise grid and a kernel whose extent exceeds the
-    /// grid (wrap-around would fold the kernel onto itself and the result
-    /// would no longer carry the prescribed statistics).
-    pub fn try_convolve_periodic(&self, noise: &Grid2<f64>) -> Result<Grid2<f64>, RrsError> {
-        let (nx, ny) = noise.shape();
-        let (kw, kh) = self.kernel.extent();
-        if nx == 0 || ny == 0 {
-            return Err(RrsError::invalid_param(
-                "noise",
-                format!("noise grid must be non-empty, got {nx}x{ny}"),
-            ));
-        }
-        if kw > nx || kh > ny {
-            return Err(RrsError::shape_mismatch(
-                "kernel larger than the noise grid",
-                format!("kernel extent at most {nx}x{ny}"),
-                format!("{kw}x{kh}"),
-            ));
-        }
-        self.ctx.budget.check()?;
-        self.admit("periodic convolution", nx as u128 * ny as u128)?;
-        let (ox, oy) = self.kernel.origin();
-        let kernel = self.kernel.weights();
-        let mut out = Grid2::zeros(nx, ny);
-        let out_slice = out.as_mut_slice();
-        let span = self.ctx.obs.start(stage::CORRELATE);
-        rrs_par::try_par_rows(
-            out_slice,
-            nx,
-            self.ctx.workers,
-            &self.ctx.obs,
-            &self.ctx.budget,
-            &self.ctx.chaos,
-            |iy0, chunk| {
-                for (row_off, row) in chunk.chunks_mut(nx).enumerate() {
-                    let iy = iy0 + row_off;
-                    for (ix, slot) in row.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        for b in 0..kh {
-                            let jy = oy + b as i64;
-                            let sy = (iy as i64 - jy).rem_euclid(ny as i64) as usize;
-                            let krow = kernel.row(b);
-                            for (a, &kv) in krow.iter().enumerate() {
-                                let jx = ox + a as i64;
-                                let sx = (ix as i64 - jx).rem_euclid(nx as i64) as usize;
-                                acc += kv * *noise.get(sx, sy);
-                            }
-                        }
-                        *slot = acc;
-                    }
-                }
-                let mut shard = self.ctx.obs.shard();
-                shard.add(stage::CORRELATE_SAMPLES, chunk.len() as u64);
-                self.ctx.obs.absorb(shard);
-            },
-        )?;
-        self.ctx.obs.finish(span);
-        Ok(out)
-    }
-
-    /// Periodic convolution against an explicit `Nx × Ny` noise grid
-    /// (wrap-around indexing): `f[n] = Σ_j w̃[j] · X[(n−j) mod N]`.
-    ///
-    /// With the full-size kernel and `X = DFT(u)/√(NxNy)` this reproduces
-    /// the direct DFT method sample-for-sample.
-    ///
-    /// # Panics
-    /// Panics on an empty noise grid or a kernel larger than it. Fallible
-    /// callers use [`ConvolutionGenerator::try_convolve_periodic`].
-    pub fn convolve_periodic(&self, noise: &Grid2<f64>) -> Grid2<f64> {
-        self.try_convolve_periodic(noise).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -794,15 +719,30 @@ mod tests {
         let mut x = u.clone();
         Fft2d::new(spec.nx, spec.ny).process(&mut x, Direction::Forward, 1);
         let scale = 1.0 / ((spec.nx * spec.ny) as f64).sqrt();
-        let noise = Grid2::from_vec(
-            spec.nx,
-            spec.ny,
-            x.iter().map(|z| z.re * scale).collect(),
-        );
         let kernel = ConvolutionKernel::build(&s, KernelSizing::Explicit(spec));
+        // The window an nx × ny request at the origin reads, wrapped from
+        // the periodic grid X: window sample (p, q) is X at lattice point
+        // (p − (ox+kw−1), q − (oy+kh−1)) mod (nx, ny).
+        let (kw, kh) = kernel.extent();
+        let (ox, oy) = kernel.origin();
+        let wrap = |i: usize, o: i64, k: usize, n: usize| {
+            (i as i64 - (o + k as i64 - 1)).rem_euclid(n as i64) as usize
+        };
+        let win: Vec<f64> = (0..spec.ny + kh - 1)
+            .flat_map(|q| (0..spec.nx + kw - 1).map(move |p| (p, q)))
+            .map(|(p, q)| {
+                let (sx, sy) = (wrap(p, ox, kw, spec.nx), wrap(q, oy, kh, spec.ny));
+                x[sy * spec.nx + sx].re * scale
+            })
+            .collect();
         let f_conv = ConvolutionGenerator::from_kernel(kernel)
-            .with_context(GenContext::new().with_workers(1))
-            .convolve_periodic(&noise);
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct),
+            )
+            .try_correlate_window(&win, spec.nx, spec.ny)
+            .unwrap();
 
         let max_err = f_direct
             .as_slice()
@@ -897,30 +837,6 @@ mod tests {
         // A window that fits the ceiling still generates.
         let small = Window::sized(8, 8);
         assert_eq!(gen.try_generate(&NoiseField::new(1), small).unwrap().shape(), (8, 8));
-    }
-
-    #[test]
-    fn budgeted_periodic_convolution_admits_and_matches() {
-        use rrs_error::Budget;
-        let s = Gaussian::new(SurfaceParams::isotropic(1.0, 4.0));
-        let spec = GridSpec::unit(16, 16);
-        let kernel = ConvolutionKernel::build(&s, KernelSizing::Explicit(spec));
-        let noise = Grid2::from_vec(16, 16, (0..256).map(|i| (i as f64).sin()).collect());
-        let plain = ConvolutionGenerator::from_kernel(kernel.clone())
-            .with_context(GenContext::new().with_workers(1))
-            .convolve_periodic(&noise);
-        let gen = ConvolutionGenerator::from_kernel(kernel)
-            .with_context(
-                GenContext::new()
-                    .with_workers(1)
-                    .with_budget(Budget::unlimited().with_max_bytes(16 * 16 * 8)),
-            );
-        assert_eq!(gen.try_convolve_periodic(&noise).unwrap(), plain);
-        let budget = Budget::unlimited().with_max_bytes(16 * 16 * 8 - 1);
-        let ctx = gen.context().clone().with_budget(budget);
-        let tight = gen.with_context(ctx);
-        let err = tight.try_convolve_periodic(&noise).unwrap_err();
-        assert_eq!(err.kind(), rrs_error::ErrorKind::BudgetExceeded);
     }
 
     #[test]

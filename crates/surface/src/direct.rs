@@ -31,11 +31,6 @@ impl<S: Spectrum> DirectDftGenerator<S> {
         Self { spectrum, spec, workers: workers.max(1) }
     }
 
-    /// The sampling lattice.
-    pub fn grid_spec(&self) -> GridSpec {
-        self.spec
-    }
-
     /// Generates one realisation from `seed`.
     pub fn generate(&self, seed: u64) -> Grid2<f64> {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);

@@ -23,7 +23,6 @@ use rrs_fft::{Direction, FftPlanCache};
 use rrs_grid::Grid2;
 use rrs_num::Complex64;
 use rrs_obs::{stage, Recorder};
-use rrs_spectrum::line::{amplitude_array_1d, Spectrum1d};
 use rrs_spectrum::{amplitude_array, GridSpec, Spectrum, SurfaceParams};
 
 /// How to choose the kernel lattice for a spectrum.
@@ -60,20 +59,17 @@ impl KernelSizing {
         match *self {
             Self::Explicit(spec) => spec,
             Self::Auto { factor, min, max } => {
-                let pick = |cl: f64| auto_length(factor, min, max, cl);
+                let pick = |cl: f64| -> usize {
+                    // `as` saturates a huge product at `usize::MAX` (odd),
+                    // so rounding up to even must saturate too.
+                    let raw = (factor * cl).ceil() as usize;
+                    let even = raw.saturating_add(raw % 2);
+                    even.min(max).max(min).max(2)
+                };
                 GridSpec::unit(pick(params.clx), pick(params.cly))
             }
         }
     }
-}
-
-/// [`KernelSizing::Auto`]'s rule for one axis of correlation length `cl`.
-pub(crate) fn auto_length(factor: f64, min: usize, max: usize, cl: f64) -> usize {
-    // `as` saturates a huge product at `usize::MAX` (odd), so rounding up
-    // to even must saturate too.
-    let raw = (factor * cl).ceil() as usize;
-    let even = raw.saturating_add(raw % 2);
-    even.min(max).max(min).max(2)
 }
 
 /// A centred real convolution kernel: `weights[(jy−y0)·w + (jx−x0)]` is
@@ -102,23 +98,13 @@ impl ConvolutionKernel {
     ) -> Self {
         let spec = sizing.resolve(spectrum.params());
         let v = obs.time(stage::KERNEL_AMPLITUDE, || amplitude_array(spectrum, spec));
-        Self::from_amplitudes(v.as_slice(), spec.nx, spec.ny, obs)
-    }
-
-    /// Builds the one-row kernel of the 1-D `spectrum` on an `n`-sample
-    /// lattice at unit spacing: eqns 34–35 on one row, with origin
-    /// `(−n/2, 0)`. `n` must be even; 8–10 correlation lengths suffice for
-    /// the Gaussian family, more for the heavy-tailed Exponential.
-    pub fn build_profile<S: Spectrum1d + ?Sized>(spectrum: &S, n: usize) -> Self {
-        let v = amplitude_array_1d(spectrum, n, 1.0);
-        Self::from_amplitudes(&v, n, 1, &Recorder::disabled())
-    }
-
-    /// Eqns 34–35 on the row-major `nx × ny` amplitude array `v`:
-    /// transform it, normalise by `√(Nx·Ny)` and re-centre.
-    fn from_amplitudes(v: &[f64], nx: usize, ny: usize, obs: &Recorder) -> Self {
+        let (nx, ny) = (spec.nx, spec.ny);
         let span = obs.start(stage::KERNEL_DFT);
-        let mut buf: Vec<Complex64> = v.iter().map(|&x| Complex64::from_re(x)).collect();
+        let mut buf: Vec<Complex64> = v
+            .as_slice()
+            .iter()
+            .map(|&x| Complex64::from_re(x))
+            .collect();
         // Inhomogeneous layouts build several kernels on one lattice; the
         // process-wide plan cache transforms them with shared tables.
         FftPlanCache::global().plan(nx, ny).process(&mut buf, Direction::Forward, 1);
@@ -149,8 +135,8 @@ impl ConvolutionKernel {
         spec.nx as u128 * spec.ny as u128 * per_sample as u128
     }
 
-    /// Builds a kernel directly from explicit centred weights (used by the
-    /// inhomogeneous blender).
+    /// Builds a kernel directly from explicit centred weights: element
+    /// `(0, 0)` of `weights` is the coefficient at offset `(x0, y0)`.
     pub fn from_parts(weights: Grid2<f64>, x0: i64, y0: i64) -> Self {
         Self { weights, x0, y0 }
     }
@@ -322,7 +308,6 @@ impl ConvolutionKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rrs_spectrum::line::{Gaussian1d, LineParams};
     use rrs_spectrum::{Exponential, Gaussian, PowerLaw};
 
     fn gaussian_kernel(h: f64, cl: f64, n: usize) -> ConvolutionKernel {
@@ -422,20 +407,15 @@ mod tests {
 
     #[test]
     fn a_centre_tap_that_holds_the_budget_truncates_to_one_tap() {
-        let one_tap = |k: &ConvolutionKernel, eps: f64| {
-            let t = k.truncated(eps);
-            assert_eq!(t.extent(), (1, 1), "eps {eps}: {:?}", k.extent());
-            assert_eq!(t.origin(), (0, 0));
-            assert!(t.energy() >= k.energy() * (1.0 - eps * eps), "eps {eps}");
-        };
         for (cl, eps) in [(0.2, 0.3), (0.3, 0.3), (0.5, 0.3), (0.2, 0.05), (0.3, 0.05)] {
             let s = Gaussian::new(SurfaceParams::isotropic(1.0, cl));
             let k = ConvolutionKernel::build(&s, KernelSizing::default());
             assert_eq!(k.extent(), (16, 16), "the default lattice's floor");
-            one_tap(&k, eps);
+            let t = k.truncated(eps);
+            assert_eq!(t.extent(), (1, 1), "cl {cl}, eps {eps}");
+            assert_eq!(t.origin(), (0, 0));
+            assert!(t.energy() >= k.energy() * (1.0 - eps * eps), "eps {eps}");
         }
-        let line = Gaussian1d::new(LineParams::new(1.0, 0.3));
-        one_tap(&ConvolutionKernel::build_profile(&line, 16), 0.3);
     }
 
     #[test]

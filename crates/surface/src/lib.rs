@@ -25,7 +25,6 @@ pub mod context;
 pub mod conv;
 pub mod direct;
 mod fftconv;
-pub mod line;
 pub mod hermitian;
 pub mod kernel;
 pub mod noise;
@@ -40,7 +39,6 @@ pub use fftconv::{
 };
 pub use direct::DirectDftGenerator;
 pub use kernel::{ConvolutionKernel, KernelSizing};
-pub use line::LineGenerator;
 pub use noise::NoiseField;
 pub use rrs_error::RrsError;
 pub use stream::StripGenerator;

@@ -50,7 +50,7 @@
 //!
 //! # Fill
 //!
-//! Windows are filled a row at a time, [`LANES`] consecutive samples per
+//! Windows are filled a row at a time, `LANES` (8) consecutive samples per
 //! block. The block body is written once and compiled twice: portably,
 //! and for AVX2, picked at run time like `rrs_fft::RealFft2d`'s tiles.
 //! Each lane gets exactly the IEEE operations of [`NoiseField::at`] in

@@ -1,11 +1,10 @@
 //! Properties of the fallible generator entry points: invalid windows,
-//! truncation budgets, stream heights and undersized periodic grids are
-//! rejected with typed errors; the valid domain matches the panicking
-//! wrappers bit-for-bit.
+//! truncation budgets and stream heights are rejected with typed errors;
+//! the valid domain matches the panicking wrappers bit-for-bit.
 
 use rrs_check::{from_fn, props, CaseRng};
 use rrs_error::ErrorKind;
-use rrs_grid::{Grid2, Window};
+use rrs_grid::Window;
 use rrs_spectrum::{Gaussian, GridSpec, SurfaceParams};
 use rrs_obs::Recorder;
 use rrs_surface::{
@@ -59,25 +58,6 @@ props! {
         let k = small_kernel(3.0);
         let t = k.try_truncated(eps, &Recorder::disabled()).expect("valid epsilon accepted");
         assert_eq!(t, k.truncated(eps));
-    }
-
-    fn kernel_larger_than_periodic_grid_rejected(n in 1usize..40) {
-        // The kernel extent is fixed at 16x16; periodic convolution only
-        // accepts noise grids at least that large on both axes.
-        let gen = ConvolutionGenerator::from_kernel(small_kernel(2.0))
-            .with_context(GenContext::new().with_workers(1));
-        let noise = Grid2::filled(n, n, 0.5);
-        match gen.try_convolve_periodic(&noise) {
-            Ok(out) => {
-                assert!(n >= 16, "{n}x{n} accepted");
-                assert_eq!(out.shape(), (n, n));
-            }
-            Err(e) => {
-                assert!(n < 16, "{n}x{n} rejected: {e}");
-                assert_eq!(e.kind(), ErrorKind::ShapeMismatch);
-                assert!(e.to_string().contains("kernel larger than the noise grid"), "{e}");
-            }
-        }
     }
 
     fn stream_height_boundary(ny in 0usize..6, seed in rrs_check::any::<u64>()) {

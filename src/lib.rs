@@ -124,7 +124,6 @@ pub mod prelude {
     pub use rrs_inhomo::{
         InhomogeneousGenerator, Plate, PlateLayout, PointLayout, Region, RepresentativePoint,
     };
-    pub use rrs_spectrum::line::{Exponential1d, Gaussian1d, LineParams, Spectrum1d};
     pub use rrs_spectrum::{
         Exponential, Gaussian, GridSpec, Mixture, PowerLaw, Rotated, Spectrum, SpectrumModel,
         SurfaceParams,
@@ -136,6 +135,6 @@ pub mod prelude {
     };
     pub use rrs_surface::{
         BackendHealth, ConvBackend, ConvolutionGenerator, ConvolutionKernel, DirectDftGenerator,
-        GenContext, KernelSizing, LineGenerator, NoiseField, StripGenerator,
+        GenContext, KernelSizing, NoiseField, StripGenerator,
     };
 }

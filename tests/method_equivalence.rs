@@ -13,6 +13,22 @@ use rrs::prelude::*;
 use rrs::rng::{Pcg32, Xoshiro256pp};
 use rrs::surface::hermitian::hermitian_gaussian_array;
 
+/// The window an `nx × ny` request at the origin reads from the periodic
+/// noise grid `x` through `kernel`: window sample `(p, q)` is `x` at
+/// `((p − (ox+kw−1)) mod nx, (q − (oy+kh−1)) mod ny)`.
+fn wrapped_window(x: &Grid2<f64>, kernel: &ConvolutionKernel) -> Vec<f64> {
+    let (nx, ny) = x.shape();
+    let (kw, kh) = kernel.extent();
+    let (ox, oy) = kernel.origin();
+    let wrap = |i: usize, o: i64, k: usize, n: usize| {
+        (i as i64 - (o + k as i64 - 1)).rem_euclid(n as i64) as usize
+    };
+    (0..ny + kh - 1)
+        .flat_map(|q| (0..nx + kw - 1).map(move |p| (p, q)))
+        .map(|(p, q)| *x.get(wrap(p, ox, kw, nx), wrap(q, oy, kh, ny)))
+        .collect()
+}
+
 /// Exact identity: f_direct(u) == w̃ ⊛ (DFT(u)/√N), for all spectra.
 #[test]
 fn direct_and_convolution_agree_exactly_per_spectrum() {
@@ -37,9 +53,15 @@ fn direct_and_convolution_agree_exactly_per_spectrum() {
         let f_direct =
             DirectDftGenerator::with_workers(*s, spec, 1).generate_from_bins(&u);
         let kernel = ConvolutionKernel::build(s, KernelSizing::Explicit(spec));
+        let win = wrapped_window(&noise, &kernel);
         let f_conv = ConvolutionGenerator::from_kernel(kernel)
-            .with_context(GenContext::new().with_workers(1))
-            .convolve_periodic(&noise);
+            .with_context(
+                GenContext::new()
+                    .with_workers(1)
+                    .with_backend(ConvBackend::Direct),
+            )
+            .try_correlate_window(&win, spec.nx, spec.ny)
+            .unwrap();
         let err = f_direct
             .as_slice()
             .iter()
@@ -111,24 +133,36 @@ fn statistics_are_rng_family_invariant() {
 }
 
 /// The measured autocorrelation of generated surfaces matches the model's
-/// closed form, method-independently.
+/// closed form, method-independently. The lags along x also check
+/// profiles, which are rows cut from generated surfaces: a row of an
+/// isotropic surface has autocorrelation ρ(x, 0) (eqns 6 and 10 at
+/// y = 0).
 #[test]
 fn measured_autocorrelation_matches_model() {
     let p = SurfaceParams::isotropic(1.0, 8.0);
-    let s = Gaussian::new(p);
     let n = 256usize;
-    let conv = ConvolutionGenerator::new(&s, KernelSizing::default())
-        .with_context(GenContext::new().with_workers(2));
-    let f = conv.generate(&NoiseField::new(77), Window::new(0, 0, n, n));
-    let lags: Vec<(i64, i64)> = vec![(0, 0), (4, 0), (8, 0), (0, 8), (12, 0), (6, 6)];
-    let measured = rrs::stats::autocorrelation_lags_with_mean(&f, &lags, 0.0);
-    use rrs::spectrum::Spectrum;
-    for (&(dx, dy), &got) in lags.iter().zip(&measured) {
-        let expect = s.autocorrelation(dx as f64, dy as f64);
-        assert!(
-            (got - expect).abs() < 0.12,
-            "lag ({dx},{dy}): measured {got}, model {expect}"
-        );
+    let lags: Vec<(i64, i64)> = vec![
+        (0, 0),
+        (1, 0),
+        (4, 0),
+        (8, 0),
+        (0, 8),
+        (12, 0),
+        (16, 0),
+        (6, 6),
+    ];
+    for s in [SpectrumModel::gaussian(p), SpectrumModel::exponential(p)] {
+        let conv = ConvolutionGenerator::new(&s, KernelSizing::default())
+            .with_context(GenContext::new().with_workers(2));
+        let f = conv.generate(&NoiseField::new(77), Window::new(0, 0, n, n));
+        let measured = rrs::stats::autocorrelation_lags_with_mean(&f, &lags, 0.0);
+        for (&(dx, dy), &got) in lags.iter().zip(&measured) {
+            let expect = s.autocorrelation(dx as f64, dy as f64);
+            assert!(
+                (got - expect).abs() < 0.12,
+                "{s:?} lag ({dx},{dy}): measured {got}, model {expect}"
+            );
+        }
     }
 }
 
